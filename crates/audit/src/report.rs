@@ -11,14 +11,14 @@
 //!    [`zeiot_obs::jsonl`], so audit dumps splice into the same
 //!    tooling as every other workspace metrics stream.
 
-use crate::finding::{AllowStatus, Finding};
+use crate::finding::Finding;
 use zeiot_core::time::SimTime;
 use zeiot_obs::{Label, Recorder, Severity};
 
 /// Summary of one audit run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AuditReport {
-    /// Every finding, suppressed and baselined included, in walk order.
+    /// Every finding, suppressed included, in walk order.
     pub findings: Vec<Finding>,
     /// Number of source files scanned.
     pub files_scanned: usize,
@@ -64,23 +64,17 @@ impl AuditReport {
         out
     }
 
-    /// Counts of (active, suppressed, baselined) findings.
-    pub fn tallies(&self) -> (usize, usize, usize) {
-        let mut t = (0, 0, 0);
-        for f in &self.findings {
-            match f.status {
-                AllowStatus::Active => t.0 += 1,
-                AllowStatus::Suppressed { .. } => t.1 += 1,
-                AllowStatus::Baselined => t.2 += 1,
-            }
-        }
-        t
+    /// Counts of (active, suppressed) findings.
+    pub fn tallies(&self) -> (usize, usize) {
+        let active = self.active().count();
+        (active, self.findings.len() - active)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::finding::AllowStatus;
 
     fn report() -> AuditReport {
         AuditReport {
@@ -132,7 +126,7 @@ mod tests {
 
     #[test]
     fn tallies_split_by_status() {
-        assert_eq!(report().tallies(), (1, 1, 0));
+        assert_eq!(report().tallies(), (1, 1));
         assert_eq!(report().active().count(), 1);
     }
 

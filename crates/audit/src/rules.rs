@@ -17,7 +17,7 @@
 //! lines — `p1` (panic reachability over the [`crate::graph`] call
 //! graph) and `o1` (the [observability-name registry] round-trip, see
 //! [`crate::obsnames`]) — and feed their hits through the same
-//! annotation/baseline pipeline via [`finalize`].
+//! annotation pipeline via [`finalize`].
 //!
 //! [observability-name registry]: ../../obs/src/registry.rs
 //!
@@ -88,7 +88,7 @@ pub fn parse_annotations(lines: &[Line]) -> Vec<Annotation> {
     out
 }
 
-/// A rule hit before annotation/baseline matching.
+/// A rule hit before annotation matching.
 #[derive(Debug, Clone)]
 pub(crate) struct RawFinding {
     pub(crate) rule: Rule,

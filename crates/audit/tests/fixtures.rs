@@ -4,7 +4,7 @@
 //! malformed-annotation policing. Fixtures live under `fixtures/` as
 //! plain text — they are never compiled.
 
-use zeiot_audit::{analyze_source, AuditConfig, Baseline, Finding, Layer};
+use zeiot_audit::{analyze_source, AuditConfig, Finding, Layer};
 
 fn audit_as(crate_name: &str, rel: &str, src: &str) -> Vec<Finding> {
     analyze_source(&AuditConfig::default(), crate_name, rel, Layer::Lib, src)
@@ -148,22 +148,6 @@ fn malformed_allow_annotations_are_flagged_and_do_not_suppress() {
     assert!(malformed[1].message.contains("unknown rule `d9`"));
     // The HashMaps the broken annotations sat next to still count.
     assert_eq!(active(&findings, "d1").len(), 2);
-}
-
-#[test]
-fn baselines_grandfather_without_silencing_the_report() {
-    let src = include_str!("../fixtures/d1_hash_collections.rs");
-    let mut findings = audit_as("zeiot-sim", "fixtures/d1_hash_collections.rs", src);
-    let baseline = Baseline::from_json(
-        r#"[{"file":"fixtures/d1_hash_collections.rs","rule":"d1","line":null}]"#,
-    )
-    .unwrap();
-    baseline.apply(&mut findings);
-    assert!(findings.iter().all(|f| !f.status.is_active()));
-    assert!(findings
-        .iter()
-        .all(|f| f.status == zeiot_audit::AllowStatus::Baselined));
-    assert_eq!(findings.len(), 4);
 }
 
 #[test]

@@ -1,23 +1,18 @@
 //! The acceptance gate: the workspace itself audits clean under
-//! `--deny all` with the committed baseline, and every surviving allow
-//! annotation carries a justification. CI runs the binary too; this
-//! test keeps the guarantee inside `cargo test`.
+//! `--deny all`, and every allow annotation carries a justification.
+//! CI runs the binary too; this test keeps the guarantee inside
+//! `cargo test`.
 
 use std::path::PathBuf;
-use zeiot_audit::{audit_workspace, AllowStatus, AuditConfig, Baseline};
+use zeiot_audit::{audit_workspace, AllowStatus, AuditConfig};
 
 fn repo_root() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..")
 }
 
-fn committed_baseline() -> Baseline {
-    Baseline::load(&repo_root().join("audit-baseline.json")).expect("committed baseline loads")
-}
-
 #[test]
 fn workspace_has_zero_unannotated_findings() {
-    let baseline = committed_baseline();
-    let report = audit_workspace(&repo_root(), &AuditConfig::default(), Some(&baseline)).unwrap();
+    let report = audit_workspace(&repo_root(), &AuditConfig::default()).unwrap();
     let active: Vec<String> = report.active().map(|f| f.to_string()).collect();
     assert!(
         active.is_empty(),
@@ -27,32 +22,8 @@ fn workspace_has_zero_unannotated_findings() {
 }
 
 #[test]
-fn baseline_only_grandfathers_legacy_microdeep_p1() {
-    // The baseline is a ratchet, not a dumping ground: only the legacy
-    // microdeep kernel files ride it, only for p1, and it must still
-    // cover something (a baseline that covers nothing means the debt
-    // was paid — delete the stale rows).
-    let baseline = committed_baseline();
-    let report = audit_workspace(&repo_root(), &AuditConfig::default(), Some(&baseline)).unwrap();
-    let baselined: Vec<_> = report
-        .findings
-        .iter()
-        .filter(|f| f.status == AllowStatus::Baselined)
-        .collect();
-    assert!(!baselined.is_empty(), "baseline covers nothing — delete it");
-    for f in &baselined {
-        assert_eq!(f.rule, "p1", "{}: only p1 may be baselined", f.file);
-        assert!(
-            f.file.starts_with("crates/microdeep/src/"),
-            "{}: baseline is reserved for legacy microdeep kernels",
-            f.file
-        );
-    }
-}
-
-#[test]
 fn every_allow_annotation_carries_a_justification() {
-    let report = audit_workspace(&repo_root(), &AuditConfig::default(), None).unwrap();
+    let report = audit_workspace(&repo_root(), &AuditConfig::default()).unwrap();
     let mut suppressed = 0;
     for f in &report.findings {
         if let AllowStatus::Suppressed { justification } = &f.status {
@@ -73,9 +44,8 @@ fn every_allow_annotation_carries_a_justification() {
 #[test]
 fn registry_round_trip_holds_workspace_wide() {
     // o1 both ways: every emitted literal is registered and every
-    // registered name is emitted. Run without the baseline so a future
-    // baseline row can never mask an o1 regression.
-    let report = audit_workspace(&repo_root(), &AuditConfig::default(), None).unwrap();
+    // registered name is emitted.
+    let report = audit_workspace(&repo_root(), &AuditConfig::default()).unwrap();
     let o1: Vec<String> = report
         .active()
         .filter(|f| f.rule == "o1")

@@ -201,7 +201,7 @@ fn bench_audit_workspace_scan(c: &mut Criterion) {
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     let config = AuditConfig::default();
     c.bench_function("audit_workspace_scan", |b| {
-        b.iter(|| black_box(audit_workspace(black_box(&root), &config, None).expect("scan runs")))
+        b.iter(|| black_box(audit_workspace(black_box(&root), &config).expect("scan runs")))
     });
 }
 

@@ -92,9 +92,9 @@ pub enum Recovery {
     /// No recovery: the static placement degrades for the whole run.
     None,
     /// Offline pre-repair: units are moved off every node that will
-    /// *ever* brown out, before serving starts — the a-priori
-    /// `resilience` path the engine subsumes, with perfect foresight
-    /// and free state transfer.
+    /// *ever* brown out, before serving starts — one unbounded
+    /// `plan_incremental` pass with perfect foresight and free state
+    /// transfer.
     Static,
     /// The runtime engine, warm-started incremental search under the
     /// point's migration budget.

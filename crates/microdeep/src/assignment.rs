@@ -52,7 +52,12 @@ impl Assignment {
     }
 
     /// All computational units on `sink`; inputs stay on their sensors.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sink` is not a node of `topo`.
     pub fn centralized_at(graph: &UnitGraph, topo: &Topology, sink: NodeId) -> Self {
+        // zeiot-audit: allow(p1) -- documented `# Panics` precondition guard
         assert!(sink.index() < topo.len(), "sink out of range");
         let unit_host = (1..graph.layer_count())
             .map(|l| vec![sink; graph.units_in_layer(l)])
@@ -72,29 +77,7 @@ impl Assignment {
     /// Spatial units to the nearest sensor, dense units round-robin — no
     /// load cap.
     pub fn grid_projection(graph: &UnitGraph, topo: &Topology) -> Self {
-        let bbox = bounding_box(topo);
-        let mut unit_host = Vec::with_capacity(graph.layer_count() - 1);
-        let mut rr = 0usize;
-        for l in 1..graph.layer_count() {
-            let mut layer = Vec::with_capacity(graph.units_in_layer(l));
-            for u in 0..graph.units_in_layer(l) {
-                let host = match graph.position(l, u) {
-                    Some(p) => topo.nearest_node(scale_into(p, bbox)),
-                    None => {
-                        let id = NodeId::new((rr % topo.len()) as u32);
-                        rr += 1;
-                        id
-                    }
-                };
-                layer.push(host);
-            }
-            unit_host.push(layer);
-        }
-        Self {
-            input_host: Self::input_hosts(graph, topo),
-            unit_host,
-            node_count: topo.len(),
-        }
+        Self::greedy(graph, topo, &RoutingTable::shortest_paths(topo), usize::MAX)
     }
 
     /// The paper's heuristic: locality-first placement under a per-node
@@ -123,16 +106,27 @@ impl Assignment {
     ) -> Self {
         let routes = RoutingTable::shortest_paths(topo);
         let cap = graph.total_units().div_ceil(topo.len());
-        let bbox = bounding_box(topo);
-        let input_host = Self::input_hosts(graph, topo);
-        let mut load = vec![0usize; topo.len()];
-        let mut unit_host: Vec<Vec<NodeId>> = Vec::with_capacity(graph.layer_count() - 1);
+        let mut assignment = Self::greedy(graph, topo, &routes, cap);
+        let threads = if threads == 0 {
+            rayon::current_num_threads()
+        } else {
+            threads
+        };
+        improve(&mut assignment, graph, topo, &routes, cap, &[], threads);
+        assignment
+    }
 
-        // Pass 1: locality-greedy placement under the cap. Spatial units
-        // go to the sensor nearest their receptive field. Dense units
-        // read the *entire* previous layer, so their message count is the
-        // same wherever they live — what matters for the maximal per-node
-        // cost is spreading them, hence round-robin.
+    /// Locality-greedy placement under `cap` units per node. Spatial units
+    /// go to the sensor nearest their receptive field, or the nearest (by
+    /// hops) node with room. Dense units read the *entire* previous layer,
+    /// so their message count is the same wherever they live — what
+    /// matters for the maximal per-node cost is spreading them, hence
+    /// round-robin over the nodes with room.
+    fn greedy(graph: &UnitGraph, topo: &Topology, routes: &RoutingTable, cap: usize) -> Self {
+        let bbox = bounding_box(topo);
+        let n = topo.len();
+        let mut load = vec![0usize; n];
+        let mut unit_host: Vec<Vec<NodeId>> = Vec::with_capacity(graph.layer_count() - 1);
         let mut rr = 0usize;
         for l in 1..graph.layer_count() {
             let mut layer = Vec::with_capacity(graph.units_in_layer(l));
@@ -140,11 +134,10 @@ impl Assignment {
                 let preferred = match graph.position(l, u) {
                     Some(p) => topo.nearest_node(scale_into(p, bbox)),
                     None => {
-                        // Round-robin over nodes, skipping full ones.
-                        let n = topo.len();
                         let mut chosen = NodeId::new((rr % n) as u32);
                         for probe in 0..n {
                             let candidate = NodeId::new(((rr + probe) % n) as u32);
+                            // zeiot-audit: allow(p1) -- node ids come from this topology, so index() < topo.len() = load.len()
                             if load[candidate.index()] < cap {
                                 chosen = candidate;
                                 rr += probe + 1;
@@ -157,7 +150,6 @@ impl Assignment {
                 let host = if load[preferred.index()] < cap {
                     preferred
                 } else {
-                    // Nearest (by hops) node with spare capacity.
                     topo.node_ids()
                         .filter(|n| load[n.index()] < cap)
                         .min_by_key(|n| {
@@ -173,96 +165,11 @@ impl Assignment {
             }
             unit_host.push(layer);
         }
-
-        let mut assignment = Self {
-            input_host,
+        Self {
+            input_host: Self::input_hosts(graph, topo),
             unit_host,
-            node_count: topo.len(),
-        };
-
-        // Pass 2: local-search sweeps under the cap. Only spatial units
-        // move — a dense unit's traffic is placement-invariant, and
-        // letting it chase its producers would re-concentrate load.
-        //
-        // Candidate *scoring* is side-effect free (it reads the frozen
-        // assignment and routing table), so it fans out across threads;
-        // the *move* — the only mutation — is applied serially. Selection
-        // uses a total order (cost, then node id) so the accepted-move
-        // sequence does not depend on scoring order or thread count.
-        let threads = if threads == 0 {
-            rayon::current_num_threads()
-        } else {
-            threads
-        };
-        let consumers = reverse_dependencies(graph);
-        for _sweep in 0..3 {
-            let mut improved = false;
-            for l in 1..graph.layer_count() {
-                // `u` addresses four structures of different shapes;
-                // iterating any one of them would obscure that.
-                #[allow(clippy::needless_range_loop)]
-                for u in 0..graph.units_in_layer(l) {
-                    if graph.position(l, u).is_none() {
-                        continue;
-                    }
-                    let current = assignment.unit_host[l - 1][u];
-                    let cost_at = |candidate: NodeId, asg: &Assignment| -> usize {
-                        let mut c = 0;
-                        for &d in graph.dependencies(l, u) {
-                            let src = asg.host_of(l - 1, d);
-                            c += routes.hop_distance(src, candidate).unwrap_or(1_000);
-                        }
-                        if l + 1 < graph.layer_count() {
-                            for &k in &consumers[l - 1][u] {
-                                let dst = asg.unit_host[l][k];
-                                c += routes.hop_distance(candidate, dst).unwrap_or(1_000);
-                            }
-                        }
-                        c
-                    };
-                    let current_cost = cost_at(current, &assignment);
-                    // Candidates: current node's neighbourhood plus the
-                    // hosts of this unit's producers, minus full nodes.
-                    let mut candidates: Vec<NodeId> = topo.neighbors(current).to_vec();
-                    for &d in graph.dependencies(l, u) {
-                        candidates.push(assignment.host_of(l - 1, d));
-                    }
-                    candidates.sort_unstable();
-                    candidates.dedup();
-                    candidates.retain(|&c| c != current && load[c.index()] < cap);
-
-                    let mut costs = vec![0usize; candidates.len()];
-                    if threads > 1 && candidates.len() > 1 {
-                        let frozen = &assignment;
-                        rayon::scope(|s| {
-                            for (slot, &cand) in costs.iter_mut().zip(&candidates) {
-                                let cost_at = &cost_at;
-                                s.spawn(move |_| *slot = cost_at(cand, frozen));
-                            }
-                        });
-                    } else {
-                        for (slot, &cand) in costs.iter_mut().zip(&candidates) {
-                            *slot = cost_at(cand, &assignment);
-                        }
-                    }
-                    let best = candidates
-                        .iter()
-                        .zip(&costs)
-                        .filter(|&(_, &cost)| cost < current_cost)
-                        .min_by_key(|&(cand, &cost)| (cost, cand.raw()));
-                    if let Some((&cand, _)) = best {
-                        load[current.index()] -= 1;
-                        load[cand.index()] += 1;
-                        assignment.unit_host[l - 1][u] = cand;
-                        improved = true;
-                    }
-                }
-            }
-            if !improved {
-                break;
-            }
+            node_count: n,
         }
-        assignment
     }
 
     /// Number of nodes in the hosting topology.
@@ -275,22 +182,26 @@ impl Assignment {
     /// # Panics
     ///
     /// Panics if the layer or unit index is out of range.
+    #[inline]
     pub fn host_of(&self, layer: usize, unit: usize) -> NodeId {
         if layer == 0 {
+            // zeiot-audit: allow(p1) -- documented `# Panics` precondition guard
             self.input_host[unit]
         } else {
             self.unit_host[layer - 1][unit]
         }
     }
 
-    /// Overrides the host of a computational unit (used by resilience
-    /// re-assignment).
+    /// Overrides the host of a computational unit (used by runtime
+    /// re-placement).
     ///
     /// # Panics
     ///
     /// Panics if `layer` is 0 (input units are pinned) or out of range.
     pub fn set_host(&mut self, layer: usize, unit: usize, host: NodeId) {
+        // zeiot-audit: allow(p1) -- documented `# Panics` precondition guard
         assert!(layer >= 1, "input units are pinned to their sensors");
+        // zeiot-audit: allow(p1) -- documented `# Panics` precondition guard
         self.unit_host[layer - 1][unit] = host;
     }
 
@@ -311,12 +222,14 @@ impl Assignment {
         self.input_host.len()
     }
 
-    /// Units hosted per node (computational units only).
+    /// Units hosted per node (computational units only). A host outside
+    /// the `node_count` nodes the assignment was built over is not
+    /// counted.
     pub fn units_per_node(&self) -> Vec<usize> {
         let mut counts = vec![0usize; self.node_count];
-        for layer in &self.unit_host {
-            for host in layer {
-                counts[host.index()] += 1;
+        for host in self.unit_host.iter().flatten() {
+            if let Some(count) = counts.get_mut(host.index()) {
+                *count += 1;
             }
         }
         counts
@@ -359,6 +272,7 @@ pub(crate) fn producer_consumers(graph: &UnitGraph) -> Vec<Vec<Vec<usize>>> {
     for l in 1..graph.layer_count() {
         for u in 0..graph.units_in_layer(l) {
             for &d in graph.dependencies(l, u) {
+                // zeiot-audit: allow(p1) -- unit-graph dependencies of layer l index units of layer l-1, which the table is sized by
                 consumers[l - 1][d].push(u);
             }
         }
@@ -366,20 +280,105 @@ pub(crate) fn producer_consumers(graph: &UnitGraph) -> Vec<Vec<Vec<usize>>> {
     consumers
 }
 
-/// `consumers[l][u]` = units of layer `l+2` reading unit `u` of layer
-/// `l+1` (reverse of the dependency relation, computational layers only).
-pub(crate) fn reverse_dependencies(graph: &UnitGraph) -> Vec<Vec<Vec<usize>>> {
-    let mut consumers: Vec<Vec<Vec<usize>>> = (1..graph.layer_count())
-        .map(|l| vec![Vec::new(); graph.units_in_layer(l)])
-        .collect();
-    for l in 2..graph.layer_count() {
-        for u in 0..graph.units_in_layer(l) {
-            for &d in graph.dependencies(l, u) {
-                consumers[l - 2][d].push(u);
+/// Total hop distance from unit `u` of layer `l`, placed on `at`, to its
+/// producers and consumers under `asg` (`consumers` as built by
+/// [`producer_consumers`]); an unreachable pair costs 1 000 hops.
+pub(crate) fn hop_cost(
+    graph: &UnitGraph,
+    routes: &RoutingTable,
+    consumers: &[Vec<Vec<usize>>],
+    asg: &Assignment,
+    (l, u): (usize, usize),
+    at: NodeId,
+) -> usize {
+    let hops = |a, b| routes.hop_distance(a, b).unwrap_or(1_000);
+    let deps = graph.dependencies(l, u).iter();
+    let up: usize = deps.map(|&d| hops(asg.host_of(l - 1, d), at)).sum();
+    let next = consumers
+        .get(l)
+        .and_then(|layer| layer.get(u))
+        .into_iter()
+        .flatten();
+    up + next
+        .map(|&k| hops(at, asg.host_of(l + 1, k)))
+        .sum::<usize>()
+}
+
+/// Up to three local-search sweeps of the balanced heuristic. Only
+/// spatial units move — a dense unit's traffic is placement-invariant,
+/// and letting it chase its producers would re-concentrate load. Each
+/// moves to the `topo` neighbour or producer host, not `down` and under
+/// `cap` units, that most lowers its [`hop_cost`]; selection uses the
+/// total order (cost, node id). Candidate *scoring* reads only the
+/// frozen assignment and routes, so it fans out over `threads`; the
+/// *move* is applied serially, so the accepted-move sequence does not
+/// depend on scoring order or thread count.
+pub(crate) fn improve(
+    asg: &mut Assignment,
+    graph: &UnitGraph,
+    topo: &Topology,
+    routes: &RoutingTable,
+    cap: usize,
+    down: &[NodeId],
+    threads: usize,
+) {
+    let consumers = producer_consumers(graph);
+    let mut load = asg.units_per_node();
+    let has_room = |load: &[usize], n: NodeId| load.get(n.index()).is_some_and(|&c| c < cap);
+    for _sweep in 0..3 {
+        let mut improved = false;
+        for l in 1..graph.layer_count() {
+            for u in (0..graph.units_in_layer(l)).filter(|&u| graph.position(l, u).is_some()) {
+                let current = asg.host_of(l, u);
+                let cost_at = |at: NodeId, asg: &Assignment| {
+                    hop_cost(graph, routes, &consumers, asg, (l, u), at)
+                };
+                let current_cost = cost_at(current, asg);
+                // Candidates: the current node's neighbourhood plus the
+                // hosts of this unit's producers, minus full nodes.
+                let mut candidates: Vec<NodeId> = topo.neighbors(current).to_vec();
+                candidates.extend(
+                    graph
+                        .dependencies(l, u)
+                        .iter()
+                        .map(|&d| asg.host_of(l - 1, d)),
+                );
+                candidates.sort_unstable();
+                candidates.dedup();
+                candidates.retain(|&c| c != current && !down.contains(&c) && has_room(&load, c));
+
+                let mut costs = vec![0usize; candidates.len()];
+                if threads > 1 && candidates.len() > 1 {
+                    let frozen = &*asg;
+                    rayon::scope(|s| {
+                        for (slot, &cand) in costs.iter_mut().zip(&candidates) {
+                            let cost_at = &cost_at;
+                            s.spawn(move |_| *slot = cost_at(cand, frozen));
+                        }
+                    });
+                } else {
+                    for (slot, &cand) in costs.iter_mut().zip(&candidates) {
+                        *slot = cost_at(cand, asg);
+                    }
+                }
+                let best = candidates
+                    .iter()
+                    .zip(&costs)
+                    .filter(|&(_, &cost)| cost < current_cost)
+                    .min_by_key(|&(cand, &cost)| (cost, cand.raw()));
+                if let Some((&to, _)) = best {
+                    // zeiot-audit: allow(p1) -- both hosts passed has_room() or host a unit, so they index the load table
+                    load[current.index()] -= 1;
+                    load[to.index()] += 1;
+                    asg.set_host(l, u, to);
+                    improved = true;
+                }
             }
         }
+        if !improved {
+            break;
+        }
     }
-    consumers
 }
 
 fn bounding_box(topo: &Topology) -> (Point2, Point2) {
@@ -628,13 +627,13 @@ mod tests {
     }
 
     #[test]
-    fn reverse_dependencies_are_consistent() {
+    fn producer_consumers_are_consistent() {
         let (graph, _) = setup();
-        let consumers = reverse_dependencies(&graph);
-        for l in 2..graph.layer_count() {
+        let consumers = producer_consumers(&graph);
+        for l in 1..graph.layer_count() {
             for u in 0..graph.units_in_layer(l) {
                 for &d in graph.dependencies(l, u) {
-                    assert!(consumers[l - 2][d].contains(&u));
+                    assert!(consumers[l - 1][d].contains(&u));
                 }
             }
         }

@@ -24,7 +24,9 @@
 
 use crate::assignment::Assignment;
 use crate::config::CnnConfig;
+use crate::exec::{self, Domain, Perfect, Transport, Weights};
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use zeiot_core::id::NodeId;
 use zeiot_core::rng::SeedRng;
@@ -48,16 +50,6 @@ pub enum WeightUpdate {
 }
 
 #[derive(Debug, Clone, Serialize, Deserialize)]
-pub(crate) struct UnitKernels {
-    /// `[units, in_channels, k, k]` — one kernel per conv output unit.
-    pub(crate) weights: Tensor,
-    /// `[units]`.
-    pub(crate) bias: Tensor,
-    pub(crate) grad_weights: Tensor,
-    pub(crate) grad_bias: Tensor,
-}
-
-#[derive(Debug, Clone, Serialize, Deserialize)]
 pub(crate) struct ConvReplica {
     pub(crate) weights: Tensor, // [oc, ic, k, k]
     pub(crate) bias: Tensor,    // [oc]
@@ -67,15 +59,19 @@ pub(crate) struct ConvReplica {
     pub(crate) units: usize,
 }
 
+/// Weights and biases with their gradient accumulators: a dense layer
+/// (`[out, in]`, `[out]`), or the per-unit conv kernels of a
+/// [`WeightUpdate::PerUnit`] model (`[units, in_channels, k, k]`,
+/// `[units]`, one kernel per conv output unit).
 #[derive(Debug, Clone, Serialize, Deserialize)]
-pub(crate) struct DenseParams {
-    pub(crate) weights: Tensor, // [out, in]
+pub(crate) struct Params {
+    pub(crate) weights: Tensor,
     pub(crate) bias: Tensor,
     pub(crate) grad_weights: Tensor,
     pub(crate) grad_bias: Tensor,
 }
 
-impl DenseParams {
+impl Params {
     fn new(in_len: usize, out_len: usize, rng: &mut SeedRng) -> Self {
         let scale = (6.0 / in_len as f32).sqrt();
         Self {
@@ -84,34 +80,6 @@ impl DenseParams {
             grad_weights: Tensor::zeros(vec![out_len, in_len]),
             grad_bias: Tensor::zeros(vec![out_len]),
         }
-    }
-
-    fn forward(&self, x: &[f32]) -> Vec<f32> {
-        let out_len = self.bias.len();
-        let in_len = x.len();
-        (0..out_len)
-            .map(|o| {
-                let row = &self.weights.data()[o * in_len..(o + 1) * in_len];
-                self.bias.data()[o] + row.iter().zip(x).map(|(w, v)| w * v).sum::<f32>()
-            })
-            .collect()
-    }
-
-    fn backward(&mut self, x: &[f32], grad_out: &[f32]) -> Vec<f32> {
-        let in_len = x.len();
-        let mut grad_in = vec![0.0f32; in_len];
-        for (o, &g) in grad_out.iter().enumerate() {
-            if g == 0.0 {
-                continue;
-            }
-            self.grad_bias.data_mut()[o] += g;
-            let row_start = o * in_len;
-            for i in 0..in_len {
-                self.grad_weights.data_mut()[row_start + i] += g * x[i];
-                grad_in[i] += g * self.weights.data()[row_start + i];
-            }
-        }
-        grad_in
     }
 
     fn apply(&mut self, lr: f32) {
@@ -154,9 +122,9 @@ pub struct DistributedCnn {
     /// Host node of each conv output unit (layer-1 unit order).
     pub(crate) conv_unit_host: Vec<NodeId>,
     pub(crate) replicas: BTreeMap<NodeId, ConvReplica>,
-    pub(crate) per_unit: Option<UnitKernels>,
-    pub(crate) dense1: DenseParams,
-    pub(crate) dense2: DenseParams,
+    pub(crate) per_unit: Option<Params>,
+    pub(crate) dense1: Params,
+    pub(crate) dense2: Params,
     // Forward caches.
     pub(crate) last_input: Option<Tensor>,
     pub(crate) conv_pre_relu: Vec<f32>,
@@ -173,14 +141,17 @@ impl DistributedCnn {
     ///
     /// # Panics
     ///
-    /// Panics if the assignment's layer sizes disagree with the config.
+    /// Panics if the config's unit graph cannot be built, or the
+    /// assignment's layer count disagrees with it.
     pub fn new(
         config: CnnConfig,
         assignment: Assignment,
         update: WeightUpdate,
         rng: &mut SeedRng,
     ) -> Self {
+        // zeiot-audit: allow(p1) -- documented `# Panics` precondition guard
         let graph = config.unit_graph().expect("validated config");
+        // zeiot-audit: allow(p1) -- documented `# Panics` precondition guard
         assert_eq!(
             assignment.layer_count(),
             graph.layer_count(),
@@ -220,12 +191,13 @@ impl DistributedCnn {
             let per_ch = conv_units / oc;
             let mut weights = Tensor::zeros(vec![conv_units, ic, k, k]);
             let kernel_len = ic * k * k;
-            for unit in 0..conv_units {
-                let o = unit / per_ch;
-                let src = &init_w.data()[o * kernel_len..(o + 1) * kernel_len];
-                weights.data_mut()[unit * kernel_len..(unit + 1) * kernel_len].copy_from_slice(src);
+            let channels = weights.data_mut().chunks_exact_mut(per_ch * kernel_len);
+            for (block, src) in channels.zip(init_w.data().chunks_exact(kernel_len)) {
+                for dst in block.chunks_exact_mut(kernel_len) {
+                    dst.copy_from_slice(src);
+                }
             }
-            UnitKernels {
+            Params {
                 weights,
                 bias: Tensor::zeros(vec![conv_units]),
                 grad_weights: Tensor::zeros(vec![conv_units, ic, k, k]),
@@ -233,8 +205,8 @@ impl DistributedCnn {
             }
         });
 
-        let dense1 = DenseParams::new(config.feature_len(), config.hidden(), rng);
-        let dense2 = DenseParams::new(config.hidden(), config.classes(), rng);
+        let dense1 = Params::new(config.feature_len(), config.hidden(), rng);
+        let dense2 = Params::new(config.hidden(), config.classes(), rng);
         Self {
             config,
             update,
@@ -289,97 +261,20 @@ impl DistributedCnn {
         Ok(model)
     }
 
-    /// Checks internal consistency: the assignment matches the config's
-    /// unit graph, every conv unit has a hosting replica, and all
-    /// parameter tensors have the shapes the config dictates.
+    /// Checks internal consistency: the placement and every parameter
+    /// table match the config ([`check_layout`]), per-unit kernels are
+    /// present exactly in `PerUnit` mode, and gradient tables match
+    /// their parameters.
     pub(crate) fn validate(&self) -> Result<(), String> {
-        let c = &self.config;
-        let graph = c.unit_graph().map_err(|e| format!("invalid config: {e}"))?;
-        if self.assignment.layer_count() != graph.layer_count() {
-            return Err(format!(
-                "assignment has {} layers, config's unit graph has {}",
-                self.assignment.layer_count(),
-                graph.layer_count()
-            ));
-        }
-        if self.assignment.input_count() != graph.units_in_layer(0) {
-            return Err(format!(
-                "assignment pins {} input units, config has {}",
-                self.assignment.input_count(),
-                graph.units_in_layer(0)
-            ));
-        }
-        for (i, &size) in self.assignment.layer_sizes().iter().enumerate() {
-            let expected = graph.units_in_layer(i + 1);
-            if size != expected {
-                return Err(format!(
-                    "assignment layer {} has {size} units, config needs {expected}",
-                    i + 1
-                ));
-            }
-        }
-        let conv_units = graph.units_in_layer(1);
-        if self.conv_unit_host.len() != conv_units {
-            return Err(format!(
-                "conv host table has {} entries, config has {conv_units} conv units",
-                self.conv_unit_host.len()
-            ));
-        }
-        let mut expected_units: BTreeMap<NodeId, usize> = BTreeMap::new();
-        for (u, &host) in self.conv_unit_host.iter().enumerate() {
-            if host != self.assignment.host_of(1, u) {
-                return Err(format!(
-                    "conv unit {u} hosted on {host:?} but assigned to {:?}",
-                    self.assignment.host_of(1, u)
-                ));
-            }
-            *expected_units.entry(host).or_default() += 1;
-        }
-        if !self.replicas.keys().eq(expected_units.keys()) {
-            return Err(format!(
-                "replica nodes {:?} disagree with hosting nodes {:?}",
-                self.replicas.keys().collect::<Vec<_>>(),
-                expected_units.keys().collect::<Vec<_>>()
-            ));
-        }
-        let (oc, ic, k) = (c.conv_channels(), c.in_channels(), c.kernel());
-        for (node, rep) in &self.replicas {
-            if rep.units != expected_units[node] {
-                return Err(format!(
-                    "replica on {node:?} claims {} units, hosts {}",
-                    rep.units, expected_units[node]
-                ));
-            }
-            if rep.weights.shape() != [oc, ic, k, k] || rep.bias.len() != oc {
-                return Err(format!("replica on {node:?} has wrong kernel shape"));
-            }
-            if rep.grad_weights.shape() != rep.weights.shape()
-                || rep.grad_bias.len() != rep.bias.len()
-            {
-                return Err(format!("replica on {node:?} has wrong gradient shape"));
-            }
-        }
+        let (c, at, hosts) = (&self.config, &self.assignment, &self.conv_unit_host);
+        let dense = [&self.dense1, &self.dense2];
+        check_layout(c, at, hosts, &self.replicas, self.per_unit.as_ref(), dense)?;
         if (self.update == WeightUpdate::PerUnit) != self.per_unit.is_some() {
             return Err(format!(
                 "per-unit kernels present: {}, update mode: {:?}",
                 self.per_unit.is_some(),
                 self.update
             ));
-        }
-        if let Some(pk) = &self.per_unit {
-            if pk.weights.shape() != [conv_units, ic, k, k] || pk.bias.len() != conv_units {
-                return Err("per-unit kernel table has wrong shape".to_string());
-            }
-        }
-        if self.dense1.weights.shape() != [c.hidden(), c.feature_len()]
-            || self.dense1.bias.len() != c.hidden()
-        {
-            return Err("dense1 parameters have wrong shape".to_string());
-        }
-        if self.dense2.weights.shape() != [c.classes(), c.hidden()]
-            || self.dense2.bias.len() != c.classes()
-        {
-            return Err("dense2 parameters have wrong shape".to_string());
         }
         Ok(())
     }
@@ -402,22 +297,17 @@ impl DistributedCnn {
     pub fn replica_divergence(&self) -> f64 {
         if let Some(pk) = &self.per_unit {
             let units = pk.bias.len();
-            let oc = self.config.conv_channels();
-            let per_ch = units / oc;
+            let per_ch = units / self.config.conv_channels();
             let kernel_len = pk.weights.len() / units;
             let mut total = 0.0f64;
-            for o in 0..oc {
+            for channel in pk.weights.data().chunks_exact(per_ch * kernel_len) {
                 let mut mean = vec![0.0f64; kernel_len];
-                for u in 0..per_ch {
-                    let unit = o * per_ch + u;
-                    let w = &pk.weights.data()[unit * kernel_len..(unit + 1) * kernel_len];
+                for w in channel.chunks_exact(kernel_len) {
                     for (m, &x) in mean.iter_mut().zip(w) {
                         *m += x as f64 / per_ch as f64;
                     }
                 }
-                for u in 0..per_ch {
-                    let unit = o * per_ch + u;
-                    let w = &pk.weights.data()[unit * kernel_len..(unit + 1) * kernel_len];
+                for w in channel.chunks_exact(kernel_len) {
                     let d: f64 = w
                         .iter()
                         .zip(&mean)
@@ -434,13 +324,13 @@ impl DistributedCnn {
         }
         let mut total = 0.0;
         let mut pairs = 0usize;
-        for i in 0..replicas.len() {
-            for j in (i + 1)..replicas.len() {
-                let d: f32 = replicas[i]
+        for (i, a) in replicas.iter().enumerate() {
+            for b in replicas.iter().skip(i + 1) {
+                let d: f32 = a
                     .weights
                     .data()
                     .iter()
-                    .zip(replicas[j].weights.data())
+                    .zip(b.weights.data())
                     .map(|(a, b)| (a - b) * (a - b))
                     .sum();
                 total += (d as f64).sqrt();
@@ -452,95 +342,13 @@ impl DistributedCnn {
 
     /// Forward pass; numerically identical to the centralized baseline
     /// whenever all replicas are equal.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the input shape disagrees with the config.
     pub fn forward(&mut self, input: &Tensor) -> Tensor {
-        let c = &self.config;
-        assert_eq!(
-            input.shape(),
-            &[c.in_channels(), c.in_height(), c.in_width()],
-            "input shape mismatch"
-        );
-        let (oh, ow) = c.conv_dims();
-        let (ph, pw) = c.pool_dims();
-        let oc = c.conv_channels();
-        let k = c.kernel();
-        let (ih, iw) = (c.in_height(), c.in_width());
-
-        // Convolution with per-node replicas or per-unit kernels, ReLU
-        // fused afterwards.
-        let kernel_len = c.in_channels() * k * k;
-        let mut conv = vec![0.0f32; oc * oh * ow];
-        for o in 0..oc {
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let unit = o * oh * ow + oy * ow + ox;
-                    let (weights, bias): (&[f32], f32) = match &self.per_unit {
-                        Some(pk) => (
-                            &pk.weights.data()[unit * kernel_len..(unit + 1) * kernel_len],
-                            pk.bias.data()[unit],
-                        ),
-                        None => {
-                            let rep = &self.replicas[&self.conv_unit_host[unit]];
-                            (
-                                &rep.weights.data()[o * kernel_len..(o + 1) * kernel_len],
-                                rep.bias.data()[o],
-                            )
-                        }
-                    };
-                    let mut acc = bias;
-                    let mut w_off = 0;
-                    for icn in 0..c.in_channels() {
-                        for ky in 0..k {
-                            for kx in 0..k {
-                                let iy = oy + ky;
-                                let ix = ox + kx;
-                                acc += weights[w_off] * input.data()[icn * ih * iw + iy * iw + ix];
-                                w_off += 1;
-                            }
-                        }
-                    }
-                    conv[unit] = acc;
-                }
-            }
-        }
-        self.conv_pre_relu = conv.clone();
-        let relu: Vec<f32> = conv.iter().map(|&v| v.max(0.0)).collect();
-
-        // Max pooling.
-        let mut pooled = vec![0.0f32; oc * ph * pw];
-        let mut argmax = vec![0usize; oc * ph * pw];
-        let p = c.pool();
-        for ch in 0..oc {
-            for py in 0..ph {
-                for px in 0..pw {
-                    let mut best = f32::NEG_INFINITY;
-                    let mut best_off = 0;
-                    for ky in 0..p {
-                        for kx in 0..p {
-                            let y = py * p + ky;
-                            let x = px * p + kx;
-                            let off = ch * oh * ow + y * ow + x;
-                            if relu[off] > best {
-                                best = relu[off];
-                                best_off = off;
-                            }
-                        }
-                    }
-                    pooled[ch * ph * pw + py * pw + px] = best;
-                    argmax[ch * ph * pw + py * pw + px] = best_off;
-                }
-            }
-        }
-        self.pool_out = pooled.clone();
-        self.pool_argmax = argmax;
-
-        // Dense 1 + ReLU, dense 2.
-        let hidden_pre = self.dense1.forward(&pooled);
-        self.hidden_pre_relu = hidden_pre.clone();
-        let hidden: Vec<f32> = hidden_pre.iter().map(|&v| v.max(0.0)).collect();
-        self.hidden_out = hidden.clone();
-        let logits = self.dense2.forward(&hidden);
-        self.last_input = Some(input.clone());
-        Tensor::from_vec(vec![c.classes()], logits).expect("logit shape")
+        // zeiot-audit: allow(p1) -- the Perfect transport delivers every value, so the pass cannot abort
+        exec::forward(self, input, &mut Perfect).expect("a perfect pass completes")
     }
 
     /// Predicted class for an input.
@@ -555,84 +363,7 @@ impl DistributedCnn {
     ///
     /// Panics if called before [`DistributedCnn::forward`].
     pub fn backward(&mut self, grad_logits: &Tensor) {
-        let input = self
-            .last_input
-            .as_ref()
-            .expect("backward before forward")
-            .clone();
-        let c = &self.config;
-        let (oh, ow) = c.conv_dims();
-        let oc = c.conv_channels();
-        let k = c.kernel();
-        let (ih, iw) = (c.in_height(), c.in_width());
-
-        // Dense 2 ← logits.
-        let hidden_out = self.hidden_out.clone();
-        let grad_hidden = self.dense2.backward(&hidden_out, grad_logits.data());
-        // ReLU on hidden.
-        let grad_hidden_pre: Vec<f32> = grad_hidden
-            .iter()
-            .zip(&self.hidden_pre_relu)
-            .map(|(&g, &v)| if v > 0.0 { g } else { 0.0 })
-            .collect();
-        // Dense 1 ← hidden.
-        let pool_out = self.pool_out.clone();
-        let grad_pool = self.dense1.backward(&pool_out, &grad_hidden_pre);
-        // Un-pool: gradient flows to argmax positions.
-        let mut grad_relu = vec![0.0f32; oc * oh * ow];
-        for (i, &src) in self.pool_argmax.iter().enumerate() {
-            grad_relu[src] += grad_pool[i];
-        }
-        // ReLU on conv.
-        let grad_conv: Vec<f32> = grad_relu
-            .iter()
-            .zip(&self.conv_pre_relu)
-            .map(|(&g, &v)| if v > 0.0 { g } else { 0.0 })
-            .collect();
-        // Convolution: accumulate into the owning kernel (the hosting
-        // node's replica, or the unit's own kernel in PerUnit mode).
-        let kernel_len = c.in_channels() * k * k;
-        for o in 0..oc {
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let unit = o * oh * ow + oy * ow + ox;
-                    let g = grad_conv[unit];
-                    if g == 0.0 {
-                        continue;
-                    }
-                    let (grad_w, grad_b_slot): (&mut [f32], &mut f32) = match &mut self.per_unit {
-                        Some(pk) => (
-                            &mut pk.grad_weights.data_mut()
-                                [unit * kernel_len..(unit + 1) * kernel_len],
-                            &mut pk.grad_bias.data_mut()[unit],
-                        ),
-                        None => {
-                            let rep = self
-                                .replicas
-                                .get_mut(&self.conv_unit_host[unit])
-                                .expect("replica exists");
-                            (
-                                &mut rep.grad_weights.data_mut()
-                                    [o * kernel_len..(o + 1) * kernel_len],
-                                &mut rep.grad_bias.data_mut()[o],
-                            )
-                        }
-                    };
-                    *grad_b_slot += g;
-                    let mut w_off = 0;
-                    for icn in 0..c.in_channels() {
-                        for ky in 0..k {
-                            for kx in 0..k {
-                                let iy = oy + ky;
-                                let ix = ox + kx;
-                                grad_w[w_off] += g * input.data()[icn * ih * iw + iy * iw + ix];
-                                w_off += 1;
-                            }
-                        }
-                    }
-                }
-            }
-        }
+        exec::backward(self, grad_logits, &mut Perfect);
     }
 
     /// Applies accumulated gradients according to the update mode.
@@ -643,54 +374,45 @@ impl DistributedCnn {
             // shared kernel would accumulate; compensate so the units
             // learn at the shared-kernel pace.
             let positions = (self.conv_unit_host.len() / self.config.conv_channels()) as f32;
-            pk.weights.add_scaled(&pk.grad_weights, -lr * positions);
-            pk.bias.add_scaled(&pk.grad_bias, -lr * positions);
-            pk.grad_weights.fill_zero();
-            pk.grad_bias.fill_zero();
-            self.dense1.apply(lr);
-            self.dense2.apply(lr);
-            return;
-        }
-        match self.update {
-            WeightUpdate::Synchronized => {
-                // Sum replica gradients (each unit contributed to exactly
-                // one replica, so the sum is the full-batch gradient) and
-                // apply the common update to every replica.
-                let oc = self.config.conv_channels();
-                let ic = self.config.in_channels();
-                let k = self.config.kernel();
-                let mut total_w = Tensor::zeros(vec![oc, ic, k, k]);
-                let mut total_b = Tensor::zeros(vec![oc]);
-                for rep in self.replicas.values() {
-                    total_w.add_scaled(&rep.grad_weights, 1.0);
-                    total_b.add_scaled(&rep.grad_bias, 1.0);
-                }
-                for rep in self.replicas.values_mut() {
-                    rep.weights.add_scaled(&total_w, -lr);
-                    rep.bias.add_scaled(&total_b, -lr);
-                    rep.grad_weights.fill_zero();
-                    rep.grad_bias.fill_zero();
-                }
+            pk.apply(lr * positions);
+        } else if self.update == WeightUpdate::Synchronized {
+            // Sum replica gradients (each unit contributed to exactly
+            // one replica, so the sum is the full-batch gradient) and
+            // apply the common update to every replica.
+            let oc = self.config.conv_channels();
+            let ic = self.config.in_channels();
+            let k = self.config.kernel();
+            let mut total_w = Tensor::zeros(vec![oc, ic, k, k]);
+            let mut total_b = Tensor::zeros(vec![oc]);
+            for rep in self.replicas.values() {
+                total_w.add_scaled(&rep.grad_weights, 1.0);
+                total_b.add_scaled(&rep.grad_bias, 1.0);
             }
-            WeightUpdate::PerUnit => unreachable!("handled by the early return above"),
-            WeightUpdate::Independent => {
-                for rep in self.replicas.values_mut() {
-                    // Mild compensation for seeing only a fraction of the
-                    // units' gradients: scale by the square root of the
-                    // hosting ratio. Full compensation (the raw ratio)
-                    // makes sparse replicas take huge noisy steps and
-                    // destroys accuracy; none makes them learn too
-                    // slowly.
-                    let boost = if rep.units > 0 {
-                        (self.conv_unit_host.len() as f32 / rep.units as f32).sqrt()
-                    } else {
-                        0.0
-                    };
-                    rep.weights.add_scaled(&rep.grad_weights, -lr * boost);
-                    rep.bias.add_scaled(&rep.grad_bias, -lr * boost);
-                    rep.grad_weights.fill_zero();
-                    rep.grad_bias.fill_zero();
-                }
+            for rep in self.replicas.values_mut() {
+                rep.weights.add_scaled(&total_w, -lr);
+                rep.bias.add_scaled(&total_b, -lr);
+                rep.grad_weights.fill_zero();
+                rep.grad_bias.fill_zero();
+            }
+        } else {
+            // Independent (a validated PerUnit model always carries its
+            // per-unit kernels, handled above).
+            for rep in self.replicas.values_mut() {
+                // Mild compensation for seeing only a fraction of the
+                // units' gradients: scale by the square root of the
+                // hosting ratio. Full compensation (the raw ratio)
+                // makes sparse replicas take huge noisy steps and
+                // destroys accuracy; none makes them learn too
+                // slowly.
+                let boost = if rep.units > 0 {
+                    (self.conv_unit_host.len() as f32 / rep.units as f32).sqrt()
+                } else {
+                    0.0
+                };
+                rep.weights.add_scaled(&rep.grad_weights, -lr * boost);
+                rep.bias.add_scaled(&rep.grad_bias, -lr * boost);
+                rep.grad_weights.fill_zero();
+                rep.grad_bias.fill_zero();
             }
         }
         self.dense1.apply(lr);
@@ -709,7 +431,8 @@ impl DistributedCnn {
         batch_size: usize,
         rng: &mut SeedRng,
     ) -> f32 {
-        self.train_epoch_inner(data, lr, batch_size, rng, None)
+        let (total, completed) = self.epoch(data, lr, batch_size, rng, &mut Perfect, None);
+        total / completed as f32
     }
 
     /// Like [`DistributedCnn::train_epoch`], additionally recording
@@ -731,32 +454,51 @@ impl DistributedCnn {
         rng: &mut SeedRng,
         recorder: &mut Recorder,
     ) -> f32 {
-        self.train_epoch_inner(data, lr, batch_size, rng, Some(recorder))
+        let (total, completed) =
+            self.epoch(data, lr, batch_size, rng, &mut Perfect, Some(recorder));
+        total / completed as f32
     }
 
-    fn train_epoch_inner(
+    /// The one training-epoch loop: shuffled mini-batches, forward,
+    /// cross-entropy and backward per sample over `t`, one update per
+    /// batch of completed samples. Samples whose forward aborts are
+    /// skipped. Returns the summed loss and the completed sample count.
+    pub(crate) fn epoch<T: Transport>(
         &mut self,
         data: &[(Tensor, usize)],
         lr: f32,
         batch_size: usize,
         rng: &mut SeedRng,
+        t: &mut T,
         mut observe: Option<&mut Recorder>,
-    ) -> f32 {
+    ) -> (f32, usize) {
+        // zeiot-audit: allow(p1) -- documented `# Panics` precondition guard
         assert!(!data.is_empty() && batch_size > 0, "invalid training call");
         let mut order: Vec<usize> = (0..data.len()).collect();
         rng.shuffle(&mut order);
         let mut total = 0.0;
+        let mut completed = 0usize;
         for batch in order.chunks(batch_size) {
+            // Per-batch sub-accumulator: the loss sum's addition grouping
+            // is part of the reported number.
             let mut batch_loss = 0.0;
-            for &i in batch {
-                let (x, t) = &data[i];
-                let logits = self.forward(x);
-                let (loss, grad) = cross_entropy(&logits, *t);
-                batch_loss += loss;
-                self.backward(&grad);
+            let mut batch_completed = 0usize;
+            for (x, target) in batch.iter().filter_map(|&i| data.get(i)) {
+                let logits = exec::forward(self, x, t);
+                if let Some(logits) = &logits {
+                    let (loss, grad) = cross_entropy(logits, *target);
+                    batch_loss += loss;
+                    exec::backward(self, &grad, t);
+                    batch_completed += 1;
+                }
+                t.end_sample(logits.is_some());
             }
             total += batch_loss;
-            self.apply_gradients(lr / batch.len() as f32);
+            completed += batch_completed;
+            if batch_completed == 0 {
+                continue;
+            }
+            self.apply_gradients(lr / batch_completed as f32);
             if let Some(rec) = observe.as_deref_mut() {
                 let drift = self.replica_divergence();
                 rec.set_gauge("microdeep.replica_drift", Label::Global, drift);
@@ -764,11 +506,11 @@ impl DistributedCnn {
                 rec.observe(
                     "microdeep.batch_loss",
                     Label::Global,
-                    f64::from(batch_loss / batch.len() as f32),
+                    f64::from(batch_loss / batch_completed as f32),
                 );
             }
         }
-        total / data.len() as f32
+        (total, completed)
     }
 
     /// Accuracy over a labelled set.
@@ -777,10 +519,222 @@ impl DistributedCnn {
     ///
     /// Panics if `data` is empty.
     pub fn accuracy(&mut self, data: &[(Tensor, usize)]) -> f64 {
-        assert!(!data.is_empty(), "empty evaluation set");
-        let correct = data.iter().filter(|(x, t)| self.predict(x) == *t).count();
-        correct as f64 / data.len() as f64
+        exec::accuracy(self, data, &mut Perfect)
     }
+}
+
+impl Domain for DistributedCnn {
+    type W = f32;
+    type A = f32;
+    type Acc = f32;
+    const HOPS: [&'static str; 4] = ["hop.conv", "hop.pool", "hop.hidden", "hop.logit"];
+    const FLOOR: f32 = f32::NEG_INFINITY;
+
+    fn to_wire(a: f32) -> f32 {
+        a
+    }
+
+    fn from_wire(v: f32) -> f32 {
+        v
+    }
+
+    fn config(&self) -> &CnnConfig {
+        &self.config
+    }
+
+    fn assignment(&self) -> &Assignment {
+        &self.assignment
+    }
+
+    fn admit<'a>(&mut self, input: &'a Tensor) -> Cow<'a, [f32]> {
+        exec::check_input(&self.config, input);
+        Cow::Borrowed(input.data())
+    }
+
+    #[inline]
+    fn conv_kernel(&self, unit: usize, channel: usize) -> (&[f32], f32) {
+        let kernel_len = self.config.in_channels() * self.config.kernel() * self.config.kernel();
+        let (weights, bias, slot) = match &self.per_unit {
+            Some(pk) => (&pk.weights, &pk.bias, unit),
+            None => {
+                // zeiot-audit: allow(p1) -- validated models keep a replica on every conv host, and unit/channel slots lie inside the validated kernel tables
+                let rep = &self.replicas[&self.conv_unit_host[unit]];
+                (&rep.weights, &rep.bias, channel)
+            }
+        };
+        (
+            &weights.data()[slot * kernel_len..(slot + 1) * kernel_len],
+            bias.data()[slot],
+        )
+    }
+
+    fn mac(acc: f32, w: f32, x: f32) -> f32 {
+        acc + w * x
+    }
+
+    fn activate(&mut self, layer: usize, acc: Vec<f32>) -> Vec<f32> {
+        let relu: Vec<f32> = acc.iter().map(|&v| v.max(0.0)).collect();
+        if layer == 1 {
+            self.conv_pre_relu = acc;
+        } else {
+            self.hidden_pre_relu = acc;
+            self.hidden_out = relu.clone();
+        }
+        relu
+    }
+
+    fn pool_done(&mut self, pooled: &[f32], argmax: Vec<usize>) {
+        self.pool_out = pooled.to_vec();
+        self.pool_argmax = argmax;
+    }
+
+    fn dense(&self) -> [Weights<'_, f32, f32>; 2] {
+        [&self.dense1, &self.dense2].map(|d| (d.weights.data(), d.bias.data()))
+    }
+
+    fn dot(bias: f32, row: &[f32], x: &[f32]) -> f32 {
+        bias + row.iter().zip(x).map(|(w, v)| w * v).sum::<f32>()
+    }
+
+    fn finish(&mut self, input: &Tensor, logits: Vec<f32>) -> Tensor {
+        self.last_input = Some(input.clone());
+        exec::logits_tensor(logits)
+    }
+}
+
+/// A weights-and-biases table as [`check_layout`] sees it.
+pub(crate) trait Layout {
+    /// Whether the weights have shape `weights` and the biases `bias`
+    /// (flat integer tables compare element counts), gradient
+    /// accumulators included.
+    fn fits(&self, weights: &[usize], bias: &[usize]) -> bool;
+
+    /// The conv units a replica claims to host, when the model counts
+    /// them.
+    fn units(&self) -> Option<usize> {
+        None
+    }
+}
+
+impl Layout for Params {
+    fn fits(&self, weights: &[usize], bias: &[usize]) -> bool {
+        let tensors = [
+            &self.weights,
+            &self.grad_weights,
+            &self.bias,
+            &self.grad_bias,
+        ];
+        tensors
+            .iter()
+            .zip([weights, weights, bias, bias])
+            .all(|(t, s)| t.shape() == s)
+    }
+}
+
+impl Layout for ConvReplica {
+    fn fits(&self, weights: &[usize], bias: &[usize]) -> bool {
+        let tensors = [
+            &self.weights,
+            &self.grad_weights,
+            &self.bias,
+            &self.grad_bias,
+        ];
+        tensors
+            .iter()
+            .zip([weights, weights, bias, bias])
+            .all(|(t, s)| t.shape() == s)
+    }
+
+    fn units(&self) -> Option<usize> {
+        Some(self.units)
+    }
+}
+
+/// Checks a model against its config's unit graph: the assignment has
+/// the graph's layer sizes, the conv host table agrees with it, exactly
+/// the hosting nodes keep a replica, and every parameter table has the
+/// shape the config dictates: the conv replicas, the optional per-unit
+/// kernels, and dense layers 1 and 2. A persisted model that fails here
+/// would otherwise panic deep inside a forward pass.
+pub(crate) fn check_layout<R: Layout, P: Layout>(
+    c: &CnnConfig,
+    assignment: &Assignment,
+    conv_unit_host: &[NodeId],
+    replicas: &BTreeMap<NodeId, R>,
+    per_unit: Option<&P>,
+    dense: [&P; 2],
+) -> Result<(), String> {
+    let graph = c.unit_graph().map_err(|e| format!("invalid config: {e}"))?;
+    if assignment.layer_count() != graph.layer_count() {
+        return Err(format!(
+            "assignment has {} layers, config's unit graph has {}",
+            assignment.layer_count(),
+            graph.layer_count()
+        ));
+    }
+    if assignment.input_count() != graph.units_in_layer(0) {
+        return Err(format!(
+            "assignment pins {} input units, config has {}",
+            assignment.input_count(),
+            graph.units_in_layer(0)
+        ));
+    }
+    for (i, &size) in assignment.layer_sizes().iter().enumerate() {
+        let expected = graph.units_in_layer(i + 1);
+        if size != expected {
+            return Err(format!(
+                "assignment layer {} has {size} units, config needs {expected}",
+                i + 1
+            ));
+        }
+    }
+    let conv_units = graph.units_in_layer(1);
+    if conv_unit_host.len() != conv_units {
+        return Err(format!(
+            "conv host table has {} entries, config has {conv_units} conv units",
+            conv_unit_host.len()
+        ));
+    }
+    let mut hosted: BTreeMap<NodeId, usize> = BTreeMap::new();
+    for (u, &host) in conv_unit_host.iter().enumerate() {
+        if host != assignment.host_of(1, u) {
+            return Err(format!(
+                "conv unit {u} hosted on {host:?} but assigned to {:?}",
+                assignment.host_of(1, u)
+            ));
+        }
+        *hosted.entry(host).or_default() += 1;
+    }
+    if !replicas.keys().eq(hosted.keys()) {
+        return Err(format!(
+            "replica nodes {:?} disagree with hosting nodes {:?}",
+            replicas.keys().collect::<Vec<_>>(),
+            hosted.keys().collect::<Vec<_>>()
+        ));
+    }
+    let (oc, ic, k) = (c.conv_channels(), c.in_channels(), c.kernel());
+    for (node, rep) in replicas {
+        let hosts = hosted.get(node).copied().unwrap_or(0);
+        if let Some(units) = rep.units().filter(|&units| units != hosts) {
+            return Err(format!(
+                "replica on {node:?} claims {units} units, hosts {hosts}"
+            ));
+        }
+        if !rep.fits(&[oc, ic, k, k], &[oc]) {
+            return Err(format!("replica on {node:?} has wrong kernel shape"));
+        }
+    }
+    if per_unit.is_some_and(|pk| !pk.fits(&[conv_units, ic, k, k], &[conv_units])) {
+        return Err("per-unit kernel table has wrong shape".to_string());
+    }
+    let [dense1, dense2] = dense;
+    if !dense1.fits(&[c.hidden(), c.feature_len()], &[c.hidden()]) {
+        return Err("dense1 parameters have wrong shape".to_string());
+    }
+    if !dense2.fits(&[c.classes(), c.hidden()], &[c.classes()]) {
+        return Err("dense2 parameters have wrong shape".to_string());
+    }
+    Ok(())
 }
 
 #[cfg(test)]

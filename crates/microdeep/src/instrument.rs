@@ -54,11 +54,11 @@ impl TrafficInstrument {
         let Some(path) = self.routes.path(src, dst) else {
             return;
         };
-        for hop in path.windows(2) {
-            recorder.inc("microdeep.tx_messages", Label::node(hop[0]));
-            recorder.add("microdeep.tx_bytes", Label::node(hop[0]), VALUE_BYTES);
-            recorder.inc("microdeep.rx_messages", Label::node(hop[1]));
-            recorder.add("microdeep.rx_bytes", Label::node(hop[1]), VALUE_BYTES);
+        for (&from, &to) in path.iter().zip(path.iter().skip(1)) {
+            recorder.inc("microdeep.tx_messages", Label::node(from));
+            recorder.add("microdeep.tx_bytes", Label::node(from), VALUE_BYTES);
+            recorder.inc("microdeep.rx_messages", Label::node(to));
+            recorder.add("microdeep.rx_bytes", Label::node(to), VALUE_BYTES);
         }
     }
 

@@ -27,10 +27,21 @@
 //!   replicas updated *independently* (the paper's
 //!   communication-avoiding strategy, which "sacrific\[es\] some
 //!   accuracy") or synchronized (exact SGD);
+//! - [`lossy`] — execution over a fault-injecting radio fabric, with
+//!   recovery policies and per-unit hop spans;
+//! - [`quantized`] — the frozen i8 deployment with exact i32
+//!   accumulation, plain or over the lossy fabric;
 //! - [`replace`] — the runtime re-placement engine: fault/brownout-driven
 //!   "musical chairs" that re-homes units from dark nodes onto survivors
 //!   under a migration budget, shipping their state over the lossy fabric
-//!   (§V; subsumes the static [`resilience`] pass).
+//!   (§V); one unbounded [`replace::plan_incremental`] pass is the static
+//!   offline repair.
+//!
+//! Every execution mode — f32 or i8, perfect or lossy radio, traced or
+//! not — runs the same forward and backward loop nests, generic over how
+//! values cross between nodes and which number domain the units compute
+//! in. A lossless fabric therefore reproduces the plain pass bit for bit
+//! by construction.
 //!
 //! # Example
 //!
@@ -61,11 +72,11 @@ pub mod assignment;
 pub mod config;
 pub mod cost;
 pub mod distributed;
+mod exec;
 pub mod instrument;
 pub mod lossy;
 pub mod quantized;
 pub mod replace;
-pub mod resilience;
 
 pub use assignment::Assignment;
 pub use config::CnnConfig;

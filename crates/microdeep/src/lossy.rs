@@ -9,10 +9,12 @@
 //! substituted by a degrade policy.
 //!
 //! Determinism contract: with [`zeiot_fault::FaultPlan::lossless`] the
-//! lossy pass is **byte-for-byte identical** to the plain pass — the
-//! floating-point accumulation order is replicated exactly, and the
-//! fabric's lossless fast path never perturbs a value. Under faults, all
-//! loss decisions are pure hashes of the message coordinates, so a run is
+//! lossy pass is **byte-for-byte identical** to the plain pass by
+//! construction. Both run the crate's one forward and backward loop
+//! nests; the plain pass moves values over a perfect transport, this one
+//! over the fabric, whose lossless fast path never perturbs a value. The
+//! equivalence tests below remain as guards. Under faults, all loss
+//! decisions are pure hashes of the message coordinates, so a run is
 //! reproducible across thread counts and repetitions.
 //!
 //! Recovery semantics per [`RecoveryPolicy`]:
@@ -34,14 +36,14 @@
 //! over tracking every consumer's possibly-corrupted copy.
 
 use crate::distributed::DistributedCnn;
+use crate::exec::{self, Lossy};
 use std::collections::BTreeMap;
 use zeiot_core::id::NodeId;
 use zeiot_core::rng::SeedRng;
 use zeiot_core::time::SimDuration;
-use zeiot_fault::{Delivery, FaultPlan, FaultStats, LinkFabric, RecoveryPolicy};
+use zeiot_fault::{DegradeMode, Delivery, FaultPlan, FaultStats, LinkFabric, RecoveryPolicy};
 use zeiot_net::routing::RoutingTable;
 use zeiot_net::topology::Topology;
-use zeiot_nn::loss::cross_entropy;
 use zeiot_nn::tensor::Tensor;
 use zeiot_obs::trace::{ClockDomain, SpanEvent, SpanLayer, SpanScope};
 use zeiot_obs::{Label, Recorder};
@@ -134,60 +136,13 @@ impl LossyRuntime {
         self.routes.hop_distance(src, dst).unwrap_or(1).max(1) as u32
     }
 
-    /// Transports one forward value over the edge `(stage, producer,
-    /// consumer)`. Colocated endpoints are free (no message, no stats),
-    /// matching [`crate::cost::CostModel`]'s counting. Returns `None`
-    /// when the message is lost and the policy does not degrade.
-    pub(crate) fn fetch(
-        &mut self,
-        value: f32,
-        src: NodeId,
-        dst: NodeId,
-        stage: u64,
-        producer: usize,
-        consumer: usize,
-    ) -> Option<f32> {
-        if src == dst {
-            return Some(value);
-        }
-        let hops = self.hops(src, dst);
-        match self.fabric.transmit_over(src, dst, hops) {
-            Delivery::Delivered { corrupted, .. } => {
-                let value = if corrupted {
-                    let seq = self.fabric.next_seq() - 1;
-                    self.fabric.plan().corrupt_value(value, src, dst, seq)
-                } else {
-                    value
-                };
-                self.last_seen
-                    .insert(edge_key(stage, producer, consumer), value);
-                Some(value)
-            }
-            Delivery::Failed { .. } => match self.fabric.policy().degrade_mode() {
-                Some(zeiot_fault::DegradeMode::ZeroFill) => {
-                    self.fabric.note_degraded();
-                    Some(0.0)
-                }
-                Some(zeiot_fault::DegradeMode::LastValueHold) => {
-                    self.fabric.note_degraded();
-                    Some(
-                        self.last_seen
-                            .get(&edge_key(stage, producer, consumer))
-                            .copied()
-                            .unwrap_or(0.0),
-                    )
-                }
-                None => None,
-            },
-        }
-    }
-
     /// Transports one scalar over the edge `(stage, producer,
-    /// consumer)` — the public face of the per-edge fetch, for
-    /// external estimators (sensing tenants) that gather features over
-    /// the same lossy fabric as the distributed CNN. Colocated
-    /// endpoints are free; `None` means the message was lost and the
-    /// recovery policy does not degrade. Callers should use a stage at
+    /// consumer)` — the per-edge fetch the distributed CNN runs on, also
+    /// public for external estimators (sensing tenants) that gather
+    /// features over the same lossy fabric. Colocated endpoints are free
+    /// (no message, no stats), matching [`crate::cost::CostModel`]'s
+    /// counting; `None` means the message was lost and the recovery
+    /// policy does not degrade. External callers should use a stage at
     /// or above [`STAGE_SENSING`] so their last-value-hold state never
     /// collides with the CNN's edges.
     pub fn transport(
@@ -199,26 +154,44 @@ impl LossyRuntime {
         producer: usize,
         consumer: usize,
     ) -> Option<f32> {
-        self.fetch(value, src, dst, stage, producer, consumer)
+        if src == dst {
+            return Some(value);
+        }
+        let key = edge_key(stage, producer, consumer);
+        if let Some(got) = self.deliver(value, src, dst) {
+            self.last_seen.insert(key, got);
+            return Some(got);
+        }
+        let substitute = match self.fabric.policy().degrade_mode()? {
+            DegradeMode::ZeroFill => 0.0,
+            DegradeMode::LastValueHold => self.last_seen.get(&key).copied().unwrap_or(0.0),
+        };
+        self.fabric.note_degraded();
+        Some(substitute)
     }
 
     /// Transports one backward gradient contribution; losses zero-fill
     /// under every policy (see the module docs).
-    fn fetch_gradient(&mut self, grad: f32, src: NodeId, dst: NodeId) -> f32 {
+    pub(crate) fn fetch_gradient(&mut self, grad: f32, src: NodeId, dst: NodeId) -> f32 {
         if src == dst {
             return grad;
         }
+        self.deliver(grad, src, dst).unwrap_or(0.0)
+    }
+
+    /// One cross-node message: what arrives (corruption applied), or
+    /// `None` once the fabric's recovery policy has given up on it.
+    fn deliver(&mut self, value: f32, src: NodeId, dst: NodeId) -> Option<f32> {
         let hops = self.hops(src, dst);
         match self.fabric.transmit_over(src, dst, hops) {
-            Delivery::Delivered { corrupted, .. } => {
-                if corrupted {
-                    let seq = self.fabric.next_seq() - 1;
-                    self.fabric.plan().corrupt_value(grad, src, dst, seq)
-                } else {
-                    grad
-                }
+            Delivery::Delivered {
+                corrupted: true, ..
+            } => {
+                let seq = self.fabric.next_seq() - 1;
+                Some(self.fabric.plan().corrupt_value(value, src, dst, seq))
             }
-            Delivery::Failed { .. } => 0.0,
+            Delivery::Delivered { .. } => Some(value),
+            Delivery::Failed { .. } => None,
         }
     }
 }
@@ -300,150 +273,9 @@ impl DistributedCnn {
         &mut self,
         input: &Tensor,
         rt: &mut LossyRuntime,
-        mut scope: Option<&mut SpanScope<'_>>,
+        scope: Option<&mut SpanScope<'_>>,
     ) -> Option<Tensor> {
-        let c = self.config;
-        assert_eq!(
-            input.shape(),
-            &[c.in_channels(), c.in_height(), c.in_width()],
-            "input shape mismatch"
-        );
-        let (oh, ow) = c.conv_dims();
-        let (ph, pw) = c.pool_dims();
-        let oc = c.conv_channels();
-        let k = c.kernel();
-        let (ih, iw) = (c.in_height(), c.in_width());
-        let kernel_len = c.in_channels() * k * k;
-
-        // Convolution: each conv unit pulls its receptive field from the
-        // sensors hosting the input units.
-        let mut conv = vec![0.0f32; oc * oh * ow];
-        for o in 0..oc {
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let unit = o * oh * ow + oy * ow + ox;
-                    let dst = self.conv_unit_host[unit];
-                    let (weights, bias): (&[f32], f32) = match &self.per_unit {
-                        Some(pk) => (
-                            &pk.weights.data()[unit * kernel_len..(unit + 1) * kernel_len],
-                            pk.bias.data()[unit],
-                        ),
-                        None => {
-                            let rep = &self.replicas[&dst];
-                            (
-                                &rep.weights.data()[o * kernel_len..(o + 1) * kernel_len],
-                                rep.bias.data()[o],
-                            )
-                        }
-                    };
-                    let probe = scope.is_some().then(|| HopProbe::open(rt));
-                    let mut acc = bias;
-                    let mut w_off = 0;
-                    for icn in 0..c.in_channels() {
-                        for ky in 0..k {
-                            for kx in 0..k {
-                                let iy = oy + ky;
-                                let ix = ox + kx;
-                                let in_unit = icn * ih * iw + iy * iw + ix;
-                                let src = self.assignment.host_of(0, in_unit);
-                                let raw = input.data()[in_unit];
-                                let v = rt.fetch(raw, src, dst, STAGE_INPUT_CONV, in_unit, unit)?;
-                                acc += weights[w_off] * v;
-                                w_off += 1;
-                            }
-                        }
-                    }
-                    if let (Some(s), Some(p)) = (scope.as_mut(), probe) {
-                        p.close(rt, s, "hop.conv");
-                    }
-                    conv[unit] = acc;
-                }
-            }
-        }
-        self.conv_pre_relu = conv.clone();
-        let relu: Vec<f32> = conv.iter().map(|&v| v.max(0.0)).collect();
-
-        // Max pooling: each pool unit pulls its window from the conv
-        // units' hosts.
-        let mut pooled = vec![0.0f32; oc * ph * pw];
-        let mut argmax = vec![0usize; oc * ph * pw];
-        let p = c.pool();
-        for ch in 0..oc {
-            for py in 0..ph {
-                for px in 0..pw {
-                    let punit = ch * ph * pw + py * pw + px;
-                    let dst = self.assignment.host_of(2, punit);
-                    let probe = scope.is_some().then(|| HopProbe::open(rt));
-                    let mut best = f32::NEG_INFINITY;
-                    let mut best_off = 0;
-                    for ky in 0..p {
-                        for kx in 0..p {
-                            let y = py * p + ky;
-                            let x = px * p + kx;
-                            let off = ch * oh * ow + y * ow + x;
-                            let src = self.conv_unit_host[off];
-                            let v = rt.fetch(relu[off], src, dst, STAGE_CONV_POOL, off, punit)?;
-                            if v > best {
-                                best = v;
-                                best_off = off;
-                            }
-                        }
-                    }
-                    if let (Some(s), Some(p)) = (scope.as_mut(), probe) {
-                        p.close(rt, s, "hop.pool");
-                    }
-                    pooled[punit] = best;
-                    argmax[punit] = best_off;
-                }
-            }
-        }
-        self.pool_out = pooled.clone();
-        self.pool_argmax = argmax;
-
-        // Dense 1 + ReLU: each hidden unit pulls the whole pooled vector.
-        // The bias + Σ accumulation replicates DenseParams::forward
-        // exactly (dot first, bias added after) so the lossless path is
-        // bit-identical.
-        let feature_len = pooled.len();
-        let mut hidden_pre = vec![0.0f32; c.hidden()];
-        for (h, slot) in hidden_pre.iter_mut().enumerate() {
-            let dst = self.assignment.host_of(3, h);
-            let row = &self.dense1.weights.data()[h * feature_len..(h + 1) * feature_len];
-            let probe = scope.is_some().then(|| HopProbe::open(rt));
-            let mut received = Vec::with_capacity(feature_len);
-            for (i, &v) in pooled.iter().enumerate() {
-                let src = self.assignment.host_of(2, i);
-                received.push(rt.fetch(v, src, dst, STAGE_POOL_HIDDEN, i, h)?);
-            }
-            if let (Some(s), Some(p)) = (scope.as_mut(), probe) {
-                p.close(rt, s, "hop.hidden");
-            }
-            let dot: f32 = row.iter().zip(&received).map(|(w, v)| w * v).sum();
-            *slot = self.dense1.bias.data()[h] + dot;
-        }
-        self.hidden_pre_relu = hidden_pre.clone();
-        let hidden: Vec<f32> = hidden_pre.iter().map(|&v| v.max(0.0)).collect();
-        self.hidden_out = hidden.clone();
-
-        // Dense 2: each class unit pulls the hidden vector.
-        let mut logits = vec![0.0f32; c.classes()];
-        for (o, slot) in logits.iter_mut().enumerate() {
-            let dst = self.assignment.host_of(4, o);
-            let row = &self.dense2.weights.data()[o * c.hidden()..(o + 1) * c.hidden()];
-            let probe = scope.is_some().then(|| HopProbe::open(rt));
-            let mut received = Vec::with_capacity(c.hidden());
-            for (h, &v) in hidden.iter().enumerate() {
-                let src = self.assignment.host_of(3, h);
-                received.push(rt.fetch(v, src, dst, STAGE_HIDDEN_LOGIT, h, o)?);
-            }
-            if let (Some(s), Some(p)) = (scope.as_mut(), probe) {
-                p.close(rt, s, "hop.logit");
-            }
-            let dot: f32 = row.iter().zip(&received).map(|(w, v)| w * v).sum();
-            *slot = self.dense2.bias.data()[o] + dot;
-        }
-        self.last_input = Some(input.clone());
-        Some(Tensor::from_vec(vec![c.classes()], logits).expect("logit shape"))
+        exec::forward(self, input, &mut Lossy::new(rt, scope))
     }
 
     /// Backward pass through a lossy fabric: gradient contributions that
@@ -455,122 +287,7 @@ impl DistributedCnn {
     ///
     /// Panics if called before a completed [`DistributedCnn::forward_lossy`].
     pub fn backward_lossy(&mut self, grad_logits: &Tensor, rt: &mut LossyRuntime) {
-        let input = self
-            .last_input
-            .as_ref()
-            .expect("backward before forward")
-            .clone();
-        let c = self.config;
-        let (oh, ow) = c.conv_dims();
-        let oc = c.conv_channels();
-        let k = c.kernel();
-        let (ih, iw) = (c.in_height(), c.in_width());
-
-        // Dense 2 ← logits. Weight/bias grads are local to the class
-        // unit's host; the grad contribution to each hidden unit crosses
-        // host(4, o) → host(3, h).
-        let hidden_len = self.hidden_out.len();
-        let mut grad_hidden = vec![0.0f32; hidden_len];
-        for (o, &g) in grad_logits.data().iter().enumerate() {
-            if g == 0.0 {
-                continue;
-            }
-            let src = self.assignment.host_of(4, o);
-            self.dense2.grad_bias.data_mut()[o] += g;
-            let row_start = o * hidden_len;
-            #[allow(clippy::needless_range_loop)]
-            for h in 0..hidden_len {
-                self.dense2.grad_weights.data_mut()[row_start + h] += g * self.hidden_out[h];
-                let contribution = g * self.dense2.weights.data()[row_start + h];
-                let dst = self.assignment.host_of(3, h);
-                grad_hidden[h] += rt.fetch_gradient(contribution, src, dst);
-            }
-        }
-        // ReLU on hidden (local).
-        let grad_hidden_pre: Vec<f32> = grad_hidden
-            .iter()
-            .zip(&self.hidden_pre_relu)
-            .map(|(&g, &v)| if v > 0.0 { g } else { 0.0 })
-            .collect();
-        // Dense 1 ← hidden: contributions cross host(3, h) → host(2, i).
-        let pool_len = self.pool_out.len();
-        let mut grad_pool = vec![0.0f32; pool_len];
-        for (h, &g) in grad_hidden_pre.iter().enumerate() {
-            if g == 0.0 {
-                continue;
-            }
-            let src = self.assignment.host_of(3, h);
-            self.dense1.grad_bias.data_mut()[h] += g;
-            let row_start = h * pool_len;
-            #[allow(clippy::needless_range_loop)]
-            for i in 0..pool_len {
-                self.dense1.grad_weights.data_mut()[row_start + i] += g * self.pool_out[i];
-                let contribution = g * self.dense1.weights.data()[row_start + i];
-                let dst = self.assignment.host_of(2, i);
-                grad_pool[i] += rt.fetch_gradient(contribution, src, dst);
-            }
-        }
-        // Un-pool: the gradient flows from the pool unit's host to the
-        // argmax conv unit's host.
-        let mut grad_relu = vec![0.0f32; oc * oh * ow];
-        for (i, &src_unit) in self.pool_argmax.iter().enumerate() {
-            let g = grad_pool[i];
-            if g == 0.0 {
-                continue;
-            }
-            let src = self.assignment.host_of(2, i);
-            let dst = self.conv_unit_host[src_unit];
-            grad_relu[src_unit] += rt.fetch_gradient(g, src, dst);
-        }
-        // ReLU on conv, then local kernel gradient accumulation — the
-        // conv unit's inputs were cached at forward time on its own node.
-        let grad_conv: Vec<f32> = grad_relu
-            .iter()
-            .zip(&self.conv_pre_relu)
-            .map(|(&g, &v)| if v > 0.0 { g } else { 0.0 })
-            .collect();
-        let kernel_len = c.in_channels() * k * k;
-        for o in 0..oc {
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let unit = o * oh * ow + oy * ow + ox;
-                    let g = grad_conv[unit];
-                    if g == 0.0 {
-                        continue;
-                    }
-                    let (grad_w, grad_b_slot): (&mut [f32], &mut f32) = match &mut self.per_unit {
-                        Some(pk) => (
-                            &mut pk.grad_weights.data_mut()
-                                [unit * kernel_len..(unit + 1) * kernel_len],
-                            &mut pk.grad_bias.data_mut()[unit],
-                        ),
-                        None => {
-                            let rep = self
-                                .replicas
-                                .get_mut(&self.conv_unit_host[unit])
-                                .expect("replica exists");
-                            (
-                                &mut rep.grad_weights.data_mut()
-                                    [o * kernel_len..(o + 1) * kernel_len],
-                                &mut rep.grad_bias.data_mut()[o],
-                            )
-                        }
-                    };
-                    *grad_b_slot += g;
-                    let mut w_off = 0;
-                    for icn in 0..c.in_channels() {
-                        for ky in 0..k {
-                            for kx in 0..k {
-                                let iy = oy + ky;
-                                let ix = ox + kx;
-                                grad_w[w_off] += g * input.data()[icn * ih * iw + iy * iw + ix];
-                                w_off += 1;
-                            }
-                        }
-                    }
-                }
-            }
-        }
+        exec::backward(self, grad_logits, &mut Lossy::new(rt, None));
     }
 
     /// Trains one epoch through a lossy fabric; aborted samples (lost
@@ -592,35 +309,8 @@ impl DistributedCnn {
         rng: &mut SeedRng,
         rt: &mut LossyRuntime,
     ) -> Option<f32> {
-        assert!(!data.is_empty() && batch_size > 0, "invalid training call");
-        let mut order: Vec<usize> = (0..data.len()).collect();
-        rng.shuffle(&mut order);
-        let mut total = 0.0;
-        let mut completed = 0usize;
-        for batch in order.chunks(batch_size) {
-            // Per-batch sub-accumulator, matching train_epoch's FP
-            // addition grouping exactly.
-            let mut batch_loss = 0.0;
-            let mut batch_completed = 0usize;
-            for &i in batch {
-                let (x, t) = &data[i];
-                match self.forward_lossy(x, rt) {
-                    Some(logits) => {
-                        let (loss, grad) = cross_entropy(&logits, *t);
-                        batch_loss += loss;
-                        self.backward_lossy(&grad, rt);
-                        batch_completed += 1;
-                    }
-                    None => rt.fabric.note_aborted(),
-                }
-                rt.advance_pass();
-            }
-            total += batch_loss;
-            completed += batch_completed;
-            if batch_completed > 0 {
-                self.apply_gradients(lr / batch_completed as f32);
-            }
-        }
+        let (total, completed) =
+            self.epoch(data, lr, batch_size, rng, &mut Lossy::new(rt, None), None);
         (completed > 0).then(|| total / completed as f32)
     }
 
@@ -632,20 +322,7 @@ impl DistributedCnn {
     ///
     /// Panics if `data` is empty.
     pub fn accuracy_lossy(&mut self, data: &[(Tensor, usize)], rt: &mut LossyRuntime) -> f64 {
-        assert!(!data.is_empty(), "empty evaluation set");
-        let mut correct = 0usize;
-        for (x, t) in data {
-            match self.forward_lossy(x, rt) {
-                Some(logits) => {
-                    if logits.argmax() == *t {
-                        correct += 1;
-                    }
-                }
-                None => rt.fabric.note_aborted(),
-            }
-            rt.advance_pass();
-        }
-        correct as f64 / data.len() as f64
+        exec::accuracy(self, data, &mut Lossy::new(rt, None))
     }
 }
 
@@ -655,7 +332,6 @@ mod tests {
     use crate::assignment::Assignment;
     use crate::config::CnnConfig;
     use crate::distributed::WeightUpdate;
-    use zeiot_fault::DegradeMode;
 
     fn small_setup(
         update: WeightUpdate,
@@ -709,25 +385,36 @@ mod tests {
 
     #[test]
     fn lossless_training_is_bit_identical_to_plain_training() {
-        let (mut plain, data, topo) = small_setup(WeightUpdate::Independent, 6);
-        let (mut lossy, _, _) = small_setup(WeightUpdate::Independent, 6);
-        let mut rng_a = SeedRng::new(3);
-        let mut rng_b = SeedRng::new(3);
-        let mut rt = runtime(FaultPlan::lossless(), RecoveryPolicy::FailFast, &topo);
-        for _ in 0..3 {
-            let la = plain.train_epoch(&data, 0.05, 8, &mut rng_a);
-            let lb = lossy
-                .train_epoch_lossy(&data, 0.05, 8, &mut rng_b, &mut rt)
-                .expect("lossless epoch completes");
-            assert_eq!(la, lb);
+        for update in [
+            WeightUpdate::Synchronized,
+            WeightUpdate::Independent,
+            WeightUpdate::PerUnit,
+        ] {
+            let (mut plain, data, topo) = small_setup(update, 6);
+            let (mut lossy, _, _) = small_setup(update, 6);
+            let mut rng_a = SeedRng::new(3);
+            let mut rng_b = SeedRng::new(3);
+            let mut rt = runtime(FaultPlan::lossless(), RecoveryPolicy::FailFast, &topo);
+            for _ in 0..3 {
+                let la = plain.train_epoch(&data, 0.05, 8, &mut rng_a);
+                let lb = lossy
+                    .train_epoch_lossy(&data, 0.05, 8, &mut rng_b, &mut rt)
+                    .expect("lossless epoch completes");
+                assert_eq!(la, lb, "{update:?}");
+            }
+            for (x, _) in data.iter().take(8) {
+                assert_eq!(
+                    plain.forward(x).data(),
+                    lossy.forward(x).data(),
+                    "{update:?}"
+                );
+            }
+            assert_eq!(plain.to_json(), lossy.to_json(), "{update:?}");
+            // The fabric carried messages but touched none of them.
+            assert!(rt.stats().sent > 0);
+            assert_eq!(rt.stats().drops, 0);
+            assert_eq!(rt.stats().sent, rt.stats().delivered);
         }
-        for (x, _) in data.iter().take(8) {
-            assert_eq!(plain.forward(x).data(), lossy.forward(x).data());
-        }
-        // The fabric carried messages but touched none of them.
-        assert!(rt.stats().sent > 0);
-        assert_eq!(rt.stats().drops, 0);
-        assert_eq!(rt.stats().sent, rt.stats().delivered);
     }
 
     #[test]

@@ -23,44 +23,50 @@
 //! machinery — drops, retransmission, corruption, degrade substitution —
 //! applies unchanged; the receiver re-quantizes deterministically
 //! (round half away from zero, clamp to ±127, NaN to 0) before the value
-//! ever reaches an accumulator. With a lossless plan the lossy quantized
-//! pass is **bit-identical** to [`QuantizedCnn::forward_quantized`].
+//! ever reaches an accumulator.
+//!
+//! **One kernel.** The i8 passes run the same forward loop nest as the
+//! f32 ones; this module supplies only the integer number domain (i8
+//! weights and activations, i32 accumulators, requantization between
+//! layers, `hop.q*` span names). With a lossless plan the lossy
+//! quantized pass is therefore **bit-identical** to
+//! [`QuantizedCnn::forward_quantized`] by construction.
 
-use crate::distributed::DistributedCnn;
-use crate::lossy::{
-    HopProbe, LossyRuntime, STAGE_CONV_POOL, STAGE_HIDDEN_LOGIT, STAGE_INPUT_CONV,
-    STAGE_POOL_HIDDEN,
-};
+use crate::distributed::{check_layout, DistributedCnn, Layout};
+use crate::exec::{self, Domain, Lossy, Perfect, Weights};
+use crate::lossy::LossyRuntime;
 use crate::{Assignment, CnnConfig};
-use serde::{Deserialize, Serialize};
+use serde::{de_field, Deserialize, Serialize, Value};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use zeiot_core::id::NodeId;
-use zeiot_nn::quant::{dense_i8_blocked, dot_i8, quantize_slice, scale_for, Calibration, Requant};
+use zeiot_nn::quant::{dot_i8, quantize_slice, scale_for, Calibration, Requant};
 use zeiot_nn::tensor::Tensor;
 use zeiot_obs::trace::SpanScope;
 use zeiot_obs::{Label, Recorder};
 
-/// One node's frozen convolution kernel replica: i8 weights at the
-/// common conv weight scale, biases pre-scaled into the i32 accumulator
-/// domain.
+/// A frozen parameter table — one node's conv replica (`[oc, ic, k,
+/// k]`, `[oc]`), the per-unit kernels of a
+/// [`crate::WeightUpdate::PerUnit`] model (`[units, ic, k, k]`,
+/// `[units]`), or a dense layer (`[out, in]`, `[out]`): i8 weights at
+/// the layer's common weight scale, biases pre-scaled into the i32
+/// accumulator domain.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-struct QConvReplica {
-    weights: Vec<i8>, // [oc, ic, k, k]
-    bias: Vec<i32>,   // [oc], accumulator domain
+struct QTable {
+    weights: Vec<i8>,
+    bias: Vec<i32>,
 }
 
-/// A frozen dense layer: i8 weight rows, accumulator-domain i32 biases.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-struct QDense {
-    weights: Vec<i8>, // [out, in]
-    bias: Vec<i32>,   // [out], accumulator domain
-}
-
-/// Per-unit kernels for [`crate::WeightUpdate::PerUnit`] models.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-struct QUnitKernels {
-    weights: Vec<i8>, // [units, ic, k, k]
-    bias: Vec<i32>,   // [units], accumulator domain
+impl QTable {
+    /// Quantizes `weights` at scale `s_w` and `bias` into the
+    /// accumulator domain of scale `acc`.
+    fn freeze(weights: &Tensor, bias: &Tensor, s_w: f32, acc: f64) -> Self {
+        let quant_bias = |&b: &f32| (b as f64 / acc).round() as i32;
+        Self {
+            weights: quantize_slice(weights.data(), s_w).0,
+            bias: bias.data().iter().map(quant_bias).collect(),
+        }
+    }
 }
 
 /// Saturation and usage counters for a quantized model.
@@ -115,15 +121,19 @@ impl QuantStats {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+///
+/// Deserializing validates the restored model against its config the
+/// way [`DistributedCnn::from_json`] does, so a tampered or truncated
+/// persisted model is rejected instead of panicking in a forward pass.
+#[derive(Debug, Clone, Serialize)]
 pub struct QuantizedCnn {
     config: CnnConfig,
     assignment: Assignment,
     conv_unit_host: Vec<NodeId>,
-    replicas: BTreeMap<NodeId, QConvReplica>,
-    per_unit: Option<QUnitKernels>,
-    dense1: QDense,
-    dense2: QDense,
+    replicas: BTreeMap<NodeId, QTable>,
+    per_unit: Option<QTable>,
+    dense1: QTable,
+    dense2: QTable,
     /// Input quantization scale (calibrated).
     input_scale: f32,
     /// Shared conv weight scale — kept so re-placed replicas can be
@@ -160,6 +170,7 @@ impl QuantizedCnn {
     ///
     /// Panics if `calibration` is empty.
     pub fn new(net: &mut DistributedCnn, calibration: &[Tensor]) -> Self {
+        // zeiot-audit: allow(p1) -- documented `# Panics` precondition guard
         assert!(!calibration.is_empty(), "calibration set must be non-empty");
         let mut cal_in = Calibration::new();
         let mut cal_conv = Calibration::new();
@@ -177,14 +188,9 @@ impl QuantizedCnn {
         // One weight scale per layer, shared by every replica, so all
         // nodes speak the same integer domain over the fabric.
         let max_abs = |xs: &[f32]| xs.iter().fold(0.0f32, |m, &v| m.max(v.abs()));
-        let mut w1_max = 0.0f32;
-        for rep in net.replicas.values() {
-            w1_max = w1_max.max(max_abs(rep.weights.data()));
-        }
-        if let Some(pk) = &net.per_unit {
-            w1_max = w1_max.max(max_abs(pk.weights.data()));
-        }
-        let s_w1 = scale_for(w1_max);
+        let kernels = net.replicas.values().map(|r| &r.weights);
+        let kernels = kernels.chain(net.per_unit.as_ref().map(|pk| &pk.weights));
+        let s_w1 = scale_for(kernels.fold(0.0f32, |m, w| m.max(max_abs(w.data()))));
         let s_w2 = scale_for(max_abs(net.dense1.weights.data()));
         let s_w3 = scale_for(max_abs(net.dense2.weights.data()));
 
@@ -193,47 +199,20 @@ impl QuantizedCnn {
         let acc1 = s_in as f64 * s_w1 as f64;
         let acc2 = s_a1 as f64 * s_w2 as f64;
         let acc3 = s_a2 as f64 * s_w3 as f64;
-        let quant_bias = |b: f32, acc_scale: f64| (b as f64 / acc_scale).round() as i32;
-
-        let replicas = net
-            .replicas
-            .iter()
-            .map(|(node, rep)| {
-                let (weights, _) = quantize_slice(rep.weights.data(), s_w1);
-                let bias = rep
-                    .bias
-                    .data()
-                    .iter()
-                    .map(|&b| quant_bias(b, acc1))
-                    .collect();
-                (*node, QConvReplica { weights, bias })
-            })
-            .collect();
-        let per_unit = net.per_unit.as_ref().map(|pk| {
-            let (weights, _) = quantize_slice(pk.weights.data(), s_w1);
-            let bias = pk
-                .bias
-                .data()
-                .iter()
-                .map(|&b| quant_bias(b, acc1))
-                .collect();
-            QUnitKernels { weights, bias }
-        });
-        let quant_dense = |w: &Tensor, b: &Tensor, s_w: f32, acc: f64| {
-            let (weights, _) = quantize_slice(w.data(), s_w);
-            QDense {
-                weights,
-                bias: b.data().iter().map(|&v| quant_bias(v, acc)).collect(),
-            }
-        };
+        let replicas = net.replicas.iter();
         Self {
             config: net.config,
             assignment: net.assignment.clone(),
             conv_unit_host: net.conv_unit_host.clone(),
-            replicas,
-            per_unit,
-            dense1: quant_dense(&net.dense1.weights, &net.dense1.bias, s_w2, acc2),
-            dense2: quant_dense(&net.dense2.weights, &net.dense2.bias, s_w3, acc3),
+            replicas: replicas
+                .map(|(node, r)| (*node, QTable::freeze(&r.weights, &r.bias, s_w1, acc1)))
+                .collect(),
+            per_unit: net
+                .per_unit
+                .as_ref()
+                .map(|pk| QTable::freeze(&pk.weights, &pk.bias, s_w1, acc1)),
+            dense1: QTable::freeze(&net.dense1.weights, &net.dense1.bias, s_w2, acc2),
+            dense2: QTable::freeze(&net.dense2.weights, &net.dense2.bias, s_w3, acc3),
             input_scale: s_in,
             conv_weight_scale: s_w1,
             conv_acc_scale: acc1,
@@ -259,6 +238,14 @@ impl QuantizedCnn {
         &self.stats
     }
 
+    /// Checks the placement and every integer table against the config
+    /// (the same [`check_layout`] a restored [`DistributedCnn`] passes).
+    fn validate(&self) -> Result<(), String> {
+        let (c, at, hosts) = (&self.config, &self.assignment, &self.conv_unit_host);
+        let dense = [&self.dense1, &self.dense2];
+        check_layout(c, at, hosts, &self.replicas, self.per_unit.as_ref(), dense)
+    }
+
     /// Re-aligns this frozen deployment with `net`'s placement after the
     /// re-placement engine migrated units: placement tables are adopted,
     /// replicas on nodes that lost all their units are dropped, and
@@ -273,142 +260,22 @@ impl QuantizedCnn {
         self.conv_unit_host = net.conv_unit_host.clone();
         self.replicas
             .retain(|node, _| net.replicas.contains_key(node));
-        let quant_bias = |b: f32| (b as f64 / self.conv_acc_scale).round() as i32;
+        let (s_w, acc) = (self.conv_weight_scale, self.conv_acc_scale);
         for (node, rep) in &net.replicas {
-            if self.replicas.contains_key(node) {
-                continue;
-            }
-            let (weights, _) = quantize_slice(rep.weights.data(), self.conv_weight_scale);
-            let bias = rep.bias.data().iter().map(|&b| quant_bias(b)).collect();
-            self.replicas.insert(*node, QConvReplica { weights, bias });
+            let freeze = || QTable::freeze(&rep.weights, &rep.bias, s_w, acc);
+            self.replicas.entry(*node).or_insert_with(freeze);
         }
-    }
-
-    /// Quantizes an input tensor into the deployed input domain,
-    /// counting saturated values into the model's stats.
-    fn quantize_input(&mut self, input: &Tensor) -> Vec<i8> {
-        let c = &self.config;
-        assert_eq!(
-            input.shape(),
-            &[c.in_channels(), c.in_height(), c.in_width()],
-            "input shape mismatch"
-        );
-        let (q, sat) = quantize_slice(input.data(), self.input_scale);
-        self.stats.input_saturated += sat;
-        q
-    }
-
-    /// The kernel and accumulator-domain bias for one conv output unit.
-    fn unit_kernel(&self, unit: usize, o: usize, kernel_len: usize) -> (&[i8], i32) {
-        match &self.per_unit {
-            Some(pk) => (
-                &pk.weights[unit * kernel_len..(unit + 1) * kernel_len],
-                pk.bias[unit],
-            ),
-            None => {
-                let rep = &self.replicas[&self.conv_unit_host[unit]];
-                (
-                    &rep.weights[o * kernel_len..(o + 1) * kernel_len],
-                    rep.bias[o],
-                )
-            }
-        }
-    }
-
-    /// Max-pools i8 conv activations (ReLU already applied).
-    fn pool_i8(&self, relu: &[i8]) -> Vec<i8> {
-        let c = &self.config;
-        let (oh, ow) = c.conv_dims();
-        let (ph, pw) = c.pool_dims();
-        let (oc, p) = (c.conv_channels(), c.pool());
-        let mut pooled = vec![0i8; oc * ph * pw];
-        for ch in 0..oc {
-            for py in 0..ph {
-                for px in 0..pw {
-                    let mut best = i8::MIN;
-                    for ky in 0..p {
-                        for kx in 0..p {
-                            let off = ch * oh * ow + (py * p + ky) * ow + (px * p + kx);
-                            best = best.max(relu[off]);
-                        }
-                    }
-                    pooled[ch * ph * pw + py * pw + px] = best;
-                }
-            }
-        }
-        pooled
-    }
-
-    /// Requantizes a vector of i32 accumulators into i8 activations and
-    /// applies ReLU in the integer domain (sound because the requantizer
-    /// is monotone), counting saturation.
-    fn requant_relu(&mut self, accs: &[i32], requant: Requant) -> Vec<i8> {
-        let mut sat = 0u64;
-        let out = accs
-            .iter()
-            .map(|&a| requant.apply_i8(a, &mut sat).max(0))
-            .collect();
-        self.stats.activation_saturated += sat;
-        out
-    }
-
-    /// Dequantizes final i32 logit accumulators into real-valued logits.
-    fn dequant_logits(&self, accs: &[i32]) -> Tensor {
-        let logits: Vec<f32> = accs
-            .iter()
-            .map(|&a| (a as f64 * self.logit_scale) as f32)
-            .collect();
-        Tensor::from_vec(vec![self.config.classes()], logits).expect("logit shape")
     }
 
     /// Integer forward pass. Bit-exact under any loop order or thread
     /// count: every accumulation is exact i32 addition.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the input shape disagrees with the config.
     pub fn forward_quantized(&mut self, input: &Tensor) -> Tensor {
-        let q_input = self.quantize_input(input);
-        let c = self.config;
-        let (oh, ow) = c.conv_dims();
-        let (oc, k) = (c.conv_channels(), c.kernel());
-        let (ih, iw) = (c.in_height(), c.in_width());
-        let kernel_len = c.in_channels() * k * k;
-
-        // Convolution with per-node replica kernels, all-i32 exact.
-        let mut conv = vec![0i32; oc * oh * ow];
-        for o in 0..oc {
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let unit = o * oh * ow + oy * ow + ox;
-                    let (weights, bias) = self.unit_kernel(unit, o, kernel_len);
-                    let mut acc = bias;
-                    let mut w_off = 0;
-                    for icn in 0..c.in_channels() {
-                        for ky in 0..k {
-                            for kx in 0..k {
-                                let x = q_input[icn * ih * iw + (oy + ky) * iw + (ox + kx)];
-                                acc += weights[w_off] as i32 * x as i32;
-                                w_off += 1;
-                            }
-                        }
-                    }
-                    conv[unit] = acc;
-                }
-            }
-        }
-        let relu = self.requant_relu(&conv, self.conv_requant);
-        let pooled = self.pool_i8(&relu);
-
-        // Dense 1 + ReLU, dense 2 — the same cache-blocked kernel the
-        // perf trajectory benchmarks.
-        let hidden_acc =
-            dense_i8_blocked(&self.dense1.weights, &self.dense1.bias, &pooled, c.hidden());
-        let hidden = self.requant_relu(&hidden_acc, self.hidden_requant);
-        let logit_acc = dense_i8_blocked(
-            &self.dense2.weights,
-            &self.dense2.bias,
-            &hidden,
-            c.classes(),
-        );
-        self.stats.forwards += 1;
-        self.dequant_logits(&logit_acc)
+        // zeiot-audit: allow(p1) -- the Perfect transport delivers every value, so the pass cannot abort
+        exec::forward(self, input, &mut Perfect).expect("a perfect pass completes")
     }
 
     /// Predicted class for an input.
@@ -422,12 +289,7 @@ impl QuantizedCnn {
     ///
     /// Panics if `data` is empty.
     pub fn accuracy_quantized(&mut self, data: &[(Tensor, usize)]) -> f64 {
-        assert!(!data.is_empty(), "empty evaluation set");
-        let correct = data
-            .iter()
-            .filter(|(x, t)| self.predict_quantized(x) == *t)
-            .count();
-        correct as f64 / data.len() as f64
+        exec::accuracy(self, data, &mut Perfect)
     }
 
     /// Integer forward pass through a lossy fabric; the quantized
@@ -459,128 +321,129 @@ impl QuantizedCnn {
         &mut self,
         input: &Tensor,
         rt: &mut LossyRuntime,
-        mut scope: Option<&mut SpanScope<'_>>,
+        scope: Option<&mut SpanScope<'_>>,
     ) -> Option<Tensor> {
-        let q_input = self.quantize_input(input);
-        let c = self.config;
-        let (oh, ow) = c.conv_dims();
-        let (ph, pw) = c.pool_dims();
-        let (oc, k, p) = (c.conv_channels(), c.kernel(), c.pool());
-        let (ih, iw) = (c.in_height(), c.in_width());
-        let kernel_len = c.in_channels() * k * k;
+        exec::forward(self, input, &mut Lossy::new(rt, scope))
+    }
+}
 
-        // Convolution: each conv unit pulls its receptive field (one
-        // byte per input unit, shipped as its exact f32 image) from the
-        // sensors hosting the input units.
-        let mut conv = vec![0i32; oc * oh * ow];
-        for o in 0..oc {
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let unit = o * oh * ow + oy * ow + ox;
-                    let dst = self.conv_unit_host[unit];
-                    let (weights, bias) = match &self.per_unit {
-                        Some(pk) => (
-                            &pk.weights[unit * kernel_len..(unit + 1) * kernel_len],
-                            pk.bias[unit],
-                        ),
-                        None => {
-                            let rep = &self.replicas[&dst];
-                            (
-                                &rep.weights[o * kernel_len..(o + 1) * kernel_len],
-                                rep.bias[o],
-                            )
-                        }
-                    };
-                    let probe = scope.is_some().then(|| HopProbe::open(rt));
-                    let mut acc = bias;
-                    let mut w_off = 0;
-                    for icn in 0..c.in_channels() {
-                        for ky in 0..k {
-                            for kx in 0..k {
-                                let in_unit = icn * ih * iw + (oy + ky) * iw + (ox + kx);
-                                let src = self.assignment.host_of(0, in_unit);
-                                let sent = q_input[in_unit] as f32;
-                                let v =
-                                    rt.fetch(sent, src, dst, STAGE_INPUT_CONV, in_unit, unit)?;
-                                acc += weights[w_off] as i32 * requantize_received(v) as i32;
-                                w_off += 1;
-                            }
-                        }
-                    }
-                    if let (Some(s), Some(pr)) = (scope.as_mut(), probe) {
-                        pr.close(rt, s, "hop.qconv");
-                    }
-                    conv[unit] = acc;
-                }
-            }
-        }
-        let relu = self.requant_relu(&conv, self.conv_requant);
+impl Layout for QTable {
+    fn fits(&self, weights: &[usize], bias: &[usize]) -> bool {
+        let count = |shape: &[usize]| shape.iter().product::<usize>();
+        self.weights.len() == count(weights) && self.bias.len() == count(bias)
+    }
+}
 
-        // Max pooling: each pool unit pulls its window from the conv
-        // units' hosts and maxes in the i8 domain.
-        let mut pooled = vec![0i8; oc * ph * pw];
-        for ch in 0..oc {
-            for py in 0..ph {
-                for px in 0..pw {
-                    let punit = ch * ph * pw + py * pw + px;
-                    let dst = self.assignment.host_of(2, punit);
-                    let probe = scope.is_some().then(|| HopProbe::open(rt));
-                    let mut best = i8::MIN;
-                    for ky in 0..p {
-                        for kx in 0..p {
-                            let off = ch * oh * ow + (py * p + ky) * ow + (px * p + kx);
-                            let src = self.conv_unit_host[off];
-                            let v =
-                                rt.fetch(relu[off] as f32, src, dst, STAGE_CONV_POOL, off, punit)?;
-                            best = best.max(requantize_received(v));
-                        }
-                    }
-                    if let (Some(s), Some(pr)) = (scope.as_mut(), probe) {
-                        pr.close(rt, s, "hop.qpool");
-                    }
-                    pooled[punit] = best;
-                }
-            }
-        }
+impl Deserialize for QuantizedCnn {
+    fn from_value(value: &Value) -> Result<Self, serde::Error> {
+        let model = Self {
+            config: de_field(value, "config")?,
+            assignment: de_field(value, "assignment")?,
+            conv_unit_host: de_field(value, "conv_unit_host")?,
+            replicas: de_field(value, "replicas")?,
+            per_unit: de_field(value, "per_unit")?,
+            dense1: de_field(value, "dense1")?,
+            dense2: de_field(value, "dense2")?,
+            input_scale: de_field(value, "input_scale")?,
+            conv_weight_scale: de_field(value, "conv_weight_scale")?,
+            conv_acc_scale: de_field(value, "conv_acc_scale")?,
+            conv_requant: de_field(value, "conv_requant")?,
+            hidden_requant: de_field(value, "hidden_requant")?,
+            logit_scale: de_field(value, "logit_scale")?,
+            stats: de_field(value, "stats")?,
+        };
+        model.validate().map_err(serde::Error::custom)?;
+        Ok(model)
+    }
+}
 
-        // Dense 1 + ReLU: each hidden unit pulls the pooled vector.
-        let mut hidden_acc = vec![0i32; c.hidden()];
-        for (h, slot) in hidden_acc.iter_mut().enumerate() {
-            let dst = self.assignment.host_of(3, h);
-            let row = &self.dense1.weights[h * pooled.len()..(h + 1) * pooled.len()];
-            let probe = scope.is_some().then(|| HopProbe::open(rt));
-            let mut received = Vec::with_capacity(pooled.len());
-            for (i, &v) in pooled.iter().enumerate() {
-                let src = self.assignment.host_of(2, i);
-                let got = rt.fetch(v as f32, src, dst, STAGE_POOL_HIDDEN, i, h)?;
-                received.push(requantize_received(got));
-            }
-            if let (Some(s), Some(pr)) = (scope.as_mut(), probe) {
-                pr.close(rt, s, "hop.qhidden");
-            }
-            *slot = self.dense1.bias[h] + dot_i8(row, &received);
-        }
-        let hidden = self.requant_relu(&hidden_acc, self.hidden_requant);
+impl Domain for QuantizedCnn {
+    type W = i8;
+    type A = i8;
+    type Acc = i32;
+    const HOPS: [&'static str; 4] = ["hop.qconv", "hop.qpool", "hop.qhidden", "hop.qlogit"];
+    const FLOOR: i8 = i8::MIN;
 
-        // Dense 2: each class unit pulls the hidden vector.
-        let mut logit_acc = vec![0i32; c.classes()];
-        for (o, slot) in logit_acc.iter_mut().enumerate() {
-            let dst = self.assignment.host_of(4, o);
-            let row = &self.dense2.weights[o * c.hidden()..(o + 1) * c.hidden()];
-            let probe = scope.is_some().then(|| HopProbe::open(rt));
-            let mut received = Vec::with_capacity(c.hidden());
-            for (h, &v) in hidden.iter().enumerate() {
-                let src = self.assignment.host_of(3, h);
-                let got = rt.fetch(v as f32, src, dst, STAGE_HIDDEN_LOGIT, h, o)?;
-                received.push(requantize_received(got));
+    fn to_wire(a: i8) -> f32 {
+        f32::from(a)
+    }
+
+    fn from_wire(v: f32) -> i8 {
+        requantize_received(v)
+    }
+
+    fn config(&self) -> &CnnConfig {
+        &self.config
+    }
+
+    fn assignment(&self) -> &Assignment {
+        &self.assignment
+    }
+
+    fn admit<'a>(&mut self, input: &'a Tensor) -> Cow<'a, [i8]> {
+        exec::check_input(&self.config, input);
+        let (q, sat) = quantize_slice(input.data(), self.input_scale);
+        self.stats.input_saturated += sat;
+        Cow::Owned(q)
+    }
+
+    #[inline]
+    fn conv_kernel(&self, unit: usize, channel: usize) -> (&[i8], i32) {
+        let kernel_len = self.config.in_channels() * self.config.kernel() * self.config.kernel();
+        let (weights, bias, slot) = match &self.per_unit {
+            Some(pk) => (&pk.weights, &pk.bias, unit),
+            None => {
+                // zeiot-audit: allow(p1) -- validated models keep a replica on every conv host, and unit/channel slots lie inside the validated kernel tables
+                let rep = &self.replicas[&self.conv_unit_host[unit]];
+                (&rep.weights, &rep.bias, channel)
             }
-            if let (Some(s), Some(pr)) = (scope.as_mut(), probe) {
-                pr.close(rt, s, "hop.qlogit");
-            }
-            *slot = self.dense2.bias[o] + dot_i8(row, &received);
-        }
+        };
+        (
+            &weights[slot * kernel_len..(slot + 1) * kernel_len],
+            bias[slot],
+        )
+    }
+
+    fn mac(acc: i32, w: i8, x: i8) -> i32 {
+        acc + i32::from(w) * i32::from(x)
+    }
+
+    /// Requantizes into the next activation domain and applies ReLU in
+    /// the integer domain (sound because the requantizer is monotone),
+    /// counting saturation.
+    fn activate(&mut self, layer: usize, acc: Vec<i32>) -> Vec<i8> {
+        let requant = if layer == 1 {
+            self.conv_requant
+        } else {
+            self.hidden_requant
+        };
+        let mut sat = 0u64;
+        let out = acc
+            .iter()
+            .map(|&a| requant.apply_i8(a, &mut sat).max(0))
+            .collect();
+        self.stats.activation_saturated += sat;
+        out
+    }
+
+    fn pool_done(&mut self, _: &[i8], _: Vec<usize>) {}
+
+    fn dense(&self) -> [Weights<'_, i8, i32>; 2] {
+        [&self.dense1, &self.dense2].map(|d| (d.weights.as_slice(), d.bias.as_slice()))
+    }
+
+    fn dot(bias: i32, row: &[i8], x: &[i8]) -> i32 {
+        bias + dot_i8(row, x)
+    }
+
+    fn finish(&mut self, _: &Tensor, logits: Vec<i32>) -> Tensor {
         self.stats.forwards += 1;
-        Some(self.dequant_logits(&logit_acc))
+        exec::logits_tensor(
+            logits
+                .iter()
+                .map(|&a| (a as f64 * self.logit_scale) as f32)
+                .collect(),
+        )
     }
 }
 
@@ -716,7 +579,11 @@ mod tests {
 
     #[test]
     fn lossless_lossy_pass_is_bit_identical_to_plain_quantized() {
-        for update in [WeightUpdate::Independent, WeightUpdate::PerUnit] {
+        for update in [
+            WeightUpdate::Synchronized,
+            WeightUpdate::Independent,
+            WeightUpdate::PerUnit,
+        ] {
             let (mut net, data) = trained_setup(update, 22);
             let calibration: Vec<Tensor> = data.iter().take(8).map(|(x, _)| x.clone()).collect();
             let mut a = QuantizedCnn::new(&mut net, &calibration);
@@ -861,6 +728,41 @@ mod tests {
                 restored.forward_quantized(x).data()
             );
         }
+    }
+
+    #[test]
+    fn deserialize_rejects_tampered_models() {
+        let (mut net, data) = trained_setup(WeightUpdate::Independent, 28);
+        let calibration: Vec<Tensor> = data.iter().take(4).map(|(x, _)| x.clone()).collect();
+        let qnet = QuantizedCnn::new(&mut net, &calibration);
+        let json = serde_json::to_string(&qnet).unwrap();
+        let restore =
+            |text: &str| serde_json::from_str::<QuantizedCnn>(text).map_err(|e| e.to_string());
+        assert!(restore(&json).is_ok());
+
+        // Textually tamper the frozen model the way a config edit or a
+        // hand-patched deployment would; each must be rejected cleanly
+        // instead of panicking inside forward_quantized().
+        let tamper = |from: &str, to: &str| -> String {
+            let out = json.replacen(from, to, 1);
+            assert_ne!(out, json, "tamper target `{from}` missing from JSON");
+            out
+        };
+        assert!(restore(&tamper("\"in_height\":8", "\"in_height\":10")).is_err());
+        assert!(restore(&tamper("\"classes\":2", "\"classes\":3")).is_err());
+
+        // A conv unit pointed at a node that keeps no replica (one past
+        // the 3×3 grid), which a forward pass would hit at the replica
+        // lookup.
+        let first_host = qnet.conv_unit_host[0];
+        let orphan = NodeId::new(9);
+        assert!(!qnet.replicas.contains_key(&orphan));
+        let err = restore(&tamper(
+            &format!("\"conv_unit_host\":[{},", first_host.raw()),
+            &format!("\"conv_unit_host\":[{},", orphan.raw()),
+        ))
+        .unwrap_err();
+        assert!(err.contains("conv unit 0"), "unexpected error: {err}");
     }
 
     #[test]

@@ -35,7 +35,7 @@
 //! proptest below), and reports are byte-identical across thread
 //! counts.
 
-use crate::assignment::{reverse_dependencies, Assignment};
+use crate::assignment::{hop_cost, improve, producer_consumers, Assignment};
 use crate::distributed::{ConvReplica, DistributedCnn};
 use crate::lossy::{HopProbe, LossyRuntime};
 use zeiot_core::id::NodeId;
@@ -213,7 +213,7 @@ pub fn plan_incremental(
     let degraded = topo.without_nodes(down);
     let routes = RoutingTable::shortest_paths(&degraded);
     let cap = graph.total_units().div_ceil(surviving.len());
-    let consumers = reverse_dependencies(graph);
+    let consumers = producer_consumers(graph);
 
     let mut repaired = assignment.clone();
     let mut load = vec![0usize; topo.len()];
@@ -231,8 +231,7 @@ pub fn plan_incremental(
     let mut stranded = 0usize;
     let mut budget_exhausted = false;
     for l in (1..graph.layer_count()).rev() {
-        // `consumers[l - 1]` holds one entry per unit of layer `l`.
-        for (u, unit_consumers) in consumers[l - 1].iter().enumerate() {
+        for u in 0..graph.units_in_layer(l) {
             let host = assignment.host_of(l, u);
             if !down.contains(&host) {
                 continue;
@@ -249,18 +248,10 @@ pub fn plan_incremental(
                 .iter()
                 .filter(|n| load[n.index()] < cap)
                 .min_by_key(|n| {
-                    let mut c = 0usize;
-                    for &dep in graph.dependencies(l, u) {
-                        let src = repaired.host_of(l - 1, dep);
-                        c += routes.hop_distance(src, **n).unwrap_or(1_000);
-                    }
-                    if l + 1 < graph.layer_count() {
-                        for &k in unit_consumers {
-                            let dst = repaired.host_of(l + 1, k);
-                            c += routes.hop_distance(**n, dst).unwrap_or(1_000);
-                        }
-                    }
-                    (c, n.raw())
+                    (
+                        hop_cost(graph, &routes, &consumers, &repaired, (l, u), **n),
+                        n.raw(),
+                    )
                 })
                 .copied();
             match candidate {
@@ -311,71 +302,11 @@ pub fn plan_full_resolve(
     down: &[NodeId],
 ) -> (Assignment, ReplanOutcome) {
     let (mut repaired, outcome) = plan_incremental(graph, topo, assignment, down, usize::MAX);
-    let surviving: Vec<NodeId> = topo.node_ids().filter(|n| !down.contains(n)).collect();
+    let surviving = topo.node_ids().filter(|n| !down.contains(n)).count();
     let degraded = topo.without_nodes(down);
     let routes = RoutingTable::shortest_paths(&degraded);
-    let cap = graph.total_units().div_ceil(surviving.len());
-    let consumers = reverse_dependencies(graph);
-    let mut load = vec![0usize; topo.len()];
-    for l in 1..graph.layer_count() {
-        for u in 0..graph.units_in_layer(l) {
-            // zeiot-audit: allow(p1) -- hosts come from the assignment over this topology, so index() < topo.len()
-            load[repaired.host_of(l, u).index()] += 1;
-        }
-    }
-
-    // The balanced_correspondence improvement sweeps, restricted to
-    // surviving candidates: only spatial units move (a dense unit's
-    // traffic is placement-invariant), selection is the total order
-    // (cost, node id).
-    for _sweep in 0..3 {
-        let mut improved = false;
-        for l in 1..graph.layer_count() {
-            // `consumers[l - 1]` holds one entry per unit of layer `l`.
-            for (u, unit_consumers) in consumers[l - 1].iter().enumerate() {
-                if graph.position(l, u).is_none() {
-                    continue;
-                }
-                let current = repaired.host_of(l, u);
-                let cost_at = |candidate: NodeId, asg: &Assignment| -> usize {
-                    let mut c = 0;
-                    for &dep in graph.dependencies(l, u) {
-                        let src = asg.host_of(l - 1, dep);
-                        c += routes.hop_distance(src, candidate).unwrap_or(1_000);
-                    }
-                    if l + 1 < graph.layer_count() {
-                        for &k in unit_consumers {
-                            let dst = asg.host_of(l + 1, k);
-                            c += routes.hop_distance(candidate, dst).unwrap_or(1_000);
-                        }
-                    }
-                    c
-                };
-                let current_cost = cost_at(current, &repaired);
-                let mut candidates: Vec<NodeId> = degraded.neighbors(current).to_vec();
-                for &dep in graph.dependencies(l, u) {
-                    candidates.push(repaired.host_of(l - 1, dep));
-                }
-                candidates.sort_unstable();
-                candidates.dedup();
-                candidates.retain(|c| *c != current && !down.contains(c) && load[c.index()] < cap);
-                let best = candidates
-                    .iter()
-                    .map(|&c| (c, cost_at(c, &repaired)))
-                    .filter(|&(_, cost)| cost < current_cost)
-                    .min_by_key(|&(c, cost)| (cost, c.raw()));
-                if let Some((to, _)) = best {
-                    load[current.index()] -= 1;
-                    load[to.index()] += 1;
-                    repaired.set_host(l, u, to);
-                    improved = true;
-                }
-            }
-        }
-        if !improved {
-            break;
-        }
-    }
+    let cap = graph.total_units().div_ceil(surviving);
+    improve(&mut repaired, graph, &degraded, &routes, cap, down, 1);
 
     // Migrations = every host that changed, in (layer, unit) order.
     let mut migrations = Vec::new();
@@ -498,8 +429,7 @@ fn apply_one(net: &mut DistributedCnn, m: &Migration, source: NodeId) {
 
 /// Applies a planned epoch to `net` **without a fabric** — the offline,
 /// gateway-side repair. State is copied from the nearest surviving
-/// checkpoint peer for free; the static-recovery baseline and
-/// [`crate::resilience::reassign_after_failures`] deployments use this.
+/// checkpoint peer for free; the static-recovery baseline uses this.
 pub fn apply_offline(
     net: &mut DistributedCnn,
     graph: &UnitGraph,

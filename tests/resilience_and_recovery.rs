@@ -1,15 +1,16 @@
 //! Integration: §V resilience — node failures, unit re-homing, and the
 //! accuracy/cost consequences across the whole stack.
 //!
-//! Pins the behavior of the deprecated static pass (now a wrapper over
-//! `microdeep::replace`); the runtime engine has its own suite in
-//! `crates/microdeep/src/replace.rs` and E13.
-#![allow(deprecated)]
+//! Each failure is repaired offline by one unbounded
+//! `microdeep::replace::plan_incremental` pass (a single a-priori epoch:
+//! no fabric, no migration budget) and priced with `CostModel`; the
+//! runtime engine has its own suite in `crates/microdeep/src/replace.rs`
+//! and E13.
 
 use zeiot::core::id::NodeId;
 use zeiot::core::rng::SeedRng;
 use zeiot::data::gait::GaitGenerator;
-use zeiot::microdeep::resilience::reassign_after_failures;
+use zeiot::microdeep::replace::plan_incremental;
 use zeiot::microdeep::{Assignment, CnnConfig, CostModel, DistributedCnn, WeightUpdate};
 use zeiot::net::routing::RoutingTable;
 use zeiot::net::Topology;
@@ -28,8 +29,8 @@ fn recovery_keeps_the_network_functional_after_failures() {
     let graph = config.unit_graph().unwrap();
     // Kill 10% of nodes scattered across the mesh.
     let failed: Vec<NodeId> = [3u32, 17, 29, 41, 55, 62].map(NodeId::new).to_vec();
-    let (repaired, report) = reassign_after_failures(&graph, &topo, &assignment, &failed);
-    assert!(report.fully_recovered(), "{report:?}");
+    let (repaired, outcome) = plan_incremental(&graph, &topo, &assignment, &failed, usize::MAX);
+    assert_eq!(outcome.stranded, 0, "{outcome:?}");
 
     // The degraded mesh still routes between all surviving nodes.
     let degraded = topo.without_nodes(&failed);
@@ -80,7 +81,8 @@ fn trained_model_survives_reassignment() {
     }
     let acc_before = net.accuracy(test);
 
-    let (repaired, _) = reassign_after_failures(&graph, &topo, &assignment, &[NodeId::new(20)]);
+    let (repaired, _) =
+        plan_incremental(&graph, &topo, &assignment, &[NodeId::new(20)], usize::MAX);
     // Placement is metadata for cost purposes; the function is identical.
     let cost = CostModel::new(&topo);
     let before = cost.forward_cost(&graph, &assignment).max_cost();
@@ -97,8 +99,8 @@ fn progressive_failures_degrade_gracefully() {
     let mut peak_costs = Vec::new();
     for kill in [0usize, 4, 8, 16] {
         let failed: Vec<NodeId> = (0..kill as u32).map(|i| NodeId::new(i * 3 + 1)).collect();
-        let (repaired, report) = reassign_after_failures(&graph, &topo, &assignment, &failed);
-        assert!(report.fully_recovered(), "kill={kill}: {report:?}");
+        let (repaired, outcome) = plan_incremental(&graph, &topo, &assignment, &failed, usize::MAX);
+        assert_eq!(outcome.stranded, 0, "kill={kill}: {outcome:?}");
         let degraded = topo.without_nodes(&failed);
         let cost = CostModel::new(&degraded);
         peak_costs.push(cost.forward_cost(&graph, &repaired).max_cost());
