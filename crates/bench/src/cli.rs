@@ -4,7 +4,9 @@
 //! experiment-specific numeric overrides plus the common `--threads N`,
 //! `--json 1` and `--jsonl PATH` — and renders one [`ExperimentReport`].
 //! [`run_experiment`] owns that whole preamble, so a binary reduces to
-//! naming its flags and mapping them onto its `Params`:
+//! naming its flags and mapping them onto its `Params`. Experiments that
+//! also sample causal traces use [`run_traced_experiment`], which adds
+//! `--trace-jsonl PATH`:
 //!
 //! ```no_run
 //! use zeiot_bench::cli::{override_u64, run_experiment};
@@ -24,13 +26,16 @@ use crate::report::ExperimentReport;
 use crate::sweep::SweepRunner;
 use crate::{parse_args, runner_from_flags, take_string_flag};
 use std::collections::BTreeMap;
+use std::path::Path;
+use zeiot_obs::trace::{write_traces_jsonl, Trace};
 
 /// What went wrong before a report could be rendered.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CliError {
     /// Malformed or unknown flags (exit code 2).
     Usage(String),
-    /// The `--jsonl` export could not be written (exit code 1).
+    /// The `--jsonl` or `--trace-jsonl` export could not be written
+    /// (exit code 1).
     Io(String),
 }
 
@@ -73,8 +78,8 @@ where
     let map = parse_args(&args, &allowed).map_err(CliError::Usage)?;
     let report = run(&map, &runner_from_flags(&map));
     if let Some(path) = &jsonl {
-        zeiot_obs::write_jsonl(std::path::Path::new(path), &report.export_snapshot())
-            .map_err(|e| CliError::Io(format!("failed to write {path}: {e}")))?;
+        zeiot_obs::write_jsonl(Path::new(path), &report.export_snapshot())
+            .map_err(|e| write_error(path, e))?;
     }
     Ok(if map.get("json").copied().unwrap_or(0.0) != 0.0 {
         report.to_json()
@@ -83,14 +88,62 @@ where
     })
 }
 
+/// [`execute`] for an experiment that also returns its sampled traces:
+/// `--trace-jsonl PATH` is accepted on top of the common flags, and once
+/// the report (and any `--jsonl` export) is done the traces are written
+/// to `PATH` as JSON Lines, one trace per line.
+///
+/// # Errors
+///
+/// Returns [`CliError::Usage`] on malformed flags and [`CliError::Io`]
+/// when either export fails.
+pub fn execute_traced<F>(
+    mut args: Vec<String>,
+    param_flags: &[&str],
+    run: F,
+) -> Result<String, CliError>
+where
+    F: FnOnce(&BTreeMap<String, f64>, &SweepRunner) -> (ExperimentReport, Vec<Trace>),
+{
+    let trace_path = take_string_flag(&mut args, "trace-jsonl").map_err(CliError::Usage)?;
+    let mut traces = Vec::new();
+    let text = execute(args, param_flags, |map, runner| {
+        let (report, sampled) = run(map, runner);
+        traces = sampled;
+        report
+    })?;
+    if let Some(path) = &trace_path {
+        write_traces_jsonl(Path::new(path), &traces).map_err(|e| write_error(path, e))?;
+    }
+    Ok(text)
+}
+
+fn write_error(path: &str, e: std::io::Error) -> CliError {
+    CliError::Io(format!("failed to write {path}: {e}"))
+}
+
 /// The whole experiment-binary `main`: parse `std::env::args`, run,
 /// print. Exits with code 2 on flag errors and 1 on export errors.
 pub fn run_experiment<F>(param_flags: &[&str], run: F)
 where
     F: FnOnce(&BTreeMap<String, f64>, &SweepRunner) -> ExperimentReport,
 {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match execute(args, param_flags, run) {
+    let args = std::env::args().skip(1).collect();
+    finish(execute(args, param_flags, run));
+}
+
+/// [`run_experiment`] for a traced experiment (see [`execute_traced`]).
+pub fn run_traced_experiment<F>(param_flags: &[&str], run: F)
+where
+    F: FnOnce(&BTreeMap<String, f64>, &SweepRunner) -> (ExperimentReport, Vec<Trace>),
+{
+    let args = std::env::args().skip(1).collect();
+    finish(execute_traced(args, param_flags, run));
+}
+
+/// Prints the rendered report, or the error and exits with its code.
+fn finish(result: Result<String, CliError>) {
+    match result {
         Ok(text) => println!("{text}"),
         Err(e) => {
             eprintln!("{}", e.message());
@@ -182,6 +235,26 @@ mod tests {
         )
         .unwrap_err();
         assert_eq!(err.exit_code(), 1);
+    }
+
+    #[test]
+    fn trace_jsonl_belongs_to_traced_runs_only() {
+        let traced = |m: &BTreeMap<String, f64>, r: &SweepRunner| (demo_report(m, r), Vec::new());
+        let err = execute_traced(args(&["--trace-jsonl"]), &[], traced).unwrap_err();
+        assert_eq!(
+            err,
+            CliError::Usage("--trace-jsonl needs a value".to_owned())
+        );
+        let unwritable = args(&["--trace-jsonl", "/nonexistent-dir/t.jsonl"]);
+        let err = execute_traced(unwritable, &[], traced).unwrap_err();
+        assert_eq!(err.exit_code(), 1);
+        assert!(err
+            .message()
+            .starts_with("failed to write /nonexistent-dir/t.jsonl"));
+        // An experiment without traces rejects the flag as unknown.
+        let err = execute(args(&["--trace-jsonl", "t.jsonl"]), &[], demo_report).unwrap_err();
+        assert_eq!(err.exit_code(), 2);
+        assert!(err.message().starts_with("unknown flag --trace-jsonl"));
     }
 
     #[test]

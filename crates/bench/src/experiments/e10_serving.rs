@@ -24,17 +24,12 @@
 //! good logits — accuracy decays but the serving layer never goes
 //! silent.
 
+use super::mesh::{self, Baseline};
 use crate::report::{ExperimentReport, Row};
 use crate::sweep::SweepRunner;
-use zeiot_core::rng::SeedRng;
 use zeiot_core::time::SimDuration;
 use zeiot_fault::{DegradeMode, FaultPlan, RecoveryPolicy};
-use zeiot_microdeep::{Assignment, CnnConfig, DistributedCnn, WeightUpdate};
-use zeiot_net::Topology;
-use zeiot_nn::tensor::Tensor;
-use zeiot_serve::{
-    ArrivalProcess, DegradedServing, ServeConfig, ServeReport, Server, Tenant, TenantSpec,
-};
+use zeiot_serve::{DegradedServing, QuantMode, ServeReport};
 
 /// Tunable experiment size.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -80,18 +75,6 @@ pub const SHARD_COUNTS: [usize; 3] = [1, 2, 4];
 
 /// Micro-batch sizes swept at nominal load.
 pub const BATCH_SIZES: [usize; 3] = [1, 4, 8];
-
-/// Worker time per inference.
-const SERVICE_TIME: SimDuration = SimDuration::from_millis(40);
-
-/// Fixed worker time per dispatched micro-batch.
-const BATCH_OVERHEAD: SimDuration = SimDuration::from_millis(10);
-
-/// Relative deadline granted to every request.
-const DEADLINE: SimDuration = SimDuration::from_millis(400);
-
-/// Fabric clock advance per executed inference (matches E9).
-const PASS_PERIOD: SimDuration = SimDuration::from_millis(500);
 
 /// One degradation setting of the final sweep group.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -194,60 +177,6 @@ fn point_specs() -> Vec<PointSpec> {
 /// shard/batch/degradation groups are compared against.
 const NOMINAL: usize = 1;
 
-/// The serving deployment: E9's mesh and CNN, so the messages-per-pass
-/// and fault behaviour match the established numbers.
-pub fn deployment() -> Topology {
-    super::e9_faults::deployment()
-}
-
-/// The tenants' shared CNN geometry.
-pub fn cnn_config() -> CnnConfig {
-    super::e9_faults::cnn_config()
-}
-
-/// The nominal tenant mix: three context-recognition applications with
-/// different arrival shapes and the same latency contract (shared with
-/// E13).
-pub(crate) fn tenant_specs(load_scale: f64) -> Vec<TenantSpec> {
-    let mix = [
-        ("motion", ArrivalProcess::poisson(8.0)),
-        (
-            "doors",
-            ArrivalProcess::periodic(SimDuration::from_millis(150)),
-        ),
-        (
-            "hvac",
-            ArrivalProcess::bursts(
-                3,
-                SimDuration::from_millis(5),
-                SimDuration::from_millis(400),
-            ),
-        ),
-    ];
-    mix.into_iter()
-        .map(|(name, arrivals)| TenantSpec::new(name, arrivals.scaled(load_scale), DEADLINE))
-        .collect()
-}
-
-/// Synthetic two-class 8×8 intensity data (E9's generator; shared with
-/// E11).
-pub(crate) fn generate_data(samples_per_class: usize, rng: &mut SeedRng) -> Vec<(Tensor, usize)> {
-    let mut data = Vec::with_capacity(samples_per_class * 2);
-    for _ in 0..samples_per_class {
-        for class in 0..2usize {
-            let mut img = Tensor::zeros(vec![1, 8, 8]);
-            for y in 0..4 {
-                for x in 0..4 {
-                    let (yy, xx) = if class == 0 { (y, x) } else { (y + 4, x + 4) };
-                    img.set(&[0, yy, xx], 1.0 + rng.normal_with(0.0, 0.1) as f32);
-                }
-            }
-            data.push((img, class));
-        }
-    }
-    data
-}
-
 /// Runs E10 serially (equivalent to [`run_with`] at any thread count).
 pub fn run(params: &Params) -> ExperimentReport {
     run_with(params, &SweepRunner::serial())
@@ -257,66 +186,32 @@ pub fn run(params: &Params) -> ExperimentReport {
 /// point builds a fresh server over it and serves its tenant mix for the
 /// horizon. Results are identical for every thread count.
 pub fn run_with(params: &Params, runner: &SweepRunner) -> ExperimentReport {
-    let mut data_rng = SeedRng::with_stream(params.seed, 0xDA7A);
-    let data = generate_data(params.samples_per_class, &mut data_rng);
-    let split = data.len() * 4 / 5;
-    let (train, test) = data.split_at(split);
-
-    let config = cnn_config();
-    let topo = deployment();
-    let graph = config.unit_graph().expect("valid config");
-    let assignment = Assignment::balanced_correspondence(&graph, &topo);
-
-    let mut model_rng = SeedRng::with_stream(params.seed, 0x0DE1);
-    let mut baseline = DistributedCnn::new(
-        config,
-        assignment,
-        WeightUpdate::Independent,
-        &mut model_rng,
-    );
-    let mut train_rng = SeedRng::with_stream(params.seed, 0x7124);
-    for _ in 0..params.epochs {
-        baseline.train_epoch(train, 0.08, 8, &mut train_rng);
-    }
-    let clean_accuracy = baseline.accuracy(test);
-    let baseline_json = baseline.to_json().expect("serializable model");
+    let baseline = Baseline::train(params.samples_per_class, params.epochs, params.seed);
 
     let horizon = SimDuration::from_secs(params.horizon_secs);
     let plan_seed = params.seed ^ 0xFA17;
     let specs = point_specs();
-    let pool: Vec<(Tensor, usize)> = test.to_vec();
 
     let sweep = runner.run_seeded(
         params.seed ^ 0xE10A,
         specs.len(),
         |index, _rng, recorder| {
             let spec = &specs[index];
-            let tenants: Vec<Tenant> = tenant_specs(spec.load_scale)
-                .into_iter()
-                .map(|ts| {
-                    let net =
-                        DistributedCnn::from_json(&baseline_json).expect("validated snapshot");
-                    Tenant::new(ts, net, pool.clone()).expect("non-empty pool")
-                })
-                .collect();
-            let serve_config = ServeConfig::new(spec.shards, spec.batch, 16, SERVICE_TIME)
-                .expect("valid config")
-                .with_batch_overhead(BATCH_OVERHEAD);
-            let mut server =
-                Server::new(serve_config, deployment(), tenants).expect("tenants present");
+            let tenants = baseline.tenants(spec.load_scale, QuantMode::F32);
+            let mut server = mesh::server(spec.shards, spec.batch, tenants);
             server = match spec.degradation {
                 Degradation::Lossless => server,
                 Degradation::Substitute { mode, loss } => server.with_degraded(DegradedServing {
                     plan: FaultPlan::uniform(plan_seed, loss).expect("valid rate"),
                     policy: RecoveryPolicy::Degrade { mode },
-                    pass_period: PASS_PERIOD,
+                    pass_period: mesh::PASS_PERIOD,
                     stale_cache: false,
                     replace: None,
                 }),
                 Degradation::StaleFallback { loss } => server.with_degraded(DegradedServing {
                     plan: FaultPlan::uniform(plan_seed, loss).expect("valid rate"),
                     policy: RecoveryPolicy::FailFast,
-                    pass_period: PASS_PERIOD,
+                    pass_period: mesh::PASS_PERIOD,
                     stale_cache: true,
                     replace: None,
                 }),
@@ -333,7 +228,7 @@ pub fn run_with(params: &Params, runner: &SweepRunner) -> ExperimentReport {
     );
     report.push(Row::measured_only(
         "accuracy (clean baseline, direct)",
-        clean_accuracy,
+        baseline.clean_accuracy,
         "fraction",
     ));
 

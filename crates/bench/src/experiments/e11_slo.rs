@@ -34,21 +34,16 @@
 //! metrics alone would hide that an unreliable fabric is being ridden;
 //! the attribution layer is what surfaces it.
 
+use super::mesh::{self, Baseline};
 use crate::report::{ExperimentReport, Row};
 use crate::sweep::SweepRunner;
-use zeiot_core::rng::SeedRng;
 use zeiot_core::time::SimDuration;
 use zeiot_fault::{FaultPlan, RecoveryPolicy};
-use zeiot_microdeep::{Assignment, DistributedCnn, WeightUpdate};
-use zeiot_nn::tensor::Tensor;
 use zeiot_obs::analysis::{attribution, LayerRollup};
 use zeiot_obs::slo::{evaluate_all, SloBreach, SloObjective, SloSpec};
 use zeiot_obs::trace::{SpanLayer, Trace, TraceSampler, Tracer};
 use zeiot_obs::Label;
-use zeiot_serve::{
-    windowed_snapshots, ArrivalProcess, DegradedServing, ServeConfig, ServeReport, Server, Tenant,
-    TenantSpec,
-};
+use zeiot_serve::{windowed_snapshots, DegradedServing, QuantMode, ServeReport};
 
 /// Tunable experiment size.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -96,18 +91,6 @@ pub const LOAD_SCALES: [f64; 3] = [0.5, 1.0, 3.0];
 
 /// Per-attempt fabric loss rates swept (0 = lossless serving).
 pub const LOSS_RATES: [f64; 3] = [0.0, 0.02, 0.05];
-
-/// Worker time per inference (matches E10).
-const SERVICE_TIME: SimDuration = SimDuration::from_millis(40);
-
-/// Fixed worker time per dispatched micro-batch (matches E10).
-const BATCH_OVERHEAD: SimDuration = SimDuration::from_millis(10);
-
-/// Relative deadline granted to every request (matches E10).
-const DEADLINE: SimDuration = SimDuration::from_millis(400);
-
-/// Fabric clock advance per executed inference (matches E10).
-const PASS_PERIOD: SimDuration = SimDuration::from_millis(500);
 
 /// Burn-rate evaluation window.
 const WINDOW: SimDuration = SimDuration::from_secs(1);
@@ -158,28 +141,6 @@ fn point_label(index: usize) -> String {
     format!("load {scale:.2}x, loss {loss:.3}")
 }
 
-/// The E10 tenant mix, scaled.
-fn tenant_specs(load_scale: f64) -> Vec<TenantSpec> {
-    let mix = [
-        ("motion", ArrivalProcess::poisson(8.0)),
-        (
-            "doors",
-            ArrivalProcess::periodic(SimDuration::from_millis(150)),
-        ),
-        (
-            "hvac",
-            ArrivalProcess::bursts(
-                3,
-                SimDuration::from_millis(5),
-                SimDuration::from_millis(400),
-            ),
-        ),
-    ];
-    mix.into_iter()
-        .map(|(name, arrivals)| TenantSpec::new(name, arrivals.scaled(load_scale), DEADLINE))
-        .collect()
-}
-
 /// What one sweep point produced.
 #[derive(Debug, Clone)]
 struct PointResult {
@@ -205,50 +166,17 @@ pub fn run_with(params: &Params, runner: &SweepRunner) -> ExperimentReport {
 /// Returns the report plus every sampled trace in `(point, tenant,
 /// seq)` order — byte-identical across thread counts.
 pub fn run_with_traces(params: &Params, runner: &SweepRunner) -> (ExperimentReport, Vec<Trace>) {
-    let mut data_rng = SeedRng::with_stream(params.seed, 0xDA7A);
-    let data = super::e10_serving::generate_data(params.samples_per_class, &mut data_rng);
-    let split = data.len() * 4 / 5;
-    let (train, test) = data.split_at(split);
-
-    let config = super::e10_serving::cnn_config();
-    let topo = super::e10_serving::deployment();
-    let graph = config.unit_graph().expect("valid config");
-    let assignment = Assignment::balanced_correspondence(&graph, &topo);
-
-    let mut model_rng = SeedRng::with_stream(params.seed, 0x0DE1);
-    let mut baseline = DistributedCnn::new(
-        config,
-        assignment,
-        WeightUpdate::Independent,
-        &mut model_rng,
-    );
-    let mut train_rng = SeedRng::with_stream(params.seed, 0x7124);
-    for _ in 0..params.epochs {
-        baseline.train_epoch(train, 0.08, 8, &mut train_rng);
-    }
-    let baseline_json = baseline.to_json().expect("serializable model");
+    let baseline = Baseline::train(params.samples_per_class, params.epochs, params.seed);
 
     let horizon = SimDuration::from_secs(params.horizon_secs);
     let plan_seed = params.seed ^ 0xFA17;
     let rate = params.sample_rate.clamp(0.0, 1.0);
     let points = LOAD_SCALES.len() * LOSS_RATES.len();
-    let pool: Vec<(Tensor, usize)> = test.to_vec();
     let specs = slo_specs();
 
     let sweep = runner.run_seeded(params.seed ^ 0xE115, points, |index, _rng, recorder| {
         let (scale, loss) = point(index);
-        let tenants: Vec<Tenant> = tenant_specs(scale)
-            .into_iter()
-            .map(|ts| {
-                let net = DistributedCnn::from_json(&baseline_json).expect("validated snapshot");
-                Tenant::new(ts, net, pool.clone()).expect("non-empty pool")
-            })
-            .collect();
-        let serve_config = ServeConfig::new(2, 4, 16, SERVICE_TIME)
-            .expect("valid config")
-            .with_batch_overhead(BATCH_OVERHEAD);
-        let mut server = Server::new(serve_config, super::e10_serving::deployment(), tenants)
-            .expect("tenants present");
+        let mut server = mesh::server(2, 4, baseline.tenants(scale, QuantMode::F32));
         if loss > 0.0 {
             server = server.with_degraded(DegradedServing {
                 plan: FaultPlan::uniform(plan_seed, loss).expect("valid rate"),
@@ -257,7 +185,7 @@ pub fn run_with_traces(params: &Params, runner: &SweepRunner) -> (ExperimentRepo
                     timeout: SimDuration::from_millis(2),
                     backoff: 2.0,
                 },
-                pass_period: PASS_PERIOD,
+                pass_period: mesh::PASS_PERIOD,
                 stale_cache: true,
                 replace: None,
             });

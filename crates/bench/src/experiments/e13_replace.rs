@@ -29,22 +29,15 @@
 //!   faults), and the report and trace JSONL export are byte-identical
 //!   across `--threads 1/4` (CI diffs the `e13_replace` bin's output).
 
+use super::mesh::{self, Baseline};
 use crate::report::{ExperimentReport, Row};
 use crate::sweep::SweepRunner;
 use zeiot_core::id::NodeId;
-use zeiot_core::rng::SeedRng;
 use zeiot_core::time::{SimDuration, SimTime};
-use zeiot_core::units::Watt;
-use zeiot_energy::capacitor::Capacitor;
-use zeiot_energy::consumer::PowerProfile;
-use zeiot_energy::harvester::ConstantSource;
-use zeiot_energy::intermittent::IntermittentDevice;
 use zeiot_fault::{DegradeMode, FaultPlan, RecoveryPolicy};
 use zeiot_microdeep::replace::{apply_offline, plan_incremental, ReplaceConfig};
-use zeiot_microdeep::{Assignment, DistributedCnn, WeightUpdate};
-use zeiot_nn::tensor::Tensor;
 use zeiot_obs::trace::{Trace, TraceSampler, Tracer};
-use zeiot_serve::{DegradedServing, Outcome, ServeConfig, ServeReport, Server, Tenant};
+use zeiot_serve::{DegradedServing, Outcome, QuantMode, ServeReport, Tenant};
 
 /// Tunable experiment size.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -147,19 +140,6 @@ pub const POLICIES: [RecoveryPolicy; 2] = [
 /// recovery comparison.
 const LOSS_RATE: f64 = 0.0;
 
-/// Worker time per inference (matches E10–E12).
-const SERVICE_TIME: SimDuration = SimDuration::from_millis(40);
-
-/// Fixed worker time per dispatched micro-batch (matches E10–E12).
-const BATCH_OVERHEAD: SimDuration = SimDuration::from_millis(10);
-
-/// Fabric clock advance per executed inference (matches E10–E12).
-const PASS_PERIOD: SimDuration = SimDuration::from_millis(500);
-
-/// Simulated-time budget of the capacitor traces driving the brownout
-/// outage windows (matches E9).
-const TRACE_BUDGET: SimDuration = SimDuration::from_secs(120);
-
 /// Brownout candidates in dark-first order: [`OUTAGE_LEVELS`] level
 /// `k` puts capacitor traces on the first `k`. Nodes 6 and 2 sit in
 /// the mesh's signal-free corners (neither class lights their sensor
@@ -169,19 +149,6 @@ const TRACE_BUDGET: SimDuration = SimDuration::from_secs(120);
 /// Node 5 additionally covers class-1 pixels, so level 3 shows the
 /// physics bound: units migrate, dead sensors do not.
 const BROWNOUT_NODES: [u32; 3] = [6, 2, 5];
-
-/// A duty-cycling zero-energy device (E9's): the 15 µW harvest cannot
-/// sustain the backscatter tag's 20 µW compute draw, so the capacitor
-/// browns out periodically.
-fn brownout_device() -> IntermittentDevice<ConstantSource> {
-    IntermittentDevice::new(
-        ConstantSource::new(Watt::new(15e-6)).expect("positive harvest"),
-        Capacitor::new(100e-6, 2.4, 1.8, 3.0).expect("valid capacitor"),
-        PowerProfile::backscatter_tag().expect("valid profile"),
-        SimDuration::from_millis(10),
-    )
-    .expect("valid device")
-}
 
 /// `(outage level, budget, policy)` of sweep point `index`, row-major
 /// over [`OUTAGE_LEVELS`] × [`BUDGETS`] × [`POLICIES`].
@@ -223,12 +190,7 @@ struct ArmResult {
 impl ArmResult {
     /// Serving accuracy over the arm's labelled completions.
     fn accuracy(&self) -> f64 {
-        let total = self.report.total();
-        if total.labelled == 0 {
-            0.0
-        } else {
-            total.correct as f64 / total.labelled as f64
-        }
+        self.report.total().accuracy()
     }
 
     /// Fabric deliveries substituted (degraded) across the arm's run.
@@ -262,39 +224,20 @@ pub fn run_with(params: &Params, runner: &SweepRunner) -> ExperimentReport {
 /// fabric. Returns the report plus every sampled trace in `(point,
 /// arm, tenant, seq)` order — byte-identical across thread counts.
 pub fn run_with_traces(params: &Params, runner: &SweepRunner) -> (ExperimentReport, Vec<Trace>) {
-    let mut data_rng = SeedRng::with_stream(params.seed, 0xDA7A);
-    let data = super::e10_serving::generate_data(params.samples_per_class, &mut data_rng);
-    let split = data.len() * 4 / 5;
-    let (train, test) = data.split_at(split);
-
-    let config = super::e10_serving::cnn_config();
-    let topo = super::e10_serving::deployment();
-    let graph = config.unit_graph().expect("valid config");
-    let assignment = Assignment::balanced_correspondence(&graph, &topo);
-
-    let mut model_rng = SeedRng::with_stream(params.seed, 0x0DE1);
-    let mut baseline = DistributedCnn::new(
-        config,
-        assignment,
-        WeightUpdate::Independent,
-        &mut model_rng,
-    );
-    let mut train_rng = SeedRng::with_stream(params.seed, 0x7124);
-    for _ in 0..params.epochs {
-        baseline.train_epoch(train, 0.08, 8, &mut train_rng);
-    }
-    let baseline_json = baseline.to_json().expect("serializable model");
+    let baseline = Baseline::train(params.samples_per_class, params.epochs, params.seed);
+    let (graph, topo) = (&baseline.graph, mesh::deployment());
 
     let horizon = SimDuration::from_secs(params.horizon_secs);
     let plan_seed = params.seed ^ 0xFA17;
     let rate = params.sample_rate.clamp(0.0, 1.0);
     let points = OUTAGE_LEVELS.len() * BUDGETS.len() * POLICIES.len();
-    let pool: Vec<(Tensor, usize)> = test.to_vec();
     // Clean-model reference logits per pool sample (request `seq`
-    // serves `pool[seq % len]`), for the per-arm fidelity axis.
-    let refs: Vec<Vec<f32>> = pool
+    // serves `test[seq % len]`), for the per-arm fidelity axis.
+    let mut clean = baseline.restore();
+    let refs: Vec<Vec<f32>> = baseline
+        .test
         .iter()
-        .map(|(x, _)| baseline.forward(x).data().to_vec())
+        .map(|(x, _)| clean.forward(x).data().to_vec())
         .collect();
 
     let sweep = runner.run_seeded(params.seed ^ 0xE13A, points, |index, rng, recorder| {
@@ -304,9 +247,9 @@ pub fn run_with_traces(params: &Params, runner: &SweepRunner) -> (ExperimentRepo
         // capacitor-trace outage windows on the first `level` brownout
         // nodes. Every arm serves through a clone of this plan.
         let mut plan = FaultPlan::uniform(plan_seed, LOSS_RATE).expect("valid rate");
-        let trace_horizon = SimTime::ZERO + TRACE_BUDGET;
+        let trace_horizon = SimTime::ZERO + mesh::TRACE_BUDGET;
         for &node in BROWNOUT_NODES.iter().take(level) {
-            let trace = brownout_device().power_trace(TRACE_BUDGET, rng);
+            let trace = mesh::brownout_device().power_trace(mesh::TRACE_BUDGET, rng);
             plan = plan
                 .with_outages_from_trace(NodeId::new(node), &trace, trace_horizon)
                 .expect("valid trace");
@@ -322,31 +265,24 @@ pub fn run_with_traces(params: &Params, runner: &SweepRunner) -> (ExperimentRepo
             .iter()
             .enumerate()
             .map(|(arm_index, &arm)| {
-                let tenants: Vec<Tenant> = super::e10_serving::tenant_specs(1.0)
+                let tenants: Vec<Tenant> = mesh::tenant_specs(1.0, QuantMode::F32)
                     .into_iter()
                     .map(|ts| {
-                        let mut net =
-                            DistributedCnn::from_json(&baseline_json).expect("validated snapshot");
+                        let mut net = baseline.restore();
                         if arm == Recovery::Static && !union_down.is_empty() {
                             let (_, outcome) = {
                                 let current = net.assignment().clone();
-                                plan_incremental(&graph, &topo, &current, &union_down, usize::MAX)
+                                plan_incremental(graph, &topo, &current, &union_down, usize::MAX)
                             };
-                            apply_offline(&mut net, &graph, &outcome.migrations, &union_down);
+                            apply_offline(&mut net, graph, &outcome.migrations, &union_down);
                         }
-                        Tenant::new(ts, net, pool.clone()).expect("non-empty pool")
+                        Tenant::new(ts, net, baseline.test.clone()).expect("non-empty pool")
                     })
                     .collect();
-                let serve_config = ServeConfig::new(2, 4, 16, SERVICE_TIME)
-                    .expect("valid config")
-                    .with_batch_overhead(BATCH_OVERHEAD);
-                let mut server =
-                    Server::new(serve_config, super::e10_serving::deployment(), tenants)
-                        .expect("tenants present");
-                server = server.with_degraded(DegradedServing {
+                let mut server = mesh::server(2, 4, tenants).with_degraded(DegradedServing {
                     plan: plan.clone(),
                     policy,
-                    pass_period: PASS_PERIOD,
+                    pass_period: mesh::PASS_PERIOD,
                     stale_cache: true,
                     replace: match arm {
                         Recovery::None | Recovery::Static => None,

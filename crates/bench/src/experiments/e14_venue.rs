@@ -26,18 +26,17 @@
 //!   byte-identical across `--threads 1/4` (CI diffs the `e14_venue`
 //!   bin's output), and the reduced report is a golden fixture.
 
+use super::mesh;
 use crate::report::{ExperimentReport, Row};
 use crate::sweep::SweepRunner;
-use zeiot_core::time::SimDuration;
 use zeiot_fault::{DegradeMode, FaultPlan, RecoveryPolicy};
-use zeiot_net::Topology;
 use zeiot_obs::trace::{Trace, TraceSampler, Tracer};
 use zeiot_obs::Label;
 use zeiot_scenario::{
-    log_posterior, mode_discount, reliability_weight, CompiledScenario, Evidence, FusionEngine,
-    FusionPolicy, FusionStats, Scenario, Venue, DEFAULT_EVIDENCE_FLOOR,
+    log_posterior, mode_discount, reliability_weight, ClassPosterior, CompiledScenario, Evidence,
+    FusionEngine, FusionPolicy, FusionStats, Scenario, Venue, DEFAULT_EVIDENCE_FLOOR,
 };
-use zeiot_serve::{DegradedServing, DwellState, Outcome, ServeConfig, Server, ServiceMode};
+use zeiot_serve::{DegradedServing, DwellState, Outcome, ServiceMode};
 
 /// Tunable experiment size.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -86,15 +85,6 @@ pub const FAULT_LEVELS: [f64; 3] = [0.0, 0.05, 0.15];
 
 /// The nominal operating point the headline acceptance row is read at.
 pub const DEFAULT_FAULT: f64 = 0.05;
-
-/// Worker time per inference (matches E10–E13).
-const SERVICE_TIME: SimDuration = SimDuration::from_millis(40);
-
-/// Fixed worker time per dispatched micro-batch (matches E10–E13).
-const BATCH_OVERHEAD: SimDuration = SimDuration::from_millis(10);
-
-/// Fabric clock advance per executed inference (matches E10–E13).
-const PASS_PERIOD: SimDuration = SimDuration::from_millis(500);
 
 /// `(venue index, fault level)` of sweep point `index`, row-major over
 /// [`Venue::ALL`] × [`FAULT_LEVELS`].
@@ -163,7 +153,7 @@ pub fn run_with_traces(params: &Params, runner: &SweepRunner) -> (ExperimentRepo
             .expect("valid scenario spec")
         })
         .collect();
-    let topo = Topology::grid(3, 3, 2.0, 3.0).expect("valid layout");
+    let mesh_size = mesh::deployment().len();
     let plan_seed = params.seed ^ 0xFA17;
     let rate = params.sample_rate.clamp(0.0, 1.0);
     let points = Venue::ALL.len() * FAULT_LEVELS.len();
@@ -175,20 +165,16 @@ pub fn run_with_traces(params: &Params, runner: &SweepRunner) -> (ExperimentRepo
         let observations = scenario.truth.len();
         let modality_count = scenario.modalities().len();
 
-        let tenants = scenario.make_tenants(topo.len()).expect("compiled pools");
-        let config = ServeConfig::new(4, 4, 16, SERVICE_TIME)
-            .expect("valid config")
-            .with_batch_overhead(BATCH_OVERHEAD);
-        let mut server = Server::new(config, topo.clone(), tenants).expect("tenants present");
+        let tenants = scenario.make_tenants(mesh_size).expect("compiled pools");
         // Every point serves through a fabric — fault 0 uses a lossless
         // plan rather than no fabric, so the clean arm exercises the
         // same gather/span machinery it is compared against.
-        server = server.with_degraded(DegradedServing {
+        let mut server = mesh::server(4, 4, tenants).with_degraded(DegradedServing {
             plan: FaultPlan::uniform(plan_seed, fault).expect("valid rate"),
             policy: RecoveryPolicy::Degrade {
                 mode: DegradeMode::LastValueHold,
             },
-            pass_period: PASS_PERIOD,
+            pass_period: mesh::PASS_PERIOD,
             stale_cache: true,
             replace: None,
         });
@@ -238,7 +224,7 @@ pub fn run_with_traces(params: &Params, runner: &SweepRunner) -> (ExperimentRepo
                     .iter()
                     .zip(&scenario.truth)
                     .filter(|(answer, &truth)| match answer {
-                        Some((_, scores)) => argmax(scores) == truth,
+                        Some((_, scores)) => ClassPosterior::new(scores.clone()).argmax() == truth,
                         None => false,
                     })
                     .count();
@@ -367,17 +353,6 @@ pub fn run_with_traces(params: &Params, runner: &SweepRunner) -> (ExperimentRepo
     report.attach_metrics(sweep.metrics);
     let traces: Vec<Trace> = sweep.outputs.into_iter().flat_map(|p| p.traces).collect();
     (report, traces)
-}
-
-/// Workspace argmax convention: first class wins ties.
-fn argmax(scores: &[f64]) -> usize {
-    let mut best = 0usize;
-    for (c, score) in scores.iter().enumerate().skip(1) {
-        if score.total_cmp(&scores[best]) == std::cmp::Ordering::Greater {
-            best = c;
-        }
-    }
-    best
 }
 
 #[cfg(test)]

@@ -23,21 +23,13 @@
 //! sustain the 20 µW compute draw, so the devices duty-cycle) and trains
 //! the CNN *through* the resulting fault fabric.
 
+use super::mesh::{self, Baseline};
 use crate::report::{ExperimentReport, Row};
 use crate::sweep::SweepRunner;
 use zeiot_core::id::NodeId;
-use zeiot_core::rng::SeedRng;
 use zeiot_core::time::{SimDuration, SimTime};
-use zeiot_core::units::Watt;
-use zeiot_energy::capacitor::Capacitor;
-use zeiot_energy::consumer::PowerProfile;
-use zeiot_energy::harvester::ConstantSource;
-use zeiot_energy::intermittent::IntermittentDevice;
 use zeiot_fault::{DegradeMode, FaultPlan, FaultStats, RecoveryPolicy};
 use zeiot_microdeep::lossy::LossyRuntime;
-use zeiot_microdeep::{Assignment, CnnConfig, DistributedCnn, WeightUpdate};
-use zeiot_net::Topology;
-use zeiot_nn::tensor::Tensor;
 use zeiot_obs::Label;
 
 /// Tunable experiment size.
@@ -93,66 +85,8 @@ pub fn policies() -> [RecoveryPolicy; 4] {
     ]
 }
 
-/// The experiment's deployment: a 3×3 mesh whose corner-to-corner links
-/// need two hops, hosting a small 8×8 CNN.
-///
-/// # Panics
-///
-/// Never; the layout is statically valid.
-pub fn deployment() -> Topology {
-    Topology::grid(3, 3, 2.0, 3.0).expect("valid layout")
-}
-
-/// The experiment's CNN.
-///
-/// # Panics
-///
-/// Never; the geometry is statically valid.
-pub fn cnn_config() -> CnnConfig {
-    CnnConfig::new(1, 8, 8, 2, 3, 2, 8, 2).expect("valid geometry")
-}
-
-/// Synthetic two-class 8×8 intensity data: class 0 lights the top-left
-/// quadrant, class 1 the bottom-right, with mild Gaussian noise.
-fn generate_data(samples_per_class: usize, rng: &mut SeedRng) -> Vec<(Tensor, usize)> {
-    let mut data = Vec::with_capacity(samples_per_class * 2);
-    for _ in 0..samples_per_class {
-        for class in 0..2usize {
-            let mut img = Tensor::zeros(vec![1, 8, 8]);
-            for y in 0..4 {
-                for x in 0..4 {
-                    let (yy, xx) = if class == 0 { (y, x) } else { (y + 4, x + 4) };
-                    img.set(&[0, yy, xx], 1.0 + rng.normal_with(0.0, 0.1) as f32);
-                }
-            }
-            data.push((img, class));
-        }
-    }
-    data
-}
-
-/// One inference pass's worth of simulated time on the mesh.
-const PASS_PERIOD: SimDuration = SimDuration::from_millis(500);
-
 /// Brownout-harvesting mesh nodes in the final scenario.
 const BROWNOUT_NODES: [u32; 3] = [0, 4, 8];
-
-/// Simulated-time budget of the capacitor traces driving the brownout
-/// outage windows.
-const TRACE_BUDGET: SimDuration = SimDuration::from_secs(120);
-
-/// A duty-cycling zero-energy device: the 15 µW harvest cannot sustain
-/// the backscatter tag's 20 µW compute draw, so the capacitor browns out
-/// periodically.
-fn brownout_device() -> IntermittentDevice<ConstantSource> {
-    IntermittentDevice::new(
-        ConstantSource::new(Watt::new(15e-6)).expect("positive harvest"),
-        Capacitor::new(100e-6, 2.4, 1.8, 3.0).expect("valid capacitor"),
-        PowerProfile::backscatter_tag().expect("valid profile"),
-        SimDuration::from_millis(10),
-    )
-    .expect("valid device")
-}
 
 /// Per-point outcome of the sweep.
 struct PointOutcome {
@@ -171,31 +105,8 @@ pub fn run(params: &Params) -> ExperimentReport {
 /// parallel sweep point, plus one brownout point that trains through
 /// the faults. Results are identical for every thread count.
 pub fn run_with(params: &Params, runner: &SweepRunner) -> ExperimentReport {
-    let mut data_rng = SeedRng::with_stream(params.seed, 0xDA7A);
-    let data = generate_data(params.samples_per_class, &mut data_rng);
-    let split = data.len() * 4 / 5;
-    let (train, test) = data.split_at(split);
-
-    let config = cnn_config();
-    let topo = deployment();
-    let graph = config.unit_graph().expect("valid config");
-    let assignment = Assignment::balanced_correspondence(&graph, &topo);
-
-    // The shared clean baseline, trained losslessly once; sweep points
-    // restore it from its validated JSON snapshot.
-    let mut model_rng = SeedRng::with_stream(params.seed, 0x0DE1);
-    let mut baseline = DistributedCnn::new(
-        config,
-        assignment.clone(),
-        WeightUpdate::Independent,
-        &mut model_rng,
-    );
-    let mut train_rng = SeedRng::with_stream(params.seed, 0x7124);
-    for _ in 0..params.epochs {
-        baseline.train_epoch(train, 0.08, 8, &mut train_rng);
-    }
-    let clean_accuracy = baseline.accuracy(test);
-    let baseline_json = baseline.to_json().expect("serializable model");
+    let baseline = Baseline::train(params.samples_per_class, params.epochs, params.seed);
+    let topo = mesh::deployment();
 
     let plan_seed = params.seed ^ 0xFA17;
     let policy_set = policies();
@@ -206,12 +117,12 @@ pub fn run_with(params: &Params, runner: &SweepRunner) -> ExperimentReport {
         if index < brownout_index {
             // Inference-time faults on the pre-trained model, restored
             // from its validated JSON snapshot.
-            let mut net = DistributedCnn::from_json(&baseline_json).expect("validated snapshot");
+            let mut net = baseline.restore();
             let policy = policy_set[index / LOSS_RATES.len()];
             let rate = LOSS_RATES[index % LOSS_RATES.len()];
             let plan = FaultPlan::uniform(plan_seed, rate).expect("valid rate");
-            let mut rt = LossyRuntime::new(plan, policy, &topo, PASS_PERIOD);
-            let accuracy = net.accuracy_lossy(test, &mut rt);
+            let mut rt = LossyRuntime::new(plan, policy, &topo, mesh::PASS_PERIOD);
+            let accuracy = net.accuracy_lossy(&baseline.test, &mut rt);
             rt.record_to(recorder, Label::Global);
             PointOutcome {
                 accuracy,
@@ -223,9 +134,9 @@ pub fn run_with(params: &Params, runner: &SweepRunner) -> ExperimentReport {
             // loss, zero-fill recovery, training *through* the faults
             // from the same initial weights the baseline started from.
             let mut plan = FaultPlan::uniform(plan_seed ^ 0xB0, 0.05).expect("valid rate");
-            let horizon = SimTime::ZERO + TRACE_BUDGET;
+            let horizon = SimTime::ZERO + mesh::TRACE_BUDGET;
             for node in BROWNOUT_NODES {
-                let trace = brownout_device().power_trace(TRACE_BUDGET, rng);
+                let trace = mesh::brownout_device().power_trace(mesh::TRACE_BUDGET, rng);
                 plan = plan
                     .with_outages_from_trace(NodeId::new(node), &trace, horizon)
                     .expect("valid trace");
@@ -241,20 +152,13 @@ pub fn run_with(params: &Params, runner: &SweepRunner) -> ExperimentReport {
                     mode: DegradeMode::ZeroFill,
                 },
                 &topo,
-                PASS_PERIOD,
+                mesh::PASS_PERIOD,
             );
-            let mut fresh_rng = SeedRng::with_stream(plan_seed, 0x0DE1);
-            let mut net = DistributedCnn::new(
-                config,
-                assignment.clone(),
-                WeightUpdate::Independent,
-                &mut fresh_rng,
-            );
-            let mut epoch_rng = SeedRng::with_stream(plan_seed, 0x7124);
-            for _ in 0..params.epochs {
-                net.train_epoch_lossy(train, 0.08, 8, &mut epoch_rng, &mut rt);
-            }
-            let accuracy = net.accuracy_lossy(test, &mut rt);
+            let assignment = baseline.assignment.clone();
+            let mut net = mesh::train_fresh(assignment, plan_seed, params.epochs, |net, rng| {
+                net.train_epoch_lossy(&baseline.train, 0.08, 8, rng, &mut rt);
+            });
+            let accuracy = net.accuracy_lossy(&baseline.test, &mut rt);
             rt.record_to(recorder, Label::Global);
             PointOutcome {
                 accuracy,
@@ -270,7 +174,7 @@ pub fn run_with(params: &Params, runner: &SweepRunner) -> ExperimentReport {
     );
     report.push(Row::measured_only(
         "accuracy (clean baseline)",
-        clean_accuracy,
+        baseline.clean_accuracy,
         "fraction",
     ));
     for (p, policy) in policy_set.iter().enumerate() {
@@ -310,7 +214,7 @@ pub fn run_with(params: &Params, runner: &SweepRunner) -> ExperimentReport {
     let lossless = &sweep.outputs[0].stats;
     report.push(Row::measured_only(
         "messages per inference (lossless)",
-        lossless.sent as f64 / test.len() as f64,
+        lossless.sent as f64 / baseline.test.len() as f64,
         "msgs",
     ));
     let brownout = &sweep.outputs[brownout_index];

@@ -1,8 +1,9 @@
 //! The experiment harnesses (see DESIGN.md §4 for the index).
 //!
-//! Each module exposes a `Params` struct whose `Default` is the
-//! paper-scale configuration, a `reduced()` constructor for fast CI runs,
-//! and a `run(&Params) -> ExperimentReport`.
+//! Each experiment module exposes a `Params` struct whose `Default` is
+//! the paper-scale configuration, a `reduced()` constructor for fast CI
+//! runs, and a `run(&Params) -> ExperimentReport`. [`mesh`] is not an
+//! experiment: it is the fixture E9–E14 share.
 
 pub mod ablations;
 pub mod e10_serving;
@@ -19,5 +20,6 @@ pub mod e6_csi;
 pub mod e7_link;
 pub mod e8_energy;
 pub mod e9_faults;
+pub mod mesh;
 pub mod x1_planner;
 pub mod x2_fusion;

@@ -1,28 +1,25 @@
 //! # zeiot-bench
 //!
 //! Experiment harnesses regenerating every quantitative result in the
-//! paper's evaluation, plus Criterion micro-benchmarks of the hot paths.
+//! paper's evaluation, plus the extensions E9–E14 that probe the
+//! MicroDeep mesh under faults, serving load, quantization, re-placement
+//! and venue fusion.
 //!
 //! Each experiment is a library function (`experiments::e1_temperature`
-//! … `e10_serving`) returning an [`ExperimentReport`] of
-//! paper-vs-measured rows; the `src/bin/e*.rs` binaries are thin
-//! wrappers over the shared [`cli::run_experiment`] front end.
-//! Integration tests run reduced-size variants of the same functions,
-//! so the harness logic itself is under test.
+//! … `e14_venue`) returning an [`ExperimentReport`] of paper-vs-measured
+//! rows; E9–E14 share their deployment, baseline and serving constants
+//! through [`experiments::mesh`]. The `src/bin/e*.rs` binaries are thin
+//! wrappers over the shared [`cli`] front end. Integration tests run
+//! reduced-size variants of the same functions, so the harness logic
+//! itself is under test. Host CPU cost is measured separately, by
+//! `perfbench` (see `BENCHMARK.json`).
 //!
-//! Run everything (release mode strongly recommended):
+//! Run an experiment (release mode strongly recommended):
 //!
 //! ```text
 //! cargo run --release -p zeiot-bench --bin e1_temperature
-//! cargo run --release -p zeiot-bench --bin e2_motion
-//! cargo run --release -p zeiot-bench --bin e3_mac
-//! cargo run --release -p zeiot-bench --bin e4_train
-//! cargo run --release -p zeiot-bench --bin e5_counting
-//! cargo run --release -p zeiot-bench --bin e6_csi
-//! cargo run --release -p zeiot-bench --bin e7_link
-//! cargo run --release -p zeiot-bench --bin e8_energy
-//! cargo run --release -p zeiot-bench --bin e9_faults
-//! cargo run --release -p zeiot-bench --bin e10_serving
+//! cargo run --release -p zeiot-bench --bin e10_serving -- --threads 4
+//! cargo run --release -p zeiot-bench --bin e11_slo -- --trace-jsonl traces.jsonl
 //! ```
 
 pub mod cli;

@@ -1,6 +1,8 @@
 //! Differential testing of the int8 inference path against f32.
 //!
-//! Three properties, checked end-to-end through the public APIs:
+//! Two properties, checked end-to-end through the public APIs (the
+//! E12 report's thread invariance lives in the workspace
+//! `parallel_determinism` suite):
 //!
 //! 1. **Accuracy-preserving**: across a sweep of random topologies,
 //!    weight-update modes, seeds and inputs, the quantized forward pass
@@ -8,45 +10,20 @@
 //!    and every logit stays within a small error band around its f32
 //!    value (scaled by the sample's logit spread, since symmetric
 //!    per-tensor quantization has input-dependent absolute error).
-//! 2. **Thread-invariant**: the E12 report and its trace export are
-//!    byte-identical between a serial and a 4-thread sweep runner.
-//! 3. **Layout-invariant**: serving the identical int8 tenant workload
+//! 2. **Layout-invariant**: serving the identical int8 tenant workload
 //!    through 1 shard and through 3 shards yields bit-identical logits
 //!    per `(tenant, seq)` — integer accumulation leaves no room for
 //!    scheduling-dependent rounding.
 
 use std::collections::BTreeMap;
 
-use zeiot_bench::experiments::e12_quant;
-use zeiot_bench::sweep::SweepRunner;
+use zeiot_bench::experiments::mesh::{cnn_config, generate_data};
 use zeiot_core::rng::SeedRng;
 use zeiot_core::time::SimDuration;
-use zeiot_microdeep::{Assignment, CnnConfig, DistributedCnn, QuantizedCnn, WeightUpdate};
+use zeiot_microdeep::{Assignment, DistributedCnn, QuantizedCnn, WeightUpdate};
 use zeiot_net::Topology;
 use zeiot_nn::tensor::Tensor;
-use zeiot_obs::trace::traces_to_jsonl;
 use zeiot_serve::{ArrivalProcess, Outcome, QuantMode, ServeConfig, Server, Tenant, TenantSpec};
-
-/// Two-class 8×8 synthetic scenes: class 0 lights the upper-left
-/// quadrant, class 1 the lower-right, with small Gaussian jitter.
-/// (The e10 generator is crate-private; this is the integration-test
-/// equivalent.)
-fn labelled_scenes(per_class: usize, rng: &mut SeedRng) -> Vec<(Tensor, usize)> {
-    let mut scenes = Vec::with_capacity(per_class * 2);
-    for _ in 0..per_class {
-        for class in 0..2usize {
-            let mut img = Tensor::zeros(vec![1, 8, 8]);
-            for y in 0..4 {
-                for x in 0..4 {
-                    let (yy, xx) = if class == 0 { (y, x) } else { (y + 4, x + 4) };
-                    img.set(&[0, yy, xx], 1.0 + rng.normal_with(0.0, 0.1) as f32);
-                }
-            }
-            scenes.push((img, class));
-        }
-    }
-    scenes
-}
 
 /// Trains a small deployment and returns `(f32 model, int8 model, test
 /// set)` sharing identical learned weights.
@@ -55,12 +32,12 @@ fn trained_pair(
     topo: Topology,
     update: WeightUpdate,
 ) -> (DistributedCnn, QuantizedCnn, Vec<(Tensor, usize)>) {
-    let config = CnnConfig::new(1, 8, 8, 2, 3, 2, 8, 2).unwrap();
+    let config = cnn_config();
     let graph = config.unit_graph().unwrap();
     let assignment = Assignment::balanced_correspondence(&graph, &topo);
 
     let mut data_rng = SeedRng::with_stream(seed, 0xD1FF);
-    let data = labelled_scenes(24, &mut data_rng);
+    let data = generate_data(24, &mut data_rng);
     let split = data.len() * 4 / 5;
     let (train, test) = data.split_at(split);
 
@@ -139,21 +116,6 @@ fn int8_tracks_f32_across_topologies_and_seeds() {
 }
 
 #[test]
-fn e12_report_and_traces_are_bit_exact_across_thread_counts() {
-    let params = e12_quant::Params::reduced();
-    let (serial_report, serial_traces) =
-        e12_quant::run_with_traces(&params, &SweepRunner::serial());
-    let (threaded_report, threaded_traces) =
-        e12_quant::run_with_traces(&params, &SweepRunner::new(4));
-    assert_eq!(serial_report.to_json(), threaded_report.to_json());
-    assert_eq!(
-        traces_to_jsonl(&serial_traces),
-        traces_to_jsonl(&threaded_traces)
-    );
-    assert!(!serial_traces.is_empty());
-}
-
-#[test]
 fn int8_serving_logits_are_bit_exact_across_shard_layouts() {
     let deadline = SimDuration::from_millis(400);
     let horizon = SimDuration::from_secs(3);
@@ -162,8 +124,8 @@ fn int8_serving_logits_are_bit_exact_across_shard_layouts() {
 
     let completions_with = |shards: usize| {
         let mut data_rng = SeedRng::with_stream(5, 0xD1FF);
-        let pool = labelled_scenes(12, &mut data_rng);
-        let config = CnnConfig::new(1, 8, 8, 2, 3, 2, 8, 2).unwrap();
+        let pool = generate_data(12, &mut data_rng);
+        let config = cnn_config();
         let graph = config.unit_graph().unwrap();
         let assignment = Assignment::balanced_correspondence(&graph, &topo);
         let mut model_rng = SeedRng::with_stream(5, 0x10DE);

@@ -25,13 +25,14 @@
 use crate::assignment::Assignment;
 use crate::config::CnnConfig;
 use crate::exec::{self, Domain, Perfect, Transport, Weights};
-use serde::{Deserialize, Serialize};
+use serde::{de_field, Deserialize, Serialize, Value};
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 use zeiot_core::id::NodeId;
 use zeiot_core::rng::SeedRng;
 use zeiot_nn::loss::cross_entropy;
 use zeiot_nn::tensor::Tensor;
+use zeiot_nn::topology::LayerSpec;
 use zeiot_obs::{Label, Recorder};
 
 /// How convolution kernel replicas are updated.
@@ -112,7 +113,7 @@ impl Params {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct DistributedCnn {
     pub(crate) config: CnnConfig,
     pub(crate) update: WeightUpdate,
@@ -132,6 +133,32 @@ pub struct DistributedCnn {
     pub(crate) pool_argmax: Vec<usize>,
     pub(crate) hidden_pre_relu: Vec<f32>,
     pub(crate) hidden_out: Vec<f32>,
+}
+
+/// Every deserialization path — [`DistributedCnn::from_json`] or a
+/// direct `serde_json::from_str` — validates the model, so an
+/// inconsistent one never reaches the kernels.
+impl Deserialize for DistributedCnn {
+    fn from_value(value: &Value) -> Result<Self, serde::Error> {
+        let model = Self {
+            config: de_field(value, "config")?,
+            update: de_field(value, "update")?,
+            assignment: de_field(value, "assignment")?,
+            conv_unit_host: de_field(value, "conv_unit_host")?,
+            replicas: de_field(value, "replicas")?,
+            per_unit: de_field(value, "per_unit")?,
+            dense1: de_field(value, "dense1")?,
+            dense2: de_field(value, "dense2")?,
+            last_input: de_field(value, "last_input")?,
+            conv_pre_relu: de_field(value, "conv_pre_relu")?,
+            pool_out: de_field(value, "pool_out")?,
+            pool_argmax: de_field(value, "pool_argmax")?,
+            hidden_pre_relu: de_field(value, "hidden_pre_relu")?,
+            hidden_out: de_field(value, "hidden_out")?,
+        };
+        model.validate().map_err(serde::Error::custom)?;
+        Ok(model)
+    }
 }
 
 impl DistributedCnn {
@@ -244,11 +271,11 @@ impl DistributedCnn {
 
     /// Restores a model from [`DistributedCnn::to_json`] output.
     ///
-    /// The restored model is validated against its own config's unit
-    /// graph before being returned: a persisted placement or replica set
-    /// that no longer matches the config (a config edit, a truncated
-    /// file, a hand-patched deployment) is rejected here instead of
-    /// panicking deep inside [`DistributedCnn::forward`].
+    /// Deserialization validates the model against its own config's
+    /// unit graph: a persisted placement or replica set that no longer
+    /// matches the config (a config edit, a truncated file, a
+    /// hand-patched deployment) is rejected here instead of panicking
+    /// deep inside [`DistributedCnn::forward`].
     ///
     /// # Errors
     ///
@@ -256,9 +283,7 @@ impl DistributedCnn {
     /// placement, replicas or parameter shapes are inconsistent with its
     /// config.
     pub fn from_json(json: &str) -> Result<Self, String> {
-        let model: Self = serde_json::from_str(json).map_err(|e| e.to_string())?;
-        model.validate()?;
-        Ok(model)
+        serde_json::from_str(json).map_err(|e| e.to_string())
     }
 
     /// Checks internal consistency: the placement and every parameter
@@ -664,23 +689,31 @@ pub(crate) fn check_layout<R: Layout, P: Layout>(
     per_unit: Option<&P>,
     dense: [&P; 2],
 ) -> Result<(), String> {
-    let graph = c.unit_graph().map_err(|e| format!("invalid config: {e}"))?;
-    if assignment.layer_count() != graph.layer_count() {
+    // Units per layer come off the layer specs, not an expanded unit
+    // graph: this runs inside `Deserialize`, while the parsed JSON tree
+    // is still alive, so it must not allocate the graph's edges too.
+    let specs = c.layer_specs();
+    let inputs = specs.first().map_or(0, LayerSpec::input_len);
+    let layers: Vec<usize> = specs
+        .iter()
+        .filter(|s| s.is_computational())
+        .map(LayerSpec::output_len)
+        .collect();
+    if assignment.layer_count() != layers.len() + 1 {
         return Err(format!(
             "assignment has {} layers, config's unit graph has {}",
             assignment.layer_count(),
-            graph.layer_count()
+            layers.len() + 1
         ));
     }
-    if assignment.input_count() != graph.units_in_layer(0) {
+    if assignment.input_count() != inputs {
         return Err(format!(
-            "assignment pins {} input units, config has {}",
-            assignment.input_count(),
-            graph.units_in_layer(0)
+            "assignment pins {} input units, config has {inputs}",
+            assignment.input_count()
         ));
     }
-    for (i, &size) in assignment.layer_sizes().iter().enumerate() {
-        let expected = graph.units_in_layer(i + 1);
+    let sizes = assignment.layer_sizes();
+    for (i, (&size, &expected)) in sizes.iter().zip(&layers).enumerate() {
         if size != expected {
             return Err(format!(
                 "assignment layer {} has {size} units, config needs {expected}",
@@ -688,7 +721,7 @@ pub(crate) fn check_layout<R: Layout, P: Layout>(
             ));
         }
     }
-    let conv_units = graph.units_in_layer(1);
+    let conv_units = layers.first().copied().unwrap_or(0);
     if conv_unit_host.len() != conv_units {
         return Err(format!(
             "conv host table has {} entries, config has {conv_units} conv units",
@@ -860,21 +893,25 @@ mod tests {
         // Textually tamper the persisted model the way a config edit or a
         // hand-patched deployment would, and require a clean error
         // instead of the pre-validation behavior (a panic deep inside
-        // forward()).
+        // forward()) — from `from_json` and from a direct
+        // `serde_json::from_str` alike.
         let tamper = |from: &str, to: &str| -> String {
             let out = json.replacen(from, to, 1);
             assert_ne!(out, json, "tamper target `{from}` missing from JSON");
             out
         };
+        let rejects = |tampered: String| -> String {
+            assert!(serde_json::from_str::<DistributedCnn>(&tampered).is_err());
+            DistributedCnn::from_json(&tampered).unwrap_err()
+        };
 
         // Config no longer matching the persisted placement: the model
         // was built for 8×8 inputs / 2 classes.
-        assert!(DistributedCnn::from_json(&tamper("\"in_height\":8", "\"in_height\":10")).is_err());
-        assert!(DistributedCnn::from_json(&tamper("\"classes\":2", "\"classes\":3")).is_err());
+        rejects(tamper("\"in_height\":8", "\"in_height\":10"));
+        rejects(tamper("\"classes\":2", "\"classes\":3"));
 
         // A replica claiming to host the wrong number of conv units.
-        let bad_units = tamper("\"units\":8}", "\"units\":9}");
-        let err = DistributedCnn::from_json(&bad_units).unwrap_err();
+        let err = rejects(tamper("\"units\":8}", "\"units\":9}"));
         assert!(err.contains("replica"), "unexpected error: {err}");
 
         // A placement entry pointing a conv unit at a node other than
@@ -885,16 +922,13 @@ mod tests {
             .and_then(|rest| rest.split(',').next())
             .expect("conv_unit_host present");
         let other = if first_host == "3" { "4" } else { "3" };
-        assert!(DistributedCnn::from_json(&tamper(
+        rejects(tamper(
             &format!("\"conv_unit_host\":[{first_host},"),
             &format!("\"conv_unit_host\":[{other},"),
-        ))
-        .is_err());
+        ));
 
         // A replica weight tensor reshaped away from [oc, ic, k, k].
-        assert!(
-            DistributedCnn::from_json(&tamper("\"shape\":[2,1,3,3]", "\"shape\":[2,1,9]")).is_err()
-        );
+        rejects(tamper("\"shape\":[2,1,3,3]", "\"shape\":[2,1,9]"));
     }
 
     #[test]

@@ -45,7 +45,7 @@ use zeiot_fault::{DegradeMode, Delivery, FaultPlan, FaultStats, LinkFabric, Reco
 use zeiot_net::routing::RoutingTable;
 use zeiot_net::topology::Topology;
 use zeiot_nn::tensor::Tensor;
-use zeiot_obs::trace::{ClockDomain, SpanEvent, SpanLayer, SpanScope};
+use zeiot_obs::trace::{ClockDomain, SpanEvent, SpanId, SpanLayer, SpanScope};
 use zeiot_obs::{Label, Recorder};
 
 /// Edge stages, used to key last-value-hold state (shared with the
@@ -200,13 +200,14 @@ impl LossyRuntime {
 /// counters and fabric clock copied before, deltas turned into a hop
 /// span after. If the burst aborts mid-way (`?`) the probe is simply
 /// dropped — no span, matching "the unit never finished pulling".
-pub(crate) struct HopProbe {
+pub struct HopProbe {
     before: FaultStats,
     t0: zeiot_core::time::SimTime,
 }
 
 impl HopProbe {
-    pub(crate) fn open(rt: &LossyRuntime) -> Self {
+    /// Opens a probe at the fabric's current counters and clock.
+    pub fn open(rt: &LossyRuntime) -> Self {
         Self {
             before: *rt.stats(),
             t0: rt.fabric.now(),
@@ -215,11 +216,16 @@ impl HopProbe {
 
     /// Emits a fabric-clock hop span under `scope` if the unit actually
     /// pulled any cross-node message (colocated fetches are free and
-    /// leave no span).
-    pub(crate) fn close(self, rt: &LossyRuntime, scope: &mut SpanScope<'_>, name: &'static str) {
+    /// leave no span), and returns it so the caller can annotate it.
+    pub fn close(
+        self,
+        rt: &LossyRuntime,
+        scope: &mut SpanScope<'_>,
+        name: &'static str,
+    ) -> Option<SpanId> {
         let d = rt.stats().delta_since(&self.before);
         if d.sent == 0 {
-            return;
+            return None;
         }
         let t1 = rt.fabric.now();
         let span = scope.push_span(SpanLayer::Hop, name, ClockDomain::Fabric, self.t0, t1);
@@ -239,6 +245,7 @@ impl HopProbe {
                 },
             );
         }
+        Some(span)
     }
 }
 

@@ -1,20 +1,20 @@
-//! The unified estimator interface: every context-recognition modality
-//! — the three §IV.B sensing estimators and the distributed CNN family
-//! — answers one question, `(observation, SimTime) → ClassPosterior`.
+//! The sensing modalities' serve-time classifiers and the class scores
+//! every modality hands the fusion engine.
 //!
-//! The sensing estimators are front-ended at scenario-compile time
-//! (positioning, counting, localization run on the raw scene; see
-//! [`crate::scenario`]) and their summary features are classified here
-//! by a [`GaussianNb`] whose additive log-likelihoods are exactly what
-//! the fusion engine pools. The CNN estimators wrap
-//! [`DistributedCnn`]/[`QuantizedCnn`] so a trained deployment fits
-//! behind the same interface.
+//! Every context-recognition modality is served as a
+//! [`zeiot_serve::ServeModel`] tenant and answers with raw class scores
+//! that fusion reads as a [`ClassPosterior`]. The three §IV.B sensing
+//! estimators are front-ended at scenario-compile time (positioning,
+//! counting, localization run on the raw scene; see [`crate::scenario`])
+//! and their summary features are classified here by a [`GaussianNb`]
+//! whose additive log-likelihoods are exactly what the fusion engine
+//! pools. The CNN modality serves a trained `DistributedCnn` directly.
 
 use zeiot_core::id::NodeId;
-use zeiot_core::time::SimTime;
-use zeiot_microdeep::{DistributedCnn, LossyRuntime, QuantizedCnn, STAGE_SENSING};
+use zeiot_microdeep::lossy::HopProbe;
+use zeiot_microdeep::{LossyRuntime, STAGE_SENSING};
 use zeiot_nn::tensor::Tensor;
-use zeiot_obs::trace::{ClockDomain, SpanEvent, SpanLayer, SpanScope};
+use zeiot_obs::trace::{SpanEvent, SpanScope};
 use zeiot_sensing::GaussianNb;
 use zeiot_serve::ServeModel;
 
@@ -58,20 +58,6 @@ impl ClassPosterior {
     }
 }
 
-/// One context-recognition modality: turns an observation into class
-/// log-scores at a simulated instant.
-///
-/// `&mut self` because the CNN forward caches activations; estimators
-/// must nonetheless be deterministic functions of their input (and, in
-/// the lossy serving path, of the fabric state).
-pub trait Estimator {
-    /// The size of the shared label space.
-    fn class_count(&self) -> usize;
-
-    /// Estimates class log-scores for `observation` at instant `at`.
-    fn estimate(&mut self, observation: &Tensor, at: SimTime) -> ClassPosterior;
-}
-
 /// A sensing modality's serve-time classifier: a [`GaussianNb`] over
 /// the front-end estimator's summary features, deployable as a
 /// [`ServeModel`] tenant whose feature gathers ride the lossy fabric.
@@ -106,17 +92,6 @@ impl NbActivityEstimator {
     }
 }
 
-impl Estimator for NbActivityEstimator {
-    fn class_count(&self) -> usize {
-        self.nb.class_count()
-    }
-
-    fn estimate(&mut self, observation: &Tensor, _at: SimTime) -> ClassPosterior {
-        let features: Vec<f64> = observation.data().iter().map(|&v| f64::from(v)).collect();
-        ClassPosterior::new(self.nb.log_likelihoods(&features))
-    }
-}
-
 impl ServeModel for NbActivityEstimator {
     fn infer(&mut self, input: &Tensor) -> Vec<f32> {
         let features: Vec<f64> = input.data().iter().map(|&v| f64::from(v)).collect();
@@ -132,8 +107,7 @@ impl ServeModel for NbActivityEstimator {
         // Gather every feature scalar from its producing node over the
         // fabric, bracketing the burst for a `fusion.gather` hop span
         // (the sensing analogue of the CNN's per-unit hop spans).
-        let before = *rt.stats();
-        let t0 = rt.fabric().now();
+        let probe = HopProbe::open(rt);
         let sink = NodeId::new(0);
         let mut features = Vec::with_capacity(input.data().len());
         let mut aborted = false;
@@ -152,29 +126,9 @@ impl ServeModel for NbActivityEstimator {
             }
         }
         if let Some(scope) = scope {
-            let d = rt.stats().delta_since(&before);
-            if d.sent > 0 {
-                let t1 = rt.fabric().now();
-                let span =
-                    scope.push_span(SpanLayer::Hop, "fusion.gather", ClockDomain::Fabric, t0, t1);
-                scope.event(span, t1, SpanEvent::Messages { sent: d.sent });
-                if d.drops > 0 {
-                    scope.event(span, t1, SpanEvent::Loss { drops: d.drops });
-                }
-                if d.retries > 0 {
-                    scope.event(span, t1, SpanEvent::Retransmit { retries: d.retries });
-                }
-                if d.degraded + d.corrupted > 0 {
-                    scope.event(
-                        span,
-                        t1,
-                        SpanEvent::Degraded {
-                            substituted: d.degraded + d.corrupted,
-                        },
-                    );
-                }
+            if let Some(span) = probe.close(rt, scope, "fusion.gather") {
                 if aborted {
-                    scope.event(span, t1, SpanEvent::Aborted);
+                    scope.event(span, rt.fabric().now(), SpanEvent::Aborted);
                 }
             }
         }
@@ -182,56 +136,6 @@ impl ServeModel for NbActivityEstimator {
             return None;
         }
         Some(self.scores_f32(&features))
-    }
-}
-
-/// The CNN family behind the unified interface: the f32 deployment,
-/// optionally answering through its frozen int8 twin.
-#[derive(Debug, Clone)]
-pub struct CnnActivityEstimator {
-    net: DistributedCnn,
-    quantized: Option<QuantizedCnn>,
-    classes: usize,
-}
-
-impl CnnActivityEstimator {
-    /// Wraps a trained deployment answering in f32.
-    pub fn new(net: DistributedCnn, classes: usize) -> Self {
-        Self {
-            net,
-            quantized: None,
-            classes,
-        }
-    }
-
-    /// Freezes the deployment to int8, calibrated on `calibration`
-    /// inputs; estimates then run the deployed integer path.
-    pub fn quantized(mut net: DistributedCnn, calibration: &[Tensor], classes: usize) -> Self {
-        let quantized = QuantizedCnn::new(&mut net, calibration);
-        Self {
-            net,
-            quantized: Some(quantized),
-            classes,
-        }
-    }
-
-    /// The wrapped deployment.
-    pub fn net(&self) -> &DistributedCnn {
-        &self.net
-    }
-}
-
-impl Estimator for CnnActivityEstimator {
-    fn class_count(&self) -> usize {
-        self.classes
-    }
-
-    fn estimate(&mut self, observation: &Tensor, _at: SimTime) -> ClassPosterior {
-        let logits = match &mut self.quantized {
-            Some(q) => q.forward_quantized(observation),
-            None => self.net.forward(observation),
-        };
-        ClassPosterior::new(logits.data().iter().map(|&v| f64::from(v)).collect())
     }
 }
 
@@ -263,11 +167,12 @@ mod tests {
         let mut obs = Tensor::zeros(vec![2]);
         obs.set(&[0], 4.9);
         obs.set(&[1], 5.2);
-        let posterior = est.estimate(&obs, SimTime::ZERO);
+        let features = [f64::from(4.9f32), f64::from(5.2f32)];
+        let posterior = ClassPosterior::new(est.nb().log_likelihoods(&features));
         assert_eq!(posterior.class_count(), 2);
         assert_eq!(posterior.argmax(), 1);
         assert_eq!(posterior.argmax(), est.nb().predict(&[4.9, 5.2]));
-        // The ServeModel face returns the same scores, narrowed to f32.
+        // Serving returns the classifier's scores, narrowed to f32.
         let served = est.infer(&obs);
         for (s32, s64) in served.iter().zip(posterior.log_scores()) {
             assert_eq!(*s32, *s64 as f32);

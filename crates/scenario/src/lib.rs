@@ -7,12 +7,11 @@
 //! them. This crate builds that integration layer on top of the
 //! workspace's estimators and serving runtime:
 //!
-//! - [`estimator`] — one interface for every modality:
-//!   `(observation, SimTime) → ClassPosterior`. The three §IV.B
-//!   sensing estimators deploy behind it as naive-Bayes scorers
-//!   ([`NbActivityEstimator`], also a [`zeiot_serve::ServeModel`] whose
-//!   feature gathers ride the lossy fabric), and the distributed CNN
-//!   family wraps directly ([`CnnActivityEstimator`]).
+//! - [`estimator`] — every modality is a [`zeiot_serve::ServeModel`]
+//!   tenant whose class scores fusion reads as a [`ClassPosterior`].
+//!   The three §IV.B sensing estimators deploy as naive-Bayes scorers
+//!   ([`NbActivityEstimator`], whose feature gathers ride the lossy
+//!   fabric); the distributed CNN serves as itself.
 //! - [`fusion`] — the deterministic fusion engine:
 //!   reliability-weighted log-linear pooling of per-modality class
 //!   scores ([`fuse`]), with majority-vote and best-single baselines
@@ -34,7 +33,7 @@ pub mod estimator;
 pub mod fusion;
 pub mod scenario;
 
-pub use estimator::{ClassPosterior, CnnActivityEstimator, Estimator, NbActivityEstimator};
+pub use estimator::{ClassPosterior, NbActivityEstimator};
 pub use fusion::{
     fuse, log_posterior, mode_discount, reliability_weight, Evidence, FusionEngine, FusionPolicy,
     FusionStats, DEFAULT_EVIDENCE_FLOOR,

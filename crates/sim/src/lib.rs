@@ -41,7 +41,7 @@ pub mod timeout;
 pub mod trace;
 
 pub use engine::{Context, Engine, NoopObserver, Observer, World};
-pub use metrics::{Counter, Histogram, HistogramSummary, MetricSet, TimeSeries};
+pub use metrics::{Counter, Histogram, HistogramSummary, TimeSeries};
 pub use queue::EventQueue;
 pub use timeout::RetrySchedule;
 pub use trace::TraceBuffer;

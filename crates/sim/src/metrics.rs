@@ -2,11 +2,9 @@
 //!
 //! Every experiment harness in the workspace reports through these types:
 //! monotonically increasing [`Counter`]s, streaming [`Histogram`]s with
-//! quantile queries, timestamped [`TimeSeries`], and a string-keyed
-//! [`MetricSet`] bundling them per run.
+//! quantile queries, and timestamped [`TimeSeries`].
 
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 use std::fmt;
 use zeiot_core::time::SimTime;
 
@@ -318,99 +316,6 @@ impl TimeSeries {
     }
 }
 
-/// A named bundle of counters, histograms and series for one experiment run.
-///
-/// # Example
-///
-/// ```
-/// use zeiot_sim::metrics::MetricSet;
-/// let mut m = MetricSet::new();
-/// m.counter("packets_sent").add(10);
-/// m.histogram("latency_ms").record(1.25);
-/// assert_eq!(m.counter("packets_sent").value(), 10);
-/// ```
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct MetricSet {
-    counters: BTreeMap<String, Counter>,
-    histograms: BTreeMap<String, Histogram>,
-    series: BTreeMap<String, TimeSeries>,
-}
-
-impl MetricSet {
-    /// Creates an empty metric set.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The counter named `name`, created at zero on first access.
-    pub fn counter(&mut self, name: &str) -> &mut Counter {
-        self.counters.entry(name.to_owned()).or_default()
-    }
-
-    /// The histogram named `name`, created empty on first access.
-    pub fn histogram(&mut self, name: &str) -> &mut Histogram {
-        self.histograms.entry(name.to_owned()).or_default()
-    }
-
-    /// The time series named `name`, created empty on first access.
-    pub fn time_series(&mut self, name: &str) -> &mut TimeSeries {
-        self.series.entry(name.to_owned()).or_default()
-    }
-
-    /// Read-only view of a counter, if it exists.
-    pub fn get_counter(&self, name: &str) -> Option<Counter> {
-        self.counters.get(name).copied()
-    }
-
-    /// Read-only view of a histogram, if it exists.
-    pub fn get_histogram(&self, name: &str) -> Option<&Histogram> {
-        self.histograms.get(name)
-    }
-
-    /// Read-only view of a series, if it exists.
-    pub fn get_time_series(&self, name: &str) -> Option<&TimeSeries> {
-        self.series.get(name)
-    }
-
-    /// Names of all counters, sorted.
-    pub fn counter_names(&self) -> impl Iterator<Item = &str> {
-        self.counters.keys().map(String::as_str)
-    }
-
-    /// Names of all histograms, sorted.
-    pub fn histogram_names(&self) -> impl Iterator<Item = &str> {
-        self.histograms.keys().map(String::as_str)
-    }
-
-    /// Names of all time series, sorted.
-    pub fn time_series_names(&self) -> impl Iterator<Item = &str> {
-        self.series.keys().map(String::as_str)
-    }
-
-    /// Folds `other` into `self`: counters add, histograms append their
-    /// samples, and series append their points. Used by bench ablations to
-    /// combine per-trial metric sets into one aggregate.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a merged series would violate time ordering (`other`'s
-    /// points must not precede `self`'s latest point for that name).
-    pub fn merge(&mut self, other: MetricSet) {
-        for (name, counter) in other.counters {
-            self.counter(&name).add(counter.value());
-        }
-        for (name, histogram) in other.histograms {
-            self.histogram(&name).merge(&histogram);
-        }
-        for (name, series) in other.series {
-            let target = self.time_series(&name);
-            for (time, value) in series.points {
-                target.record(time, value);
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -541,58 +446,5 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.len(), 3);
         assert_eq!(a.sorted_snapshot(), vec![1.0, 2.0, 3.0]);
-    }
-
-    #[test]
-    fn metric_set_merge_combines_instruments() {
-        let mut base = MetricSet::new();
-        base.counter("n").add(2);
-        base.histogram("h").record(1.0);
-        base.time_series("t").record(SimTime::from_secs(1), 0.5);
-
-        let mut other = MetricSet::new();
-        other.counter("n").add(3);
-        other.counter("extra").increment();
-        other.histogram("h").record(9.0);
-        other.time_series("t").record(SimTime::from_secs(2), 0.8);
-
-        base.merge(other);
-        assert_eq!(base.get_counter("n").unwrap().value(), 5);
-        assert_eq!(base.get_counter("extra").unwrap().value(), 1);
-        assert_eq!(base.get_histogram("h").unwrap().len(), 2);
-        assert_eq!(base.get_time_series("t").unwrap().len(), 2);
-    }
-
-    #[test]
-    #[should_panic]
-    fn metric_set_merge_rejects_backwards_series() {
-        let mut base = MetricSet::new();
-        base.time_series("t").record(SimTime::from_secs(10), 1.0);
-        let mut other = MetricSet::new();
-        other.time_series("t").record(SimTime::from_secs(5), 2.0);
-        base.merge(other);
-    }
-
-    #[test]
-    fn metric_set_name_listings() {
-        let mut m = MetricSet::new();
-        m.histogram("hb");
-        m.histogram("ha");
-        m.time_series("ts");
-        assert_eq!(m.histogram_names().collect::<Vec<_>>(), vec!["ha", "hb"]);
-        assert_eq!(m.time_series_names().collect::<Vec<_>>(), vec!["ts"]);
-    }
-
-    #[test]
-    fn metric_set_creates_on_first_access() {
-        let mut m = MetricSet::new();
-        m.counter("a").increment();
-        m.histogram("h").record(1.0);
-        m.time_series("t").record(SimTime::ZERO, 0.0);
-        assert_eq!(m.get_counter("a").unwrap().value(), 1);
-        assert_eq!(m.get_histogram("h").unwrap().len(), 1);
-        assert_eq!(m.get_time_series("t").unwrap().len(), 1);
-        assert!(m.get_counter("missing").is_none());
-        assert_eq!(m.counter_names().collect::<Vec<_>>(), vec!["a"]);
     }
 }

@@ -9,8 +9,8 @@
 //! assignment.
 
 use zeiot_bench::experiments::{
-    e10_serving, e11_slo, e12_quant, e1_temperature, e2_motion, e3_mac, e4_train, e5_counting,
-    e6_csi, e7_link, e8_energy, e9_faults,
+    e10_serving, e11_slo, e12_quant, e13_replace, e14_venue, e1_temperature, e2_motion, e3_mac,
+    e4_train, e5_counting, e6_csi, e7_link, e8_energy, e9_faults,
 };
 use zeiot_bench::SweepRunner;
 use zeiot_core::rng::SeedRng;
@@ -193,6 +193,52 @@ fn e12_exported_snapshot_is_thread_invariant() {
     let serial = e12_quant::run_with(&params, &SweepRunner::serial()).export_snapshot();
     let parallel = e12_quant::run_with(&params, &SweepRunner::new(4)).export_snapshot();
     assert_eq!(serial, parallel);
+}
+
+/// E13 is the load-bearing entry: its re-placement engine mutates
+/// per-tenant placements mid-run, so any hidden cross-point state would
+/// surface here first. The metrics snapshot rides inside the report
+/// JSON; it is compared separately first so a drift there fails with a
+/// focused message.
+#[test]
+fn e13_report_and_trace_jsonl_are_thread_invariant() {
+    let params = e13_replace::Params::reduced();
+    let (serial_report, serial_traces) =
+        e13_replace::run_with_traces(&params, &SweepRunner::serial());
+    let (parallel_report, parallel_traces) =
+        e13_replace::run_with_traces(&params, &SweepRunner::new(4));
+    assert_eq!(
+        serial_report.metrics, parallel_report.metrics,
+        "E13: replace.* counters diverged across thread counts"
+    );
+    assert_thread_invariant("E13", &serial_report.to_json(), &parallel_report.to_json());
+    assert_eq!(
+        traces_to_jsonl(&serial_traces),
+        traces_to_jsonl(&parallel_traces),
+        "E13: trace JSONL differs between --threads 1 and --threads 4"
+    );
+}
+
+/// E14 serves four modality tenants per venue and fuses their answers;
+/// the fusion counters, the report and the trace JSONL must all be
+/// identical at every thread count.
+#[test]
+fn e14_report_and_trace_jsonl_are_thread_invariant() {
+    let params = e14_venue::Params::reduced();
+    let (serial_report, serial_traces) =
+        e14_venue::run_with_traces(&params, &SweepRunner::serial());
+    let (parallel_report, parallel_traces) =
+        e14_venue::run_with_traces(&params, &SweepRunner::new(4));
+    assert_eq!(
+        serial_report.metrics, parallel_report.metrics,
+        "E14: fusion.* counters diverged across thread counts"
+    );
+    assert_thread_invariant("E14", &serial_report.to_json(), &parallel_report.to_json());
+    assert_eq!(
+        traces_to_jsonl(&serial_traces),
+        traces_to_jsonl(&parallel_traces),
+        "E14: trace JSONL differs between --threads 1 and --threads 4"
+    );
 }
 
 /// E8's merged per-point metrics — not just the report rows — must also
