@@ -1,8 +1,8 @@
 //! The conservative intra-workspace call graph.
 //!
-//! Nodes are the [`FnItem`]s of every scanned file; edges are resolved
-//! *by name*, which over-approximates in exactly the direction a
-//! reachability rule wants:
+//! Nodes are the [`FnItem`](crate::items::FnItem)s of every scanned
+//! file; edges are resolved *by name*, which over-approximates in
+//! exactly the direction a reachability rule wants:
 //!
 //! * a method call `.poll(…)` edges to **every** workspace function
 //!   named `poll` (trait dispatch cannot be resolved lexically, so all

@@ -54,9 +54,6 @@ const METRIC_CALLS: [&str; 18] = [
 /// call" finds it.
 const SPAN_CALLS: [&str; 2] = [".push_span(", ".begin("];
 
-/// Span constructors whose first argument is the name.
-const SPAN_CTORS: [&str; 2] = ["WallSpan::start(", "SimSpan::start("];
-
 /// One name literal flowing into an observability API.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct Emission {
@@ -112,11 +109,8 @@ fn literal_in_call(
 /// Extracts every literal name emission from one file's lexed lines.
 pub(crate) fn emissions(lines: &[Line]) -> Vec<Emission> {
     let mut out = Vec::new();
-    let groups: [(&[&str], bool, bool); 3] = [
-        (&METRIC_CALLS, false, true),
-        (&SPAN_CALLS, true, false),
-        (&SPAN_CTORS, true, true),
-    ];
+    let groups: [(&[&str], bool, bool); 2] =
+        [(&METRIC_CALLS, false, true), (&SPAN_CALLS, true, false)];
     for (i, line) in lines.iter().enumerate() {
         for (pats, is_span, first_only) in groups {
             for pat in pats {

@@ -16,8 +16,8 @@
 //! Two further rules operate on the whole workspace rather than single
 //! lines — `p1` (panic reachability over the [`crate::graph`] call
 //! graph) and `o1` (the [observability-name registry] round-trip, see
-//! [`crate::obsnames`]) — and feed their hits through the same
-//! annotation pipeline via [`finalize`].
+//! the crate-private `obsnames` module) — and feed their hits through
+//! the same annotation pipeline via the crate-private `finalize`.
 //!
 //! [observability-name registry]: ../../obs/src/registry.rs
 //!

@@ -18,7 +18,9 @@
 //!   simulated on the `zeiot-sim` engine: grants placed in WLAN gaps,
 //!   dummy carrier frames when WLAN traffic is too thin, versus tags
 //!   opportunistically riding (and corrupting) live WLAN frames
-//!   (experiment E3).
+//!   (experiment E3). [`simulate`] runs it plain; [`simulate_with`] adds
+//!   grant-loss and AP-reset faults and an optional `zeiot-obs` recorder
+//!   and tracer.
 //!
 //! # Example: why coexistence needs a schedule
 //!
@@ -41,9 +43,6 @@ pub mod mac;
 pub mod phy;
 pub mod registry;
 
-pub use mac::{
-    simulate_observed, simulate_with_faults, simulate_with_faults_observed,
-    simulate_with_faults_traced, MacConfig, MacFaults, MacMode, MacReport,
-};
+pub use mac::{simulate, simulate_with, MacConfig, MacFaults, MacMode, MacReport};
 pub use phy::BackscatterLink;
 pub use registry::{CycleRegistry, Registration};

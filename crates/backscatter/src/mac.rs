@@ -142,7 +142,7 @@ pub struct MacFaults {
 }
 
 impl MacFaults {
-    /// No faults: [`simulate_with_faults`] degenerates byte-for-byte to
+    /// No faults: [`simulate_with`] degenerates byte-for-byte to
     /// [`simulate`].
     pub fn none() -> Self {
         Self {
@@ -370,13 +370,18 @@ impl MacWorld<'_> {
     /// (the recovery an AP reset forces).
     fn reregister_all(&mut self) {
         self.registry = fresh_registry(&self.config);
-        for reg in self.config.devices.clone() {
-            let admitted = match self.recorder.as_deref_mut() {
-                Some(rec) => self.registry.register_observed(reg, rec).is_ok(),
-                None => self.registry.register(reg).is_ok(),
-            };
+        for reg in &self.config.devices {
+            let admitted = self.registry.register(*reg).is_ok();
             if admitted {
                 self.report.reregistrations += 1;
+            }
+            if let Some(rec) = self.recorder.as_deref_mut() {
+                let label = Label::device(reg.device);
+                if admitted {
+                    rec.inc("mac.registrations", label);
+                } else {
+                    rec.inc("mac.registrations_rejected", label);
+                }
             }
         }
     }
@@ -546,7 +551,9 @@ impl World for MacWorld<'_> {
     }
 }
 
-/// Runs one MAC simulation for `duration` and returns the report.
+/// Runs one fault-free, unobserved MAC simulation for `duration` and
+/// returns the report: [`simulate_with`] with [`MacFaults::none`] and
+/// neither recorder nor tracer.
 ///
 /// # Panics
 ///
@@ -558,100 +565,40 @@ pub fn simulate(
     duration: SimDuration,
     rng: &mut SeedRng,
 ) -> MacReport {
-    simulate_inner(config, mode, duration, rng, &MacFaults::none(), None, None)
+    simulate_with(config, mode, duration, rng, &MacFaults::none(), None, None)
 }
 
-/// Like [`simulate`], under fault injection: grants can be missed by the
-/// tag (recovered per the configured [`RecoveryPolicy`]) and the AP can
-/// periodically lose its registry and grant queue.
+/// Runs one MAC simulation for `duration` under `faults`, recording into
+/// `recorder` and tracing into `tracer` when given, and returns the
+/// report.
 ///
-/// With [`MacFaults::none`] the report is byte-for-byte identical to
-/// [`simulate`] at the same seed — the fault paths never consume RNG.
+/// Under fault injection grants can be missed by the tag (recovered per
+/// the configured [`RecoveryPolicy`]) and the AP can periodically lose
+/// its registry and grant queue. With [`MacFaults::none`] the report is
+/// byte-for-byte identical to [`simulate`] at the same seed — the fault
+/// paths never consume RNG.
+///
+/// A recorder counts `mac.grants` and `mac.samples_dropped` per device,
+/// `mac.dummy_frames`, and `mac.collisions` with a debug trace event per
+/// collision. Under faults it also counts `mac.grant_losses` per device,
+/// and `mac.ap_resets` with a warning trace per reset plus the
+/// re-registration each reset forces, as `mac.registrations` and
+/// `mac.registrations_rejected` per device.
+///
+/// A tracer grows one trace per device (keyed `(device index, 0)`,
+/// rooted at a [`SpanLayer::Mac`] span spanning the run) annotated with
+/// [`SpanEvent::Grant`] per dummy carrier, [`SpanEvent::Collision`] per
+/// shared frame, [`SpanEvent::Loss`] per missed grant, and
+/// [`SpanEvent::Retransmit`] per re-queued grant.
+///
+/// The report is identical with or without a recorder or tracer at the
+/// same seed.
 ///
 /// # Panics
 ///
 /// Panics if `config` or `faults` fail validation, or `config` has no
 /// devices.
-pub fn simulate_with_faults(
-    config: &MacConfig,
-    mode: MacMode,
-    duration: SimDuration,
-    rng: &mut SeedRng,
-    faults: &MacFaults,
-) -> MacReport {
-    simulate_inner(config, mode, duration, rng, faults, None, None)
-}
-
-/// [`simulate_with_faults`] with observability: the counters of
-/// [`simulate_observed`] plus `mac.grant_losses` per device,
-/// `mac.ap_resets`, registration churn via the registry counters, and a
-/// warning trace per AP reset.
-///
-/// # Panics
-///
-/// Panics under the same conditions as [`simulate_with_faults`].
-pub fn simulate_with_faults_observed(
-    config: &MacConfig,
-    mode: MacMode,
-    duration: SimDuration,
-    rng: &mut SeedRng,
-    faults: &MacFaults,
-    recorder: &mut Recorder,
-) -> MacReport {
-    simulate_inner(config, mode, duration, rng, faults, Some(recorder), None)
-}
-
-/// [`simulate_with_faults`] with causal tracing: each device grows one
-/// trace (keyed `(device index, 0)`, rooted at a [`SpanLayer::Mac`]
-/// span spanning the run) annotated with [`SpanEvent::Grant`] per dummy
-/// carrier, [`SpanEvent::Collision`] per shared frame,
-/// [`SpanEvent::Loss`] per missed grant, and [`SpanEvent::Retransmit`]
-/// per re-queued grant. The report is byte-identical to an untraced run
-/// at the same seed.
-///
-/// # Panics
-///
-/// Panics under the same conditions as [`simulate_with_faults`].
-pub fn simulate_with_faults_traced(
-    config: &MacConfig,
-    mode: MacMode,
-    duration: SimDuration,
-    rng: &mut SeedRng,
-    faults: &MacFaults,
-    recorder: Option<&mut Recorder>,
-    tracer: &mut Tracer,
-) -> MacReport {
-    simulate_inner(config, mode, duration, rng, faults, recorder, Some(tracer))
-}
-
-/// Like [`simulate`], additionally recording observability metrics into
-/// `recorder`: `mac.grants` per device, `mac.dummy_frames`,
-/// `mac.collisions`, `mac.samples_dropped` per device, and a debug trace
-/// event per collision. The returned report is identical to an
-/// unobserved run with the same seed.
-///
-/// # Panics
-///
-/// Panics under the same conditions as [`simulate`].
-pub fn simulate_observed(
-    config: &MacConfig,
-    mode: MacMode,
-    duration: SimDuration,
-    rng: &mut SeedRng,
-    recorder: &mut Recorder,
-) -> MacReport {
-    simulate_inner(
-        config,
-        mode,
-        duration,
-        rng,
-        &MacFaults::none(),
-        Some(recorder),
-        None,
-    )
-}
-
-fn simulate_inner(
+pub fn simulate_with(
     config: &MacConfig,
     mode: MacMode,
     duration: SimDuration,
@@ -840,12 +787,14 @@ mod tests {
         );
         let mut rng = SeedRng::new(8);
         let mut rec = Recorder::new();
-        let observed = simulate_observed(
+        let observed = simulate_with(
             &config,
             MacMode::Scheduled,
             SimDuration::from_secs(10),
             &mut rng,
-            &mut rec,
+            &MacFaults::none(),
+            Some(&mut rec),
+            None,
         );
         assert_eq!(plain, observed);
         // Every dummy frame is a grant; the counters must agree with the
@@ -867,12 +816,14 @@ mod tests {
         let config = MacConfig::default_with_devices(40).unwrap();
         let mut rng = SeedRng::new(9);
         let mut rec = Recorder::new();
-        let report = simulate_observed(
+        let report = simulate_with(
             &config,
             MacMode::Naive,
             SimDuration::from_secs(10),
             &mut rng,
-            &mut rec,
+            &MacFaults::none(),
+            Some(&mut rec),
+            None,
         );
         assert!(rec.counter_value("mac.collisions", &Label::Global) > 0);
         assert!(!rec.trace_buffer().is_empty());
@@ -892,12 +843,14 @@ mod tests {
             let mut rng = SeedRng::new(11);
             let plain = simulate(&config, mode, SimDuration::from_secs(20), &mut rng);
             let mut rng = SeedRng::new(11);
-            let faulted = simulate_with_faults(
+            let faulted = simulate_with(
                 &config,
                 mode,
                 SimDuration::from_secs(20),
                 &mut rng,
                 &MacFaults::none(),
+                None,
+                None,
             );
             assert_eq!(plain, faulted, "{mode:?}");
         }
@@ -912,12 +865,14 @@ mod tests {
             ap_reset_interval: None,
         };
         let mut rng = SeedRng::new(12);
-        let report = simulate_with_faults(
+        let report = simulate_with(
             &config,
             MacMode::Scheduled,
             SimDuration::from_secs(20),
             &mut rng,
             &faults,
+            None,
+            None,
         );
         assert!(report.grant_losses > 0);
         assert_eq!(report.grant_losses, report.grants_abandoned);
@@ -951,12 +906,14 @@ mod tests {
         };
         let run = |faults: &MacFaults| {
             let mut rng = SeedRng::new(13);
-            simulate_with_faults(
+            simulate_with(
                 &config,
                 MacMode::Scheduled,
                 SimDuration::from_secs(20),
                 &mut rng,
                 faults,
+                None,
+                None,
             )
         };
         let with_retry = run(&retrying);
@@ -982,12 +939,14 @@ mod tests {
                 ap_reset_interval: None,
             };
             let mut rng = SeedRng::new(14);
-            simulate_with_faults(
+            simulate_with(
                 &config,
                 MacMode::Scheduled,
                 SimDuration::from_secs(15),
                 &mut rng,
                 &faults,
+                None,
+                None,
             )
         };
         let fail_fast = run(RecoveryPolicy::FailFast);
@@ -1001,7 +960,9 @@ mod tests {
 
     #[test]
     fn ap_resets_force_reregistration_and_lose_queued_grants() {
-        let config = MacConfig::default_with_devices(20).unwrap();
+        let mut config = MacConfig::default_with_devices(20).unwrap();
+        // A repeated device id is refused at every re-registration.
+        config.devices.push(config.devices[0]);
         let faults = MacFaults {
             grant_loss_prob: 0.0,
             recovery: RecoveryPolicy::FailFast,
@@ -1009,13 +970,14 @@ mod tests {
         };
         let mut rng = SeedRng::new(15);
         let mut rec = Recorder::new();
-        let report = simulate_with_faults_observed(
+        let report = simulate_with(
             &config,
             MacMode::Scheduled,
             SimDuration::from_secs(21),
             &mut rng,
             &faults,
-            &mut rec,
+            Some(&mut rec),
+            None,
         );
         assert_eq!(report.ap_resets, 4);
         assert_eq!(report.reregistrations, 4 * 20);
@@ -1023,12 +985,14 @@ mod tests {
             rec.counter_value("mac.ap_resets", &Label::Global),
             report.ap_resets
         );
-        let reregistered: u64 = rec
-            .counters()
-            .filter(|(name, _, _)| *name == "mac.registrations")
-            .map(|(_, _, v)| v)
-            .sum();
-        assert_eq!(reregistered, report.reregistrations);
+        let total = |metric: &str| -> u64 {
+            rec.counters()
+                .filter(|(name, _, _)| *name == metric)
+                .map(|(_, _, v)| v)
+                .sum()
+        };
+        assert_eq!(total("mac.registrations"), report.reregistrations);
+        assert_eq!(total("mac.registrations_rejected"), report.ap_resets);
         assert!(!rec.trace_buffer().is_empty());
     }
 
@@ -1046,12 +1010,14 @@ mod tests {
                 ap_reset_interval: Some(SimDuration::from_secs(7)),
             };
             let mut rng = SeedRng::new(16);
-            simulate_with_faults(
+            simulate_with(
                 &config,
                 MacMode::Scheduled,
                 SimDuration::from_secs(20),
                 &mut rng,
                 &faults,
+                None,
+                None,
             )
         };
         assert_eq!(run(), run());
@@ -1071,23 +1037,25 @@ mod tests {
             ap_reset_interval: None,
         };
         let mut rng = SeedRng::new(13);
-        let plain = simulate_with_faults(
-            &config,
-            MacMode::Scheduled,
-            SimDuration::from_secs(20),
-            &mut rng,
-            &faults,
-        );
-        let mut rng = SeedRng::new(13);
-        let mut tracer = Tracer::new(TraceSampler::always());
-        let traced = simulate_with_faults_traced(
+        let plain = simulate_with(
             &config,
             MacMode::Scheduled,
             SimDuration::from_secs(20),
             &mut rng,
             &faults,
             None,
-            &mut tracer,
+            None,
+        );
+        let mut rng = SeedRng::new(13);
+        let mut tracer = Tracer::new(TraceSampler::always());
+        let traced = simulate_with(
+            &config,
+            MacMode::Scheduled,
+            SimDuration::from_secs(20),
+            &mut rng,
+            &faults,
+            None,
+            Some(&mut tracer),
         );
         assert_eq!(plain, traced, "tracing must not perturb the MAC");
         let traces = tracer.take_finished();
@@ -1120,14 +1088,14 @@ mod tests {
         let config = MacConfig::default_with_devices(40).unwrap();
         let mut rng = SeedRng::new(9);
         let mut tracer = Tracer::new(TraceSampler::always());
-        let _ = simulate_with_faults_traced(
+        let _ = simulate_with(
             &config,
             MacMode::Naive,
             SimDuration::from_secs(10),
             &mut rng,
             &MacFaults::none(),
             None,
-            &mut tracer,
+            Some(&mut tracer),
         );
         let traces = tracer.take_finished();
         assert!(traces

@@ -10,7 +10,6 @@ use serde::{Deserialize, Serialize};
 use zeiot_core::error::{ConfigError, Result};
 use zeiot_core::id::DeviceId;
 use zeiot_core::time::SimDuration;
-use zeiot_obs::{Label, Recorder};
 
 /// One device's declared traffic pattern.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -156,45 +155,6 @@ impl CycleRegistry {
         Ok(())
     }
 
-    /// Like [`CycleRegistry::register`], additionally counting the
-    /// admission outcome into `recorder`: `mac.registrations` per
-    /// admitted device, `mac.registrations_rejected` per refusal — the
-    /// registration-churn view of the AP.
-    ///
-    /// # Errors
-    ///
-    /// Returns the same errors as [`CycleRegistry::register`].
-    pub fn register_observed(
-        &mut self,
-        registration: Registration,
-        recorder: &mut Recorder,
-    ) -> Result<()> {
-        let device = registration.device;
-        let outcome = self.register(registration);
-        match &outcome {
-            Ok(()) => recorder.inc("mac.registrations", Label::device(device)),
-            Err(_) => recorder.inc("mac.registrations_rejected", Label::device(device)),
-        }
-        outcome
-    }
-
-    /// Like [`CycleRegistry::deregister`], counting each removal into the
-    /// `mac.deregistrations` counter.
-    pub fn deregister_observed(&mut self, device: DeviceId, recorder: &mut Recorder) -> bool {
-        let removed = self.deregister(device);
-        if removed {
-            recorder.inc("mac.deregistrations", Label::device(device));
-        }
-        removed
-    }
-
-    /// Removes a device's registration; returns whether it existed.
-    pub fn deregister(&mut self, device: DeviceId) -> bool {
-        let before = self.registrations.len();
-        self.registrations.retain(|r| r.device != device);
-        self.registrations.len() != before
-    }
-
     /// The maximum number of identical devices (same cycle/payload) this
     /// registry could admit.
     pub fn capacity_for(&self, prototype: &Registration) -> usize {
@@ -255,47 +215,10 @@ mod tests {
     }
 
     #[test]
-    fn deregister_frees_budget() {
-        let mut registry = CycleRegistry::new(250e3, 0.2).unwrap();
-        registry.register(reg(0, 100, 2_500)).unwrap();
-        registry.register(reg(1, 100, 2_500)).unwrap();
-        assert!(registry.register(reg(2, 100, 2_500)).is_err());
-        assert!(registry.deregister(DeviceId::new(0)));
-        assert!(!registry.deregister(DeviceId::new(0)));
-        registry.register(reg(2, 100, 2_500)).unwrap();
-    }
-
-    #[test]
     fn capacity_estimate() {
         let registry = CycleRegistry::new(250e3, 0.5).unwrap();
         let prototype = reg(0, 100, 2_500); // 0.1 occupation
         assert_eq!(registry.capacity_for(&prototype), 5);
-    }
-
-    #[test]
-    fn observed_churn_is_counted() {
-        let mut registry = CycleRegistry::new(250e3, 0.25).unwrap();
-        let mut rec = Recorder::new();
-        registry
-            .register_observed(reg(0, 100, 2_500), &mut rec)
-            .unwrap();
-        registry
-            .register_observed(reg(1, 100, 2_500), &mut rec)
-            .unwrap();
-        assert!(registry
-            .register_observed(reg(2, 100, 2_500), &mut rec)
-            .is_err());
-        assert!(registry.deregister_observed(DeviceId::new(0), &mut rec));
-        assert!(!registry.deregister_observed(DeviceId::new(0), &mut rec));
-        let total = |name: &str| -> u64 {
-            rec.counters()
-                .filter(|(n, _, _)| *n == name)
-                .map(|(_, _, v)| v)
-                .sum()
-        };
-        assert_eq!(total("mac.registrations"), 2);
-        assert_eq!(total("mac.registrations_rejected"), 1);
-        assert_eq!(total("mac.deregistrations"), 1);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 
 use crate::report::{ExperimentReport, Row};
 use crate::sweep::SweepRunner;
-use zeiot_backscatter::mac::{simulate, simulate_observed, MacConfig, MacMode};
+use zeiot_backscatter::mac::{simulate_with, MacConfig, MacFaults, MacMode};
 use zeiot_core::rng::SeedRng;
 use zeiot_core::time::SimDuration;
 
@@ -78,18 +78,22 @@ pub fn run_with(params: &Params, runner: &SweepRunner) -> ExperimentReport {
         |index, _rng, recorder| {
             let n = params.device_counts[index];
             let config = MacConfig::default_with_devices(n).expect("valid config");
-            let mut rng = SeedRng::new(params.seed);
-            let sched = if n == max_devices {
-                simulate_observed(&config, MacMode::Scheduled, duration, &mut rng, recorder)
-            } else {
-                simulate(&config, MacMode::Scheduled, duration, &mut rng)
+            let observed = n == max_devices;
+            let mut run = |mode| {
+                let mut rng = SeedRng::new(params.seed);
+                let recorder = observed.then_some(&mut *recorder);
+                simulate_with(
+                    &config,
+                    mode,
+                    duration,
+                    &mut rng,
+                    &MacFaults::none(),
+                    recorder,
+                    None,
+                )
             };
-            let mut rng = SeedRng::new(params.seed);
-            let naive = if n == max_devices {
-                simulate_observed(&config, MacMode::Naive, duration, &mut rng, recorder)
-            } else {
-                simulate(&config, MacMode::Naive, duration, &mut rng)
-            };
+            let sched = run(MacMode::Scheduled);
+            let naive = run(MacMode::Naive);
             (
                 sched.wlan_delivery_ratio(),
                 naive.wlan_delivery_ratio(),

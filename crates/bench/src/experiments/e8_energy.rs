@@ -66,12 +66,11 @@ fn duty_cycle_at(harvest_uw: f64, seconds: u64, rng: &mut SeedRng, recorder: &mu
     )
     .expect("task");
     device
-        .run_observed(
+        .run(
             &task,
             SimDuration::from_secs(seconds),
             rng,
-            recorder,
-            Label::part(format!("{harvest_uw}uW")),
+            Some((recorder, Label::part(format!("{harvest_uw}uW")))),
         )
         .duty_cycle
 }

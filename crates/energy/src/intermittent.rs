@@ -134,44 +134,6 @@ impl<H: HarvestSource> IntermittentDevice<H> {
         &self.capacitor
     }
 
-    /// Runs `task` for at most `budget` of simulated time.
-    ///
-    /// Each tick of `step_duration`: harvest; if on, execute one step
-    /// (draining step energy + compute power) and checkpoint on schedule;
-    /// if off, just charge. Progress since the last checkpoint is lost at
-    /// each brownout.
-    pub fn run(
-        &mut self,
-        task: &Task,
-        budget: SimDuration,
-        rng: &mut SeedRng,
-    ) -> IntermittentOutcome {
-        self.run_inner(task, budget, rng, None)
-    }
-
-    /// Like [`IntermittentDevice::run`], additionally recording the
-    /// device's energy life into `recorder` under `label`:
-    ///
-    /// - `energy.capacitor_v` time-series (decimated to at most
-    ///   [`MAX_VOLTAGE_SAMPLES`] points);
-    /// - `energy.harvested_uj` / `energy.consumed_uj` counters
-    ///   (microjoules, rounded);
-    /// - `energy.power_cycles`, `energy.brownouts` and
-    ///   `energy.checkpoints` counters, with an info trace per turn-on
-    ///   and a warn trace per brownout.
-    ///
-    /// The outcome is identical to an unobserved run with the same seed.
-    pub fn run_observed(
-        &mut self,
-        task: &Task,
-        budget: SimDuration,
-        rng: &mut SeedRng,
-        recorder: &mut Recorder,
-        label: Label,
-    ) -> IntermittentOutcome {
-        self.run_inner(task, budget, rng, Some((recorder, label)))
-    }
-
     /// Simulates the device under a continuous compute load for `budget`
     /// and returns its power-state transition trace: `(time, is_on)`
     /// pairs, starting with the initial state at time zero and then one
@@ -201,7 +163,27 @@ impl<H: HarvestSource> IntermittentDevice<H> {
         trace
     }
 
-    fn run_inner(
+    /// Runs `task` for at most `budget` of simulated time.
+    ///
+    /// Each tick of `step_duration`: harvest; if on, execute one step
+    /// (draining step energy + compute power) and checkpoint on schedule;
+    /// if off, just charge. Progress since the last checkpoint is lost at
+    /// each brownout.
+    ///
+    /// With `observe`, the device's energy life is recorded into the
+    /// recorder under the label:
+    ///
+    /// - `energy.capacitor_v` time-series (decimated to at most
+    ///   [`MAX_VOLTAGE_SAMPLES`] points);
+    /// - `energy.harvested_uj` / `energy.consumed_uj` counters
+    ///   (microjoules, rounded);
+    /// - `energy.power_cycles`, `energy.brownouts` and
+    ///   `energy.checkpoints` counters, with an info trace per turn-on
+    ///   and a warn trace per brownout.
+    ///
+    /// The outcome is identical with or without `observe` at the same
+    /// seed.
+    pub fn run(
         &mut self,
         task: &Task,
         budget: SimDuration,
@@ -351,7 +333,7 @@ mod tests {
     fn ample_harvest_completes_task() {
         let mut dev = device(1e-3); // 1 mW: plenty
         let mut rng = SeedRng::new(1);
-        let out = dev.run(&small_task(), SimDuration::from_secs(60), &mut rng);
+        let out = dev.run(&small_task(), SimDuration::from_secs(60), &mut rng, None);
         assert!(out.completed, "{out:?}");
         assert_eq!(out.durable_steps, 100);
         assert_eq!(out.brownouts, 0);
@@ -362,7 +344,7 @@ mod tests {
     fn zero_harvest_makes_no_progress() {
         let mut dev = device(0.0);
         let mut rng = SeedRng::new(2);
-        let out = dev.run(&small_task(), SimDuration::from_secs(10), &mut rng);
+        let out = dev.run(&small_task(), SimDuration::from_secs(10), &mut rng, None);
         assert!(!out.completed);
         assert_eq!(out.durable_steps, 0);
         assert_eq!(out.executed_steps, 0);
@@ -381,7 +363,7 @@ mod tests {
             Joule::from_microjoules(2.0),
         )
         .unwrap();
-        let out = dev.run(&task, SimDuration::from_secs(120), &mut rng);
+        let out = dev.run(&task, SimDuration::from_secs(120), &mut rng, None);
         assert!(!out.completed);
         assert!(out.duty_cycle > 0.0 && out.duty_cycle < 1.0, "{out:?}");
         assert!(out.executed_steps > 0);
@@ -399,8 +381,8 @@ mod tests {
         .unwrap();
         let mut weak = device(20e-6);
         let mut strong = device(200e-6);
-        let out_weak = weak.run(&task, SimDuration::from_secs(60), &mut rng);
-        let out_strong = strong.run(&task, SimDuration::from_secs(60), &mut rng);
+        let out_weak = weak.run(&task, SimDuration::from_secs(60), &mut rng, None);
+        let out_strong = strong.run(&task, SimDuration::from_secs(60), &mut rng, None);
         assert!(
             out_strong.duty_cycle > out_weak.duty_cycle,
             "weak={:?} strong={:?}",
@@ -421,10 +403,10 @@ mod tests {
         )
         .unwrap();
         let mut d1 = device(50e-6);
-        let out_short = d1.run(&task, SimDuration::from_secs(20), &mut rng);
+        let out_short = d1.run(&task, SimDuration::from_secs(20), &mut rng, None);
         let mut rng2 = SeedRng::new(5);
         let mut d2 = device(50e-6);
-        let out_long = d2.run(&task, SimDuration::from_secs(60), &mut rng2);
+        let out_long = d2.run(&task, SimDuration::from_secs(60), &mut rng2, None);
         assert!(out_long.durable_steps >= out_short.durable_steps);
     }
 
@@ -453,16 +435,15 @@ mod tests {
         )
         .unwrap();
         let mut plain = device(20e-6);
-        let out_a = plain.run(&task, SimDuration::from_secs(120), &mut rng_a);
+        let out_a = plain.run(&task, SimDuration::from_secs(120), &mut rng_a, None);
         let mut observed = device(20e-6);
         let mut rec = Recorder::new();
         let label = Label::device(zeiot_core::id::DeviceId::new(3));
-        let out_b = observed.run_observed(
+        let out_b = observed.run(
             &task,
             SimDuration::from_secs(120),
             &mut rng_b,
-            &mut rec,
-            label.clone(),
+            Some((&mut rec, label.clone())),
         );
         assert_eq!(out_a, out_b);
 

@@ -218,11 +218,6 @@ impl FaultPlan {
             .unwrap_or(self.default_drop)
     }
 
-    /// The payload-corruption probability.
-    pub fn corruption_prob(&self) -> f64 {
-        self.corrupt
-    }
-
     /// Whether `node` is inside an outage window at `t`.
     pub fn is_down(&self, node: NodeId, t: SimTime) -> bool {
         self.outages

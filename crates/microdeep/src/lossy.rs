@@ -285,18 +285,6 @@ impl DistributedCnn {
         exec::forward(self, input, &mut Lossy::new(rt, scope))
     }
 
-    /// Backward pass through a lossy fabric: gradient contributions that
-    /// cross nodes are transported and zero-filled on loss (never
-    /// aborting — see the module docs). With a lossless plan this is
-    /// byte-for-byte identical to [`DistributedCnn::backward`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if called before a completed [`DistributedCnn::forward_lossy`].
-    pub fn backward_lossy(&mut self, grad_logits: &Tensor, rt: &mut LossyRuntime) {
-        exec::backward(self, grad_logits, &mut Lossy::new(rt, None));
-    }
-
     /// Trains one epoch through a lossy fabric; aborted samples (lost
     /// messages under a non-degrading policy) are skipped and counted via
     /// the fabric's `aborted` stat. Returns the mean loss over completed

@@ -278,11 +278,6 @@ impl QuantizedCnn {
         exec::forward(self, input, &mut Perfect).expect("a perfect pass completes")
     }
 
-    /// Predicted class for an input.
-    pub fn predict_quantized(&mut self, input: &Tensor) -> usize {
-        self.forward_quantized(input).argmax()
-    }
-
     /// Accuracy over a labelled set.
     ///
     /// # Panics

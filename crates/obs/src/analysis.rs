@@ -49,18 +49,6 @@ impl Attribution {
     pub fn total(&self) -> SimDuration {
         self.request + self.queue + self.batch + self.infer
     }
-
-    /// The serve-clock component for `layer` (`None` for the fabric
-    /// layers, which are not durations in the serve clock).
-    pub fn serve_component(&self, layer: SpanLayer) -> Option<SimDuration> {
-        match layer {
-            SpanLayer::Request => Some(self.request),
-            SpanLayer::Queue => Some(self.queue),
-            SpanLayer::Batch => Some(self.batch),
-            SpanLayer::Infer => Some(self.infer),
-            SpanLayer::Hop | SpanLayer::Mac => None,
-        }
-    }
 }
 
 /// Serve-clock self time of `span`: duration minus serve-clock

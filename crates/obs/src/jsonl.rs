@@ -16,9 +16,9 @@
 
 use crate::label::Label;
 use crate::recorder::Severity;
+use crate::registry::UnknownName;
 use crate::snapshot::Snapshot;
 use serde::{Deserialize, Serialize};
-use std::io::Write;
 use std::path::Path;
 use zeiot_core::time::SimTime;
 use zeiot_sim::metrics::HistogramSummary;
@@ -162,12 +162,7 @@ pub fn records(snapshot: &Snapshot) -> Vec<JsonlRecord> {
 /// Serializes a snapshot as JSON Lines (one record per line, trailing
 /// newline).
 pub fn to_jsonl(snapshot: &Snapshot) -> String {
-    let mut out = String::new();
-    for record in records(snapshot) {
-        out.push_str(&serde_json::to_string(&record).expect("records are serializable"));
-        out.push('\n');
-    }
-    out
+    encode_lines(&records(snapshot))
 }
 
 /// Parses a JSONL dump back into records. Blank lines are skipped.
@@ -176,11 +171,7 @@ pub fn to_jsonl(snapshot: &Snapshot) -> String {
 ///
 /// Returns a [`JsonlError`] naming the first truncated or garbage line.
 pub fn from_jsonl(text: &str) -> Result<Vec<JsonlRecord>, JsonlError> {
-    text.lines()
-        .enumerate()
-        .filter(|(_, line)| !line.trim().is_empty())
-        .map(|(i, line)| serde_json::from_str(line).map_err(|e| JsonlError::at_line(i + 1, &e)))
-        .collect()
+    decode_lines(text)
 }
 
 /// Writes a snapshot's JSONL dump to `path`, validating every metric
@@ -193,10 +184,44 @@ pub fn from_jsonl(text: &str) -> Result<Vec<JsonlRecord>, JsonlError> {
 /// Fails with `InvalidData` when a metric name is not registered, and
 /// propagates filesystem errors.
 pub fn write_jsonl(path: &Path, snapshot: &Snapshot) -> std::io::Result<()> {
-    crate::registry::validate_snapshot(snapshot)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
-    let mut file = std::fs::File::create(path)?;
-    file.write_all(to_jsonl(snapshot).as_bytes())
+    write_lines(
+        path,
+        crate::registry::validate_snapshot(snapshot),
+        &records(snapshot),
+    )
+}
+
+// The JSON-lines codec shared by the metric dump above and the trace
+// dump in `crate::trace`.
+
+/// Encodes one JSON object per item, each on its own line.
+pub(crate) fn encode_lines<T: Serialize>(items: &[T]) -> String {
+    let mut out = String::new();
+    for item in items {
+        out.push_str(&serde_json::to_string(item).expect("JSONL items are serializable"));
+        out.push('\n');
+    }
+    out
+}
+
+/// Decodes one item per non-blank line.
+pub(crate) fn decode_lines<T: Deserialize>(text: &str) -> Result<Vec<T>, JsonlError> {
+    text.lines()
+        .enumerate()
+        .filter(|(_, line)| !line.trim().is_empty())
+        .map(|(i, line)| serde_json::from_str(line).map_err(|e| JsonlError::at_line(i + 1, &e)))
+        .collect()
+}
+
+/// Writes `items` to `path` as JSON Lines once the registry check of
+/// their names, `names`, has passed.
+pub(crate) fn write_lines<T: Serialize>(
+    path: &Path,
+    names: Result<(), UnknownName>,
+    items: &[T],
+) -> std::io::Result<()> {
+    names.map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
+    std::fs::write(path, encode_lines(items))
 }
 
 #[cfg(test)]

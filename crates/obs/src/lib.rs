@@ -1,6 +1,10 @@
-//! Workspace-wide observability: a labeled metric [`Recorder`], severity
-//! tagged tracing, timing spans, an engine [`EngineProbe`], and exporters
+//! Workspace-wide observability: a labeled metric [`Recorder`] with a
+//! severity-tagged trace, causal request traces ([`Tracer`]), and exporters
 //! (JSONL dump, serializable [`Snapshot`], console summary table).
+//!
+//! A subsystem is observed through its own call: it takes an optional
+//! `&mut Recorder` and, where it has causal structure, an optional
+//! `&mut Tracer`, and returns the same result with or without them.
 //!
 //! # Conventions
 //!
@@ -13,25 +17,21 @@
 pub mod analysis;
 pub mod jsonl;
 pub mod label;
-pub mod probe;
 pub mod recorder;
 pub mod registry;
 pub mod slo;
 pub mod snapshot;
-pub mod span;
 pub mod trace;
 
 pub use analysis::{attribution, critical_path, Attribution, CriticalStep, LayerRollup};
 pub use jsonl::{from_jsonl, to_jsonl, write_jsonl, JsonlError, JsonlRecord};
 pub use label::Label;
-pub use probe::{EngineProbe, EventClassifier};
 pub use recorder::{Recorder, Severity, TraceEvent};
 pub use registry::{
     is_registered_metric, is_registered_span, validate_snapshot, validate_traces, UnknownName,
 };
 pub use slo::{evaluate_all, SloBreach, SloObjective, SloSpec};
 pub use snapshot::{CounterEntry, GaugeEntry, HistogramEntry, SeriesEntry, Snapshot, TraceEntry};
-pub use span::{SimSpan, WallSpan};
 pub use trace::{
     traces_from_jsonl, traces_to_jsonl, write_traces_jsonl, ClockDomain, Span, SpanEvent, SpanId,
     SpanLayer, SpanScope, Trace, TraceId, TraceSampler, Tracer,

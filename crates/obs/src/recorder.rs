@@ -68,7 +68,6 @@ pub struct Recorder {
     histograms: BTreeMap<(String, Label), Histogram>,
     series: BTreeMap<(String, Label), TimeSeries>,
     trace: TraceBuffer<TraceEvent>,
-    min_severity: Severity,
 }
 
 impl Default for Recorder {
@@ -78,31 +77,16 @@ impl Default for Recorder {
 }
 
 impl Recorder {
-    /// Creates an empty recorder with the default trace capacity.
+    /// Creates an empty recorder retaining the newest
+    /// [`DEFAULT_TRACE_CAPACITY`] trace entries.
     pub fn new() -> Self {
-        Self::with_trace_capacity(DEFAULT_TRACE_CAPACITY)
-    }
-
-    /// Creates an empty recorder retaining at most `capacity` trace
-    /// entries.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn with_trace_capacity(capacity: usize) -> Self {
         Self {
             counters: BTreeMap::new(),
             gauges: BTreeMap::new(),
             histograms: BTreeMap::new(),
             series: BTreeMap::new(),
-            trace: TraceBuffer::new(capacity),
-            min_severity: Severity::Debug,
+            trace: TraceBuffer::new(DEFAULT_TRACE_CAPACITY),
         }
-    }
-
-    /// Drops future trace events below `severity` (metrics are unaffected).
-    pub fn set_min_severity(&mut self, severity: Severity) {
-        self.min_severity = severity;
     }
 
     // -- counters ----------------------------------------------------------
@@ -214,7 +198,7 @@ impl Recorder {
 
     // -- tracing -----------------------------------------------------------
 
-    /// Appends a trace event (dropped when below the minimum severity).
+    /// Appends a trace event.
     ///
     /// # Panics
     ///
@@ -227,9 +211,6 @@ impl Recorder {
         label: Label,
         message: impl Into<String>,
     ) {
-        if severity < self.min_severity {
-            return;
-        }
         self.trace.push(
             time,
             TraceEvent {
@@ -243,17 +224,6 @@ impl Recorder {
     /// The bounded trace buffer.
     pub fn trace_buffer(&self) -> &TraceBuffer<TraceEvent> {
         &self.trace
-    }
-
-    /// Clears all metrics and the trace (capacity and severity filter are
-    /// kept).
-    pub fn clear(&mut self) {
-        self.counters.clear();
-        self.gauges.clear();
-        self.histograms.clear();
-        self.series.clear();
-        let capacity = self.trace.capacity();
-        self.trace = TraceBuffer::new(capacity);
     }
 }
 
@@ -292,28 +262,5 @@ mod tests {
         rec.sample("v", Label::Global, SimTime::from_secs(2), 4.0);
         assert_eq!(rec.histogram_ref("h", &Label::Global).unwrap().len(), 2);
         assert_eq!(rec.series_ref("v", &Label::Global).unwrap().len(), 2);
-    }
-
-    #[test]
-    fn trace_respects_min_severity() {
-        let mut rec = Recorder::new();
-        rec.set_min_severity(Severity::Warn);
-        rec.trace(SimTime::ZERO, Severity::Debug, Label::Global, "quiet");
-        rec.trace(SimTime::ZERO, Severity::Error, Label::Global, "loud");
-        assert_eq!(rec.trace_buffer().len(), 1);
-        let (_, event) = rec.trace_buffer().iter().next().unwrap();
-        assert_eq!(event.severity, Severity::Error);
-        assert_eq!(event.message, "loud");
-    }
-
-    #[test]
-    fn clear_resets_instruments_but_keeps_capacity() {
-        let mut rec = Recorder::with_trace_capacity(2);
-        rec.inc("c", Label::Global);
-        rec.trace(SimTime::ZERO, Severity::Info, Label::Global, "x");
-        rec.clear();
-        assert_eq!(rec.counters().count(), 0);
-        assert!(rec.trace_buffer().is_empty());
-        assert_eq!(rec.trace_buffer().capacity(), 2);
     }
 }

@@ -31,11 +31,6 @@ pub const METRICS: &[&str] = &[
     "energy.consumed_uj",           // counter: microjoules consumed
     "energy.harvested_uj",          // counter: microjoules harvested
     "energy.power_cycles",          // counter: off/on cycles per device
-    "engine.events_dispatched",     // counter: handler dispatches, labeled per kind
-    "engine.events_scheduled",      // counter: events pushed into the queue
-    "engine.handler_secs",          // histogram: host-time cost per handler
-    "engine.queue_depth",           // histogram: queue depth at dispatch
-    "engine.stop_requests",         // counter: cooperative stop requests
     "fault.aborted",                // counter: transfers aborted by policy
     "fault.corrupted",              // counter: frames delivered corrupted
     "fault.degraded",               // counter: links entering degraded mode
@@ -51,7 +46,6 @@ pub const METRICS: &[&str] = &[
     "fusion.fused",                 // counter: multi-source fused rounds
     "mac.ap_resets",                // counter: access-point resets
     "mac.collisions",               // counter: slot collisions
-    "mac.deregistrations",          // counter: devices leaving the schedule
     "mac.dummy_frames",             // counter: dummy frames for idle slots
     "mac.grant_losses",             // counter: grants lost to brownout
     "mac.grants",                   // counter: slot grants issued

@@ -24,10 +24,9 @@
 //! [`traces_to_jsonl`] / [`traces_from_jsonl`], byte-identical across
 //! thread counts when produced in `(tenant, seq)` order.
 
-use crate::jsonl::JsonlError;
+use crate::jsonl::{decode_lines, encode_lines, write_lines, JsonlError};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use std::io::Write;
 use std::path::Path;
 use zeiot_core::rng::splitmix64;
 use zeiot_core::time::{SimDuration, SimTime};
@@ -480,12 +479,7 @@ impl Tracer {
 /// Serializes traces as JSON Lines (one trace per line, trailing
 /// newline).
 pub fn traces_to_jsonl(traces: &[Trace]) -> String {
-    let mut out = String::new();
-    for trace in traces {
-        out.push_str(&serde_json::to_string(trace).expect("traces are serializable"));
-        out.push('\n');
-    }
-    out
+    encode_lines(traces)
 }
 
 /// Parses a trace JSONL dump. Blank lines are skipped.
@@ -494,11 +488,7 @@ pub fn traces_to_jsonl(traces: &[Trace]) -> String {
 ///
 /// Returns a [`JsonlError`] naming the first malformed line.
 pub fn traces_from_jsonl(text: &str) -> Result<Vec<Trace>, JsonlError> {
-    text.lines()
-        .enumerate()
-        .filter(|(_, line)| !line.trim().is_empty())
-        .map(|(i, line)| serde_json::from_str(line).map_err(|e| JsonlError::at_line(i + 1, &e)))
-        .collect()
+    decode_lines(text)
 }
 
 /// Writes traces as JSONL to `path`, validating every span name
@@ -509,10 +499,7 @@ pub fn traces_from_jsonl(text: &str) -> Result<Vec<Trace>, JsonlError> {
 /// Fails with `InvalidData` when a span name is not registered, and
 /// propagates filesystem errors.
 pub fn write_traces_jsonl(path: &Path, traces: &[Trace]) -> std::io::Result<()> {
-    crate::registry::validate_traces(traces)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
-    let mut file = std::fs::File::create(path)?;
-    file.write_all(traces_to_jsonl(traces).as_bytes())
+    write_lines(path, crate::registry::validate_traces(traces), traces)
 }
 
 #[cfg(test)]

@@ -6,7 +6,7 @@
 //! BPSK/QPSK, and the non-coherent OOK that simple backscatter tags
 //! implement by switching antenna impedance.
 
-use zeiot_core::error::{require_nonzero_usize, require_positive, Result};
+use zeiot_core::error::{require_nonzero_usize, Result};
 use zeiot_core::units::Decibel;
 
 /// Complementary error function (Abramowitz & Stegun 7.1.26, max abs error
@@ -181,17 +181,6 @@ pub fn required_snr(model: &PacketErrorModel, target_success: f64) -> Decibel {
         }
     }
     Decibel::new(hi)
-}
-
-/// A convenience wrapper exposing `require_positive` semantics for
-/// externally computed SNR thresholds used in link planning.
-///
-/// # Errors
-///
-/// Returns an error if `snr_db` is not strictly positive.
-pub fn validated_snr_threshold(snr_db: f64) -> Result<Decibel> {
-    let v = require_positive("snr_db", snr_db)?;
-    Ok(Decibel::new(v))
 }
 
 #[cfg(test)]

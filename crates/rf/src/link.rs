@@ -53,12 +53,6 @@ impl<P: PathLoss> LinkBudget<P> {
         self.tx_power + self.tx_gain + self.rx_gain - self.path_loss.loss(distance_m)
     }
 
-    /// Mean received power with an additional stochastic gain (shadowing
-    /// and/or fading realization) applied.
-    pub fn received_power_with_gain(&self, distance_m: f64, gain: Decibel) -> Dbm {
-        self.received_power(distance_m) + gain
-    }
-
     /// Mean SNR at `distance_m` against a noise model.
     pub fn snr(&self, distance_m: f64, noise: &NoiseModel) -> Decibel {
         noise.snr(self.received_power(distance_m))

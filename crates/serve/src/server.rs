@@ -1,6 +1,6 @@
 //! The serving layer's front door: tenants → shards → report.
 
-use crate::request::{Completion, Request, TenantId};
+use crate::request::{Completion, Request};
 use crate::shard::Shard;
 use crate::stats::{ServeReport, TenantStats};
 use crate::tenant::Tenant;
@@ -145,11 +145,6 @@ impl Server {
     /// The hosted tenants.
     pub fn tenants(&self) -> &[Tenant] {
         &self.tenants
-    }
-
-    /// The shard a tenant's requests are routed to.
-    pub fn shard_of(&self, tenant: TenantId) -> usize {
-        tenant % self.config.shards
     }
 
     /// Runs the serving loop over `horizon` of virtual time.

@@ -13,7 +13,7 @@
 //!   request's *completion* — a latency sample does not exist until the
 //!   batch finishes;
 //! * **failed** requests carry no completion time in their
-//!   [`Completion`], so they are bucketed by arrival.
+//!   [`Completion`](crate::Completion), so they are bucketed by arrival.
 //!
 //! Completions after the horizon (the end-of-stream drain) fold into
 //! the final window.

@@ -8,8 +8,6 @@
 
 use crate::queue::EventQueue;
 use std::fmt;
-use std::marker::PhantomData;
-use std::time::{Duration, Instant};
 use zeiot_core::time::{SimDuration, SimTime};
 
 /// The simulated system: owns all domain state and reacts to events.
@@ -24,73 +22,6 @@ pub trait World {
     fn handle(&mut self, ctx: &mut Context<'_, Self::Event>, event: Self::Event);
 }
 
-/// Passive probe attached to an [`Engine`] via [`Engine::with_observer`].
-///
-/// Every callback has a no-op default, so observers implement only what
-/// they need. Observers see events but cannot influence the simulation:
-/// the engine's dispatch order, clock, and world state are identical with
-/// or without one (callbacks receive `&Self::Event`, never ownership).
-///
-/// Wall-clock measurement is gated on [`Observer::ENABLED`]: for
-/// [`NoopObserver`] (`ENABLED = false`) the engine skips `Instant::now()`
-/// reads and every callback site, compiling down to the unobserved event
-/// loop.
-pub trait Observer<E> {
-    /// Whether the engine should invoke callbacks and time handlers.
-    /// Defaults to `true`; [`NoopObserver`] overrides it to `false`.
-    const ENABLED: bool = true;
-
-    /// An event was scheduled at simulated time `now` to fire at `at`
-    /// (from a handler or from outside the run loop). `queue_depth`
-    /// includes the newly scheduled event.
-    fn on_schedule(&mut self, now: SimTime, at: SimTime, queue_depth: usize) {
-        let _ = (now, at, queue_depth);
-    }
-
-    /// The engine popped `event` and advanced the clock to `now`;
-    /// `queue_depth` is the number of events still pending.
-    fn on_event_dispatched(&mut self, now: SimTime, event: &E, queue_depth: usize) {
-        let _ = (now, event, queue_depth);
-    }
-
-    /// The handler for the most recently dispatched event returned after
-    /// `wall` of host time.
-    fn on_event_handled(&mut self, now: SimTime, wall: Duration) {
-        let _ = (now, wall);
-    }
-
-    /// A handler requested [`Context::stop`]; `dispatched` is the total
-    /// events dispatched over the engine's lifetime.
-    fn on_stop(&mut self, now: SimTime, dispatched: u64) {
-        let _ = (now, dispatched);
-    }
-}
-
-/// The default observer: does nothing and disables all probe points.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NoopObserver;
-
-impl<E> Observer<E> for NoopObserver {
-    const ENABLED: bool = false;
-}
-
-/// Object-safe bridge letting [`Context`] forward schedule notifications
-/// to the engine's observer without knowing its type.
-trait ScheduleSink {
-    fn scheduled(&mut self, now: SimTime, at: SimTime, queue_depth: usize);
-}
-
-struct SinkAdapter<'a, E, O: Observer<E>> {
-    observer: &'a mut O,
-    _events: PhantomData<fn(&E)>,
-}
-
-impl<E, O: Observer<E>> ScheduleSink for SinkAdapter<'_, E, O> {
-    fn scheduled(&mut self, now: SimTime, at: SimTime, queue_depth: usize) {
-        self.observer.on_schedule(now, at, queue_depth);
-    }
-}
-
 /// Scheduling facade handed to [`World::handle`].
 ///
 /// Borrows the engine's queue and clock for the duration of one event
@@ -99,7 +30,6 @@ pub struct Context<'a, E> {
     now: SimTime,
     queue: &'a mut EventQueue<E>,
     stop_requested: &'a mut bool,
-    schedule_sink: Option<&'a mut dyn ScheduleSink>,
 }
 
 impl<E> fmt::Debug for Context<'_, E> {
@@ -108,7 +38,6 @@ impl<E> fmt::Debug for Context<'_, E> {
             .field("now", &self.now)
             .field("pending", &self.queue.len())
             .field("stop_requested", self.stop_requested)
-            .field("observed", &self.schedule_sink.is_some())
             .finish()
     }
 }
@@ -133,18 +62,11 @@ impl<E> Context<'_, E> {
             self.now
         );
         self.queue.push(at, event);
-        if let Some(sink) = self.schedule_sink.as_mut() {
-            sink.scheduled(self.now, at, self.queue.len());
-        }
     }
 
     /// Schedules `event` to fire `delay` after the current time.
     pub fn schedule_in(&mut self, delay: SimDuration, event: E) {
-        let at = self.now + delay;
-        self.queue.push(at, event);
-        if let Some(sink) = self.schedule_sink.as_mut() {
-            sink.scheduled(self.now, at, self.queue.len());
-        }
+        self.queue.push(self.now + delay, event);
     }
 
     /// Requests that the engine stop after the current event completes,
@@ -164,52 +86,23 @@ impl<E> Context<'_, E> {
 ///
 /// Construct with a world, seed the queue via [`Engine::schedule_at`], then
 /// drive with [`Engine::run`], [`Engine::run_until`] or [`Engine::step`].
-///
-/// The second type parameter is an [`Observer`] probe; it defaults to
-/// [`NoopObserver`], for which all probe points compile away — an
-/// unobserved `Engine<W>` runs the identical event loop it always has.
 #[derive(Debug)]
-pub struct Engine<W: World, O: Observer<W::Event> = NoopObserver> {
+pub struct Engine<W: World> {
     world: W,
     queue: EventQueue<W::Event>,
     now: SimTime,
     dispatched: u64,
-    observer: O,
 }
 
 impl<W: World> Engine<W> {
-    /// Creates an unobserved engine at time zero wrapping `world`.
+    /// Creates an engine at time zero wrapping `world`.
     pub fn new(world: W) -> Self {
-        Self::with_observer(world, NoopObserver)
-    }
-}
-
-impl<W: World, O: Observer<W::Event>> Engine<W, O> {
-    /// Creates an engine at time zero with an attached observer probe.
-    pub fn with_observer(world: W, observer: O) -> Self {
         Self {
             world,
             queue: EventQueue::new(),
             now: SimTime::ZERO,
             dispatched: 0,
-            observer,
         }
-    }
-
-    /// Shared access to the observer.
-    pub fn observer(&self) -> &O {
-        &self.observer
-    }
-
-    /// Exclusive access to the observer (e.g. to read out collected
-    /// metrics between runs).
-    pub fn observer_mut(&mut self) -> &mut O {
-        &mut self.observer
-    }
-
-    /// Consumes the engine, returning the world and the observer.
-    pub fn into_parts(self) -> (W, O) {
-        (self.world, self.observer)
     }
 
     /// The current simulated time.
@@ -227,12 +120,6 @@ impl<W: World, O: Observer<W::Event>> Engine<W, O> {
         &self.world
     }
 
-    /// Exclusive access to the world (e.g. to inspect or reconfigure
-    /// between runs).
-    pub fn world_mut(&mut self) -> &mut W {
-        &mut self.world
-    }
-
     /// Consumes the engine, returning the world.
     pub fn into_world(self) -> W {
         self.world
@@ -246,63 +133,26 @@ impl<W: World, O: Observer<W::Event>> Engine<W, O> {
     pub fn schedule_at(&mut self, at: SimTime, event: W::Event) {
         assert!(at >= self.now, "cannot schedule into the past");
         self.queue.push(at, event);
-        if O::ENABLED {
-            self.observer.on_schedule(self.now, at, self.queue.len());
-        }
     }
 
     /// Schedules an event `delay` after the current time.
     pub fn schedule_in(&mut self, delay: SimDuration, event: W::Event) {
-        let at = self.now + delay;
-        self.queue.push(at, event);
-        if O::ENABLED {
-            self.observer.on_schedule(self.now, at, self.queue.len());
-        }
+        self.queue.push(self.now + delay, event);
     }
 
-    /// Advances the clock to `time` and hands `event` to the world,
-    /// surrounding the handler with observer probe points. Returns whether
-    /// the handler requested a stop.
+    /// Advances the clock to `time` and hands `event` to the world.
+    /// Returns whether the handler requested a stop.
     fn dispatch(&mut self, time: SimTime, event: W::Event) -> bool {
         debug_assert!(time >= self.now, "event queue returned a past event");
         self.now = time;
         self.dispatched += 1;
-        if O::ENABLED {
-            self.observer
-                .on_event_dispatched(self.now, &event, self.queue.len());
-        }
-        let start = if O::ENABLED {
-            // zeiot-audit: allow(d2) -- handler wall time feeds only the observer probe (obs histograms); with NoopObserver the read compiles away, and no simulated state ever depends on it
-            Some(Instant::now())
-        } else {
-            None
-        };
         let mut stop = false;
-        {
-            let mut sink = if O::ENABLED {
-                Some(SinkAdapter {
-                    observer: &mut self.observer,
-                    _events: PhantomData,
-                })
-            } else {
-                None
-            };
-            let mut ctx = Context {
-                now: self.now,
-                queue: &mut self.queue,
-                stop_requested: &mut stop,
-                schedule_sink: sink
-                    .as_mut()
-                    .map(|adapter| adapter as &mut dyn ScheduleSink),
-            };
-            self.world.handle(&mut ctx, event);
-        }
-        if let Some(start) = start {
-            self.observer.on_event_handled(self.now, start.elapsed());
-        }
-        if stop && O::ENABLED {
-            self.observer.on_stop(self.now, self.dispatched);
-        }
+        let mut ctx = Context {
+            now: self.now,
+            queue: &mut self.queue,
+            stop_requested: &mut stop,
+        };
+        self.world.handle(&mut ctx, event);
         stop
     }
 
@@ -484,101 +334,5 @@ mod tests {
         engine.run();
         let world = engine.into_world();
         assert_eq!(world.remaining, 0);
-    }
-
-    /// Observer that logs every callback invocation.
-    #[derive(Debug, Default)]
-    struct Spy {
-        scheduled: Vec<(SimTime, SimTime, usize)>,
-        dispatched: Vec<(SimTime, u32, usize)>,
-        handled: u64,
-        stops: Vec<(SimTime, u64)>,
-    }
-
-    impl Observer<u32> for Spy {
-        fn on_schedule(&mut self, now: SimTime, at: SimTime, queue_depth: usize) {
-            self.scheduled.push((now, at, queue_depth));
-        }
-
-        fn on_event_dispatched(&mut self, now: SimTime, event: &u32, queue_depth: usize) {
-            self.dispatched.push((now, *event, queue_depth));
-        }
-
-        fn on_event_handled(&mut self, _now: SimTime, _wall: Duration) {
-            self.handled += 1;
-        }
-
-        fn on_stop(&mut self, now: SimTime, dispatched: u64) {
-            self.stops.push((now, dispatched));
-        }
-    }
-
-    /// World that reschedules each event once and stops on event 99.
-    struct Echo;
-
-    impl World for Echo {
-        type Event = u32;
-        fn handle(&mut self, ctx: &mut Context<'_, u32>, event: u32) {
-            if event == 99 {
-                ctx.stop();
-            } else if event < 10 {
-                ctx.schedule_in(SimDuration::from_millis(1), event + 100);
-            }
-        }
-    }
-
-    #[test]
-    fn observer_sees_schedules_dispatches_and_handles() {
-        let mut engine = Engine::with_observer(Echo, Spy::default());
-        engine.schedule_at(SimTime::from_secs(1), 1);
-        engine.schedule_at(SimTime::from_secs(2), 2);
-        engine.run();
-        let spy = engine.observer();
-        // 2 external schedules + 2 handler reschedules.
-        assert_eq!(spy.scheduled.len(), 4);
-        // 2 seeds + 2 follow-ups dispatched and handled.
-        assert_eq!(spy.dispatched.len(), 4);
-        assert_eq!(spy.handled, 4);
-        assert!(spy.stops.is_empty());
-        // The first dispatch saw the other seed still pending.
-        assert_eq!(spy.dispatched[0], (SimTime::from_secs(1), 1, 1));
-    }
-
-    #[test]
-    fn observer_sees_stop_requests() {
-        let mut engine = Engine::with_observer(Echo, Spy::default());
-        engine.schedule_at(SimTime::from_secs(1), 99);
-        engine.schedule_at(SimTime::from_secs(2), 1);
-        engine.run();
-        let (world, spy) = engine.into_parts();
-        let _ = world;
-        assert_eq!(spy.stops, vec![(SimTime::from_secs(1), 1)]);
-    }
-
-    #[test]
-    fn observed_and_unobserved_runs_are_identical() {
-        fn seed<O: Observer<u32>>(engine: &mut Engine<Recorder, O>) {
-            engine.schedule_at(SimTime::from_secs(2), 2);
-            engine.schedule_at(SimTime::from_secs(1), 1);
-            engine.schedule_at(SimTime::from_secs(1), 10);
-        }
-        let run = |observed: bool| -> (Vec<(SimTime, u32)>, SimTime, u64) {
-            if observed {
-                let mut engine = Engine::with_observer(Recorder { fired: vec![] }, Spy::default());
-                seed(&mut engine);
-                engine.run();
-                let now = engine.now();
-                let dispatched = engine.dispatched();
-                (engine.into_world().fired, now, dispatched)
-            } else {
-                let mut engine = Engine::new(Recorder { fired: vec![] });
-                seed(&mut engine);
-                engine.run();
-                let now = engine.now();
-                let dispatched = engine.dispatched();
-                (engine.into_world().fired, now, dispatched)
-            }
-        };
-        assert_eq!(run(true), run(false));
     }
 }

@@ -6,8 +6,10 @@
 //! The kernel is deliberately minimal: an [`Engine`] owns an event queue and
 //! a user-supplied *world* (any type implementing [`World`]); events are
 //! dispatched strictly in `(time, insertion order)` order so two runs with
-//! the same seed produce identical traces. The backscatter MAC simulator and
-//! the WSN substrate are both built on this kernel.
+//! the same seed produce identical traces. The backscatter MAC simulator
+//! runs on this kernel; the crate's [`metrics`] and [`trace`] instruments
+//! back the `zeiot-obs` recorder, and [`RetrySchedule`] drives the fault
+//! layer's retransmissions.
 //!
 //! # Example
 //!
@@ -40,7 +42,7 @@ pub mod queue;
 pub mod timeout;
 pub mod trace;
 
-pub use engine::{Context, Engine, NoopObserver, Observer, World};
+pub use engine::{Context, Engine, World};
 pub use metrics::{Counter, Histogram, HistogramSummary, TimeSeries};
 pub use queue::EventQueue;
 pub use timeout::RetrySchedule;

@@ -2,7 +2,7 @@
 //!
 //! Every experiment harness in the workspace reports through these types:
 //! monotonically increasing [`Counter`]s, streaming [`Histogram`]s with
-//! quantile queries, and timestamped [`TimeSeries`].
+//! nearest-rank summaries, and timestamped [`TimeSeries`].
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -53,9 +53,9 @@ impl fmt::Display for Counter {
 
 /// A streaming histogram over `f64` samples with exact quantiles.
 ///
-/// Stores all samples (experiments here are small enough that exactness
-/// beats the memory savings of a sketch). Quantile queries sort lazily and
-/// cache the sorted order until the next insertion.
+/// Stores all samples in insertion order (experiments here are small
+/// enough that exactness beats the memory savings of a sketch);
+/// [`Histogram::summary`] sorts a copy for its quantiles.
 ///
 /// # Example
 ///
@@ -65,14 +65,12 @@ impl fmt::Display for Counter {
 /// for v in [1.0, 2.0, 3.0, 4.0] { h.record(v); }
 /// assert_eq!(h.len(), 4);
 /// assert_eq!(h.mean(), Some(2.5));
-/// assert_eq!(h.quantile(0.5), Some(2.0)); // nearest-rank
+/// assert_eq!(h.summary().unwrap().p50, 2.0); // nearest-rank
 /// assert_eq!(h.max(), Some(4.0));
 /// ```
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct Histogram {
     samples: Vec<f64>,
-    #[serde(skip)]
-    sorted: bool,
 }
 
 impl Histogram {
@@ -89,7 +87,6 @@ impl Histogram {
     pub fn record(&mut self, value: f64) {
         assert!(!value.is_nan(), "cannot record NaN");
         self.samples.push(value);
-        self.sorted = false;
     }
 
     /// Number of recorded samples.
@@ -134,54 +131,13 @@ impl Histogram {
         self.samples.iter().sum()
     }
 
-    /// The `q`-quantile by the nearest-rank method (`q` in `[0, 1]`), or
-    /// `None` if empty.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `q` is outside `[0, 1]`.
-    pub fn quantile(&mut self, q: f64) -> Option<f64> {
-        assert!(
-            (0.0..=1.0).contains(&q),
-            "quantile must be in [0,1], got {q}"
-        );
-        if self.samples.is_empty() {
-            return None;
-        }
-        if !self.sorted {
-            self.samples
-                .sort_by(|a, b| a.partial_cmp(b).expect("NaN excluded at record"));
-            self.sorted = true;
-        }
-        let rank = ((q * self.samples.len() as f64).ceil() as usize).max(1) - 1;
-        Some(self.samples[rank.min(self.samples.len() - 1)])
-    }
-
-    /// All recorded samples in insertion or sorted order (unspecified).
-    pub fn samples(&self) -> &[f64] {
-        &self.samples
-    }
-
-    /// A sorted copy of the samples, usable without `&mut` access.
-    ///
-    /// When the lazy sort cache is warm this is a plain clone; otherwise
-    /// the copy is sorted without disturbing the histogram itself, so
-    /// read-only exporters (snapshots, serializers) can compute quantiles
-    /// from shared references.
-    pub fn sorted_snapshot(&self) -> Vec<f64> {
-        let mut samples = self.samples.clone();
-        if !self.sorted {
-            samples.sort_by(|a, b| a.partial_cmp(b).expect("NaN excluded at record"));
-        }
-        samples
-    }
-
     /// Summary statistics computed from `&self`, or `None` if empty.
     pub fn summary(&self) -> Option<HistogramSummary> {
         if self.samples.is_empty() {
             return None;
         }
-        let sorted = self.sorted_snapshot();
+        let mut sorted = self.samples.clone();
+        sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN excluded at record"));
         let nearest_rank = |q: f64| -> f64 {
             let rank = ((q * sorted.len() as f64).ceil() as usize).max(1) - 1;
             sorted[rank.min(sorted.len() - 1)]
@@ -198,18 +154,10 @@ impl Histogram {
             p99: nearest_rank(0.99),
         })
     }
-
-    /// Appends every sample of `other`.
-    pub fn merge(&mut self, other: &Histogram) {
-        self.samples.extend_from_slice(&other.samples);
-        if !other.samples.is_empty() {
-            self.sorted = false;
-        }
-    }
 }
 
 /// Point-in-time summary statistics of a [`Histogram`], computable from a
-/// shared reference (quantiles by the same nearest-rank method).
+/// shared reference (quantiles by the nearest-rank method).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct HistogramSummary {
     /// Number of samples.
@@ -291,29 +239,6 @@ impl TimeSeries {
     pub fn points(&self) -> &[(SimTime, f64)] {
         &self.points
     }
-
-    /// Time-weighted average of the series over its recorded span, treating
-    /// each value as holding until the next timestamp. `None` with fewer
-    /// than two points.
-    pub fn time_weighted_mean(&self) -> Option<f64> {
-        if self.points.len() < 2 {
-            return None;
-        }
-        let mut weighted = 0.0;
-        let mut total = 0.0;
-        for pair in self.points.windows(2) {
-            let (t0, v) = pair[0];
-            let (t1, _) = pair[1];
-            let dt = (t1 - t0).as_secs_f64();
-            weighted += v * dt;
-            total += dt;
-        }
-        if total > 0.0 {
-            Some(weighted / total)
-        } else {
-            None
-        }
-    }
 }
 
 #[cfg(test)]
@@ -343,31 +268,10 @@ mod tests {
     }
 
     #[test]
-    fn histogram_quantiles_nearest_rank() {
-        let mut h = Histogram::new();
-        for v in 1..=100 {
-            h.record(v as f64);
-        }
-        assert_eq!(h.quantile(0.0), Some(1.0));
-        assert_eq!(h.quantile(0.5), Some(50.0));
-        assert_eq!(h.quantile(0.99), Some(99.0));
-        assert_eq!(h.quantile(1.0), Some(100.0));
-    }
-
-    #[test]
-    fn histogram_quantile_after_interleaved_records() {
-        let mut h = Histogram::new();
-        h.record(5.0);
-        assert_eq!(h.quantile(1.0), Some(5.0));
-        h.record(10.0); // invalidates cached sort
-        assert_eq!(h.quantile(1.0), Some(10.0));
-    }
-
-    #[test]
     fn empty_histogram_returns_none() {
-        let mut h = Histogram::new();
+        let h = Histogram::new();
         assert_eq!(h.mean(), None);
-        assert_eq!(h.quantile(0.5), None);
+        assert_eq!(h.summary(), None);
         assert_eq!(h.min(), None);
         assert!(h.is_empty());
     }
@@ -385,8 +289,7 @@ mod tests {
         ts.record(SimTime::from_secs(10), 3.0);
         ts.record(SimTime::from_secs(20), 3.0);
         assert_eq!(ts.len(), 3);
-        // 1.0 holds for 10 s, 3.0 holds for 10 s.
-        assert_eq!(ts.time_weighted_mean(), Some(2.0));
+        assert_eq!(ts.last(), Some((SimTime::from_secs(20), 3.0)));
     }
 
     #[test]
@@ -408,43 +311,18 @@ mod tests {
     }
 
     #[test]
-    fn sorted_snapshot_reads_from_shared_reference() {
-        let mut h = Histogram::new();
-        for v in [9.0, 1.0, 5.0] {
-            h.record(v);
-        }
-        let h = h; // freeze: quantiles must be reachable without &mut
-        assert_eq!(h.sorted_snapshot(), vec![1.0, 5.0, 9.0]);
-        // The histogram itself is untouched (still insertion order).
-        assert_eq!(h.samples(), &[9.0, 1.0, 5.0]);
-    }
-
-    #[test]
-    fn summary_matches_mutable_quantiles() {
+    fn summary_quantiles_are_nearest_rank() {
         let mut h = Histogram::new();
         for v in 1..=100 {
             h.record(v as f64);
         }
         let s = h.summary().unwrap();
         assert_eq!(s.count, 100);
-        assert_eq!(s.p50, h.quantile(0.5).unwrap());
-        assert_eq!(s.p90, h.quantile(0.9).unwrap());
-        assert_eq!(s.p99, h.quantile(0.99).unwrap());
+        assert_eq!(s.p50, 50.0);
+        assert_eq!(s.p90, 90.0);
+        assert_eq!(s.p99, 99.0);
         assert_eq!(s.min, 1.0);
         assert_eq!(s.max, 100.0);
         assert_eq!(s.mean, h.mean().unwrap());
-        assert!(Histogram::new().summary().is_none());
-    }
-
-    #[test]
-    fn histogram_merge_appends_samples() {
-        let mut a = Histogram::new();
-        a.record(1.0);
-        let mut b = Histogram::new();
-        b.record(3.0);
-        b.record(2.0);
-        a.merge(&b);
-        assert_eq!(a.len(), 3);
-        assert_eq!(a.sorted_snapshot(), vec![1.0, 2.0, 3.0]);
     }
 }

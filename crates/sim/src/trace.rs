@@ -3,8 +3,7 @@
 //! Debugging a distributed protocol needs the last N things that
 //! happened, not an unbounded log that outgrows memory in a long
 //! simulation. [`TraceBuffer`] is a fixed-capacity ring of timestamped
-//! entries: pushes are O(1), the oldest entries fall off, and the buffer
-//! can be drained for post-mortem inspection.
+//! entries: pushes are O(1) and the oldest entries fall off.
 
 use std::collections::VecDeque;
 use zeiot_core::time::SimTime;
@@ -93,17 +92,6 @@ impl<T> TraceBuffer<T> {
     pub fn iter(&self) -> impl Iterator<Item = &(SimTime, T)> {
         self.entries.iter()
     }
-
-    /// Entries at or after `since`, oldest first.
-    pub fn since(&self, since: SimTime) -> impl Iterator<Item = &(SimTime, T)> {
-        self.entries.iter().filter(move |(t, _)| *t >= since)
-    }
-
-    /// Drains all retained entries, oldest first, leaving the buffer
-    /// empty (the drop counter is preserved).
-    pub fn drain(&mut self) -> Vec<(SimTime, T)> {
-        self.entries.drain(..).collect()
-    }
 }
 
 #[cfg(test)]
@@ -120,31 +108,6 @@ mod tests {
         assert_eq!(trace.dropped(), 6);
         let kept: Vec<u64> = trace.iter().map(|&(_, e)| e).collect();
         assert_eq!(kept, vec![6, 7, 8, 9]);
-    }
-
-    #[test]
-    fn since_filters_by_time() {
-        let mut trace = TraceBuffer::new(10);
-        for i in 0..5u64 {
-            trace.push(SimTime::from_secs(i), i);
-        }
-        let late: Vec<u64> = trace
-            .since(SimTime::from_secs(3))
-            .map(|&(_, e)| e)
-            .collect();
-        assert_eq!(late, vec![3, 4]);
-    }
-
-    #[test]
-    fn drain_empties_but_keeps_drop_count() {
-        let mut trace = TraceBuffer::new(2);
-        for i in 0..5u64 {
-            trace.push(SimTime::from_millis(i), i);
-        }
-        let drained = trace.drain();
-        assert_eq!(drained.len(), 2);
-        assert!(trace.is_empty());
-        assert_eq!(trace.dropped(), 3);
     }
 
     #[test]

@@ -45,7 +45,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         Joule::from_microjoules(0.5),
         Joule::from_microjoules(0.4),
     )?;
-    let outcome = device.run(&workload, SimDuration::from_secs(120), &mut rng);
+    let outcome = device.run(&workload, SimDuration::from_secs(120), &mut rng, None);
     println!(
         "energy: duty cycle {:.0}% under corridor lighting ({} brownouts in 2 min)",
         outcome.duty_cycle * 100.0,

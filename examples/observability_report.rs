@@ -12,7 +12,7 @@
 //!
 //! Run with: `cargo run --release --example observability_report`
 
-use zeiot::backscatter::mac::{simulate_observed, MacConfig, MacMode};
+use zeiot::backscatter::mac::{simulate_with, MacConfig, MacFaults, MacMode};
 use zeiot::core::rng::SeedRng;
 use zeiot::core::time::SimDuration;
 use zeiot::core::units::{Joule, Watt};
@@ -50,20 +50,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut mac_rec = Recorder::new();
     let mac_config = MacConfig::default_with_devices(20)?;
     let duration = SimDuration::from_secs(20);
-    simulate_observed(
-        &mac_config,
-        MacMode::Scheduled,
-        duration,
-        &mut SeedRng::new(1),
-        &mut mac_rec,
-    );
-    simulate_observed(
-        &mac_config,
-        MacMode::Naive,
-        duration,
-        &mut SeedRng::new(1),
-        &mut mac_rec,
-    );
+    for mode in [MacMode::Scheduled, MacMode::Naive] {
+        simulate_with(
+            &mac_config,
+            mode,
+            duration,
+            &mut SeedRng::new(1),
+            &MacFaults::none(),
+            Some(&mut mac_rec),
+            None,
+        );
+    }
 
     // ── Energy: an intermittent tag at 20 µW harvest ─────────────────
     let mut energy_rec = Recorder::new();
@@ -79,12 +76,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         Joule::from_microjoules(1.0),
         Joule::from_microjoules(5.0),
     )?;
-    device.run_observed(
+    device.run(
         &task,
         SimDuration::from_secs(60),
         &mut rng,
-        &mut energy_rec,
-        Label::part("tag-0"),
+        Some((&mut energy_rec, Label::part("tag-0"))),
     );
 
     // ── Per-subsystem highlights ─────────────────────────────────────

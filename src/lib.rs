@@ -21,7 +21,7 @@
 //! | [`sensing`] | `zeiot-sensing` | train congestion/positioning, people counting, CSI localization, PEM, sociograms, trajectories |
 //! | [`plan`] | `zeiot-plan` | design-support planner: collection trees, TDMA schedules, failure replanning |
 //! | [`data`] | `zeiot-data` | synthetic datasets standing in for the paper's hardware captures |
-//! | [`obs`] | `zeiot-obs` | observability: labeled metrics recorder, engine probe, tracing, JSONL export |
+//! | [`obs`] | `zeiot-obs` | observability: labeled metrics recorder, causal tracing, JSONL export |
 //!
 //! # Quickstart
 //!

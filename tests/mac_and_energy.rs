@@ -82,7 +82,7 @@ fn energy_budget_supports_the_registered_cycle() {
     )
     .unwrap();
     let mut rng = SeedRng::new(5);
-    let outcome = device.run(&task, SimDuration::from_secs(30), &mut rng);
+    let outcome = device.run(&task, SimDuration::from_secs(30), &mut rng, None);
     assert!(outcome.duty_cycle > 0.5, "duty={}", outcome.duty_cycle);
 }
 

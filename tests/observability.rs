@@ -1,15 +1,14 @@
 //! End-to-end checks of the observability layer through the facade:
 //! instrumented counters against the static cost model, observation
-//! transparency, the engine probe, and the JSONL export round trip.
+//! transparency, and the JSONL export round trip.
 
-use zeiot::backscatter::mac::{simulate, simulate_observed, MacConfig, MacMode};
+use zeiot::backscatter::mac::{simulate, simulate_with, MacConfig, MacFaults, MacMode};
 use zeiot::core::id::NodeId;
 use zeiot::core::rng::SeedRng;
-use zeiot::core::time::{SimDuration, SimTime};
+use zeiot::core::time::SimDuration;
 use zeiot::microdeep::{Assignment, CnnConfig, CostModel, TrafficInstrument};
 use zeiot::net::Topology;
-use zeiot::obs::{from_jsonl, to_jsonl, write_jsonl, EngineProbe, Label, Recorder};
-use zeiot::sim::{Context, Engine, World};
+use zeiot::obs::{from_jsonl, to_jsonl, write_jsonl, Label, Recorder};
 
 /// The satellite cross-check: the dynamic per-node radio counters the
 /// instrument records during a pass must equal, node for node, what the
@@ -56,33 +55,17 @@ fn observation_is_transparent_to_the_mac_simulation() {
     for mode in [MacMode::Scheduled, MacMode::Naive] {
         let plain = simulate(&config, mode, duration, &mut SeedRng::new(9));
         let mut rec = Recorder::new();
-        let observed = simulate_observed(&config, mode, duration, &mut SeedRng::new(9), &mut rec);
+        let observed = simulate_with(
+            &config,
+            mode,
+            duration,
+            &mut SeedRng::new(9),
+            &MacFaults::none(),
+            Some(&mut rec),
+            None,
+        );
         assert_eq!(plain, observed, "{mode:?} diverged under observation");
     }
-}
-
-struct Relay {
-    hops: u32,
-}
-
-impl World for Relay {
-    type Event = u32;
-    fn handle(&mut self, ctx: &mut Context<'_, u32>, event: u32) {
-        if event < self.hops {
-            ctx.schedule_in(SimDuration::from_millis(5), event + 1);
-        }
-    }
-}
-
-/// The engine probe's counters agree with the engine's own accounting.
-#[test]
-fn engine_probe_agrees_with_the_engine() {
-    let mut engine = Engine::with_observer(Relay { hops: 6 }, EngineProbe::<u32>::new());
-    engine.schedule_at(SimTime::ZERO, 0);
-    let dispatched = engine.run();
-    let snap = engine.observer().recorder().snapshot();
-    assert_eq!(snap.counter_total("engine.events_dispatched"), dispatched);
-    assert_eq!(snap.counter_total("engine.events_scheduled"), dispatched);
 }
 
 /// A merged multi-subsystem snapshot survives the JSONL file round trip.
@@ -90,12 +73,14 @@ fn engine_probe_agrees_with_the_engine() {
 fn jsonl_export_round_trips_through_a_file() {
     let config = MacConfig::default_with_devices(8).unwrap();
     let mut rec = Recorder::new();
-    simulate_observed(
+    simulate_with(
         &config,
         MacMode::Scheduled,
         SimDuration::from_secs(10),
         &mut SeedRng::new(3),
-        &mut rec,
+        &MacFaults::none(),
+        Some(&mut rec),
+        None,
     );
     let snap = rec.snapshot();
     assert!(!snap.counters.is_empty());
