@@ -9,12 +9,21 @@
 //! tallies [`FaultStats`]. Because sequence numbers are allocated in the
 //! caller's deterministic iteration order and every decision is a pure
 //! hash, a fabric-mediated computation stays bit-reproducible.
+//!
+//! Every attempt's fate is [`FaultPlan::decide`]'s, computed without
+//! redoing per message what is fixed for the fabric's lifetime (the
+//! lossless flag, the attempt budget, the retry schedule and the hash
+//! prefixes) or what changes only when the clock moves (the set of dark
+//! nodes, refreshed on [`LinkFabric::advance`] and after each retry
+//! backoff). A proptest below drives the fabric against a reference loop
+//! written on `decide`.
 
-use crate::plan::{FaultPlan, LinkEvent};
+use crate::plan::{DrawPrefixes, FaultPlan, LinkEvent};
 use crate::policy::RecoveryPolicy;
 use zeiot_core::id::NodeId;
 use zeiot_core::time::{SimDuration, SimTime};
 use zeiot_obs::{Label, Recorder};
+use zeiot_sim::RetrySchedule;
 
 /// The outcome of transmitting one message through the fabric.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -173,47 +182,98 @@ pub struct LinkFabric {
     seq: u64,
     now: SimTime,
     stats: FaultStats,
+    /// `plan.is_lossless()`, fixed for the fabric's lifetime.
+    lossless: bool,
+    /// `policy.max_attempts()`.
+    max_attempts: u32,
+    /// `policy.retry_schedule()`.
+    schedule: Option<RetrySchedule>,
+    /// The plan's drop and corruption hash prefixes.
+    prefixes: DrawPrefixes,
+    /// The nodes dark at `now`, as `plan.down_set_at(now)` reports them:
+    /// sorted, and never longer than the plan's list of nodes with
+    /// outage windows.
+    down: Vec<NodeId>,
+    /// The next instant an outage window opens or closes: `down` holds
+    /// until the clock reaches it.
+    down_until: SimTime,
 }
 
 impl LinkFabric {
     /// A fabric at simulated time zero with zeroed counters.
     pub fn new(plan: FaultPlan, policy: RecoveryPolicy) -> Self {
-        Self {
+        let mut fabric = Self {
+            lossless: plan.is_lossless(),
+            max_attempts: policy.max_attempts(),
+            schedule: policy.retry_schedule(),
+            prefixes: plan.draw_prefixes(),
+            down: Vec::new(),
+            down_until: SimTime::ZERO,
             plan,
             policy,
             seq: 0,
             now: SimTime::ZERO,
             stats: FaultStats::default(),
-        }
+        };
+        fabric.set_now(SimTime::ZERO);
+        fabric
     }
 
     /// The fault plan.
+    #[inline]
     pub fn plan(&self) -> &FaultPlan {
         &self.plan
     }
 
     /// The recovery policy.
+    #[inline]
     pub fn policy(&self) -> RecoveryPolicy {
         self.policy
     }
 
+    /// Transmissions the policy allows per message (1 unless it
+    /// retransmits).
+    #[inline]
+    pub fn max_attempts(&self) -> u32 {
+        self.max_attempts
+    }
+
     /// The fabric's simulated clock.
+    #[inline]
     pub fn now(&self) -> SimTime {
         self.now
+    }
+
+    /// The nodes dark at [`LinkFabric::now`], in ascending id order:
+    /// `plan().down_set_at(now())`, kept current as the clock moves.
+    #[inline]
+    pub fn down_set(&self) -> &[NodeId] {
+        &self.down
     }
 
     /// Advances the simulated clock (e.g. one sensing cycle per
     /// inference pass), moving messages into or out of outage windows.
     pub fn advance(&mut self, d: SimDuration) {
-        self.now = self.now.saturating_add(d);
+        self.set_now(self.now.saturating_add(d));
+    }
+
+    /// Moves the clock and refreshes the dark-node set in place once
+    /// the clock reaches a window edge (the clock never moves back).
+    fn set_now(&mut self, now: SimTime) {
+        self.now = now;
+        if now >= self.down_until {
+            self.down_until = self.plan.fill_down_set(now, &mut self.down);
+        }
     }
 
     /// The running counters.
+    #[inline]
     pub fn stats(&self) -> &FaultStats {
         &self.stats
     }
 
     /// Counts a degrade-substituted value.
+    #[inline]
     pub fn note_degraded(&mut self) {
         self.stats.degraded += 1;
     }
@@ -233,10 +293,11 @@ impl LinkFabric {
     /// by the policy's backoff schedule, so a retransmission that lands
     /// inside an outage window is (correctly) lost and one that lands
     /// after the window ends can succeed.
+    #[inline]
     pub fn transmit_over(&mut self, src: NodeId, dst: NodeId, hops: u32) -> Delivery {
         let seq = self.seq;
         self.seq += 1;
-        if self.plan.is_lossless() {
+        if self.lossless {
             // Fast path: nothing can go wrong, skip the hashing.
             self.stats.sent += 1;
             self.stats.delivered += 1;
@@ -245,19 +306,16 @@ impl LinkFabric {
                 attempts: 1,
             };
         }
-        let schedule = self.policy.retry_schedule();
-        let max_attempts = self.policy.max_attempts();
+        let max_attempts = self.max_attempts;
         for attempt in 0..max_attempts {
             if attempt > 0 {
                 self.stats.retries += 1;
-                if let Some(schedule) = &schedule {
-                    if let Some(delay) = schedule.delay_for(attempt) {
-                        self.now = self.now.saturating_add(delay);
-                    }
+                if let Some(delay) = self.schedule.and_then(|s| s.delay_for(attempt)) {
+                    self.set_now(self.now.saturating_add(delay));
                 }
             }
             self.stats.sent += 1;
-            match self.plan.decide(src, dst, seq, attempt, self.now) {
+            match self.decide(src, dst, seq, attempt) {
                 LinkEvent::Delivered => {
                     self.stats.delivered += 1;
                     if attempt > 0 {
@@ -292,8 +350,19 @@ impl LinkFabric {
         }
     }
 
+    /// `plan.decide(src, dst, seq, attempt, now)`, from the cached
+    /// dark-node set and hash prefixes.
+    #[inline]
+    fn decide(&self, src: NodeId, dst: NodeId, seq: u64, attempt: u32) -> LinkEvent {
+        if self.down.binary_search(&src).is_ok() || self.down.binary_search(&dst).is_ok() {
+            return LinkEvent::Dropped;
+        }
+        self.plan.roll(self.prefixes, src, dst, seq, attempt)
+    }
+
     /// The sequence number of the next message (how many messages the
     /// fabric has carried).
+    #[inline]
     pub fn next_seq(&self) -> u64 {
         self.seq
     }
@@ -478,7 +547,128 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
+    use crate::policy::DegradeMode;
+    use proptest::collection::vec;
     use proptest::prelude::*;
+
+    /// The fabric as a plain loop over [`FaultPlan::decide`]: no lossless
+    /// fast path, no cached constants, liveness looked up per attempt.
+    struct Reference {
+        plan: FaultPlan,
+        policy: RecoveryPolicy,
+        seq: u64,
+        now: SimTime,
+        stats: FaultStats,
+    }
+
+    impl Reference {
+        fn transmit_over(&mut self, src: NodeId, dst: NodeId, hops: u32) -> Delivery {
+            let seq = self.seq;
+            self.seq += 1;
+            let schedule = self.policy.retry_schedule();
+            for attempt in 0..self.policy.max_attempts() {
+                if attempt > 0 {
+                    self.stats.retries += 1;
+                    if let Some(delay) = schedule.and_then(|s| s.delay_for(attempt)) {
+                        self.now = self.now.saturating_add(delay);
+                    }
+                }
+                self.stats.sent += 1;
+                let event = self.plan.decide(src, dst, seq, attempt, self.now);
+                if event == LinkEvent::Dropped {
+                    self.stats.drops += 1;
+                    continue;
+                }
+                let corrupted = event == LinkEvent::Corrupted;
+                self.stats.delivered += 1;
+                self.stats.corrupted += u64::from(corrupted);
+                if attempt > 0 {
+                    self.stats.recovered += 1;
+                    self.stats.recovery_latency_hops += u64::from(attempt) * u64::from(hops);
+                }
+                return Delivery::Delivered {
+                    corrupted,
+                    attempts: attempt + 1,
+                };
+            }
+            self.stats.failed += 1;
+            Delivery::Failed {
+                attempts: self.policy.max_attempts(),
+            }
+        }
+    }
+
+    /// Node ids the streams use; the last stands for an id outside any
+    /// topology.
+    fn node(i: u32) -> NodeId {
+        NodeId::new(if i == 7 { 99 } else { i })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The fabric's cached constants and dark-node set decide every
+        /// attempt exactly as `FaultPlan::decide` does, with outage edges
+        /// falling inside retry backoffs and clock advances interleaved
+        /// with messages, under every policy.
+        #[test]
+        fn cached_fabric_equals_decide_reference(
+            rates in (0u64..10_000, 0.0f64..0.6, 0.0f64..0.3),
+            links in vec((0u32..8, 0u32..8, 0.0f64..1.0), 0..4),
+            outages in vec((0u32..8, 0u64..3_000, 1u64..800), 0..6),
+            policy in (0usize..4, 0u32..5, 1u64..200, 1.0f64..3.0),
+            ops in vec((0u32..10, 0u32..8, 0u32..8, 0u64..300), 1..200),
+        ) {
+            let (seed, drop, corrupt) = rates;
+            let mut plan = FaultPlan::uniform(seed, drop)
+                .unwrap()
+                .with_corruption(corrupt)
+                .unwrap();
+            for &(src, dst, p) in &links {
+                plan = plan.with_link_drop(node(src), node(dst), p).unwrap();
+            }
+            for &(n, from, len) in &outages {
+                let (from, until) = (SimTime::from_millis(from), SimTime::from_millis(from + len));
+                plan = plan.with_outage(node(n), from, until).unwrap();
+            }
+            let (kind, max_retries, timeout_ms, backoff) = policy;
+            let policy = match kind {
+                0 => RecoveryPolicy::FailFast,
+                1 => RecoveryPolicy::Retransmit {
+                    max_retries,
+                    timeout: SimDuration::from_millis(timeout_ms),
+                    backoff,
+                },
+                2 => RecoveryPolicy::Degrade { mode: DegradeMode::ZeroFill },
+                _ => RecoveryPolicy::Degrade { mode: DegradeMode::LastValueHold },
+            };
+            let mut fabric = LinkFabric::new(plan.clone(), policy);
+            let mut reference = Reference {
+                plan: plan.clone(),
+                policy,
+                seq: 0,
+                now: SimTime::ZERO,
+                stats: FaultStats::default(),
+            };
+            for &(op, src, dst, arg) in &ops {
+                if op < 2 {
+                    let d = SimDuration::from_millis(arg);
+                    fabric.advance(d);
+                    reference.now = reference.now.saturating_add(d);
+                } else {
+                    let hops = 1 + (arg % 4) as u32;
+                    prop_assert_eq!(
+                        fabric.transmit_over(node(src), node(dst), hops),
+                        reference.transmit_over(node(src), node(dst), hops)
+                    );
+                }
+                prop_assert_eq!(fabric.now(), reference.now);
+                prop_assert_eq!(fabric.down_set(), plan.down_set_at(fabric.now()).as_slice());
+            }
+            prop_assert_eq!(fabric.stats(), &reference.stats);
+            prop_assert_eq!(fabric.next_seq(), reference.seq);
+        }
+    }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]

@@ -38,10 +38,11 @@ fn splitmix64(x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Hashes the message coordinates into a uniform `[0, 1)` draw.
-fn unit_draw(seed: u64, salt: u64, src: u32, dst: u32, seq: u64, attempt: u32) -> f64 {
-    let mut h = splitmix64(seed ^ salt);
-    h = splitmix64(h ^ ((u64::from(src) << 32) | u64::from(dst)));
+/// Hashes the message coordinates into a uniform `[0, 1)` draw, starting
+/// from `prefix = splitmix64(seed ^ salt)`.
+#[inline]
+fn unit_draw(prefix: u64, src: u32, dst: u32, seq: u64, attempt: u32) -> f64 {
+    let mut h = splitmix64(prefix ^ ((u64::from(src) << 32) | u64::from(dst)));
     h = splitmix64(h ^ seq);
     h = splitmix64(h ^ u64::from(attempt));
     // 53 high bits → uniform double in [0, 1).
@@ -50,6 +51,14 @@ fn unit_draw(seed: u64, salt: u64, src: u32, dst: u32, seq: u64, attempt: u32) -
 
 const DROP_SALT: u64 = 0xD0_0D;
 const CORRUPT_SALT: u64 = 0xC0_44;
+
+/// The hash prefixes `splitmix64(seed ^ salt)` that every drop and
+/// corruption draw of one plan starts from.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct DrawPrefixes {
+    drop: u64,
+    corrupt: u64,
+}
 
 /// A deterministic description of link losses, node outages and payload
 /// corruption. See the module docs for the determinism contract.
@@ -211,6 +220,7 @@ impl FaultPlan {
     }
 
     /// Drop probability of the directed link `src → dst`.
+    #[inline]
     pub fn drop_prob(&self, src: NodeId, dst: NodeId) -> f64 {
         self.link_drop
             .get(&(src.raw(), dst.raw()))
@@ -218,22 +228,13 @@ impl FaultPlan {
             .unwrap_or(self.default_drop)
     }
 
-    /// Whether `node` is inside an outage window at `t`.
+    /// Whether `node` is inside an outage window at `t`. A point query:
+    /// it consumes no per-message fault coordinates, so a controller can
+    /// poll it between passes without changing any message's fate.
     pub fn is_down(&self, node: NodeId, t: SimTime) -> bool {
         self.outages
             .get(&node.raw())
             .is_some_and(|windows| windows.iter().any(|&(from, until)| t >= from && t < until))
-    }
-
-    /// Point-query liveness for a controller: whether `node` is inside
-    /// an outage window at `t`.
-    ///
-    /// Unlike [`FaultPlan::decide`], this consumes no per-message fault
-    /// coordinates — a re-placement controller can poll it between
-    /// passes without perturbing any message's fate (decisions stay
-    /// pure functions of `(seed, src, dst, seq, attempt, now)`).
-    pub fn node_down_at(&self, node: NodeId, t: SimTime) -> bool {
-        self.is_down(node, t)
     }
 
     /// The scheduled outage windows of `node`, half-open `[from, until)`
@@ -247,11 +248,33 @@ impl FaultPlan {
     /// to detect an epoch of change. Deterministic: the outage map is a
     /// `BTreeMap`, so iteration order is the key order.
     pub fn down_set_at(&self, t: SimTime) -> Vec<NodeId> {
-        self.outages
-            .iter()
-            .filter(|(_, windows)| windows.iter().any(|&(from, until)| t >= from && t < until))
-            .map(|(&raw, _)| NodeId::new(raw))
-            .collect()
+        let mut down = Vec::new();
+        let _ = self.fill_down_set(t, &mut down);
+        down
+    }
+
+    /// [`FaultPlan::down_set_at`] written into `out`, reusing its
+    /// allocation. Returns the first instant after `t` at which a window
+    /// opens or closes — the set holds until then — or
+    /// [`SimTime::MAX`] when none does.
+    pub(crate) fn fill_down_set(&self, t: SimTime, out: &mut Vec<NodeId>) -> SimTime {
+        out.clear();
+        let mut next = SimTime::MAX;
+        for (&raw, windows) in &self.outages {
+            let mut down = false;
+            for &(from, until) in windows {
+                down |= t >= from && t < until;
+                for edge in [from, until] {
+                    if edge > t {
+                        next = next.min(edge);
+                    }
+                }
+            }
+            if down {
+                out.push(NodeId::new(raw));
+            }
+        }
+        next
     }
 
     /// Fraction of `[SimTime::ZERO, horizon)` the node spends dark.
@@ -303,12 +326,34 @@ impl FaultPlan {
         if self.is_down(src, now) || self.is_down(dst, now) {
             return LinkEvent::Dropped;
         }
+        self.roll(self.draw_prefixes(), src, dst, seq, attempt)
+    }
+
+    /// The prefixes [`FaultPlan::roll`] takes, fixed by the seed.
+    pub(crate) fn draw_prefixes(&self) -> DrawPrefixes {
+        DrawPrefixes {
+            drop: splitmix64(self.seed ^ DROP_SALT),
+            corrupt: splitmix64(self.seed ^ CORRUPT_SALT),
+        }
+    }
+
+    /// [`FaultPlan::decide`] for an attempt whose endpoints are both up:
+    /// the link-drop roll, then the corruption roll.
+    #[inline]
+    pub(crate) fn roll(
+        &self,
+        prefixes: DrawPrefixes,
+        src: NodeId,
+        dst: NodeId,
+        seq: u64,
+        attempt: u32,
+    ) -> LinkEvent {
         let p = self.drop_prob(src, dst);
-        if p > 0.0 && unit_draw(self.seed, DROP_SALT, src.raw(), dst.raw(), seq, attempt) < p {
+        if p > 0.0 && unit_draw(prefixes.drop, src.raw(), dst.raw(), seq, attempt) < p {
             return LinkEvent::Dropped;
         }
         if self.corrupt > 0.0
-            && unit_draw(self.seed, CORRUPT_SALT, src.raw(), dst.raw(), seq, attempt) < self.corrupt
+            && unit_draw(prefixes.corrupt, src.raw(), dst.raw(), seq, attempt) < self.corrupt
         {
             return LinkEvent::Corrupted;
         }
@@ -488,14 +533,14 @@ mod tests {
             .with_outage(n(7), SimTime::from_secs(12), SimTime::from_secs(14))
             .unwrap();
         // Half-open [from, until): down at from, up at until, up before.
-        assert!(!plan.node_down_at(n(3), SimTime::from_secs(9)));
-        assert!(plan.node_down_at(n(3), SimTime::from_secs(10)));
-        assert!(plan.node_down_at(n(3), SimTime::from_secs(19)));
-        assert!(!plan.node_down_at(n(3), SimTime::from_secs(20)));
-        assert!(plan.node_down_at(n(3), SimTime::from_secs(30)));
-        assert!(!plan.node_down_at(n(3), SimTime::from_secs(35)));
+        assert!(!plan.is_down(n(3), SimTime::from_secs(9)));
+        assert!(plan.is_down(n(3), SimTime::from_secs(10)));
+        assert!(plan.is_down(n(3), SimTime::from_secs(19)));
+        assert!(!plan.is_down(n(3), SimTime::from_secs(20)));
+        assert!(plan.is_down(n(3), SimTime::from_secs(30)));
+        assert!(!plan.is_down(n(3), SimTime::from_secs(35)));
         // Nodes without scheduled outages are always up.
-        assert!(!plan.node_down_at(n(0), SimTime::from_secs(12)));
+        assert!(!plan.is_down(n(0), SimTime::from_secs(12)));
 
         let windows: Vec<_> = plan.outage_windows(n(3)).collect();
         assert_eq!(
@@ -523,7 +568,7 @@ mod tests {
         let before: Vec<_> = (0..64)
             .map(|seq| lossy.decide(n(0), n(1), seq, 0, SimTime::ZERO))
             .collect();
-        let _ = lossy.node_down_at(n(0), SimTime::ZERO);
+        let _ = lossy.is_down(n(0), SimTime::ZERO);
         let _ = lossy.down_set_at(SimTime::ZERO);
         let after: Vec<_> = (0..64)
             .map(|seq| lossy.decide(n(0), n(1), seq, 0, SimTime::ZERO))

@@ -72,7 +72,9 @@ fn edge_key(stage: u64, producer: usize, consumer: usize) -> u64 {
 pub struct LossyRuntime {
     fabric: LinkFabric,
     routes: RoutingTable,
-    /// Last value delivered per edge, for `DegradeMode::LastValueHold`.
+    /// Last value delivered per edge. Only `DegradeMode::LastValueHold`
+    /// reads it, so only that policy writes it; under every other policy
+    /// it stays empty.
     last_seen: BTreeMap<u64, f32>,
     /// Simulated time one full inference pass occupies; advanced after
     /// every sample so brownout windows move across the run.
@@ -158,11 +160,14 @@ impl LossyRuntime {
             return Some(value);
         }
         let key = edge_key(stage, producer, consumer);
+        let mode = self.fabric.policy().degrade_mode();
         if let Some(got) = self.deliver(value, src, dst) {
-            self.last_seen.insert(key, got);
+            if mode == Some(DegradeMode::LastValueHold) {
+                self.last_seen.insert(key, got);
+            }
             return Some(got);
         }
-        let substitute = match self.fabric.policy().degrade_mode()? {
+        let substitute = match mode? {
             DegradeMode::ZeroFill => 0.0,
             DegradeMode::LastValueHold => self.last_seen.get(&key).copied().unwrap_or(0.0),
         };
@@ -182,7 +187,13 @@ impl LossyRuntime {
     /// One cross-node message: what arrives (corruption applied), or
     /// `None` once the fabric's recovery policy has given up on it.
     fn deliver(&mut self, value: f32, src: NodeId, dst: NodeId) -> Option<f32> {
-        let hops = self.hops(src, dst);
+        // Hops feed only `recovery_latency_hops`, which only a retry
+        // touches.
+        let hops = if self.fabric.max_attempts() > 1 {
+            self.hops(src, dst)
+        } else {
+            1
+        };
         match self.fabric.transmit_over(src, dst, hops) {
             Delivery::Delivered {
                 corrupted: true, ..

@@ -5,11 +5,21 @@
 //! runtime while the assignment stands still. This module closes the
 //! loop (paper §V; PAPERS.md "Musical Chair", "Dynamic Distribution of
 //! Edge Intelligence at the Node Level"): a [`ReplacementEngine`] polls
-//! node liveness through [`zeiot_fault::FaultPlan::down_set_at`] — a
-//! point query that consumes no per-message fault coordinates — and on
-//! each **epoch of change** (the down-set differs from the previous
-//! poll) runs a warm-started incremental local search from the
+//! node liveness from the fabric's dark-node set,
+//! [`zeiot_fault::LinkFabric::down_set`] — the plan's
+//! [`zeiot_fault::FaultPlan::down_set_at`] at the fabric's clock, kept
+//! current as the clock moves, so a poll consumes no per-message fault
+//! coordinates. Ids the topology does not have are ignored. On each
+//! **epoch of change** (the down-set differs from the previous poll) the
+//! engine runs a warm-started incremental local search from the
 //! *current* assignment under a bounded migration budget.
+//!
+//! **An epoch costs its orphans, not the graph.** [`plan_incremental`]
+//! scores only units on dark hosts. It finds an orphan's consumers in
+//! the next layer's dependency lists, counts the orphan's producer and
+//! consumer hosts once, and scores each candidate node as
+//! Σ edges × hops over those hosts. No whole-graph consumer table is
+//! built.
 //!
 //! **State handoff is radio traffic.** A migrated conv unit needs its
 //! kernel replica on the destination node; dense units need their
@@ -35,7 +45,7 @@
 //! proptest below), and reports are byte-identical across thread
 //! counts.
 
-use crate::assignment::{hop_cost, improve, producer_consumers, Assignment};
+use crate::assignment::{improve, Assignment};
 use crate::distributed::{ConvReplica, DistributedCnn};
 use crate::lossy::{HopProbe, LossyRuntime};
 use zeiot_core::id::NodeId;
@@ -193,7 +203,8 @@ impl ReplaceStats {
 ///
 /// Returns the repaired assignment and the plan. Pure: no fabric, no
 /// model state — [`ReplacementEngine::poll`] turns the plan into
-/// migrations with real state handoff.
+/// migrations with real state handoff. Ids in `down` that `topo` does
+/// not have are ignored.
 ///
 /// # Panics
 ///
@@ -213,7 +224,6 @@ pub fn plan_incremental(
     let degraded = topo.without_nodes(down);
     let routes = RoutingTable::shortest_paths(&degraded);
     let cap = graph.total_units().div_ceil(surviving.len());
-    let consumers = producer_consumers(graph);
 
     let mut repaired = assignment.clone();
     let mut load = vec![0usize; topo.len()];
@@ -230,6 +240,7 @@ pub fn plan_incremental(
     let mut migrations = Vec::new();
     let mut stranded = 0usize;
     let mut budget_exhausted = false;
+    let mut edges = EdgeHosts::new(topo.len());
     for l in (1..graph.layer_count()).rev() {
         for u in 0..graph.units_in_layer(l) {
             let host = assignment.host_of(l, u);
@@ -244,15 +255,11 @@ pub fn plan_incremental(
             // Total hop distance to producers (and consumers, for units
             // feeding a next layer) — the balanced_correspondence cost,
             // evaluated against the progressively repaired assignment.
+            edges.count(graph, &repaired, (l, u));
             let candidate = surviving
                 .iter()
                 .filter(|n| load[n.index()] < cap)
-                .min_by_key(|n| {
-                    (
-                        hop_cost(graph, &routes, &consumers, &repaired, (l, u), **n),
-                        n.raw(),
-                    )
-                })
+                .min_by_key(|n| (edges.cost(&routes, **n), n.raw()))
                 .copied();
             match candidate {
                 Some(to) => {
@@ -283,6 +290,76 @@ pub fn plan_incremental(
             budget_exhausted,
         },
     )
+}
+
+/// One unit's edges grouped by the node at their far end: how many of
+/// the unit's producers and consumers each node hosts. A candidate host
+/// then costs one route lookup per distinct node instead of one per
+/// edge.
+struct EdgeHosts {
+    /// Edges per node while counting; all zero between units.
+    tally: Vec<usize>,
+    /// `(host, edges)` of the unit's producers, in node order.
+    producers: Vec<(NodeId, usize)>,
+    /// `(host, edges)` of the unit's consumers, in node order.
+    consumers: Vec<(NodeId, usize)>,
+}
+
+impl EdgeHosts {
+    fn new(nodes: usize) -> Self {
+        Self {
+            tally: vec![0; nodes],
+            producers: Vec::new(),
+            consumers: Vec::new(),
+        }
+    }
+
+    /// Groups the edges of unit `u` of layer `l` under `asg`: producers
+    /// from the unit's dependency list, consumers from the next layer's
+    /// (a dependency listed twice is two edges).
+    fn count(&mut self, graph: &UnitGraph, asg: &Assignment, (l, u): (usize, usize)) {
+        for &d in graph.dependencies(l, u) {
+            // zeiot-audit: allow(p1) -- hosts come from an assignment over this topology, so index() < tally.len()
+            self.tally[asg.host_of(l - 1, d).index()] += 1;
+        }
+        drain_tally(&mut self.tally, &mut self.producers);
+        if l + 1 < graph.layer_count() {
+            for k in 0..graph.units_in_layer(l + 1) {
+                let reads = graph
+                    .dependencies(l + 1, k)
+                    .iter()
+                    .filter(|&&d| d == u)
+                    .count();
+                if reads > 0 {
+                    self.tally[asg.host_of(l + 1, k).index()] += reads;
+                }
+            }
+        }
+        drain_tally(&mut self.tally, &mut self.consumers);
+    }
+
+    /// Total hop distance from the counted unit, placed on `at`, to its
+    /// producers and consumers; an unreachable pair costs 1 000 hops.
+    fn cost(&self, routes: &RoutingTable, at: NodeId) -> usize {
+        let hops = |a, b| routes.hop_distance(a, b).unwrap_or(1_000);
+        let up: usize = self.producers.iter().map(|&(h, n)| n * hops(h, at)).sum();
+        up + self
+            .consumers
+            .iter()
+            .map(|&(h, n)| n * hops(at, h))
+            .sum::<usize>()
+    }
+}
+
+/// Moves the non-zero entries of `tally` into `out` as `(node, count)`
+/// and zeroes them.
+fn drain_tally(tally: &mut [usize], out: &mut Vec<(NodeId, usize)>) {
+    out.clear();
+    for (i, count) in tally.iter_mut().enumerate() {
+        if *count > 0 {
+            out.push((NodeId::new(i as u32), std::mem::take(count)));
+        }
+    }
 }
 
 /// Plans a full re-solve over the survivors: orphans are re-homed as in
@@ -515,7 +592,13 @@ impl ReplacementEngine {
         rt: &mut LossyRuntime,
         mut scope: Option<&mut SpanScope<'_>>,
     ) -> usize {
-        let down = rt.fabric().plan().down_set_at(rt.fabric().now());
+        let down: Vec<NodeId> = rt
+            .fabric()
+            .down_set()
+            .iter()
+            .copied()
+            .filter(|n| n.index() < self.topo.len())
+            .collect();
         if down == self.last_down && !self.pending {
             return 0;
         }
@@ -776,6 +859,60 @@ mod tests {
         assert_eq!(engine.stats().epochs, 2);
     }
 
+    /// A model on a 2×2 grid and a lossless fabric whose only faults are
+    /// whole-run outages of `down`.
+    fn two_by_two_with_outages(down: &[u32]) -> (DistributedCnn, LossyRuntime, Topology) {
+        let config = CnnConfig::new(1, 8, 8, 2, 3, 2, 8, 2).expect("valid config");
+        let topo = Topology::grid(2, 2, 2.0, 3.0).expect("valid grid");
+        let graph = config.unit_graph().expect("valid graph");
+        let assignment = Assignment::balanced_correspondence(&graph, &topo);
+        let mut rng = SeedRng::new(11);
+        let net = DistributedCnn::new(config, assignment, WeightUpdate::Independent, &mut rng);
+        let mut plan = FaultPlan::lossless();
+        for &raw in down {
+            plan = plan
+                .with_outage(NodeId::new(raw), SimTime::ZERO, SimTime::from_secs(100))
+                .expect("valid window");
+        }
+        let policy = RecoveryPolicy::Degrade {
+            mode: DegradeMode::ZeroFill,
+        };
+        let rt = runtime(plan, policy, &topo);
+        (net, rt, topo)
+    }
+
+    #[test]
+    fn outages_on_ids_outside_the_topology_are_ignored() {
+        let (mut net, mut rt, topo) = two_by_two_with_outages(&[1, 99]);
+        let mut engine = ReplacementEngine::new(ReplaceConfig::incremental(usize::MAX), &topo);
+        assert!(engine.poll(&mut net, &mut rt, None) > 0);
+        assert_eq!(engine.stats().stranded, 0);
+        assert_eq!(net.validate(), Ok(()));
+        let graph = net.config().unit_graph().expect("valid graph");
+        for l in 1..graph.layer_count() {
+            for u in 0..graph.units_in_layer(l) {
+                assert_ne!(net.assignment().host_of(l, u), NodeId::new(1));
+            }
+        }
+    }
+
+    #[test]
+    fn an_off_topology_outage_does_not_hide_the_last_survivor() {
+        // Nodes 0–2 and the unknown node 99 are dark: node 3 survives
+        // and takes every unit.
+        let (mut net, mut rt, topo) = two_by_two_with_outages(&[0, 1, 2, 99]);
+        let mut engine = ReplacementEngine::new(ReplaceConfig::incremental(usize::MAX), &topo);
+        assert!(engine.poll(&mut net, &mut rt, None) > 0);
+        assert_eq!(engine.stats().stranded, 0);
+        assert_eq!(net.validate(), Ok(()));
+        let graph = net.config().unit_graph().expect("valid graph");
+        for l in 1..graph.layer_count() {
+            for u in 0..graph.units_in_layer(l) {
+                assert_eq!(net.assignment().host_of(l, u), NodeId::new(3));
+            }
+        }
+    }
+
     #[test]
     fn failed_handoffs_strand_units_under_fail_fast() {
         let (config, topo, assignment) = setup();
@@ -938,7 +1075,131 @@ mod tests {
 
     mod proptests {
         use super::*;
+        use crate::assignment::{hop_cost, producer_consumers};
         use proptest::prelude::*;
+
+        /// The planner as it scored orphans before [`EdgeHosts`]: every
+        /// candidate walks all of the orphan's producers and consumers
+        /// through [`hop_cost`] over a whole-graph [`producer_consumers`]
+        /// table. Kept as the reference `plan_incremental` must equal.
+        fn plan_incremental_reference(
+            graph: &UnitGraph,
+            topo: &Topology,
+            assignment: &Assignment,
+            down: &[NodeId],
+            budget: usize,
+        ) -> (Assignment, ReplanOutcome) {
+            let surviving: Vec<NodeId> = topo.node_ids().filter(|n| !down.contains(n)).collect();
+            assert!(!surviving.is_empty(), "all nodes down");
+            let degraded = topo.without_nodes(down);
+            let routes = RoutingTable::shortest_paths(&degraded);
+            let cap = graph.total_units().div_ceil(surviving.len());
+            let consumers = producer_consumers(graph);
+
+            let mut repaired = assignment.clone();
+            let mut load = vec![0usize; topo.len()];
+            for l in 1..graph.layer_count() {
+                for u in 0..graph.units_in_layer(l) {
+                    let h = assignment.host_of(l, u);
+                    if !down.contains(&h) {
+                        load[h.index()] += 1;
+                    }
+                }
+            }
+            let mut migrations = Vec::new();
+            let mut stranded = 0usize;
+            let mut budget_exhausted = false;
+            for l in (1..graph.layer_count()).rev() {
+                for u in 0..graph.units_in_layer(l) {
+                    let host = assignment.host_of(l, u);
+                    if !down.contains(&host) {
+                        continue;
+                    }
+                    if migrations.len() >= budget {
+                        budget_exhausted = true;
+                        stranded += 1;
+                        continue;
+                    }
+                    let candidate = surviving
+                        .iter()
+                        .filter(|n| load[n.index()] < cap)
+                        .min_by_key(|n| {
+                            (
+                                hop_cost(graph, &routes, &consumers, &repaired, (l, u), **n),
+                                n.raw(),
+                            )
+                        })
+                        .copied();
+                    match candidate {
+                        Some(to) => {
+                            repaired.set_host(l, u, to);
+                            load[to.index()] += 1;
+                            migrations.push(Migration {
+                                layer: l,
+                                unit: u,
+                                from: host,
+                                to,
+                            });
+                        }
+                        None => stranded += 1,
+                    }
+                }
+            }
+            let lost_inputs = (0..graph.units_in_layer(0))
+                .filter(|&i| down.contains(&assignment.host_of(0, i)))
+                .count();
+            (
+                repaired,
+                ReplanOutcome {
+                    migrations,
+                    stranded,
+                    lost_inputs,
+                    budget_exhausted,
+                },
+            )
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            /// Scoring an orphan by its counted producer and consumer
+            /// hosts plans exactly what per-edge scoring over the
+            /// whole-graph consumer table planned: random small configs
+            /// and grids, balanced and centralized placements, 0 to n−1
+            /// dark nodes, budgets 0, 1, 8 and unbounded.
+            #[test]
+            fn plan_incremental_equals_per_edge_scoring(
+                shape in (1usize..3, 1usize..4, 1usize..4, 1usize..3),
+                pooled in (1usize..4, 1usize..4, 1usize..9, 2usize..4),
+                grid in (1usize..5, 1usize..5),
+                centralized in proptest::bool::ANY,
+                down_seed in 0u64..u64::MAX,
+                down_count in 0usize..16,
+                budget_idx in 0usize..4,
+            ) {
+                let ((ic, oc, k, pool), (ph, pw, hidden, classes)) = (shape, pooled);
+                // The input is sized so the pool window divides the conv
+                // output.
+                let config =
+                    CnnConfig::new(ic, pool * ph + k - 1, pool * pw + k - 1, oc, k, pool, hidden, classes)
+                        .expect("valid config");
+                let graph = config.unit_graph().expect("valid graph");
+                let topo = Topology::grid(grid.0, grid.1, 2.0, 3.0).expect("valid grid");
+                let assignment = if centralized {
+                    Assignment::centralized(&graph, &topo)
+                } else {
+                    Assignment::balanced_correspondence(&graph, &topo)
+                };
+                let mut nodes: Vec<NodeId> = topo.node_ids().collect();
+                SeedRng::new(down_seed).shuffle(&mut nodes);
+                let down = &nodes[..down_count % topo.len()];
+                let budget = [0, 1, 8, usize::MAX][budget_idx];
+                prop_assert_eq!(
+                    plan_incremental(&graph, &topo, &assignment, down, budget),
+                    plan_incremental_reference(&graph, &topo, &assignment, down, budget)
+                );
+            }
+        }
 
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(16))]

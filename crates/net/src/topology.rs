@@ -250,14 +250,16 @@ impl Topology {
     /// Removes nodes (marks them failed) and returns the induced
     /// sub-topology with the same ids but no edges to failed nodes.
     /// Used by resilience experiments (paper §V: "a part of tiny IoT
-    /// devices may be broken").
+    /// devices may be broken"). Ids the topology does not have are
+    /// ignored.
     pub fn without_nodes(&self, failed: &[NodeId]) -> Self {
         let mut adjacency = self.adjacency.clone();
         for f in failed {
-            adjacency[f.index()].clear();
+            if let Some(nbrs) = adjacency.get_mut(f.index()) {
+                nbrs.clear();
+            }
         }
-        for (i, nbrs) in adjacency.iter_mut().enumerate() {
-            let _ = i;
+        for nbrs in &mut adjacency {
             nbrs.retain(|n| !failed.contains(n));
         }
         Self {
@@ -345,6 +347,9 @@ mod tests {
         assert!(!cut.is_connected());
         // Original untouched.
         assert!(t.connected(NodeId::new(0), NodeId::new(1)));
+        // An id the topology does not have changes nothing.
+        assert_eq!(t.without_nodes(&[NodeId::new(1), NodeId::new(99)]), cut);
+        assert_eq!(t.without_nodes(&[NodeId::new(99)]), t);
     }
 
     #[test]

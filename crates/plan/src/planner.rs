@@ -148,7 +148,8 @@ impl Planner {
     /// liveness instead of an explicit casualty list: the down-set is
     /// read from `fault`'s outage windows at instant `t`, so a
     /// re-placement controller can re-plan collection at each epoch of
-    /// change without consuming per-message fault decisions.
+    /// change without consuming per-message fault decisions. Outages on
+    /// ids the topology does not have are ignored.
     ///
     /// # Errors
     ///
@@ -321,6 +322,25 @@ mod tests {
         assert!(p
             .replan_at(&req(1_000, 1), &sink_down, SimTime::ZERO)
             .is_err());
+    }
+
+    #[test]
+    fn outages_on_ids_outside_the_topology_are_ignored() {
+        use zeiot_core::time::SimTime;
+
+        let topo = Topology::grid(3, 3, 2.0, 3.0).unwrap();
+        let p = Planner::new(&topo, NodeId::new(0)).unwrap();
+        let plan = FaultPlan::lossless()
+            .with_outage(NodeId::new(4), SimTime::ZERO, SimTime::from_secs(5))
+            .unwrap()
+            .with_outage(NodeId::new(99), SimTime::ZERO, SimTime::from_secs(5))
+            .unwrap();
+        let live = p.replan_at(&req(1_000, 1), &plan, SimTime::ZERO).unwrap();
+        let explicit = p
+            .replan_after_failures(&req(1_000, 1), &[NodeId::new(4)])
+            .unwrap();
+        assert_eq!(explicit.schedule, live.schedule);
+        assert_eq!(explicit.uncovered, live.uncovered);
     }
 
     #[test]
