@@ -24,7 +24,7 @@
 
 use crate::assignment::Assignment;
 use crate::config::CnnConfig;
-use crate::exec::{self, Domain, Perfect, Transport, Weights};
+use crate::exec::{self, Domain, Perfect, Transport};
 use serde::{de_field, Deserialize, Serialize, Value};
 use std::borrow::Cow;
 use std::collections::BTreeMap;
@@ -291,9 +291,7 @@ impl DistributedCnn {
     /// present exactly in `PerUnit` mode, and gradient tables match
     /// their parameters.
     pub(crate) fn validate(&self) -> Result<(), String> {
-        let (c, at, hosts) = (&self.config, &self.assignment, &self.conv_unit_host);
-        let dense = [&self.dense1, &self.dense2];
-        check_layout(c, at, hosts, &self.replicas, self.per_unit.as_ref(), dense)?;
+        check_layout(&self.parts())?;
         if (self.update == WeightUpdate::PerUnit) != self.per_unit.is_some() {
             return Err(format!(
                 "per-unit kernels present: {}, update mode: {:?}",
@@ -552,6 +550,8 @@ impl Domain for DistributedCnn {
     type W = f32;
     type A = f32;
     type Acc = f32;
+    type Replica = ConvReplica;
+    type Table = Params;
     const HOPS: [&'static str; 4] = ["hop.conv", "hop.pool", "hop.hidden", "hop.logit"];
     const FLOOR: f32 = f32::NEG_INFINITY;
 
@@ -563,12 +563,15 @@ impl Domain for DistributedCnn {
         v
     }
 
-    fn config(&self) -> &CnnConfig {
-        &self.config
-    }
-
-    fn assignment(&self) -> &Assignment {
-        &self.assignment
+    fn parts(&self) -> Parts<'_, ConvReplica, Params> {
+        Parts {
+            config: &self.config,
+            assignment: &self.assignment,
+            conv_unit_host: &self.conv_unit_host,
+            replicas: &self.replicas,
+            per_unit: self.per_unit.as_ref(),
+            dense: [&self.dense1, &self.dense2],
+        }
     }
 
     fn admit<'a>(&mut self, input: &'a Tensor) -> Cow<'a, [f32]> {
@@ -576,21 +579,8 @@ impl Domain for DistributedCnn {
         Cow::Borrowed(input.data())
     }
 
-    #[inline]
-    fn conv_kernel(&self, unit: usize, channel: usize) -> (&[f32], f32) {
-        let kernel_len = self.config.in_channels() * self.config.kernel() * self.config.kernel();
-        let (weights, bias, slot) = match &self.per_unit {
-            Some(pk) => (&pk.weights, &pk.bias, unit),
-            None => {
-                // zeiot-audit: allow(p1) -- validated models keep a replica on every conv host, and unit/channel slots lie inside the validated kernel tables
-                let rep = &self.replicas[&self.conv_unit_host[unit]];
-                (&rep.weights, &rep.bias, channel)
-            }
-        };
-        (
-            &weights.data()[slot * kernel_len..(slot + 1) * kernel_len],
-            bias.data()[slot],
-        )
+    fn zero() -> f32 {
+        std::iter::empty::<f32>().sum()
     }
 
     fn mac(acc: f32, w: f32, x: f32) -> f32 {
@@ -613,22 +603,21 @@ impl Domain for DistributedCnn {
         self.pool_argmax = argmax;
     }
 
-    fn dense(&self) -> [Weights<'_, f32, f32>; 2] {
-        [&self.dense1, &self.dense2].map(|d| (d.weights.data(), d.bias.data()))
-    }
-
-    fn dot(bias: f32, row: &[f32], x: &[f32]) -> f32 {
-        bias + row.iter().zip(x).map(|(w, v)| w * v).sum::<f32>()
-    }
-
     fn finish(&mut self, input: &Tensor, logits: Vec<f32>) -> Tensor {
         self.last_input = Some(input.clone());
         exec::logits_tensor(logits)
     }
 }
 
-/// A weights-and-biases table as [`check_layout`] sees it.
+/// A weights-and-biases table: its flat row-major contents, and its
+/// shape as [`check_layout`] sees it.
 pub(crate) trait Layout {
+    type W: Copy;
+    type B: Copy;
+
+    fn weights(&self) -> &[Self::W];
+    fn bias(&self) -> &[Self::B];
+
     /// Whether the weights have shape `weights` and the biases `bias`
     /// (flat integer tables compare element counts), gradient
     /// accumulators included.
@@ -641,7 +630,25 @@ pub(crate) trait Layout {
     }
 }
 
+/// Whether weights, gradient weights, biases and gradient biases have
+/// shapes `weights`, `weights`, `bias` and `bias`.
+fn tensors_fit(tensors: [&Tensor; 4], weights: &[usize], bias: &[usize]) -> bool {
+    let shapes = [weights, weights, bias, bias];
+    tensors.iter().zip(shapes).all(|(t, s)| t.shape() == s)
+}
+
 impl Layout for Params {
+    type W = f32;
+    type B = f32;
+
+    fn weights(&self) -> &[f32] {
+        self.weights.data()
+    }
+
+    fn bias(&self) -> &[f32] {
+        self.bias.data()
+    }
+
     fn fits(&self, weights: &[usize], bias: &[usize]) -> bool {
         let tensors = [
             &self.weights,
@@ -649,14 +656,22 @@ impl Layout for Params {
             &self.bias,
             &self.grad_bias,
         ];
-        tensors
-            .iter()
-            .zip([weights, weights, bias, bias])
-            .all(|(t, s)| t.shape() == s)
+        tensors_fit(tensors, weights, bias)
     }
 }
 
 impl Layout for ConvReplica {
+    type W = f32;
+    type B = f32;
+
+    fn weights(&self) -> &[f32] {
+        self.weights.data()
+    }
+
+    fn bias(&self) -> &[f32] {
+        self.bias.data()
+    }
+
     fn fits(&self, weights: &[usize], bias: &[usize]) -> bool {
         let tensors = [
             &self.weights,
@@ -664,15 +679,27 @@ impl Layout for ConvReplica {
             &self.bias,
             &self.grad_bias,
         ];
-        tensors
-            .iter()
-            .zip([weights, weights, bias, bias])
-            .all(|(t, s)| t.shape() == s)
+        tensors_fit(tensors, weights, bias)
     }
 
     fn units(&self) -> Option<usize> {
         Some(self.units)
     }
+}
+
+/// A model's placement and parameter tables, borrowed: what
+/// [`check_layout`] validates and the execution kernel reads.
+pub(crate) struct Parts<'a, R, P> {
+    pub(crate) config: &'a CnnConfig,
+    pub(crate) assignment: &'a Assignment,
+    /// Host node of each conv output unit.
+    pub(crate) conv_unit_host: &'a [NodeId],
+    /// One conv kernel replica per hosting node.
+    pub(crate) replicas: &'a BTreeMap<NodeId, R>,
+    /// Every conv unit's own kernel, in `PerUnit` mode.
+    pub(crate) per_unit: Option<&'a P>,
+    /// Dense layers 1 and 2.
+    pub(crate) dense: [&'a P; 2],
 }
 
 /// Checks a model against its config's unit graph: the assignment has
@@ -681,14 +708,15 @@ impl Layout for ConvReplica {
 /// shape the config dictates: the conv replicas, the optional per-unit
 /// kernels, and dense layers 1 and 2. A persisted model that fails here
 /// would otherwise panic deep inside a forward pass.
-pub(crate) fn check_layout<R: Layout, P: Layout>(
-    c: &CnnConfig,
-    assignment: &Assignment,
-    conv_unit_host: &[NodeId],
-    replicas: &BTreeMap<NodeId, R>,
-    per_unit: Option<&P>,
-    dense: [&P; 2],
-) -> Result<(), String> {
+pub(crate) fn check_layout<R: Layout, P: Layout>(parts: &Parts<'_, R, P>) -> Result<(), String> {
+    let Parts {
+        config: c,
+        assignment,
+        conv_unit_host,
+        replicas,
+        per_unit,
+        dense: [dense1, dense2],
+    } = *parts;
     // Units per layer come off the layer specs, not an expanded unit
     // graph: this runs inside `Deserialize`, while the parsed JSON tree
     // is still alive, so it must not allocate the graph's edges too.
@@ -736,6 +764,13 @@ pub(crate) fn check_layout<R: Layout, P: Layout>(
                 assignment.host_of(1, u)
             ));
         }
+        // The execution kernel looks replicas up by node index.
+        if host.index() >= assignment.node_count() {
+            return Err(format!(
+                "conv unit {u} hosted on {host:?}, outside the assignment's {} nodes",
+                assignment.node_count()
+            ));
+        }
         *hosted.entry(host).or_default() += 1;
     }
     if !replicas.keys().eq(hosted.keys()) {
@@ -760,7 +795,6 @@ pub(crate) fn check_layout<R: Layout, P: Layout>(
     if per_unit.is_some_and(|pk| !pk.fits(&[conv_units, ic, k, k], &[conv_units])) {
         return Err("per-unit kernel table has wrong shape".to_string());
     }
-    let [dense1, dense2] = dense;
     if !dense1.fits(&[c.hidden(), c.feature_len()], &[c.hidden()]) {
         return Err("dense1 parameters have wrong shape".to_string());
     }
@@ -929,6 +963,11 @@ mod tests {
 
         // A replica weight tensor reshaped away from [oc, ic, k, k].
         rejects(tamper("\"shape\":[2,1,3,3]", "\"shape\":[2,1,9]"));
+
+        // A mesh that shrank under the placement: conv units hosted on
+        // nodes the assignment no longer has.
+        let err = rejects(tamper("\"node_count\":9", "\"node_count\":1"));
+        assert!(err.contains("outside"), "unexpected error: {err}");
     }
 
     #[test]

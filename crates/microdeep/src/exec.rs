@@ -2,65 +2,174 @@
 //! nest for every execution mode.
 //!
 //! MicroDeep runs one CNN in place on the mesh (paper §IV.C). The
-//! plain, lossy, integer and traced passes differ only in how a value
-//! crosses from a producer unit's node to a consumer unit's node — the
-//! [`Transport`]: [`Perfect`], where every fetch is the identity and
-//! nothing is copied, or [`Lossy`], which carries each cross-node edge
-//! over a [`LossyRuntime`] and, when traced, spans each consumer unit's
+//! plain, lossy, integer and traced passes differ only in how values
+//! cross from producer units' nodes to a consumer unit's node — the
+//! [`Transport`]: [`Perfect`], which reads the producer layer in place,
+//! or [`Lossy`], which carries each cross-node edge over a
+//! [`LossyRuntime`] and, when traced, spans each consumer unit's
 //! fetches — and in the number [`Domain`] the units compute in: f32 over
 //! [`crate::DistributedCnn`], or i8 with exact i32 accumulation over
 //! [`crate::QuantizedCnn`]. "Lossless equals plain" therefore holds by
 //! construction: a lossless fabric hands every value back unchanged,
-//! and the arithmetic around each fetch is the same code.
+//! and the arithmetic around each delivery is the same code.
+//!
+//! **Blocks.** Every forward stage runs in blocks of up to [`LANES`]
+//! neighbouring consumer units — conv units of one output row, pool
+//! units of one pooled row, dense units — computed together, one lane
+//! per unit, so the lanes' dependency chains overlap instead of running
+//! one after another. Each lane keeps its unit's own order: a conv lane
+//! starts from the bias and adds the kernel terms in `(in channel, ky,
+//! kx)` order; a dense lane starts from the identity `Iterator::sum`
+//! folds from, adds the inputs in order and adds the bias last; a pool
+//! lane keeps the first strict maximum. Lanes reassociate nothing
+//! within a unit, so f32 results are bit-identical to computing one
+//! unit at a time (the `reference` tests hold the nest to that). A
+//! transport only decides where a block's inputs come from.
 
 use crate::assignment::Assignment;
 use crate::config::CnnConfig;
-use crate::distributed::{DistributedCnn, Params};
+use crate::distributed::{DistributedCnn, Layout, Params, Parts};
 use crate::lossy::{
     HopProbe, LossyRuntime, STAGE_CONV_POOL, STAGE_HIDDEN_LOGIT, STAGE_INPUT_CONV,
     STAGE_POOL_HIDDEN,
 };
 use std::borrow::Cow;
+use std::ops::Add;
+use zeiot_core::id::NodeId;
 use zeiot_nn::tensor::Tensor;
 use zeiot_obs::trace::SpanScope;
+
+/// Consumer units one block computes together.
+const LANES: usize = 8;
 
 /// `(stage, producer, consumer)`: edge stage `s` (a `STAGE_*` constant)
 /// links unit `producer` of unit-graph layer `s` to unit `consumer` of
 /// layer `s + 1`.
 pub(crate) type Edge = (u64, usize, usize);
 
-/// A row-major weight matrix and its biases.
-pub(crate) type Weights<'a, W, Acc> = (&'a [W], &'a [Acc]);
+/// `lanes` neighbouring consumer units `first..first + lanes` of edge
+/// stage `stage`: lane `j`'s term `t` reads producer `base + terms[t] +
+/// j · stride`.
+#[derive(Clone, Copy)]
+pub(crate) struct Block<'a> {
+    stage: u64,
+    first: usize,
+    lanes: usize,
+    base: usize,
+    terms: &'a [usize],
+    stride: usize,
+    /// The hop-span name of each unit's fetches.
+    hop: &'static str,
+}
+
+impl Block<'_> {
+    fn producer(&self, term: usize, lane: usize) -> usize {
+        self.base + term + lane * self.stride
+    }
+}
+
+/// A delivered block: lane `j`'s term `t` is `src[base + terms[t] + o_j]`,
+/// where the lane offsets `o_j` follow [`Lanes`].
+pub(crate) struct Inputs<'v, A> {
+    src: &'v [A],
+    base: usize,
+    terms: &'v [usize],
+    lanes: Lanes,
+}
+
+/// Where a block's lanes sit in its source, relative to lane 0. Lanes
+/// past the block's width read in bounds too; the caller drops their
+/// results.
+#[derive(Clone, Copy)]
+enum Lanes {
+    /// Lane `j` at `j`: the block's lane values are one contiguous run.
+    Contiguous,
+    /// Every lane at 0: each term is one value all lanes read.
+    Broadcast,
+    /// Lane `j` at its own offset, the `j`-th entry.
+    Gathered([usize; LANES]),
+}
+
+/// Reads one term's lane values from `src`, lane 0 at `at`.
+trait Read<A> {
+    fn read(&self, src: &[A], at: usize) -> [A; LANES];
+}
+
+/// [`Lanes::Contiguous`].
+struct Run;
+/// [`Lanes::Broadcast`].
+struct Splat;
+/// [`Lanes::Gathered`].
+struct Gather([usize; LANES]);
+
+impl<A: Copy> Read<A> for Run {
+    #[inline(always)]
+    fn read(&self, src: &[A], at: usize) -> [A; LANES] {
+        // zeiot-audit: allow(p1) -- delivered blocks index inside their source
+        let mut xs = [src[at]; LANES];
+        xs.copy_from_slice(&src[at..at + LANES]);
+        xs
+    }
+}
+
+impl<A: Copy> Read<A> for Splat {
+    #[inline(always)]
+    fn read(&self, src: &[A], at: usize) -> [A; LANES] {
+        // zeiot-audit: allow(p1) -- delivered blocks index inside their source
+        [src[at]; LANES]
+    }
+}
+
+impl<A: Copy> Read<A> for Gather {
+    #[inline(always)]
+    fn read(&self, src: &[A], at: usize) -> [A; LANES] {
+        // zeiot-audit: allow(p1) -- delivered blocks index inside their source
+        let mut xs = [src[at]; LANES];
+        for (x, off) in xs.iter_mut().zip(self.0) {
+            *x = src[at + off];
+        }
+        xs
+    }
+}
+
+/// The blocks of a row of `len` units: `(offset, lanes)`.
+fn blocks(len: usize) -> impl Iterator<Item = (usize, usize)> {
+    (0..len)
+        .step_by(LANES)
+        .map(move |first| (first, (len - first).min(LANES)))
+}
+
+/// A block buffer, reused across one pass: value `t · LANES + j` is lane
+/// `j`'s term `t`, and `offsets[t] = t · LANES`.
+pub(crate) struct Scratch<A> {
+    values: Vec<A>,
+    offsets: Vec<usize>,
+}
+
+impl<A> Scratch<A> {
+    fn new() -> Self {
+        Self {
+            values: Vec::new(),
+            offsets: Vec::new(),
+        }
+    }
+}
 
 /// How values move between the nodes hosting CNN units.
 pub(crate) trait Transport {
-    /// Carries one forward value over `edge`; `None` aborts the pass.
-    fn fetch<D: Domain>(&mut self, v: D::A, at: &Assignment, edge: Edge) -> Option<D::A>;
-
-    /// Carries a dense unit's whole input (element `i` from unit `i`)
-    /// over `(stage, consumer)` and returns what the unit computes on.
-    fn gather<'v, D: Domain>(
+    /// Delivers block `b`'s inputs from producer layer `x`; `None` aborts
+    /// the pass.
+    fn deliver<'v, D: Domain>(
         &mut self,
         x: &'v [D::A],
-        buf: &'v mut Vec<D::A>,
+        b: Block<'v>,
         at: &Assignment,
-        (stage, consumer): (u64, usize),
-    ) -> Option<&'v [D::A]> {
-        buf.clear();
-        for (producer, &v) in x.iter().enumerate() {
-            buf.push(self.fetch::<D>(v, at, (stage, producer, consumer))?);
-        }
-        Some(buf)
-    }
+        buf: &'v mut Scratch<D::A>,
+    ) -> Option<Inputs<'v, D::A>>;
 
     /// Carries one gradient contribution back over `edge`, consumer to
     /// producer; a lost contribution is zero.
     fn gradient(&mut self, g: f32, at: &Assignment, edge: Edge) -> f32;
-
-    /// Brackets one consumer unit's fetches; `close_unit` names the hop
-    /// span.
-    fn open_unit(&mut self);
-    fn close_unit(&mut self, hop: &'static str);
 
     /// Ends one training or evaluation sample, `completed` or aborted.
     fn end_sample(&mut self, completed: bool);
@@ -70,27 +179,32 @@ pub(crate) trait Transport {
 pub(crate) struct Perfect;
 
 impl Transport for Perfect {
-    fn fetch<D: Domain>(&mut self, v: D::A, _: &Assignment, _: Edge) -> Option<D::A> {
-        Some(v)
-    }
-
-    fn gather<'v, D: Domain>(
+    fn deliver<'v, D: Domain>(
         &mut self,
         x: &'v [D::A],
-        _: &'v mut Vec<D::A>,
+        b: Block<'v>,
         _: &Assignment,
-        _: (u64, usize),
-    ) -> Option<&'v [D::A]> {
-        Some(x)
+        _: &'v mut Scratch<D::A>,
+    ) -> Option<Inputs<'v, D::A>> {
+        // Terms ascend, so the last one bounds a contiguous block.
+        let last = b.terms.last().map_or(b.base, |&term| b.base + term);
+        let lanes = match b.stride {
+            0 => Lanes::Broadcast,
+            1 if last + LANES <= x.len() => Lanes::Contiguous,
+            // Lanes past the block's width on its last unit.
+            stride => Lanes::Gathered(std::array::from_fn(|j| j.min(b.lanes - 1) * stride)),
+        };
+        Some(Inputs {
+            src: x,
+            base: b.base,
+            terms: b.terms,
+            lanes,
+        })
     }
 
     fn gradient(&mut self, g: f32, _: &Assignment, _: Edge) -> f32 {
         g
     }
-
-    fn open_unit(&mut self) {}
-
-    fn close_unit(&mut self, _: &'static str) {}
 
     fn end_sample(&mut self, _: bool) {}
 }
@@ -107,25 +221,9 @@ impl<'r, 's, 'b> Lossy<'r, 's, 'b> {
         let probe = None;
         Self { rt, scope, probe }
     }
-}
 
-impl Transport for Lossy<'_, '_, '_> {
-    fn fetch<D: Domain>(&mut self, v: D::A, at: &Assignment, edge: Edge) -> Option<D::A> {
-        let (stage, producer, consumer) = edge;
-        let src = at.host_of(stage as usize, producer);
-        let dst = at.host_of(stage as usize + 1, consumer);
-        let got = self
-            .rt
-            .transport(D::to_wire(v), src, dst, stage, producer, consumer);
-        got.map(D::from_wire)
-    }
-
-    fn gradient(&mut self, g: f32, at: &Assignment, (stage, producer, consumer): Edge) -> f32 {
-        let src = at.host_of(stage as usize + 1, consumer);
-        let dst = at.host_of(stage as usize, producer);
-        self.rt.fetch_gradient(g, src, dst)
-    }
-
+    /// Brackets one consumer unit's fetches; `close_unit` names the hop
+    /// span.
     fn open_unit(&mut self) {
         if self.scope.is_some() {
             self.probe = Some(HopProbe::open(self.rt));
@@ -136,6 +234,56 @@ impl Transport for Lossy<'_, '_, '_> {
         if let (Some(scope), Some(probe)) = (self.scope.as_deref_mut(), self.probe.take()) {
             probe.close(self.rt, scope, hop);
         }
+    }
+}
+
+impl Transport for Lossy<'_, '_, '_> {
+    /// Fetches unit by unit, each unit's edges in term order under one
+    /// hop span: the messages a unit-at-a-time pass sends, in its order.
+    fn deliver<'v, D: Domain>(
+        &mut self,
+        x: &'v [D::A],
+        b: Block<'v>,
+        at: &Assignment,
+        buf: &'v mut Scratch<D::A>,
+    ) -> Option<Inputs<'v, D::A>> {
+        let n = b.terms.len();
+        buf.values.clear();
+        buf.values.resize(n * LANES, D::FLOOR);
+        let stage = b.stage as usize;
+        for lane in 0..b.lanes {
+            let consumer = b.first + lane;
+            let dst = at.host_of(stage + 1, consumer);
+            self.open_unit();
+            let slots = buf.values.iter_mut().skip(lane).step_by(LANES);
+            for (slot, &term) in slots.zip(b.terms) {
+                let producer = b.producer(term, lane);
+                let src = at.host_of(stage, producer);
+                // zeiot-audit: allow(p1) -- producers of config-shaped blocks lie inside the producer layer
+                let wire = D::to_wire(x[producer]);
+                let got = self
+                    .rt
+                    .transport(wire, src, dst, b.stage, producer, consumer)?;
+                *slot = D::from_wire(got);
+            }
+            self.close_unit(b.hop);
+        }
+        if buf.offsets.len() < n {
+            let from = buf.offsets.len();
+            buf.offsets.extend((from..n).map(|t| t * LANES));
+        }
+        Some(Inputs {
+            src: &buf.values,
+            base: 0,
+            terms: &buf.offsets[..n],
+            lanes: Lanes::Contiguous,
+        })
+    }
+
+    fn gradient(&mut self, g: f32, at: &Assignment, (stage, producer, consumer): Edge) -> f32 {
+        let src = at.host_of(stage as usize + 1, consumer);
+        let dst = at.host_of(stage as usize, producer);
+        self.rt.fetch_gradient(g, src, dst)
     }
 
     fn end_sample(&mut self, completed: bool) {
@@ -155,7 +303,10 @@ pub(crate) trait Domain {
     /// accumulator domain.
     type W: Copy;
     type A: Copy + PartialOrd;
-    type Acc: Copy + Default;
+    type Acc: Copy + Add<Output = Self::Acc>;
+    /// A conv replica's table, and the per-unit and dense tables.
+    type Replica: Layout<W = Self::W, B = Self::Acc>;
+    type Table: Layout<W = Self::W, B = Self::Acc>;
     /// Hop-span names of conv, pool, hidden and logit units.
     const HOPS: [&'static str; 4];
     /// The max-pooling identity: every activation compares above it.
@@ -165,12 +316,13 @@ pub(crate) trait Domain {
     /// of a (possibly corrupted or substituted) image.
     fn to_wire(a: Self::A) -> f32;
     fn from_wire(v: f32) -> Self::A;
-    fn config(&self) -> &CnnConfig;
-    fn assignment(&self) -> &Assignment;
+    /// The placement and parameter tables.
+    fn parts(&self) -> Parts<'_, Self::Replica, Self::Table>;
     /// Checks the input's shape and converts it to activations.
     fn admit<'a>(&mut self, input: &'a Tensor) -> Cow<'a, [Self::A]>;
-    /// The kernel and bias of conv unit `unit` in output `channel`.
-    fn conv_kernel(&self, unit: usize, channel: usize) -> (&[Self::W], Self::Acc);
+    /// Where a dense unit's sum starts: the identity `Iterator::sum`
+    /// folds from.
+    fn zero() -> Self::Acc;
     /// `acc + w · x`.
     fn mac(acc: Self::Acc, w: Self::W, x: Self::A) -> Self::Acc;
     /// Accumulators of unit-graph layer 1 (conv) or 3 (hidden) → ReLU'd
@@ -178,10 +330,6 @@ pub(crate) trait Domain {
     fn activate(&mut self, layer: usize, acc: Vec<Self::Acc>) -> Vec<Self::A>;
     /// Pooled activations and the conv unit each one came from.
     fn pool_done(&mut self, pooled: &[Self::A], argmax: Vec<usize>);
-    /// Row-major weights and biases of dense layers 1 and 2.
-    fn dense(&self) -> [Weights<'_, Self::W, Self::Acc>; 2];
-    /// `bias + row · x`.
-    fn dot(bias: Self::Acc, row: &[Self::W], x: &[Self::A]) -> Self::Acc;
     /// Logit accumulators → the logits of a completed pass.
     fn finish(&mut self, input: &Tensor, logits: Vec<Self::Acc>) -> Tensor;
 }
@@ -194,8 +342,87 @@ fn receptive_field(c: &CnnConfig) -> Vec<usize> {
     rows.flat_map(|row| row..row + k).collect()
 }
 
-/// Panics unless `input` has the `[in_channels, in_height, in_width]`
-/// shape the config dictates.
+/// `entries` laid out by node index; a node without an entry holds
+/// `empty()`.
+fn by_node<T>(entries: impl Iterator<Item = (NodeId, T)>, empty: impl Fn() -> T) -> Vec<T> {
+    let mut table = Vec::new();
+    for (node, entry) in entries {
+        if table.len() <= node.index() {
+            table.resize_with(node.index() + 1, &empty);
+        }
+        if let Some(slot) = table.get_mut(node.index()) {
+            *slot = entry;
+        }
+    }
+    table
+}
+
+/// Every conv unit's kernel and bias in one output channel, for one
+/// pass: the unit's own, or its host replica's through a node-indexed
+/// table.
+enum Kernels<'a, W, B> {
+    PerUnit {
+        weights: &'a [W],
+        bias: &'a [B],
+        len: usize,
+    },
+    Replicas {
+        hosts: &'a [NodeId],
+        by_node: Vec<(&'a [W], B)>,
+    },
+}
+
+impl<'a, W, B: Copy> Kernels<'a, W, B> {
+    /// Kernels of length `len` in output `channel`; `zero` fills the
+    /// table slots of nodes without a replica.
+    fn new<R, P>(p: &Parts<'a, R, P>, channel: usize, len: usize, zero: B) -> Self
+    where
+        R: Layout<W = W, B = B>,
+        P: Layout<W = W, B = B>,
+    {
+        if let Some(pk) = p.per_unit {
+            let (weights, bias) = (pk.weights(), pk.bias());
+            return Self::PerUnit { weights, bias, len };
+        }
+        let start = channel * len;
+        // zeiot-audit: allow(p1) -- validated replicas hold one kernel and bias per output channel
+        let kernel = |rep: &'a R| (&rep.weights()[start..start + len], rep.bias()[channel]);
+        let tables = p.replicas.iter().map(|(node, rep)| (*node, kernel(rep)));
+        Self::Replicas {
+            hosts: p.conv_unit_host,
+            by_node: by_node(tables, || (&[][..], zero)),
+        }
+    }
+
+    /// Sets `w` and `b` to the kernels and biases of the `lanes` units
+    /// from `first`, lanes past `lanes` on the last unit.
+    fn fill(&self, first: usize, lanes: usize, w: &mut [&'a [W]; LANES], b: &mut [B; LANES]) {
+        let last = first + lanes - 1;
+        let slots = w
+            .iter_mut()
+            .zip(b)
+            .zip((first..).map(|unit| unit.min(last)));
+        match self {
+            Self::PerUnit { weights, bias, len } => {
+                for ((w, b), unit) in slots {
+                    // zeiot-audit: allow(p1) -- validated per-unit tables hold one kernel and bias per conv unit, and validated models keep a replica on every conv host
+                    (*w, *b) = (&weights[unit * len..(unit + 1) * len], bias[unit]);
+                }
+            }
+            Self::Replicas { hosts, by_node } => {
+                for ((w, b), unit) in slots {
+                    (*w, *b) = by_node[hosts[unit].index()];
+                }
+            }
+        }
+    }
+}
+
+/// Checks the input's `[in_channels, in_height, in_width]` shape.
+///
+/// # Panics
+///
+/// Panics unless `input` has the shape the config dictates.
 pub(crate) fn check_input(c: &CnnConfig, input: &Tensor) {
     let expected = [c.in_channels(), c.in_height(), c.in_width()];
     // zeiot-audit: allow(p1) -- documented `# Panics` precondition guard
@@ -219,89 +446,200 @@ pub(crate) fn forward<D: Domain, T: Transport>(
 ) -> Option<Tensor> {
     let admitted = m.admit(input);
     let x: &[D::A] = &admitted;
-    let c = *m.config();
-    let ((oh, ow), (ph, pw)) = (c.conv_dims(), c.pool_dims());
-    let (oc, p, iw) = (c.conv_channels(), c.pool(), c.in_width());
-    let field = receptive_field(&c);
+    let mut buf = Scratch::new();
     let [hop_conv, hop_pool, hop_hidden, hop_logit] = D::HOPS;
-
-    // Convolution: each conv unit pulls its receptive field from the
-    // sensors hosting the input units.
-    let mut conv = vec![D::Acc::default(); oc * oh * ow];
-    let at = m.assignment();
-    for o in 0..oc {
-        for oy in 0..oh {
-            for ox in 0..ow {
-                let unit = o * oh * ow + oy * ow + ox;
-                let (weights, bias) = m.conv_kernel(unit, o);
-                t.open_unit();
-                let mut acc = bias;
-                for (&w, &off) in weights.iter().zip(&field) {
-                    let i = oy * iw + ox + off;
-                    // zeiot-audit: allow(p1) -- every index derives from the config dims admit() checked the input against
-                    let v = t.fetch::<D>(x[i], at, (STAGE_INPUT_CONV, i, unit))?;
-                    acc = D::mac(acc, w, v);
-                }
-                t.close_unit(hop_conv);
-                conv[unit] = acc;
-            }
-        }
-    }
+    let conv = conv::<D, T>(&m.parts(), x, t, &mut buf, hop_conv)?;
     let relu = m.activate(1, conv);
-
-    // Max pooling: each pool unit pulls its window from the conv hosts.
-    let mut pooled = Vec::with_capacity(oc * ph * pw);
-    let mut argmax = Vec::with_capacity(oc * ph * pw);
-    let at = m.assignment();
-    for ch in 0..oc {
-        for py in 0..ph {
-            for px in 0..pw {
-                let punit = pooled.len();
-                t.open_unit();
-                let (mut best, mut best_off) = (D::FLOOR, 0);
-                for ky in 0..p {
-                    for kx in 0..p {
-                        let off = ch * oh * ow + (py * p + ky) * ow + (px * p + kx);
-                        let v = t.fetch::<D>(relu[off], at, (STAGE_CONV_POOL, off, punit))?;
-                        if v > best {
-                            (best, best_off) = (v, off);
-                        }
-                    }
-                }
-                t.close_unit(hop_pool);
-                pooled.push(best);
-                argmax.push(best_off);
-            }
-        }
-    }
+    let (pooled, argmax) = pool::<D, T>(&m.parts(), &relu, t, &mut buf, hop_pool)?;
     m.pool_done(&pooled, argmax);
-
-    // Dense 1 + ReLU, dense 2: each unit pulls the whole previous layer.
-    let mut buf = Vec::new();
-    let hidden = dense(m, 3, &pooled, &mut buf, t, hop_hidden)?;
+    let hidden = dense::<D, T>(&m.parts(), 0, &pooled, t, &mut buf, hop_hidden)?;
     let hidden = m.activate(3, hidden);
-    let logits = dense(m, 4, &hidden, &mut buf, t, hop_logit)?;
+    let logits = dense::<D, T>(&m.parts(), 1, &hidden, t, &mut buf, hop_logit)?;
     Some(m.finish(input, logits))
 }
 
-/// Unit-graph layer 3 or 4 over the previous layer's activations `x`.
-fn dense<D: Domain, T: Transport>(
-    m: &D,
-    layer: usize,
+/// Folds every term into every lane, in term order: lane `j` becomes
+/// `mac(… mac(acc[j], w[j][0], v(0, j)) …, w[j][n−1], v(n−1, j))`.
+fn accumulate<D: Domain>(
+    acc: [D::Acc; LANES],
+    w: &[&[D::W]; LANES],
+    v: &Inputs<'_, D::A>,
+) -> [D::Acc; LANES] {
+    match v.lanes {
+        Lanes::Contiguous => fold::<D, _>(acc, w, v, Run),
+        Lanes::Broadcast => fold::<D, _>(acc, w, v, Splat),
+        Lanes::Gathered(offsets) => fold::<D, _>(acc, w, v, Gather(offsets)),
+    }
+}
+
+/// [`accumulate`] for one lane layout.
+#[inline(always)]
+fn fold<D: Domain, R: Read<D::A>>(
+    acc: [D::Acc; LANES],
+    w: &[&[D::W]; LANES],
+    v: &Inputs<'_, D::A>,
+    lanes: R,
+) -> [D::Acc; LANES] {
+    let mut acc = acc;
+    let n = v.terms.len();
+    let mut w = *w;
+    for w in &mut w {
+        // zeiot-audit: allow(p1) -- weight rows hold one entry per term
+        *w = &w[..n];
+    }
+    for (t, &term) in v.terms.iter().enumerate() {
+        let xs = lanes.read(v.src, v.base + term);
+        for ((a, w), x) in acc.iter_mut().zip(w).zip(xs) {
+            *a = D::mac(*a, w[t], x);
+        }
+    }
+    acc
+}
+
+/// Convolution: each conv unit pulls its receptive field from the
+/// sensors hosting the input units. Blocks run along output rows.
+fn conv<D: Domain, T: Transport>(
+    p: &Parts<'_, D::Replica, D::Table>,
     x: &[D::A],
-    buf: &mut Vec<D::A>,
     t: &mut T,
+    buf: &mut Scratch<D::A>,
     hop: &'static str,
 ) -> Option<Vec<D::Acc>> {
-    let [dense1, dense2] = m.dense();
-    let (weights, bias) = if layer == 3 { dense1 } else { dense2 };
-    let at = m.assignment();
+    let c = p.config;
+    let ((oh, ow), iw) = (c.conv_dims(), c.in_width());
+    let field = receptive_field(c);
+    let mut out = Vec::with_capacity(c.conv_channels() * oh * ow);
+    let (mut w, mut bias) = ([&[][..]; LANES], [D::zero(); LANES]);
+    for channel in 0..c.conv_channels() {
+        let kernels = Kernels::new(p, channel, field.len(), D::zero());
+        for oy in 0..oh {
+            for (ox, lanes) in blocks(ow) {
+                let first = (channel * oh + oy) * ow + ox;
+                let b = Block {
+                    stage: STAGE_INPUT_CONV,
+                    first,
+                    lanes,
+                    base: oy * iw + ox,
+                    terms: &field,
+                    stride: 1,
+                    hop,
+                };
+                let v = t.deliver::<D>(x, b, p.assignment, buf)?;
+                kernels.fill(first, lanes, &mut w, &mut bias);
+                out.extend(accumulate::<D>(bias, &w, &v).into_iter().take(lanes));
+            }
+        }
+    }
+    Some(out)
+}
+
+/// Each lane's first strict maximum and the term it came from; a lane
+/// where nothing compares above [`Domain::FLOOR`] (NaN, or the floor
+/// itself) keeps the floor and no term (`usize::MAX`).
+fn max_lanes<D: Domain>(v: &Inputs<'_, D::A>) -> ([D::A; LANES], [usize; LANES]) {
+    match v.lanes {
+        Lanes::Contiguous => max_fold::<D, _>(v, Run),
+        Lanes::Broadcast => max_fold::<D, _>(v, Splat),
+        Lanes::Gathered(offsets) => max_fold::<D, _>(v, Gather(offsets)),
+    }
+}
+
+/// [`max_lanes`] for one lane layout: selects, not branches.
+#[inline(always)]
+fn max_fold<D: Domain, R: Read<D::A>>(
+    v: &Inputs<'_, D::A>,
+    lanes: R,
+) -> ([D::A; LANES], [usize; LANES]) {
+    let mut best = [D::FLOOR; LANES];
+    let mut won = [usize::MAX; LANES];
+    for (t, &term) in v.terms.iter().enumerate() {
+        let xs = lanes.read(v.src, v.base + term);
+        for ((best, won), x) in best.iter_mut().zip(&mut won).zip(xs) {
+            let above = x > *best;
+            *best = if above { x } else { *best };
+            *won = if above { t } else { *won };
+        }
+    }
+    (best, won)
+}
+
+/// Max pooling: each pool unit pulls its window from the conv hosts.
+/// Blocks run along pooled rows. Also returns the conv unit each pooled
+/// value came from (conv unit 0 when none won).
+fn pool<D: Domain, T: Transport>(
+    p: &Parts<'_, D::Replica, D::Table>,
+    relu: &[D::A],
+    t: &mut T,
+    buf: &mut Scratch<D::A>,
+    hop: &'static str,
+) -> Option<(Vec<D::A>, Vec<usize>)> {
+    let c = p.config;
+    let ((oh, ow), (ph, pw), k) = (c.conv_dims(), c.pool_dims(), c.pool());
+    let window: Vec<usize> = (0..k).flat_map(|ky| (ky * ow..).take(k)).collect();
+    let units = c.conv_channels() * ph * pw;
+    let (mut pooled, mut argmax) = (Vec::with_capacity(units), Vec::with_capacity(units));
+    for row in 0..c.conv_channels() * ph {
+        let (channel, py) = (row / ph, row % ph);
+        for (px, lanes) in blocks(pw) {
+            let b = Block {
+                stage: STAGE_CONV_POOL,
+                first: row * pw + px,
+                lanes,
+                base: channel * oh * ow + py * k * ow + px * k,
+                terms: &window,
+                stride: k,
+                hop,
+            };
+            let v = t.deliver::<D>(relu, b, p.assignment, buf)?;
+            let (best, won) = max_lanes::<D>(&v);
+            pooled.extend(best.into_iter().take(lanes));
+            for (lane, won) in won.into_iter().take(lanes).enumerate() {
+                let term = window.get(won);
+                argmax.push(term.map_or(0, |&term| b.producer(term, lane)));
+            }
+        }
+    }
+    Some((pooled, argmax))
+}
+
+/// Dense layer `layer` (0: hidden, 1: logits) over the previous layer's
+/// activations `x`; every unit pulls the whole of `x`.
+fn dense<D: Domain, T: Transport>(
+    p: &Parts<'_, D::Replica, D::Table>,
+    layer: usize,
+    x: &[D::A],
+    t: &mut T,
+    buf: &mut Scratch<D::A>,
+    hop: &'static str,
+) -> Option<Vec<D::Acc>> {
+    let [hidden, logits] = p.dense;
+    let table = if layer == 0 { hidden } else { logits };
+    let (weights, bias) = (table.weights(), table.bias());
+    let n = x.len();
+    let terms: Vec<usize> = (0..n).collect();
+    let empty: &[D::W] = &[];
     let mut out = Vec::with_capacity(bias.len());
-    for (unit, (row, &b)) in weights.chunks_exact(x.len()).zip(bias).enumerate() {
-        t.open_unit();
-        let got = t.gather::<D>(x, buf, at, (layer as u64 - 1, unit))?;
-        t.close_unit(hop);
-        out.push(D::dot(b, row, got));
+    for (first, lanes) in blocks(bias.len()) {
+        let b = Block {
+            stage: STAGE_POOL_HIDDEN + layer as u64,
+            first,
+            lanes,
+            base: 0,
+            terms: &terms,
+            stride: 0,
+            hop,
+        };
+        let v = t.deliver::<D>(x, b, p.assignment, buf)?;
+        // Lanes past `lanes` repeat the last unit's row.
+        let mut units = weights.chunks_exact(n).skip(first).take(lanes);
+        let (mut rows, mut last) = ([empty; LANES], empty);
+        for row in &mut rows {
+            last = units.next().unwrap_or(last);
+            *row = last;
+        }
+        let acc = accumulate::<D>([D::zero(); LANES], &rows, &v);
+        let biased = acc.into_iter().zip(bias.iter().skip(first).take(lanes));
+        out.extend(biased.map(|(acc, &bias)| bias + acc));
     }
     Some(out)
 }
@@ -376,6 +714,7 @@ pub(crate) fn backward<T: Transport>(net: &mut DistributedCnn, grad_logits: &Ten
     // its own node at forward time.
     let ((oh, ow), iw) = (c.conv_dims(), c.in_width());
     let field = receptive_field(&c);
+    let mut replicas = by_node(net.replicas.iter_mut().map(|(n, r)| (*n, Some(r))), || None);
     for o in 0..c.conv_channels() {
         for oy in 0..oh {
             for ox in 0..ow {
@@ -386,9 +725,9 @@ pub(crate) fn backward<T: Transport>(net: &mut DistributedCnn, grad_logits: &Ten
                 }
                 let kernel = match net.per_unit.as_mut() {
                     Some(pk) => Some((&mut pk.grad_weights, &mut pk.grad_bias, unit)),
-                    None => net
-                        .replicas
-                        .get_mut(&net.conv_unit_host[unit])
+                    None => replicas
+                        .get_mut(net.conv_unit_host[unit].index())
+                        .and_then(Option::as_mut)
                         .map(|rep| (&mut rep.grad_weights, &mut rep.grad_bias, o)),
                 };
                 let Some((grad_w, grad_b, slot)) = kernel else {
@@ -442,4 +781,457 @@ fn relu_mask(mut grad: Vec<f32>, pre: &[f32]) -> Vec<f32> {
         *g = if v > 0.0 { *g } else { 0.0 };
     }
     grad
+}
+
+/// The unit-at-a-time forward nest the blocked nest replaced, kept as
+/// the reference it must equal bit for bit: one conv unit at a time
+/// with its kernel looked up in the replica map, one serial chain per
+/// unit, a branch per max-pool compare, and one `dot` per dense unit.
+#[cfg(test)]
+mod reference {
+    use super::{receptive_field, Domain, Edge, Lossy, Perfect};
+    use crate::assignment::Assignment;
+    use crate::distributed::{DistributedCnn, Layout};
+    use crate::lossy::{STAGE_CONV_POOL, STAGE_INPUT_CONV};
+    use crate::quantized::QuantizedCnn;
+    use zeiot_nn::quant::dot_i8;
+    use zeiot_nn::tensor::Tensor;
+
+    /// How the reference nest moves values: one edge at a time.
+    trait Fetch {
+        /// Carries one forward value over `edge`; `None` aborts the pass.
+        fn fetch<D: Domain>(&mut self, v: D::A, at: &Assignment, edge: Edge) -> Option<D::A>;
+
+        /// Carries a dense unit's whole input (element `i` from unit `i`)
+        /// over `(stage, consumer)`.
+        fn gather<'v, D: Domain>(
+            &mut self,
+            x: &'v [D::A],
+            buf: &'v mut Vec<D::A>,
+            at: &Assignment,
+            (stage, consumer): (u64, usize),
+        ) -> Option<&'v [D::A]> {
+            buf.clear();
+            for (producer, &v) in x.iter().enumerate() {
+                buf.push(self.fetch::<D>(v, at, (stage, producer, consumer))?);
+            }
+            Some(buf)
+        }
+
+        /// Brackets one consumer unit's fetches.
+        fn open(&mut self);
+        fn close(&mut self, hop: &'static str);
+    }
+
+    impl Fetch for Perfect {
+        fn fetch<D: Domain>(&mut self, v: D::A, _: &Assignment, _: Edge) -> Option<D::A> {
+            Some(v)
+        }
+
+        fn gather<'v, D: Domain>(
+            &mut self,
+            x: &'v [D::A],
+            _: &'v mut Vec<D::A>,
+            _: &Assignment,
+            _: (u64, usize),
+        ) -> Option<&'v [D::A]> {
+            Some(x)
+        }
+
+        fn open(&mut self) {}
+
+        fn close(&mut self, _: &'static str) {}
+    }
+
+    impl Fetch for Lossy<'_, '_, '_> {
+        fn fetch<D: Domain>(&mut self, v: D::A, at: &Assignment, edge: Edge) -> Option<D::A> {
+            let (stage, producer, consumer) = edge;
+            let src = at.host_of(stage as usize, producer);
+            let dst = at.host_of(stage as usize + 1, consumer);
+            let got = self
+                .rt
+                .transport(D::to_wire(v), src, dst, stage, producer, consumer);
+            got.map(D::from_wire)
+        }
+
+        fn open(&mut self) {
+            self.open_unit();
+        }
+
+        fn close(&mut self, hop: &'static str) {
+            self.close_unit(hop);
+        }
+    }
+
+    /// A dense unit's `bias + row · x`, as each domain computed it.
+    trait Dot: Domain {
+        fn dot(bias: Self::Acc, row: &[Self::W], x: &[Self::A]) -> Self::Acc;
+    }
+
+    impl Dot for DistributedCnn {
+        fn dot(bias: f32, row: &[f32], x: &[f32]) -> f32 {
+            bias + row.iter().zip(x).map(|(w, v)| w * v).sum::<f32>()
+        }
+    }
+
+    impl Dot for QuantizedCnn {
+        fn dot(bias: i32, row: &[i8], x: &[i8]) -> i32 {
+            bias + dot_i8(row, x)
+        }
+    }
+
+    /// The kernel and bias of conv unit `unit` in output `channel`, looked
+    /// up in the replica map.
+    fn conv_kernel<D: Domain>(m: &D, unit: usize, channel: usize) -> (&[D::W], D::Acc) {
+        let p = m.parts();
+        let c = p.config;
+        let kernel_len = c.in_channels() * c.kernel() * c.kernel();
+        let (weights, bias, slot) = match p.per_unit {
+            Some(pk) => (pk.weights(), pk.bias(), unit),
+            None => {
+                let rep = &p.replicas[&p.conv_unit_host[unit]];
+                (rep.weights(), rep.bias(), channel)
+            }
+        };
+        (
+            &weights[slot * kernel_len..(slot + 1) * kernel_len],
+            bias[slot],
+        )
+    }
+
+    /// The unit-at-a-time forward pass.
+    fn forward<D: Dot, T: Fetch>(m: &mut D, input: &Tensor, t: &mut T) -> Option<Tensor> {
+        let admitted = m.admit(input);
+        let x: &[D::A] = &admitted;
+        let c = *m.parts().config;
+        let ((oh, ow), (ph, pw)) = (c.conv_dims(), c.pool_dims());
+        let (oc, p, iw) = (c.conv_channels(), c.pool(), c.in_width());
+        let field = receptive_field(&c);
+        let [hop_conv, hop_pool, hop_hidden, hop_logit] = D::HOPS;
+
+        let mut conv = Vec::with_capacity(oc * oh * ow);
+        for o in 0..oc {
+            for oy in 0..oh {
+                for ox in 0..ow {
+                    let unit = o * oh * ow + oy * ow + ox;
+                    let (weights, bias) = conv_kernel(m, unit, o);
+                    let at = m.parts().assignment;
+                    t.open();
+                    let mut acc = bias;
+                    for (&w, &off) in weights.iter().zip(&field) {
+                        let i = oy * iw + ox + off;
+                        let v = t.fetch::<D>(x[i], at, (STAGE_INPUT_CONV, i, unit))?;
+                        acc = D::mac(acc, w, v);
+                    }
+                    t.close(hop_conv);
+                    conv.push(acc);
+                }
+            }
+        }
+        let relu = m.activate(1, conv);
+
+        let mut pooled = Vec::with_capacity(oc * ph * pw);
+        let mut argmax = Vec::with_capacity(oc * ph * pw);
+        let at = m.parts().assignment;
+        for ch in 0..oc {
+            for py in 0..ph {
+                for px in 0..pw {
+                    let punit = pooled.len();
+                    t.open();
+                    let (mut best, mut best_off) = (D::FLOOR, 0);
+                    for ky in 0..p {
+                        for kx in 0..p {
+                            let off = ch * oh * ow + (py * p + ky) * ow + (px * p + kx);
+                            let v = t.fetch::<D>(relu[off], at, (STAGE_CONV_POOL, off, punit))?;
+                            if v > best {
+                                (best, best_off) = (v, off);
+                            }
+                        }
+                    }
+                    t.close(hop_pool);
+                    pooled.push(best);
+                    argmax.push(best_off);
+                }
+            }
+        }
+        m.pool_done(&pooled, argmax);
+
+        let mut buf = Vec::new();
+        let hidden = dense(m, 0, &pooled, &mut buf, t, hop_hidden)?;
+        let hidden = m.activate(3, hidden);
+        let logits = dense(m, 1, &hidden, &mut buf, t, hop_logit)?;
+        Some(m.finish(input, logits))
+    }
+
+    /// Dense layer `layer` (0: hidden, 1: logits) over `x`.
+    fn dense<D: Dot, T: Fetch>(
+        m: &D,
+        layer: usize,
+        x: &[D::A],
+        buf: &mut Vec<D::A>,
+        t: &mut T,
+        hop: &'static str,
+    ) -> Option<Vec<D::Acc>> {
+        let p = m.parts();
+        let (weights, bias) = (p.dense[layer].weights(), p.dense[layer].bias());
+        let mut out = Vec::with_capacity(bias.len());
+        for (unit, (row, &b)) in weights.chunks_exact(x.len()).zip(bias).enumerate() {
+            t.open();
+            let got = t.gather::<D>(x, buf, p.assignment, (layer as u64 + 2, unit))?;
+            t.close(hop);
+            out.push(D::dot(b, row, got));
+        }
+        Some(out)
+    }
+
+    mod proptests {
+        use super::*;
+        use crate::distributed::WeightUpdate;
+        use crate::lossy::LossyRuntime;
+        use crate::{CnnConfig, QuantStats};
+        use proptest::prelude::*;
+        use zeiot_core::id::NodeId;
+        use zeiot_core::rng::SeedRng;
+        use zeiot_core::time::{SimDuration, SimTime};
+        use zeiot_fault::{DegradeMode, FaultPlan, FaultStats, RecoveryPolicy};
+        use zeiot_net::Topology;
+        use zeiot_obs::trace::{SpanLayer, Trace, TraceSampler, Tracer};
+
+        /// A value from a set heavy in exact ties and signed zeros, or a
+        /// continuous one.
+        fn value(rng: &mut SeedRng) -> f32 {
+            const TIES: [f32; 7] = [-1.0, -0.5, -0.0, 0.0, 0.25, 0.5, 1.0];
+            match rng.below(3) {
+                0 => TIES[rng.below(TIES.len())],
+                _ => rng.normal_with(0.0, 0.7) as f32,
+            }
+        }
+
+        fn fill(t: &mut Tensor, rng: &mut SeedRng) {
+            for v in t.data_mut() {
+                *v = value(rng);
+            }
+        }
+
+        /// Gives every replica, per-unit kernel and dense table its own
+        /// values, biases included, so lanes of one block run different
+        /// kernels.
+        fn randomize(net: &mut DistributedCnn, rng: &mut SeedRng) {
+            for rep in net.replicas.values_mut() {
+                fill(&mut rep.weights, rng);
+                fill(&mut rep.bias, rng);
+            }
+            let tables = net
+                .per_unit
+                .iter_mut()
+                .chain([&mut net.dense1, &mut net.dense2]);
+            for p in tables {
+                fill(&mut p.weights, rng);
+                fill(&mut p.bias, rng);
+            }
+        }
+
+        fn input(c: &CnnConfig, rng: &mut SeedRng) -> Tensor {
+            let mut x = Tensor::zeros(vec![c.in_channels(), c.in_height(), c.in_width()]);
+            fill(&mut x, rng);
+            x
+        }
+
+        /// The transport a case runs over: the perfect radio, or a fabric
+        /// under one recovery policy.
+        #[derive(Debug, Clone, Copy)]
+        enum Radio {
+            Perfect,
+            Lossless,
+            ZeroFill,
+            LastValueHold,
+            FailFast,
+            Retransmit,
+        }
+
+        const RADIOS: [Radio; 6] = [
+            Radio::Perfect,
+            Radio::Lossless,
+            Radio::ZeroFill,
+            Radio::LastValueHold,
+            Radio::FailFast,
+            Radio::Retransmit,
+        ];
+
+        /// A fresh runtime for `radio`; `loss` is the per-attempt loss of
+        /// the aborting policies, low enough that some passes complete and
+        /// the rest abort at any stage.
+        fn runtime(radio: Radio, topo: &Topology, seed: u64, loss: f64) -> Option<LossyRuntime> {
+            let lossy = |p: f64| {
+                let plan = FaultPlan::uniform(seed, p).and_then(|plan| plan.with_corruption(0.1));
+                let plan = plan.and_then(|plan| {
+                    plan.with_outage(NodeId::new(0), SimTime::from_secs(1), SimTime::from_secs(2))
+                });
+                plan.expect("valid plan")
+            };
+            let (plan, policy) = match radio {
+                Radio::Perfect => return None,
+                Radio::Lossless => (FaultPlan::lossless(), RecoveryPolicy::FailFast),
+                Radio::ZeroFill => (
+                    lossy(0.2),
+                    RecoveryPolicy::Degrade {
+                        mode: DegradeMode::ZeroFill,
+                    },
+                ),
+                Radio::LastValueHold => (
+                    lossy(0.2),
+                    RecoveryPolicy::Degrade {
+                        mode: DegradeMode::LastValueHold,
+                    },
+                ),
+                Radio::FailFast => (lossy(loss), RecoveryPolicy::FailFast),
+                Radio::Retransmit => (
+                    lossy(loss * 10.0),
+                    RecoveryPolicy::Retransmit {
+                        max_retries: 1,
+                        timeout: SimDuration::from_millis(20),
+                        backoff: 2.0,
+                    },
+                ),
+            };
+            Some(LossyRuntime::new(
+                plan,
+                policy,
+                topo,
+                SimDuration::from_millis(500),
+            ))
+        }
+
+        /// One side's view after a pass: logits bits, fault counters and
+        /// finished traces.
+        #[derive(Debug, PartialEq)]
+        struct Seen {
+            logits: Option<Vec<u32>>,
+            faults: Option<FaultStats>,
+            traces: Vec<Trace>,
+        }
+
+        /// Runs one pass of `m` through the blocked nest (`blocked`) or the
+        /// reference, over `rt` (perfect when `None`), traced when asked.
+        fn pass<D: Dot>(
+            m: &mut D,
+            x: &Tensor,
+            rt: Option<&mut LossyRuntime>,
+            traced: bool,
+            blocked: bool,
+        ) -> Seen {
+            let mut tracer = Tracer::new(TraceSampler::always());
+            let logits = match rt {
+                None if blocked => super::super::forward(m, x, &mut Perfect),
+                None => forward(m, x, &mut Perfect),
+                Some(rt) => {
+                    let root =
+                        tracer.begin(0, 0, "serve.request", SpanLayer::Request, SimTime::ZERO);
+                    let out = {
+                        let mut scope = root.and_then(|root| tracer.scope(0, 0, root));
+                        let mut lossy = Lossy::new(rt, scope.as_mut().filter(|_| traced));
+                        if blocked {
+                            super::super::forward(m, x, &mut lossy)
+                        } else {
+                            forward(m, x, &mut lossy)
+                        }
+                    };
+                    rt.advance_pass();
+                    tracer.finish(0, 0, SimTime::ZERO);
+                    return Seen {
+                        logits: out.map(|l| l.data().iter().map(|v| v.to_bits()).collect()),
+                        faults: Some(*rt.stats()),
+                        traces: tracer.take_finished(),
+                    };
+                }
+            };
+            Seen {
+                logits: logits.map(|l| l.data().iter().map(|v| v.to_bits()).collect()),
+                faults: None,
+                traces: Vec::new(),
+            }
+        }
+
+        fn bits(v: &[f32]) -> Vec<u32> {
+            v.iter().map(|v| v.to_bits()).collect()
+        }
+
+        /// Everything an f32 pass leaves behind for the backward pass.
+        fn caches(net: &DistributedCnn) -> (Vec<Vec<u32>>, Vec<usize>, Option<Vec<u32>>) {
+            let floats = [
+                &net.conv_pre_relu,
+                &net.pool_out,
+                &net.hidden_pre_relu,
+                &net.hidden_out,
+            ];
+            let input = net.last_input.as_ref().map(|x| bits(x.data()));
+            (
+                floats.map(|v| bits(v)).to_vec(),
+                net.pool_argmax.clone(),
+                input,
+            )
+        }
+
+        fn stats(q: &QuantizedCnn) -> QuantStats {
+            *q.stats()
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(128))]
+
+            /// The blocked nest equals the unit-at-a-time reference bit for
+            /// bit over random configs (conv rows narrower than a block and
+            /// not a multiple of it, hidden widths likewise), every weight
+            /// update mode, f32 and i8, the perfect radio and a lossy fabric
+            /// under every recovery policy, traced and untraced: logits,
+            /// forward caches, quantization counters, fault counters and hop
+            /// spans, pass after pass on one shared runtime per side.
+            #[test]
+            fn blocked_forward_equals_the_unit_at_a_time_reference(
+                shape in (1usize..3, 1usize..4, 1usize..5, 1usize..4),
+                pooled in (1usize..4, 1usize..7, 1usize..20, 2usize..4),
+                grid in (1usize..4, 1usize..4),
+                update in 0usize..3,
+                radio in 0usize..6,
+                loss in 0.0005f64..0.02,
+                traced in proptest::bool::ANY,
+                seed in 0u64..u64::MAX,
+            ) {
+                let ((ic, oc, k, pool), (ph, pw, hidden, classes)) = (shape, pooled);
+                let config =
+                    CnnConfig::new(ic, pool * ph + k - 1, pool * pw + k - 1, oc, k, pool, hidden, classes)
+                        .expect("valid config");
+                let topo = Topology::grid(grid.0, grid.1, 2.0, 3.0).expect("valid grid");
+                let graph = config.unit_graph().expect("valid graph");
+                let assignment = Assignment::balanced_correspondence(&graph, &topo);
+                let update = [WeightUpdate::Synchronized, WeightUpdate::Independent, WeightUpdate::PerUnit][update];
+                let mut rng = SeedRng::new(seed);
+                let mut net = DistributedCnn::new(config, assignment, update, &mut rng);
+                randomize(&mut net, &mut rng);
+                let inputs: Vec<Tensor> = (0..4).map(|_| input(&config, &mut rng)).collect();
+                let radio = RADIOS[radio];
+
+                // f32.
+                let (mut a, mut b) = (net.clone(), net.clone());
+                let (mut rt_a, mut rt_b) = (runtime(radio, &topo, seed, loss), runtime(radio, &topo, seed, loss));
+                for x in &inputs {
+                    let blocked = pass(&mut a, x, rt_a.as_mut(), traced, true);
+                    let reference = pass(&mut b, x, rt_b.as_mut(), traced, false);
+                    prop_assert_eq!(&blocked, &reference, "{:?} {:?}", radio, update);
+                    prop_assert_eq!(caches(&a), caches(&b));
+                }
+
+                // i8, frozen from the same model.
+                let q = QuantizedCnn::new(&mut net, &inputs);
+                let (mut a, mut b) = (q.clone(), q);
+                let (mut rt_a, mut rt_b) = (runtime(radio, &topo, seed, loss), runtime(radio, &topo, seed, loss));
+                for x in &inputs {
+                    let blocked = pass(&mut a, x, rt_a.as_mut(), traced, true);
+                    let reference = pass(&mut b, x, rt_b.as_mut(), traced, false);
+                    prop_assert_eq!(&blocked, &reference, "i8 {:?} {:?}", radio, update);
+                    prop_assert_eq!(stats(&a), stats(&b));
+                }
+            }
+        }
+    }
 }

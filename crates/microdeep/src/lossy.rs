@@ -72,10 +72,12 @@ fn edge_key(stage: u64, producer: usize, consumer: usize) -> u64 {
 pub struct LossyRuntime {
     fabric: LinkFabric,
     routes: RoutingTable,
-    /// Last value delivered per edge. Only `DegradeMode::LastValueHold`
-    /// reads it, so only that policy writes it; under every other policy
-    /// it stays empty.
-    last_seen: BTreeMap<u64, f32>,
+    /// Last value delivered per model and edge. Only
+    /// `DegradeMode::LastValueHold` reads it, so only that policy writes
+    /// it; under every other policy it stays empty.
+    last_seen: BTreeMap<(u64, u64), f32>,
+    /// The model whose last values transports read and write.
+    model: u64,
     /// Simulated time one full inference pass occupies; advanced after
     /// every sample so brownout windows move across the run.
     pass_period: SimDuration,
@@ -95,8 +97,19 @@ impl LossyRuntime {
             fabric: LinkFabric::new(plan, policy),
             routes: RoutingTable::shortest_paths(topo),
             last_seen: BTreeMap::new(),
+            model: 0,
             pass_period,
         }
+    }
+
+    /// Selects the model whose last-value-hold state the following
+    /// transports read and write. A runtime starts on model 0. A caller
+    /// that runs several models over one runtime, such as a serving
+    /// shard's tenants, selects each before its pass, so one model's held
+    /// values never stand in for another's: the nodes of one deployment
+    /// remember what they received, not what a different model sent.
+    pub fn select_model(&mut self, model: u64) {
+        self.model = model;
     }
 
     /// The running fault counters.
@@ -159,7 +172,7 @@ impl LossyRuntime {
         if src == dst {
             return Some(value);
         }
-        let key = edge_key(stage, producer, consumer);
+        let key = (self.model, edge_key(stage, producer, consumer));
         let mode = self.fabric.policy().degrade_mode();
         if let Some(got) = self.deliver(value, src, dst) {
             if mode == Some(DegradeMode::LastValueHold) {

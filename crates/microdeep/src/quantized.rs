@@ -32,15 +32,15 @@
 //! quantized pass is therefore **bit-identical** to
 //! [`QuantizedCnn::forward_quantized`] by construction.
 
-use crate::distributed::{check_layout, DistributedCnn, Layout};
-use crate::exec::{self, Domain, Lossy, Perfect, Weights};
+use crate::distributed::{check_layout, DistributedCnn, Layout, Parts};
+use crate::exec::{self, Domain, Lossy, Perfect};
 use crate::lossy::LossyRuntime;
 use crate::{Assignment, CnnConfig};
 use serde::{de_field, Deserialize, Serialize, Value};
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 use zeiot_core::id::NodeId;
-use zeiot_nn::quant::{dot_i8, quantize_slice, scale_for, Calibration, Requant};
+use zeiot_nn::quant::{quantize_slice, scale_for, Calibration, Requant};
 use zeiot_nn::tensor::Tensor;
 use zeiot_obs::trace::SpanScope;
 use zeiot_obs::{Label, Recorder};
@@ -52,7 +52,7 @@ use zeiot_obs::{Label, Recorder};
 /// the layer's common weight scale, biases pre-scaled into the i32
 /// accumulator domain.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-struct QTable {
+pub(crate) struct QTable {
     weights: Vec<i8>,
     bias: Vec<i32>,
 }
@@ -241,9 +241,7 @@ impl QuantizedCnn {
     /// Checks the placement and every integer table against the config
     /// (the same [`check_layout`] a restored [`DistributedCnn`] passes).
     fn validate(&self) -> Result<(), String> {
-        let (c, at, hosts) = (&self.config, &self.assignment, &self.conv_unit_host);
-        let dense = [&self.dense1, &self.dense2];
-        check_layout(c, at, hosts, &self.replicas, self.per_unit.as_ref(), dense)
+        check_layout(&self.parts())
     }
 
     /// Re-aligns this frozen deployment with `net`'s placement after the
@@ -323,6 +321,17 @@ impl QuantizedCnn {
 }
 
 impl Layout for QTable {
+    type W = i8;
+    type B = i32;
+
+    fn weights(&self) -> &[i8] {
+        &self.weights
+    }
+
+    fn bias(&self) -> &[i32] {
+        &self.bias
+    }
+
     fn fits(&self, weights: &[usize], bias: &[usize]) -> bool {
         let count = |shape: &[usize]| shape.iter().product::<usize>();
         self.weights.len() == count(weights) && self.bias.len() == count(bias)
@@ -356,6 +365,8 @@ impl Domain for QuantizedCnn {
     type W = i8;
     type A = i8;
     type Acc = i32;
+    type Replica = QTable;
+    type Table = QTable;
     const HOPS: [&'static str; 4] = ["hop.qconv", "hop.qpool", "hop.qhidden", "hop.qlogit"];
     const FLOOR: i8 = i8::MIN;
 
@@ -367,12 +378,15 @@ impl Domain for QuantizedCnn {
         requantize_received(v)
     }
 
-    fn config(&self) -> &CnnConfig {
-        &self.config
-    }
-
-    fn assignment(&self) -> &Assignment {
-        &self.assignment
+    fn parts(&self) -> Parts<'_, QTable, QTable> {
+        Parts {
+            config: &self.config,
+            assignment: &self.assignment,
+            conv_unit_host: &self.conv_unit_host,
+            replicas: &self.replicas,
+            per_unit: self.per_unit.as_ref(),
+            dense: [&self.dense1, &self.dense2],
+        }
     }
 
     fn admit<'a>(&mut self, input: &'a Tensor) -> Cow<'a, [i8]> {
@@ -382,21 +396,8 @@ impl Domain for QuantizedCnn {
         Cow::Owned(q)
     }
 
-    #[inline]
-    fn conv_kernel(&self, unit: usize, channel: usize) -> (&[i8], i32) {
-        let kernel_len = self.config.in_channels() * self.config.kernel() * self.config.kernel();
-        let (weights, bias, slot) = match &self.per_unit {
-            Some(pk) => (&pk.weights, &pk.bias, unit),
-            None => {
-                // zeiot-audit: allow(p1) -- validated models keep a replica on every conv host, and unit/channel slots lie inside the validated kernel tables
-                let rep = &self.replicas[&self.conv_unit_host[unit]];
-                (&rep.weights, &rep.bias, channel)
-            }
-        };
-        (
-            &weights[slot * kernel_len..(slot + 1) * kernel_len],
-            bias[slot],
-        )
+    fn zero() -> i32 {
+        0
     }
 
     fn mac(acc: i32, w: i8, x: i8) -> i32 {
@@ -422,14 +423,6 @@ impl Domain for QuantizedCnn {
     }
 
     fn pool_done(&mut self, _: &[i8], _: Vec<usize>) {}
-
-    fn dense(&self) -> [Weights<'_, i8, i32>; 2] {
-        [&self.dense1, &self.dense2].map(|d| (d.weights.as_slice(), d.bias.as_slice()))
-    }
-
-    fn dot(bias: i32, row: &[i8], x: &[i8]) -> i32 {
-        bias + dot_i8(row, x)
-    }
 
     fn finish(&mut self, _: &Tensor, logits: Vec<i32>) -> Tensor {
         self.stats.forwards += 1;

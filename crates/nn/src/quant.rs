@@ -224,6 +224,7 @@ impl Requant {
 
     /// Rescales an i32 accumulator: widen to i64, multiply, shift back
     /// with round-half-away-from-zero. Pure integer arithmetic.
+    #[inline]
     pub fn apply(&self, acc: i32) -> i32 {
         let wide = acc as i64 * self.mult as i64;
         rounding_shift(wide, self.shift)
@@ -231,28 +232,29 @@ impl Requant {
 
     /// [`Requant::apply`] followed by a clamp into the i8 range,
     /// counting saturation into `saturated`.
+    #[inline]
     pub fn apply_i8(&self, acc: i32, saturated: &mut u64) -> i8 {
         let v = self.apply(acc);
-        if !(-QMAX..=QMAX).contains(&v) {
-            *saturated += 1;
-        }
+        *saturated += u64::from(!(-QMAX..=QMAX).contains(&v));
         v.clamp(-QMAX, QMAX) as i8
     }
 }
 
 /// `v >> shift` with round-half-away-from-zero (ties move away from
-/// zero for both signs, matching `f32::round`).
-fn rounding_shift(v: i64, shift: u32) -> i32 {
-    if shift == 0 {
-        return v as i32;
-    }
-    let add = 1i64 << (shift - 1);
-    let r = if v >= 0 {
-        (v + add) >> shift
-    } else {
-        -((-v + add) >> shift)
-    };
-    r as i32
+/// zero for both signs, matching `f32::round`), narrowed to `i32` by
+/// truncation. Exact for `|v| < 2^62` and `shift ≤ 62`, which covers
+/// every `i32 × i32` product [`Requant::apply`] shifts.
+///
+/// Branch-free: the magnitude is rounded and the sign put back with
+/// masks, so a sign that changes from one accumulator to the next costs
+/// no mispredicted branch.
+#[inline]
+pub fn rounding_shift(v: i64, shift: u32) -> i32 {
+    let sign = v >> 63;
+    let magnitude = (v ^ sign).wrapping_sub(sign);
+    let half = ((1u64 << shift) >> 1) as i64;
+    let rounded = magnitude.wrapping_add(half) >> shift;
+    ((rounded ^ sign).wrapping_sub(sign)) as i32
 }
 
 /// Exact i32 dot product of two i8 slices.

@@ -14,10 +14,89 @@
 //!   is lossless, unlike f32);
 //! * **requant totality** — the fixed-point requantizer matches a
 //!   direct f64 rounding reference within one ulp-scale step and never
-//!   panics over the full i32 accumulator range.
+//!   panics over the full i32 accumulator range;
+//! * **rounding is the branchy formula** — the branch-free
+//!   `rounding_shift` equals the sign-branching formula it replaced on
+//!   random products, ties at ±2^(shift−1), 0, ±1 and the i32 extremes,
+//!   at every shift from 0 to 62, alone and inside `Requant::apply`.
 
 use proptest::prelude::*;
-use zeiot_nn::quant::{dense_i8_blocked, dot_i8, quantize_value, scale_for, Requant};
+use zeiot_nn::quant::{
+    dense_i8_blocked, dot_i8, quantize_value, rounding_shift, scale_for, Requant,
+};
+
+/// The sign-branching round-half-away-from-zero shift `rounding_shift`
+/// was before it went branch-free.
+fn rounding_shift_reference(v: i64, shift: u32) -> i32 {
+    if shift == 0 {
+        return v as i32;
+    }
+    let add = 1i64 << (shift - 1);
+    let r = if v >= 0 {
+        (v + add) >> shift
+    } else {
+        -((-v + add) >> shift)
+    };
+    r as i32
+}
+
+/// `v` and its neighbours: every value the edge-case tests feed in,
+/// kept inside the `|v| < 2^62` domain.
+fn around(v: i64) -> impl Iterator<Item = i64> {
+    let domain = 1i64 << 62;
+    [-1, 0, 1]
+        .into_iter()
+        .filter_map(move |d| v.checked_add(d))
+        .flat_map(|v| [v, v.wrapping_neg()])
+        .filter(move |v| v.checked_abs().is_some_and(|m| m < domain))
+}
+
+/// A requantizer whose shift is `shift`: `from_ratio` normalizes the
+/// multiplier into `[2^30, 2^31)`, so a ratio in `[2^(30−s), 2^(31−s))`
+/// lands on shift `s`.
+fn requant_with_shift(shift: u32) -> Requant {
+    let rq = Requant::from_ratio(1.5 * 2f64.powi(30 - shift as i32));
+    assert_eq!(rq.shift(), shift);
+    rq
+}
+
+const EXTREMES: [i32; 5] = [0, 1, -1, i32::MIN, i32::MAX];
+
+#[test]
+fn rounding_shift_equals_the_branchy_formula_at_edges() {
+    for shift in 0..=62u32 {
+        let half = (1i64 << shift) >> 1;
+        let ties = (0..4i64).filter_map(|k| k.checked_mul(1i64 << shift)?.checked_add(half));
+        let extremes = EXTREMES.map(i64::from).into_iter();
+        let products = [i32::MIN, i32::MAX].map(|a| i64::from(a) * i64::from(i32::MAX));
+        let values = ties
+            .chain(extremes)
+            .chain(products)
+            .chain([half, 1i64 << 61]);
+        for v in values.flat_map(around) {
+            assert_eq!(
+                rounding_shift(v, shift),
+                rounding_shift_reference(v, shift),
+                "v {v}, shift {shift}"
+            );
+        }
+    }
+}
+
+#[test]
+fn requant_apply_equals_the_branchy_formula_at_every_shift() {
+    for shift in 0..=62u32 {
+        let rq = requant_with_shift(shift);
+        for acc in EXTREMES {
+            let wide = i64::from(acc) * i64::from(rq.mult());
+            assert_eq!(
+                rq.apply(acc),
+                rounding_shift_reference(wide, shift),
+                "acc {acc}, shift {shift}"
+            );
+        }
+    }
+}
 
 /// Naive reference for [`dense_i8_blocked`]: bias + row·input in i64,
 /// narrowed at the end (so any i32 overflow in the kernel would show).
@@ -122,5 +201,26 @@ proptest! {
         let mut saturated = 0u64;
         let narrowed = rq.apply_i8(acc, &mut saturated);
         prop_assert!(i32::from(narrowed) <= 127 && i32::from(narrowed) >= -127);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The branch-free rounding shift equals the branching formula on
+    /// random `i32 × i32` products at every shift, directly and through
+    /// a requantizer of that shift.
+    #[test]
+    fn rounding_shift_equals_the_branchy_formula(
+        acc in -2_147_483_648i64..2_147_483_648,
+        mult in -2_147_483_648i64..2_147_483_648,
+        shift in 0u32..63,
+    ) {
+        let v = acc * mult;
+        prop_assert_eq!(rounding_shift(v, shift), rounding_shift_reference(v, shift));
+        let rq = requant_with_shift(shift);
+        let acc = acc as i32;
+        let wide = i64::from(acc) * i64::from(rq.mult());
+        prop_assert_eq!(rq.apply(acc), rounding_shift_reference(wide, shift));
     }
 }

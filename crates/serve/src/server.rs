@@ -649,6 +649,63 @@ mod tests {
     }
 
     #[test]
+    fn tenants_sharing_a_shard_hold_their_own_last_values() {
+        use zeiot_core::id::NodeId;
+        use zeiot_core::time::SimTime;
+
+        // Tenant 0 ("b") and tenant 1 ("a") serve copies of one model on
+        // one shard. Each shard pass advances the fabric 100 ms, and every
+        // node goes dark from 150 ms on: b's first pass and then a's run
+        // lit, every later pass substitutes each cross-node value with
+        // the last one held for its edge.
+        let mut plan = FaultPlan::lossless();
+        for node in 0..9 {
+            let (from, until) = (SimTime::from_millis(150), SimTime::from_secs(100));
+            plan = plan.with_outage(NodeId::new(node), from, until).unwrap();
+        }
+        let run = |a_pool: Vec<(Tensor, usize)>| {
+            let every = ArrivalProcess::periodic(SimDuration::from_millis(200));
+            let spec = |name| TenantSpec::new(name, every, SimDuration::from_secs(10));
+            let b = Tenant::new(spec("b"), small_net(5), pool(8)).unwrap();
+            let a = Tenant::new(spec("a"), small_net(5), a_pool).unwrap();
+            let degraded = DegradedServing {
+                plan: plan.clone(),
+                policy: RecoveryPolicy::Degrade {
+                    mode: DegradeMode::LastValueHold,
+                },
+                pass_period: SimDuration::from_millis(100),
+                stale_cache: false,
+                replace: None,
+            };
+            let mut server = server(1, 1, 32, vec![b, a]).with_degraded(degraded);
+            server.run(3, SimDuration::from_secs(2), None)
+        };
+        let served = |outcome: &ServeOutcome, tenant| -> Vec<(ServiceMode, Vec<f32>)> {
+            let of_tenant = outcome.completions.iter().filter(|c| c.tenant == tenant);
+            of_tenant
+                .filter_map(|c| match &c.outcome {
+                    Outcome::Served { mode, logits, .. } => Some((*mode, logits.clone())),
+                    _ => None,
+                })
+                .collect()
+        };
+        let mut shifted = pool(8);
+        for v in shifted.iter_mut().flat_map(|(x, _)| x.data_mut()) {
+            *v = 3.0 - 2.0 * *v;
+        }
+        let (first, second) = (run(pool(8)), run(shifted));
+        // Tenant a saw different inputs in the two runs...
+        assert_ne!(served(&first, 1), served(&second, 1));
+        // ...which must not reach tenant b's substituted passes.
+        let b = served(&first, 0);
+        assert!(b.len() > 2, "{b:?}");
+        assert!(b[1..]
+            .iter()
+            .all(|(mode, _)| *mode == ServiceMode::Degraded));
+        assert_eq!(b, served(&second, 0));
+    }
+
+    #[test]
     fn stale_cache_answers_when_the_fabric_aborts() {
         // Fail-fast at 0.4% loss: most passes complete (populating the
         // cache), some abort and fall back to stale answers.

@@ -470,6 +470,7 @@ impl Shard {
                         }
                     }
                 }
+                rt.select_model(req.tenant as u64);
                 let substituted_before = rt.stats().degraded + rt.stats().corrupted;
                 let out = match quantized {
                     Some(q) => q.forward_quantized_lossy_traced(&req.input, rt, scope.as_mut()),
@@ -483,6 +484,7 @@ impl Shard {
                 // feature gathers go through `rt`, substitutions mark
                 // the answer Degraded, and an aborted pass falls back to
                 // the stale cache.
+                rt.select_model(req.tenant as u64);
                 let substituted_before = rt.stats().degraded + rt.stats().corrupted;
                 let out = model.infer_lossy(&req.input, rt, scope.as_mut());
                 rt.advance_pass();
