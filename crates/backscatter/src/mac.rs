@@ -233,14 +233,6 @@ impl MacReport {
         }
         self.dummy_airtime.as_secs_f64() / self.duration.as_secs_f64()
     }
-
-    /// Channel utilization.
-    pub fn channel_utilization(&self) -> f64 {
-        if self.duration.is_zero() {
-            return 0.0;
-        }
-        self.busy_airtime.as_secs_f64() / self.duration.as_secs_f64()
-    }
 }
 
 #[derive(Debug, Clone)]
@@ -765,7 +757,8 @@ mod tests {
         let report = run(MacMode::Scheduled, 15, 7);
         assert!(report.bs_delivered <= report.bs_offered);
         assert!(report.wlan_delivered <= report.wlan_offered);
-        assert!(report.channel_utilization() > 0.0 && report.channel_utilization() <= 1.0);
+        let utilization = report.busy_airtime.as_secs_f64() / report.duration.as_secs_f64();
+        assert!(utilization > 0.0 && utilization <= 1.0);
         // ~60 samples per device over 30 s.
         assert!(report.bs_offered >= 14 * 60);
     }
@@ -1162,7 +1155,8 @@ mod proptests {
             // Ratios bounded.
             prop_assert!((0.0..=1.0).contains(&report.wlan_delivery_ratio()));
             prop_assert!((0.0..=1.0).contains(&report.backscatter_delivery_ratio()));
-            prop_assert!(report.channel_utilization() <= 1.0 + 1e-9);
+            let utilization = report.busy_airtime.as_secs_f64() / report.duration.as_secs_f64();
+            prop_assert!(utilization <= 1.0 + 1e-9);
             // Mode-specific structure.
             if mode == MacMode::Naive {
                 prop_assert_eq!(report.dummy_frames, 0);

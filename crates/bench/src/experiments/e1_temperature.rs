@@ -82,7 +82,7 @@ pub fn run_with(params: &Params, runner: &SweepRunner) -> ExperimentReport {
     let config = cnn_config();
     let topo = deployment();
     let graph = config.unit_graph().expect("valid config");
-    let assignment = Assignment::balanced_correspondence_threaded(&graph, &topo, runner.threads());
+    let assignment = Assignment::balanced_correspondence(&graph, &topo);
 
     // Two independent model arms, each trained from its own derived
     // stream: 0 = standard (centralized) CNN, 1 = MicroDeep with the

@@ -112,8 +112,7 @@ pub fn run_with(params: &Params, runner: &SweepRunner) -> ExperimentReport {
     let opt_cost = cost.forward_cost(&opt_graph, &opt_assignment);
     let fea_config = feasible_config();
     let fea_graph = fea_config.unit_graph().expect("valid");
-    let fea_assignment =
-        Assignment::balanced_correspondence_threaded(&fea_graph, &topo, runner.threads());
+    let fea_assignment = Assignment::balanced_correspondence(&fea_graph, &topo);
     let fea_cost = cost.forward_cost(&fea_graph, &fea_assignment);
 
     // Two model arms as sweep points, each with its own derived stream:

@@ -43,7 +43,7 @@ fn e1_microdeep_arm_through_lossless_fabric_matches_golden_accuracy() {
     let config = e1_temperature::cnn_config();
     let topo = e1_temperature::deployment();
     let graph = config.unit_graph().expect("valid config");
-    let assignment = Assignment::balanced_correspondence_threaded(&graph, &topo, 1);
+    let assignment = Assignment::balanced_correspondence(&graph, &topo);
 
     let mut arm_rng = SeedRng::for_point(params.seed ^ 0xE1A0, 1);
     let mut net = DistributedCnn::new(config, assignment, WeightUpdate::PerUnit, &mut arm_rng);

@@ -49,27 +49,9 @@ impl Point2 {
         dx * dx + dy * dy
     }
 
-    /// Manhattan (L1) distance to `other` in metres.
-    pub fn manhattan_distance(self, other: Self) -> f64 {
-        (self.x - other.x).abs() + (self.y - other.y).abs()
-    }
-
     /// Component-wise midpoint between `self` and `other`.
     pub fn midpoint(self, other: Self) -> Self {
         Self::new((self.x + other.x) / 2.0, (self.y + other.y) / 2.0)
-    }
-
-    /// Linear interpolation: `t = 0` gives `self`, `t = 1` gives `other`.
-    pub fn lerp(self, other: Self, t: f64) -> Self {
-        Self::new(
-            self.x + (other.x - self.x) * t,
-            self.y + (other.y - self.y) * t,
-        )
-    }
-
-    /// Lifts this point to 3D at height `z`.
-    pub fn with_z(self, z: f64) -> Point3 {
-        Point3::new(self.x, self.y, z)
     }
 }
 
@@ -117,11 +99,6 @@ impl Point3 {
         let dy = self.y - other.y;
         let dz = self.z - other.z;
         (dx * dx + dy * dy + dz * dz).sqrt()
-    }
-
-    /// Projects onto the XY plane, discarding height.
-    pub fn xy(self) -> Point2 {
-        Point2::new(self.x, self.y)
     }
 }
 
@@ -243,15 +220,6 @@ impl Grid2 {
         )
     }
 
-    /// The cell containing physical point `p`, clamped to the grid border.
-    pub fn cell_of(&self, p: Point2) -> (usize, usize) {
-        let col = (p.x / self.cell_width_m()).floor();
-        let row = (p.y / self.cell_height_m()).floor();
-        let col = col.clamp(0.0, (self.cols - 1) as f64) as usize;
-        let row = row.clamp(0.0, (self.rows - 1) as f64) as usize;
-        (col, row)
-    }
-
     /// Flattens `(col, row)` to a dense index in row-major order.
     ///
     /// # Panics
@@ -260,16 +228,6 @@ impl Grid2 {
     pub fn flat_index(&self, col: usize, row: usize) -> usize {
         assert!(col < self.cols && row < self.rows);
         row * self.cols + col
-    }
-
-    /// Inverse of [`Grid2::flat_index`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index >= cell_count()`.
-    pub fn unflatten(&self, index: usize) -> (usize, usize) {
-        assert!(index < self.cell_count());
-        (index % self.cols, index / self.cols)
     }
 
     /// Iterates over all `(col, row)` cell coordinates in row-major order.
@@ -289,26 +247,20 @@ mod tests {
         let b = Point2::new(4.0, 5.0);
         assert_eq!(a.distance(b), 5.0);
         assert_eq!(a.distance_squared(b), 25.0);
-        assert_eq!(a.manhattan_distance(b), 7.0);
     }
 
     #[test]
-    fn point2_midpoint_and_lerp() {
+    fn point2_midpoint() {
         let a = Point2::new(0.0, 0.0);
         let b = Point2::new(2.0, 4.0);
         assert_eq!(a.midpoint(b), Point2::new(1.0, 2.0));
-        assert_eq!(a.lerp(b, 0.0), a);
-        assert_eq!(a.lerp(b, 1.0), b);
-        assert_eq!(a.lerp(b, 0.25), Point2::new(0.5, 1.0));
     }
 
     #[test]
-    fn point3_distance_and_projection() {
+    fn point3_distance() {
         let a = Point3::new(0.0, 0.0, 0.0);
         let b = Point3::new(2.0, 3.0, 6.0);
         assert_eq!(a.distance(b), 7.0);
-        assert_eq!(b.xy(), Point2::new(2.0, 3.0));
-        assert_eq!(Point2::new(2.0, 3.0).with_z(6.0), b);
     }
 
     #[test]
@@ -329,26 +281,19 @@ mod tests {
     }
 
     #[test]
-    fn grid_cell_center_and_cell_of_round_trip() {
+    fn grid_cell_center_lies_in_its_cell() {
         let grid = Grid2::new(25, 17, 50.0, 34.0).unwrap();
         for (col, row) in grid.cells() {
             let c = grid.cell_center(col, row);
-            assert_eq!(grid.cell_of(c), (col, row));
+            assert_eq!((c.x / grid.cell_width_m()).floor() as usize, col);
+            assert_eq!((c.y / grid.cell_height_m()).floor() as usize, row);
         }
-    }
-
-    #[test]
-    fn grid_cell_of_clamps_outside_points() {
-        let grid = Grid2::new(4, 4, 4.0, 4.0).unwrap();
-        assert_eq!(grid.cell_of(Point2::new(-1.0, -1.0)), (0, 0));
-        assert_eq!(grid.cell_of(Point2::new(100.0, 100.0)), (3, 3));
     }
 
     #[test]
     fn grid_flat_index_round_trip() {
         let grid = Grid2::new(5, 3, 5.0, 3.0).unwrap();
-        for i in 0..grid.cell_count() {
-            let (c, r) = grid.unflatten(i);
+        for (i, (c, r)) in grid.cells().enumerate() {
             assert_eq!(grid.flat_index(c, r), i);
         }
     }

@@ -196,22 +196,6 @@ impl SeedRng {
         }
     }
 
-    /// A Rayleigh-distributed sample with scale σ; the envelope of a
-    /// zero-mean complex Gaussian, used for non-line-of-sight fading.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sigma` is not strictly positive.
-    pub fn rayleigh(&mut self, sigma: f64) -> f64 {
-        assert!(sigma > 0.0, "sigma must be positive");
-        loop {
-            let u = self.uniform();
-            if u > 0.0 {
-                return sigma * (-2.0 * u.ln()).sqrt();
-            }
-        }
-    }
-
     /// Shuffles a slice in place (Fisher–Yates).
     pub fn shuffle<T>(&mut self, slice: &mut [T]) {
         for i in (1..slice.len()).rev() {
@@ -383,16 +367,6 @@ mod tests {
                 "lambda={lambda} mean={mean}"
             );
         }
-    }
-
-    #[test]
-    fn rayleigh_mean() {
-        let mut rng = SeedRng::new(23);
-        let sigma = 2.0;
-        let n = 100_000;
-        let mean: f64 = (0..n).map(|_| rng.rayleigh(sigma)).sum::<f64>() / n as f64;
-        let expected = sigma * (std::f64::consts::PI / 2.0).sqrt();
-        assert!((mean - expected).abs() < 0.03, "mean={mean}");
     }
 
     #[test]

@@ -316,25 +316,9 @@ impl Watt {
 }
 
 impl Joule {
-    /// Microjoules representation, convenient for µW-scale devices.
-    pub fn as_microjoules(self) -> f64 {
-        self.0 * 1e6
-    }
-
     /// Creates energy from microjoules.
     pub fn from_microjoules(uj: f64) -> Self {
         Self(uj * 1e-6)
-    }
-
-    /// Average power when this energy is spent over `duration`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `duration` is zero.
-    pub fn average_power(self, duration: crate::time::SimDuration) -> Watt {
-        let secs = duration.as_secs_f64();
-        assert!(secs > 0.0, "duration must be non-zero");
-        Watt(self.0 / secs)
     }
 }
 
@@ -412,17 +396,15 @@ mod tests {
     }
 
     #[test]
-    fn energy_power_duration_triangle() {
+    fn energy_over_a_duration() {
         let d = SimDuration::from_secs_f64(10.0);
         let e = Watt::new(2.0).energy_over(d);
         assert!((e.value() - 20.0).abs() < 1e-9);
-        assert!((e.average_power(d).value() - 2.0).abs() < 1e-9);
     }
 
     #[test]
-    fn microjoule_round_trip() {
+    fn from_microjoules_scales_to_joules() {
         let e = Joule::from_microjoules(12.5);
-        assert!((e.as_microjoules() - 12.5).abs() < 1e-9);
         assert!((e.value() - 12.5e-6).abs() < 1e-15);
     }
 

@@ -184,12 +184,6 @@ impl RfHarvester {
         })
     }
 
-    /// Sets the current incident carrier power at the tag (e.g. from a
-    /// `zeiot_rf`-style backscatter budget's power-at-tag figure).
-    pub fn set_incident(&mut self, incident: Dbm) {
-        self.incident = incident;
-    }
-
     /// Harvested power for a given incident power.
     pub fn harvested(&self, incident: Dbm) -> Watt {
         if incident < self.sensitivity {
@@ -343,15 +337,6 @@ mod tests {
         assert!(RfHarvester::new(0.0, Dbm::new(-20.0)).is_err());
         assert!(RfHarvester::new(1.5, Dbm::new(-20.0)).is_err());
         assert!(RfHarvester::new(-0.1, Dbm::new(-20.0)).is_err());
-    }
-
-    #[test]
-    fn rf_harvester_tracks_incident_power() {
-        let mut h = RfHarvester::new(0.3, Dbm::new(-20.0)).unwrap();
-        let mut rng = SeedRng::new(5);
-        assert_eq!(h.power_at(SimTime::ZERO, &mut rng).value(), 0.0);
-        h.set_incident(Dbm::new(-10.0));
-        assert!(h.power_at(SimTime::ZERO, &mut rng).value() > 0.0);
     }
 
     #[test]

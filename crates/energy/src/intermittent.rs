@@ -86,13 +86,6 @@ pub struct IntermittentOutcome {
     pub duty_cycle: f64,
 }
 
-impl IntermittentOutcome {
-    /// Steps of progress lost to brownouts (executed but not durable).
-    pub fn wasted_steps(&self) -> u64 {
-        self.executed_steps - self.durable_steps.min(self.executed_steps)
-    }
-}
-
 /// A harvesting device executing a task intermittently.
 #[derive(Debug)]
 pub struct IntermittentDevice<H> {
@@ -408,19 +401,6 @@ mod tests {
         let mut d2 = device(50e-6);
         let out_long = d2.run(&task, SimDuration::from_secs(60), &mut rng2, None);
         assert!(out_long.durable_steps >= out_short.durable_steps);
-    }
-
-    #[test]
-    fn wasted_steps_accounting() {
-        let out = IntermittentOutcome {
-            durable_steps: 40,
-            executed_steps: 55,
-            completed: false,
-            completion_time: None,
-            brownouts: 2,
-            duty_cycle: 0.3,
-        };
-        assert_eq!(out.wasted_steps(), 15);
     }
 
     #[test]

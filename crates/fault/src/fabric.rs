@@ -81,14 +81,6 @@ impl FaultStats {
         self.sent - self.retries
     }
 
-    /// Fraction of attempts lost.
-    pub fn loss_ratio(&self) -> f64 {
-        if self.sent == 0 {
-            return 0.0;
-        }
-        self.drops as f64 / self.sent as f64
-    }
-
     /// Mean recovery latency in hops over recovered messages.
     pub fn mean_recovery_latency_hops(&self) -> f64 {
         if self.recovered == 0 {
@@ -502,7 +494,7 @@ mod tests {
         total.merge(fabric.stats());
         total.merge(fabric.stats());
         assert_eq!(total.sent, fabric.stats().sent * 2);
-        assert!(fabric.stats().loss_ratio() > 0.2);
+        assert!(fabric.stats().drops as f64 / fabric.stats().sent as f64 > 0.2);
         assert!(fabric.stats().traffic_overhead() > 1.0);
         assert!(fabric.stats().mean_recovery_latency_hops() >= 1.0);
     }

@@ -11,8 +11,7 @@
 //! and two recovery policies can be compared under *identical* loss
 //! patterns (common random numbers).
 //!
-//! * [`FaultPlan`] — the immutable scenario: per-link drop probabilities
-//!   (fixed, or derived from an `rf` packet-error model at a given SNR),
+//! * [`FaultPlan`] — the immutable scenario: per-link drop probabilities,
 //!   per-node outage windows (hand-written or converted from an `energy`
 //!   capacitor on/off trace), and a payload corruption probability.
 //! * [`RecoveryPolicy`] — what a consumer does about a lost message:

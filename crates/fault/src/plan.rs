@@ -1,8 +1,7 @@
 //! The seed-deterministic fault plan.
 //!
 //! A [`FaultPlan`] is a *pure description* of everything that can go
-//! wrong on the radio fabric: per-link drop probabilities (fixed rates or
-//! derived from the `rf` crate's BER/SNR packet-error model), scheduled
+//! wrong on the radio fabric: per-link drop probabilities, scheduled
 //! node outage windows (crashes and capacitor brownouts), and message
 //! corruption. Whether a given message is lost is a pure function of
 //! `(plan seed, src, dst, sequence number, attempt, simulated time)` —
@@ -14,8 +13,6 @@ use std::collections::BTreeMap;
 use zeiot_core::error::{ConfigError, Result};
 use zeiot_core::id::NodeId;
 use zeiot_core::time::SimTime;
-use zeiot_core::units::Decibel;
-use zeiot_rf::ber::PacketErrorModel;
 
 /// The fate of one transmission attempt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -129,24 +126,6 @@ impl FaultPlan {
         zeiot_core::error::require_in_range("drop_prob", drop_prob, 0.0, 1.0)?;
         self.link_drop.insert((src.raw(), dst.raw()), drop_prob);
         Ok(self)
-    }
-
-    /// Derives the directed link's drop probability from the `rf` crate's
-    /// packet-error model at the link's SNR — the physically grounded way
-    /// to populate a plan (marginal SINR links drop more).
-    ///
-    /// # Errors
-    ///
-    /// Never fails in practice; the PER is a probability by construction,
-    /// but the signature matches the other builders.
-    pub fn with_link_from_rf(
-        self,
-        src: NodeId,
-        dst: NodeId,
-        model: &PacketErrorModel,
-        snr: Decibel,
-    ) -> Result<Self> {
-        self.with_link_drop(src, dst, model.per(snr))
     }
 
     /// Sets the payload-corruption probability of delivered messages.
@@ -384,7 +363,6 @@ impl FaultPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use zeiot_rf::ber::Modulation;
 
     fn n(i: u32) -> NodeId {
         NodeId::new(i)
@@ -465,18 +443,6 @@ mod tests {
             plan.decide(n(4), n(3), 0, 0, SimTime::ZERO),
             LinkEvent::Delivered
         );
-    }
-
-    #[test]
-    fn rf_derived_rate_matches_packet_error_model() {
-        let model = PacketErrorModel::new(Modulation::OqpskDsss802154, 256).unwrap();
-        let snr = Decibel::new(1.0);
-        let plan = FaultPlan::lossless()
-            .with_link_from_rf(n(0), n(1), &model, snr)
-            .unwrap();
-        assert!((plan.drop_prob(n(0), n(1)) - model.per(snr)).abs() < 1e-12);
-        // A marginal link must actually drop messages.
-        assert!(plan.drop_prob(n(0), n(1)) > 0.05);
     }
 
     #[test]

@@ -85,34 +85,10 @@ impl Assignment {
     /// each unit to the candidate node minimizing its total hop distance
     /// to its producers and consumers.
     pub fn balanced_correspondence(graph: &UnitGraph, topo: &Topology) -> Self {
-        Self::balanced_correspondence_threaded(graph, topo, 1)
-    }
-
-    /// [`Assignment::balanced_correspondence`] with the local search's
-    /// candidate scoring fanned out over `threads` workers (`0` meaning
-    /// available parallelism).
-    ///
-    /// Only the *scoring* of move candidates runs concurrently — every
-    /// candidate is evaluated against the same immutable assignment,
-    /// routing table, and load vector, and the winning move is applied
-    /// serially. Because serial and parallel paths score the same
-    /// candidate set and select by the same total order (cost, then node
-    /// id), the accepted-move sequence — and therefore the returned
-    /// assignment — is identical for every thread count.
-    pub fn balanced_correspondence_threaded(
-        graph: &UnitGraph,
-        topo: &Topology,
-        threads: usize,
-    ) -> Self {
         let routes = RoutingTable::shortest_paths(topo);
         let cap = graph.total_units().div_ceil(topo.len());
         let mut assignment = Self::greedy(graph, topo, &routes, cap);
-        let threads = if threads == 0 {
-            rayon::current_num_threads()
-        } else {
-            threads
-        };
-        improve(&mut assignment, graph, topo, &routes, cap, &[], threads);
+        improve(&mut assignment, graph, topo, &routes, cap, &[]);
         assignment
     }
 
@@ -235,19 +211,9 @@ impl Assignment {
         counts
     }
 
-    /// The largest per-node unit load.
-    pub fn max_units_per_node(&self) -> usize {
-        self.units_per_node().into_iter().max().unwrap_or(0)
-    }
-
     /// Total computational units assigned.
     pub fn total_units(&self) -> usize {
         self.unit_host.iter().map(Vec::len).sum()
-    }
-
-    /// Whether the load respects `cap` everywhere.
-    pub fn is_balanced(&self, cap: usize) -> bool {
-        self.units_per_node().into_iter().all(|c| c <= cap)
     }
 
     /// Nodes hosting at least one computational unit.
@@ -309,10 +275,7 @@ pub(crate) fn hop_cost(
 /// and letting it chase its producers would re-concentrate load. Each
 /// moves to the `topo` neighbour or producer host, not `down` and under
 /// `cap` units, that most lowers its [`hop_cost`]; selection uses the
-/// total order (cost, node id). Candidate *scoring* reads only the
-/// frozen assignment and routes, so it fans out over `threads`; the
-/// *move* is applied serially, so the accepted-move sequence does not
-/// depend on scoring order or thread count.
+/// total order (cost, node id).
 pub(crate) fn improve(
     asg: &mut Assignment,
     graph: &UnitGraph,
@@ -320,7 +283,6 @@ pub(crate) fn improve(
     routes: &RoutingTable,
     cap: usize,
     down: &[NodeId],
-    threads: usize,
 ) {
     let consumers = producer_consumers(graph);
     let mut load = asg.units_per_node();
@@ -330,10 +292,8 @@ pub(crate) fn improve(
         for l in 1..graph.layer_count() {
             for u in (0..graph.units_in_layer(l)).filter(|&u| graph.position(l, u).is_some()) {
                 let current = asg.host_of(l, u);
-                let cost_at = |at: NodeId, asg: &Assignment| {
-                    hop_cost(graph, routes, &consumers, asg, (l, u), at)
-                };
-                let current_cost = cost_at(current, asg);
+                let cost_at = |at| hop_cost(graph, routes, &consumers, asg, (l, u), at);
+                let current_cost = cost_at(current);
                 // Candidates: the current node's neighbourhood plus the
                 // hosts of this unit's producers, minus full nodes.
                 let mut candidates: Vec<NodeId> = topo.neighbors(current).to_vec();
@@ -347,26 +307,12 @@ pub(crate) fn improve(
                 candidates.dedup();
                 candidates.retain(|&c| c != current && !down.contains(&c) && has_room(&load, c));
 
-                let mut costs = vec![0usize; candidates.len()];
-                if threads > 1 && candidates.len() > 1 {
-                    let frozen = &*asg;
-                    rayon::scope(|s| {
-                        for (slot, &cand) in costs.iter_mut().zip(&candidates) {
-                            let cost_at = &cost_at;
-                            s.spawn(move |_| *slot = cost_at(cand, frozen));
-                        }
-                    });
-                } else {
-                    for (slot, &cand) in costs.iter_mut().zip(&candidates) {
-                        *slot = cost_at(cand, asg);
-                    }
-                }
                 let best = candidates
                     .iter()
-                    .zip(&costs)
-                    .filter(|&(_, &cost)| cost < current_cost)
-                    .min_by_key(|&(cand, &cost)| (cost, cand.raw()));
-                if let Some((&to, _)) = best {
+                    .map(|&cand| (cand, cost_at(cand)))
+                    .filter(|&(_, cost)| cost < current_cost)
+                    .min_by_key(|&(cand, cost)| (cost, cand.raw()));
+                if let Some((to, _)) = best {
                     // zeiot-audit: allow(p1) -- both hosts passed has_room() or host a unit, so they index the load table
                     load[current.index()] -= 1;
                     load[to.index()] += 1;
@@ -428,7 +374,8 @@ mod proptests {
             }
             // Load cap respected.
             let cap = graph.total_units().div_ceil(topo.len());
-            prop_assert!(a.is_balanced(cap), "loads {:?}", a.units_per_node());
+            let loads = a.units_per_node();
+            prop_assert!(loads.iter().all(|&c| c <= cap), "loads {:?}", loads);
             // Totals conserved.
             prop_assert_eq!(a.total_units(), graph.total_units());
             prop_assert_eq!(
@@ -478,12 +425,13 @@ mod proptests {
             let graph = config.unit_graph().unwrap();
             let mut rng = SeedRng::new(seed);
             let topo = zeiot_net::Topology::random(n, 10.0, 10.0, 5.0, &mut rng).unwrap();
-            let balanced = Assignment::balanced_correspondence(&graph, &topo);
-            let grid = Assignment::grid_projection(&graph, &topo);
+            let max_load = |a: &Assignment| a.units_per_node().into_iter().max();
+            let balanced = max_load(&Assignment::balanced_correspondence(&graph, &topo));
+            let grid = max_load(&Assignment::grid_projection(&graph, &topo));
             prop_assert!(
-                balanced.max_units_per_node() <= grid.max_units_per_node(),
-                "balanced load {} > grid-projection load {}",
-                balanced.max_units_per_node(), grid.max_units_per_node()
+                balanced <= grid,
+                "balanced load {:?} > grid-projection load {:?}",
+                balanced, grid
             );
         }
 
@@ -563,7 +511,10 @@ mod tests {
                 assert_eq!(a.host_of(l, u), NodeId::new(0));
             }
         }
-        assert_eq!(a.max_units_per_node(), graph.total_units());
+        assert_eq!(
+            a.units_per_node().into_iter().max(),
+            Some(graph.total_units())
+        );
     }
 
     #[test]
@@ -596,7 +547,8 @@ mod tests {
         let (graph, topo) = setup();
         let a = Assignment::balanced_correspondence(&graph, &topo);
         let cap = graph.total_units().div_ceil(topo.len());
-        assert!(a.is_balanced(cap), "loads: {:?}", a.units_per_node());
+        let loads = a.units_per_node();
+        assert!(loads.iter().all(|&c| c <= cap), "loads: {loads:?}");
         assert_eq!(a.total_units(), graph.total_units());
     }
 
@@ -605,7 +557,8 @@ mod tests {
         let (graph, topo) = setup();
         let central = Assignment::centralized(&graph, &topo);
         let balanced = Assignment::balanced_correspondence(&graph, &topo);
-        assert!(balanced.max_units_per_node() < central.max_units_per_node() / 4);
+        let max_load = |a: &Assignment| a.units_per_node().into_iter().max().unwrap_or(0);
+        assert!(max_load(&balanced) < max_load(&central) / 4);
     }
 
     #[test]

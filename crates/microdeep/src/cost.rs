@@ -14,13 +14,24 @@
 //! value caching (each value crosses to a given consumer node once, no
 //! matter how many of its units read it) — a natural systems optimization
 //! ablated in the benches.
+//!
+//! Only the forward pass has a static model, because a forward sends
+//! every cross-node edge whatever the values are: a lossless
+//! [`LossyRuntime`](crate::LossyRuntime) sends exactly the messages
+//! [`CostModel::forward_cost`] charges. A training step's backward
+//! traffic depends on the gradients. A consumer sends only when its
+//! output gradient is non-zero, a pool unit sends only to its argmax conv
+//! unit, and nothing crosses a conv→input edge, because input units hold
+//! no parameters. The fabric's `sent` counter measures it at run time.
 
 use crate::assignment::{producer_consumers, Assignment};
 use std::collections::BTreeSet;
+use zeiot_core::id::NodeId;
 use zeiot_net::routing::RoutingTable;
 use zeiot_net::topology::Topology;
 use zeiot_net::traffic::TrafficLedger;
 use zeiot_nn::topology::UnitGraph;
+use zeiot_obs::{Label, Recorder};
 
 /// Evaluates per-node communication costs of assignments over a fixed
 /// topology. See the crate-level example.
@@ -95,31 +106,6 @@ impl CostModel {
         ledger
     }
 
-    /// Traffic of one backward pass: one error term per cross-node
-    /// dependency edge, flowing consumer → producer.
-    pub fn backward_cost(&self, graph: &UnitGraph, assignment: &Assignment) -> TrafficLedger {
-        let mut ledger = TrafficLedger::new(self.node_count);
-        for l in 1..graph.layer_count() {
-            for u in 0..graph.units_in_layer(l) {
-                let src = assignment.host_of(l, u);
-                for &d in graph.dependencies(l, u) {
-                    let dst = assignment.host_of(l - 1, d);
-                    if dst != src {
-                        ledger.send(&self.routes, src, dst, 1);
-                    }
-                }
-            }
-        }
-        ledger
-    }
-
-    /// Combined cost of one training step (forward + backward).
-    pub fn training_step_cost(&self, graph: &UnitGraph, assignment: &Assignment) -> TrafficLedger {
-        let fwd = self.forward_cost(graph, assignment);
-        let bwd = self.backward_cost(graph, assignment);
-        merged_ledger(self.node_count, &fwd, &bwd)
-    }
-
     /// Ratio of an assignment's maximal per-node cost to a baseline's —
     /// the paper reports MicroDeep at "just 13 %" of the standard
     /// version's peak traffic in the temperature experiment.
@@ -144,21 +130,20 @@ impl CostModel {
     }
 }
 
-/// Merges two ledgers by per-node totals.
-fn merged_ledger(n: usize, a: &TrafficLedger, b: &TrafficLedger) -> TrafficLedger {
-    let mut merged = TrafficLedger::new(n);
-    for i in 0..n {
-        let node = zeiot_core::id::NodeId::new(i as u32);
-        merged.add_raw(node, a.tx(node) + b.tx(node), a.rx(node) + b.rx(node));
+/// Writes `ledger`'s per-node message counts into `recorder` as the
+/// `microdeep.tx_messages` and `microdeep.rx_messages` counters.
+pub fn record_traffic(ledger: &TrafficLedger, recorder: &mut Recorder) {
+    for i in 0..ledger.len() {
+        let node = NodeId::new(i as u32);
+        recorder.add("microdeep.tx_messages", Label::node(node), ledger.tx(node));
+        recorder.add("microdeep.rx_messages", Label::node(node), ledger.rx(node));
     }
-    merged
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::CnnConfig;
-    use zeiot_core::id::NodeId;
 
     fn setup() -> (UnitGraph, Topology) {
         let config = CnnConfig::new(1, 8, 8, 4, 3, 2, 16, 2).unwrap();
@@ -336,32 +321,109 @@ mod tests {
         assert_eq!(cost.tx(NodeId::new(5)), 0);
         assert!(cost.rx(NodeId::new(5)) > 0);
     }
+}
 
-    #[test]
-    fn backward_cost_mirrors_forward() {
-        let (graph, topo) = setup();
-        let model = CostModel::new(&topo);
-        let a = Assignment::balanced_correspondence(&graph, &topo);
-        let fwd = model.forward_cost(&graph, &a);
-        let bwd = model.backward_cost(&graph, &a);
-        // Per-edge counting is symmetric in total: hop distances are
-        // symmetric even though BFS relay choices may differ per
-        // direction.
-        assert_eq!(fwd.total_cost(), bwd.total_cost());
-    }
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use crate::config::CnnConfig;
+    use crate::distributed::{DistributedCnn, WeightUpdate};
+    use crate::lossy::LossyRuntime;
+    use proptest::prelude::*;
+    use zeiot_core::rng::SeedRng;
+    use zeiot_core::time::SimDuration;
+    use zeiot_fault::{FaultPlan, RecoveryPolicy};
+    use zeiot_nn::tensor::Tensor;
 
-    #[test]
-    fn training_step_cost_is_sum_of_passes() {
-        let (graph, topo) = setup();
-        let model = CostModel::new(&topo);
-        let a = Assignment::balanced_correspondence(&graph, &topo);
-        let fwd = model.forward_cost(&graph, &a);
-        let bwd = model.backward_cost(&graph, &a);
-        let step = model.training_step_cost(&graph, &a);
-        assert_eq!(step.total_cost(), fwd.total_cost() + bwd.total_cost());
-        for i in 0..topo.len() {
-            let n = NodeId::new(i as u32);
-            assert_eq!(step.cost(n), fwd.cost(n) + bwd.cost(n));
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The runtime is the traffic truth. Over random small configs and
+        /// grids, under the centralized, the balanced and a seeded random
+        /// placement, a lossless fabric (i) sends one message per
+        /// cross-node dependency edge in a forward, each of which (ii)
+        /// `forward_cost` charges at its route's hop count, and (iii) a
+        /// training sample's backward sends at most the cross-node edges
+        /// that do not end at an input unit: none when every computational
+        /// unit shares one node.
+        #[test]
+        fn lossless_runtime_sends_what_the_forward_model_charges(
+            shape in (1usize..3, 1usize..4, 1usize..4, 1usize..3),
+            pooled in (1usize..4, 1usize..4, 1usize..9, 2usize..4),
+            grid in (1usize..5, 1usize..5),
+            placement in 0usize..3,
+            update in 0usize..3,
+            seed in 0u64..u64::MAX,
+        ) {
+            let ((ic, oc, k, pool), (ph, pw, hidden, classes)) = (shape, pooled);
+            let config =
+                CnnConfig::new(ic, pool * ph + k - 1, pool * pw + k - 1, oc, k, pool, hidden, classes)
+                    .expect("valid config");
+            let graph = config.unit_graph().expect("valid graph");
+            let topo = Topology::grid(grid.0, grid.1, 2.0, 3.0).expect("valid grid");
+            let mut rng = SeedRng::new(seed);
+            let assignment = match placement {
+                0 => Assignment::centralized(&graph, &topo),
+                1 => Assignment::balanced_correspondence(&graph, &topo),
+                _ => {
+                    let mut random = Assignment::centralized(&graph, &topo);
+                    for l in 1..graph.layer_count() {
+                        for u in 0..graph.units_in_layer(l) {
+                            random.set_host(l, u, NodeId::new(rng.below(topo.len()) as u32));
+                        }
+                    }
+                    random
+                }
+            };
+
+            // The cross-node edges, those from an input unit, and their
+            // route hops, counted from the unit graph.
+            let routes = RoutingTable::shortest_paths(&topo);
+            let (mut edges, mut input_edges, mut hops) = (0u64, 0u64, 0u64);
+            for l in 1..graph.layer_count() {
+                for u in 0..graph.units_in_layer(l) {
+                    let dst = assignment.host_of(l, u);
+                    for &d in graph.dependencies(l, u) {
+                        let src = assignment.host_of(l - 1, d);
+                        if src != dst {
+                            edges += 1;
+                            input_edges += u64::from(l == 1);
+                            hops += routes.hop_distance(src, dst).expect("a grid is connected") as u64;
+                        }
+                    }
+                }
+            }
+            let ledger = CostModel::new(&topo).forward_cost(&graph, &assignment);
+            let charged: u64 = topo.node_ids().map(|n| ledger.tx(n)).sum();
+            prop_assert_eq!(charged, hops);
+
+            let update = [WeightUpdate::Synchronized, WeightUpdate::Independent, WeightUpdate::PerUnit][update];
+            let mut net = DistributedCnn::new(config, assignment, update, &mut rng);
+            let x = Tensor::uniform(vec![ic, config.in_height(), config.in_width()], 1.0, &mut rng);
+            let mut rt = LossyRuntime::new(
+                FaultPlan::lossless(),
+                RecoveryPolicy::FailFast,
+                &topo,
+                SimDuration::from_millis(500),
+            );
+            net.forward_lossy(&x, &mut rt).expect("lossless never aborts");
+            prop_assert_eq!(rt.stats().sent, edges);
+
+            // One training sample: the same forward again, then the
+            // backward.
+            let target = rng.below(classes);
+            net.train_epoch_lossy(&[(x, target)], 0.05, 1, &mut rng, &mut rt)
+                .expect("lossless never aborts");
+            let backward = rt.stats().sent - 2 * edges;
+            prop_assert!(
+                backward <= edges - input_edges,
+                "backward {} > {} non-input cross-node edges",
+                backward,
+                edges - input_edges
+            );
+            if placement == 0 {
+                prop_assert_eq!(backward, 0);
+            }
         }
     }
 }

@@ -26,7 +26,7 @@
 //! - [`distributed`] — distributed training semantics: per-node kernel
 //!   replicas updated *independently* (the paper's
 //!   communication-avoiding strategy, which "sacrific\[es\] some
-//!   accuracy") or synchronized (exact SGD);
+//!   accuracy") or synchronized (centralized SGD up to float rounding);
 //! - [`lossy`] — execution over a fault-injecting radio fabric, with
 //!   recovery policies and per-unit hop spans;
 //! - [`quantized`] — the frozen i8 deployment with exact i32
@@ -73,7 +73,6 @@ pub mod config;
 pub mod cost;
 pub mod distributed;
 mod exec;
-pub mod instrument;
 pub mod lossy;
 pub mod quantized;
 pub mod replace;
@@ -82,7 +81,6 @@ pub use assignment::Assignment;
 pub use config::CnnConfig;
 pub use cost::CostModel;
 pub use distributed::{DistributedCnn, WeightUpdate};
-pub use instrument::TrafficInstrument;
 pub use lossy::{LossyRuntime, STAGE_SENSING};
 pub use quantized::{QuantStats, QuantizedCnn};
 pub use replace::{ReplaceConfig, ReplaceStats, ReplaceStrategy, ReplacementEngine};

@@ -383,7 +383,7 @@ pub fn plan_full_resolve(
     let degraded = topo.without_nodes(down);
     let routes = RoutingTable::shortest_paths(&degraded);
     let cap = graph.total_units().div_ceil(surviving);
-    improve(&mut repaired, graph, &degraded, &routes, cap, down, 1);
+    improve(&mut repaired, graph, &degraded, &routes, cap, down);
 
     // Migrations = every host that changed, in (layer, unit) order.
     let mut migrations = Vec::new();

@@ -128,21 +128,6 @@ impl SyncFlood {
     ) -> SimDuration {
         slot * (diameter_slots + node_count) as u64
     }
-
-    /// Whether `rounds_per_second` collection rounds fit in real time.
-    pub fn cycle_feasible(
-        &self,
-        node_count: usize,
-        diameter_slots: usize,
-        slot: SimDuration,
-        rounds_per_second: f64,
-    ) -> bool {
-        assert!(rounds_per_second > 0.0, "rate must be positive");
-        let round = self
-            .round_duration(node_count, diameter_slots, slot)
-            .as_secs_f64();
-        round * rounds_per_second <= 1.0
-    }
 }
 
 #[cfg(test)]
@@ -206,13 +191,11 @@ mod tests {
     }
 
     #[test]
-    fn round_duration_and_feasibility() {
+    fn round_duration_spans_the_diameter_and_every_report() {
         let flood = SyncFlood::new(1.0, 10).unwrap();
         let slot = SimDuration::from_millis(10);
         let round = flood.round_duration(50, 8, slot);
         assert_eq!(round.as_millis(), 580);
-        assert!(flood.cycle_feasible(50, 8, slot, 1.0));
-        assert!(!flood.cycle_feasible(50, 8, slot, 2.0));
     }
 
     #[test]

@@ -92,26 +92,6 @@ impl RoutingTable {
         Some(path)
     }
 
-    /// Mean hop distance over all connected ordered pairs (a network
-    /// compactness measure used in assignment quality reports).
-    pub fn mean_hop_distance(&self) -> f64 {
-        let mut total = 0usize;
-        let mut count = 0usize;
-        for s in 0..self.n {
-            for d in 0..self.n {
-                if s != d && self.dist[s][d] != usize::MAX {
-                    total += self.dist[s][d];
-                    count += 1;
-                }
-            }
-        }
-        if count == 0 {
-            0.0
-        } else {
-            total as f64 / count as f64
-        }
-    }
-
     /// The network diameter in hops (`None` if disconnected).
     pub fn diameter(&self) -> Option<usize> {
         let mut max = 0;
@@ -206,12 +186,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn mean_hop_distance_of_chain() {
-        // Chain of 3: distances 1,2,1,1,2,1 → mean 8/6.
-        let routes = RoutingTable::shortest_paths(&chain(3));
-        assert!((routes.mean_hop_distance() - 8.0 / 6.0).abs() < 1e-12);
     }
 }

@@ -155,20 +155,6 @@ impl RssiSampler {
         }
         out
     }
-
-    /// Mean inter-node RSSI over all connected ordered pairs of one
-    /// sampled matrix; `None` when the topology has no links.
-    pub fn mean_inter_node(matrix: &[Vec<Option<f64>>]) -> Option<f64> {
-        let values: Vec<f64> = matrix
-            .iter()
-            .flat_map(|row| row.iter().flatten().copied())
-            .collect();
-        if values.is_empty() {
-            None
-        } else {
-            Some(values.iter().sum::<f64>() / values.len() as f64)
-        }
-    }
 }
 
 #[cfg(test)]
@@ -200,7 +186,11 @@ mod tests {
     fn crowding_lowers_mean_inter_node_rssi() {
         let s = lab().with_noise_sigma(0.5).unwrap();
         let mut rng = SeedRng::new(2);
-        let empty = RssiSampler::mean_inter_node(&s.inter_node_rssi(&[], &mut rng)).unwrap();
+        let mean = |matrix: Vec<Vec<Option<f64>>>| {
+            let values: Vec<f64> = matrix.into_iter().flatten().flatten().collect();
+            values.iter().sum::<f64>() / values.len() as f64
+        };
+        let empty = mean(s.inter_node_rssi(&[], &mut rng));
         // 20 people scattered across the room.
         let mut people = Vec::new();
         let mut prng = SeedRng::new(3);
@@ -210,7 +200,7 @@ mod tests {
                 prng.uniform_range(0.0, 9.0),
             ));
         }
-        let crowded = RssiSampler::mean_inter_node(&s.inter_node_rssi(&people, &mut rng)).unwrap();
+        let crowded = mean(s.inter_node_rssi(&people, &mut rng));
         assert!(crowded < empty, "crowded={crowded} empty={empty}");
     }
 
@@ -258,14 +248,14 @@ mod tests {
     }
 
     #[test]
-    fn mean_of_empty_matrix_is_none() {
+    fn unlinked_nodes_have_no_inter_node_rssi() {
         let topo =
             Topology::from_positions(vec![Point2::new(0.0, 0.0), Point2::new(100.0, 0.0)], 1.0)
                 .unwrap();
         let s = RssiSampler::ieee802154(topo).unwrap();
         let mut rng = SeedRng::new(9);
         let m = s.inter_node_rssi(&[], &mut rng);
-        assert!(RssiSampler::mean_inter_node(&m).is_none());
+        assert!(m.into_iter().flatten().all(|v| v.is_none()));
     }
 
     #[test]

@@ -213,26 +213,6 @@ impl Topology {
         })
     }
 
-    /// Whether the network is connected (every node reachable from node
-    /// 0).
-    pub fn is_connected(&self) -> bool {
-        let n = self.len();
-        let mut seen = vec![false; n];
-        let mut stack = vec![0usize];
-        seen[0] = true;
-        let mut visited = 1;
-        while let Some(u) = stack.pop() {
-            for &v in &self.adjacency[u] {
-                if !seen[v.index()] {
-                    seen[v.index()] = true;
-                    visited += 1;
-                    stack.push(v.index());
-                }
-            }
-        }
-        visited == n
-    }
-
     /// The node whose position is nearest to `p` (ties to the lower id).
     pub fn nearest_node(&self, p: Point2) -> NodeId {
         let mut best = NodeId::new(0);
@@ -273,6 +253,7 @@ impl Topology {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::routing::RoutingTable;
 
     #[test]
     fn grid_positions_and_counts() {
@@ -314,23 +295,6 @@ mod tests {
     }
 
     #[test]
-    fn connectedness_detection() {
-        let connected = Topology::grid(3, 3, 1.0, 1.1).unwrap();
-        assert!(connected.is_connected());
-        // Two clusters too far apart.
-        let split = Topology::from_positions(
-            vec![
-                Point2::new(0.0, 0.0),
-                Point2::new(1.0, 0.0),
-                Point2::new(100.0, 0.0),
-            ],
-            2.0,
-        )
-        .unwrap();
-        assert!(!split.is_connected());
-    }
-
-    #[test]
     fn nearest_node_picks_closest() {
         let t = Topology::grid(3, 3, 2.0, 2.1).unwrap();
         assert_eq!(t.nearest_node(Point2::new(0.1, 0.2)), NodeId::new(0));
@@ -344,7 +308,7 @@ mod tests {
         let cut = t.without_nodes(&[NodeId::new(1)]);
         assert!(cut.neighbors(NodeId::new(1)).is_empty());
         assert!(!cut.connected(NodeId::new(0), NodeId::new(1)));
-        assert!(!cut.is_connected());
+        assert!(RoutingTable::shortest_paths(&cut).diameter().is_none());
         // Original untouched.
         assert!(t.connected(NodeId::new(0), NodeId::new(1)));
         // An id the topology does not have changes nothing.
@@ -421,7 +385,10 @@ mod tests {
             }
         }
         let topo = Topology::from_positions_with_obstacles(positions, 6.0, &plan, 3.0).unwrap();
-        assert!(topo.is_connected(), "office mesh split by walls");
+        assert!(
+            RoutingTable::shortest_paths(&topo).diameter().is_some(),
+            "office mesh split by walls"
+        );
     }
 
     #[test]

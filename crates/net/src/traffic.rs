@@ -84,13 +84,6 @@ impl TrafficLedger {
         Some(path.len() - 1)
     }
 
-    /// Adds raw transmit/receive units to a node's counters, for merging
-    /// ledgers or importing externally computed traffic.
-    pub fn add_raw(&mut self, node: NodeId, tx: u64, rx: u64) {
-        self.tx[node.index()] += tx;
-        self.rx[node.index()] += rx;
-    }
-
     /// Records a single-hop broadcast from `src` heard by `receivers`.
     pub fn broadcast(&mut self, src: NodeId, receivers: &[NodeId], units: u64) {
         self.tx[src.index()] += units;
@@ -130,11 +123,6 @@ impl TrafficLedger {
     /// Total cost across all nodes.
     pub fn total_cost(&self) -> u64 {
         self.tx.iter().sum::<u64>() + self.rx.iter().sum::<u64>()
-    }
-
-    /// Mean per-node cost.
-    pub fn mean_cost(&self) -> f64 {
-        self.total_cost() as f64 / self.tx.len() as f64
     }
 
     /// Resets all counters.
@@ -231,8 +219,6 @@ mod tests {
             assert_eq!(c, ledger.cost(NodeId::new(i as u32)));
         }
         assert_eq!(ledger.max_cost(), *costs.iter().max().unwrap());
-        let mean = ledger.mean_cost();
-        assert!((mean - ledger.total_cost() as f64 / 4.0).abs() < 1e-12);
     }
 
     #[test]

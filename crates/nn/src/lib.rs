@@ -54,4 +54,4 @@ pub use eval::ConfusionMatrix;
 pub use network::Sequential;
 pub use quant::{Calibration, QTensor, Requant};
 pub use tensor::Tensor;
-pub use topology::{LayerSpec, UnitGraph, UnitId};
+pub use topology::{LayerSpec, UnitGraph};

@@ -13,7 +13,6 @@
 //! apply ReLU locally without any communication.
 
 use serde::{Deserialize, Serialize};
-use std::fmt;
 
 /// Structural description of one layer, sufficient to enumerate unit
 /// dependencies.
@@ -264,29 +263,6 @@ pub fn conv_output_dims(
     )
 }
 
-/// Identifier of one computational unit: `(computational layer index,
-/// unit index within the layer)`. Layer 0 is the sensing/input layer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-pub struct UnitId {
-    /// Computational layer (0 = input).
-    pub layer: usize,
-    /// Unit index within the layer.
-    pub index: usize,
-}
-
-impl UnitId {
-    /// Creates a unit identifier.
-    pub const fn new(layer: usize, index: usize) -> Self {
-        Self { layer, index }
-    }
-}
-
-impl fmt::Display for UnitId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "u{}:{}", self.layer, self.index)
-    }
-}
-
 /// The expanded dependency graph of a network: one vertex per unit, edges
 /// from each unit to the previous-layer units it reads.
 ///
@@ -329,13 +305,14 @@ impl UnitGraph {
     /// Expands layer specs into a unit graph.
     ///
     /// Fused (element-wise / flatten) layers must preserve element count
-    /// and are skipped; consecutive computational layers must agree on
-    /// element counts.
+    /// and are skipped, wherever they sit: a leading fused layer reads the
+    /// first computational layer's input. Every layer must accept the
+    /// element count the layer before it produces.
     ///
     /// # Errors
     ///
-    /// Returns an error if the spec list is empty, starts with a fused
-    /// layer, or adjacent layers disagree on element counts.
+    /// Returns an error if the spec list has no computational layer, or a
+    /// layer expects a different element count than it receives.
     pub fn from_specs(specs: &[LayerSpec]) -> zeiot_core::Result<Self> {
         use zeiot_core::error::ConfigError;
         let computational: Vec<&LayerSpec> =
@@ -345,8 +322,6 @@ impl UnitGraph {
         }
         // Validate fused layers preserve counts along the chain.
         let mut current_len = computational[0].input_len();
-        let mut comp_iter = computational.iter();
-        let mut expected_next = comp_iter.next().map(|s| s.input_len());
         for spec in specs {
             if spec.is_computational() {
                 if spec.input_len() != current_len {
@@ -372,8 +347,6 @@ impl UnitGraph {
                 current_len = spec.output_len();
             }
         }
-        let _ = expected_next.take();
-        let _ = comp_iter;
 
         let mut layer_sizes = vec![computational[0].input_len()];
         let mut deps = Vec::new();
@@ -464,12 +437,6 @@ impl UnitGraph {
         let y = spatial / w;
         let x = spatial % w;
         Some(((x as f64 + 0.5) / w as f64, (y as f64 + 0.5) / h as f64))
-    }
-
-    /// Iterates over every computational unit id.
-    pub fn unit_ids(&self) -> impl Iterator<Item = UnitId> + '_ {
-        (1..self.layer_sizes.len())
-            .flat_map(move |l| (0..self.layer_sizes[l]).map(move |u| UnitId::new(l, u)))
     }
 
     /// Total number of dependency edges.
@@ -614,7 +581,28 @@ mod tests {
         assert_eq!(graph.units_in_layer(3), 16);
         assert_eq!(graph.units_in_layer(4), 2);
         assert_eq!(graph.total_units(), 144 + 36 + 16 + 2);
-        assert_eq!(graph.unit_ids().count(), graph.total_units());
+    }
+
+    #[test]
+    fn a_leading_fused_layer_is_skipped_when_its_count_matches() {
+        let conv = || LayerSpec::Conv2d {
+            in_channels: 1,
+            in_height: 4,
+            in_width: 4,
+            out_channels: 2,
+            kernel: 3,
+            stride: 1,
+            padding: 0,
+        };
+        let dense = || LayerSpec::Dense {
+            in_len: 8,
+            out_len: 2,
+        };
+        let fused = |len| LayerSpec::Elementwise { len };
+        let graph = UnitGraph::from_specs(&[fused(16), conv(), fused(8), dense()]).unwrap();
+        assert_eq!(graph.layer_count(), 3);
+        assert_eq!(graph, UnitGraph::from_specs(&[conv(), dense()]).unwrap());
+        assert!(UnitGraph::from_specs(&[fused(15), conv(), fused(8), dense()]).is_err());
     }
 
     #[test]

@@ -49,22 +49,6 @@ impl Label {
     pub fn part(name: impl Into<String>) -> Self {
         Label::Part { name: name.into() }
     }
-
-    /// The node id, if this labels a node.
-    pub fn as_node(&self) -> Option<NodeId> {
-        match self {
-            Label::Node { id } => Some(NodeId::new(*id)),
-            _ => None,
-        }
-    }
-
-    /// The device id, if this labels a device.
-    pub fn as_device(&self) -> Option<DeviceId> {
-        match self {
-            Label::Device { id } => Some(DeviceId::new(*id)),
-            _ => None,
-        }
-    }
 }
 
 impl fmt::Display for Label {
@@ -114,16 +98,6 @@ mod tests {
         assert_eq!(labels[0], Label::Global);
         assert_eq!(labels[1], Label::node(NodeId::new(0)));
         assert_eq!(labels[2], Label::node(NodeId::new(1)));
-    }
-
-    #[test]
-    fn accessors_round_trip() {
-        assert_eq!(Label::node(NodeId::new(5)).as_node(), Some(NodeId::new(5)));
-        assert_eq!(Label::Global.as_node(), None);
-        assert_eq!(
-            Label::device(DeviceId::new(2)).as_device(),
-            Some(DeviceId::new(2))
-        );
     }
 
     #[test]

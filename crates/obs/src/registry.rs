@@ -52,14 +52,10 @@ pub const METRICS: &[&str] = &[
     "mac.registrations",            // counter: devices admitted
     "mac.registrations_rejected",   // counter: admissions rejected
     "mac.samples_dropped",          // counter: sensor samples dropped
-    "microdeep.assignment_cost",    // gauge: total placement cost
-    "microdeep.assignment_peak_cost", // gauge: peak per-node placement cost
     "microdeep.batch_loss",         // series: training loss per batch
     "microdeep.replica_drift",      // gauge: max replica weight drift
     "microdeep.replica_drift_step", // series: drift trajectory per step
-    "microdeep.rx_bytes",           // counter: bytes received per node
     "microdeep.rx_messages",        // counter: messages received per node
-    "microdeep.tx_bytes",           // counter: bytes sent per node
     "microdeep.tx_messages",        // counter: messages sent per node
     "quant.activation_saturated",   // counter: i8 activations clipped
     "quant.forwards",               // counter: quantized forward passes

@@ -11,8 +11,7 @@ use crate::tree::CollectionTree;
 use serde::{Deserialize, Serialize};
 use zeiot_core::error::{ConfigError, Result};
 use zeiot_core::id::NodeId;
-use zeiot_core::time::{SimDuration, SimTime};
-use zeiot_fault::FaultPlan;
+use zeiot_core::time::SimDuration;
 use zeiot_net::Topology;
 
 /// What the application needs from the network.
@@ -144,26 +143,6 @@ impl Planner {
         Ok(plan)
     }
 
-    /// [`replan_after_failures`](Self::replan_after_failures) driven by
-    /// liveness instead of an explicit casualty list: the down-set is
-    /// read from `fault`'s outage windows at instant `t`, so a
-    /// re-placement controller can re-plan collection at each epoch of
-    /// change without consuming per-message fault decisions. Outages on
-    /// ids the topology does not have are ignored.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error on invalid requirements or if the sink is down
-    /// at `t`.
-    pub fn replan_at(
-        &self,
-        req: &Requirements,
-        fault: &FaultPlan,
-        t: SimTime,
-    ) -> Result<CollectionPlan> {
-        self.replan_after_failures(req, &fault.down_set_at(t))
-    }
-
     /// The smallest channel count (up to `max_channels`) meeting the
     /// cycle, if any — the knob §III.B says designers should not have to
     /// turn by hand.
@@ -285,48 +264,9 @@ mod tests {
     }
 
     #[test]
-    fn liveness_driven_replanning_matches_explicit_failures() {
-        use zeiot_core::time::SimTime;
-
-        let p = planner();
-        let plan = FaultPlan::lossless()
-            .with_outage(
-                NodeId::new(1),
-                SimTime::from_secs(10),
-                SimTime::from_secs(20),
-            )
-            .unwrap()
-            .with_outage(
-                NodeId::new(7),
-                SimTime::from_secs(10),
-                SimTime::from_secs(30),
-            )
-            .unwrap();
-        // Before any window opens, replan_at is the healthy plan.
-        let healthy = p.plan(&req(1_000, 1)).unwrap();
-        let at_zero = p.replan_at(&req(1_000, 1), &plan, SimTime::ZERO).unwrap();
-        assert_eq!(healthy.schedule, at_zero.schedule);
-        // Inside the windows it matches the explicit casualty list.
-        let explicit = p
-            .replan_after_failures(&req(1_000, 1), &[NodeId::new(1), NodeId::new(7)])
-            .unwrap();
-        let live = p
-            .replan_at(&req(1_000, 1), &plan, SimTime::from_secs(15))
-            .unwrap();
-        assert_eq!(explicit.schedule, live.schedule);
-        assert_eq!(explicit.uncovered, live.uncovered);
-        // A sink outage is rejected exactly like an explicit sink failure.
-        let sink_down = FaultPlan::lossless()
-            .with_outage(NodeId::new(0), SimTime::ZERO, SimTime::from_secs(5))
-            .unwrap();
-        assert!(p
-            .replan_at(&req(1_000, 1), &sink_down, SimTime::ZERO)
-            .is_err());
-    }
-
-    #[test]
     fn outages_on_ids_outside_the_topology_are_ignored() {
         use zeiot_core::time::SimTime;
+        use zeiot_fault::FaultPlan;
 
         let topo = Topology::grid(3, 3, 2.0, 3.0).unwrap();
         let p = Planner::new(&topo, NodeId::new(0)).unwrap();
@@ -335,7 +275,9 @@ mod tests {
             .unwrap()
             .with_outage(NodeId::new(99), SimTime::ZERO, SimTime::from_secs(5))
             .unwrap();
-        let live = p.replan_at(&req(1_000, 1), &plan, SimTime::ZERO).unwrap();
+        let live = p
+            .replan_after_failures(&req(1_000, 1), &plan.down_set_at(SimTime::ZERO))
+            .unwrap();
         let explicit = p
             .replan_after_failures(&req(1_000, 1), &[NodeId::new(4)])
             .unwrap();

@@ -132,11 +132,6 @@ impl CollectionTree {
             .collect()
     }
 
-    /// Whether every node reaches the sink.
-    pub fn covers_all(&self) -> bool {
-        self.depth.iter().all(|&d| d != usize::MAX)
-    }
-
     /// The tree height (maximum depth of a reachable node).
     pub fn height(&self) -> usize {
         self.depth
@@ -202,7 +197,7 @@ mod tests {
         assert_eq!(tree.parent(NodeId::new(0)), None);
         assert_eq!(tree.depth(NodeId::new(0)), Some(0));
         assert_eq!(tree.subtree_size(NodeId::new(0)), 16);
-        assert!(tree.covers_all());
+        assert!(tree.unreachable().is_empty());
     }
 
     #[test]
@@ -277,7 +272,6 @@ mod tests {
         )
         .unwrap();
         let tree = CollectionTree::build(&topo, NodeId::new(0)).unwrap();
-        assert!(!tree.covers_all());
         assert_eq!(tree.unreachable(), vec![NodeId::new(2)]);
         assert_eq!(tree.subtree_size(NodeId::new(2)), 0);
         assert!(tree.path_to_sink(NodeId::new(2)).is_none());

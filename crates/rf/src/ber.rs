@@ -125,24 +125,6 @@ impl PacketErrorModel {
         let ber = self.modulation.ber(snr);
         1.0 - (1.0 - ber).powi(self.payload_bits as i32)
     }
-
-    /// Expected number of transmissions until success under independent
-    /// retries (geometric mean `1/(1-PER)`); `f64::INFINITY` if the link
-    /// cannot succeed.
-    pub fn expected_transmissions(&self, snr: Decibel) -> f64 {
-        let per = self.per(snr);
-        if per >= 1.0 {
-            f64::INFINITY
-        } else {
-            1.0 / (1.0 - per)
-        }
-    }
-
-    /// Airtime of one packet at the modulation's nominal bit rate, in
-    /// seconds.
-    pub fn airtime_secs(&self) -> f64 {
-        self.payload_bits as f64 / self.modulation.bit_rate_bps()
-    }
 }
 
 /// Effective SNR degradation caused by interference: adds the interferer
@@ -157,30 +139,6 @@ pub fn sinr(snr_db: Decibel, interference_to_noise_db: Decibel) -> Decibel {
     let i = interference_to_noise_db.to_linear();
     assert!(s.is_finite() && i.is_finite(), "non-finite SINR inputs");
     Decibel::from_linear((s / (1.0 + i)).max(1e-12))
-}
-
-/// Required SNR (dB) for a target packet success rate; solved by bisection.
-///
-/// # Panics
-///
-/// Panics if `target_success` is not in `(0, 1)`.
-pub fn required_snr(model: &PacketErrorModel, target_success: f64) -> Decibel {
-    assert!(
-        target_success > 0.0 && target_success < 1.0,
-        "target_success must be in (0,1), got {target_success}"
-    );
-    let mut lo = -30.0;
-    let mut hi = 60.0;
-    for _ in 0..200 {
-        let mid = (lo + hi) / 2.0;
-        let success = 1.0 - model.per(Decibel::new(mid));
-        if success < target_success {
-            lo = mid;
-        } else {
-            hi = mid;
-        }
-    }
-    Decibel::new(hi)
 }
 
 #[cfg(test)]
@@ -258,32 +216,11 @@ mod tests {
     }
 
     #[test]
-    fn expected_transmissions_at_high_snr_is_one() {
-        let m = PacketErrorModel::new(Modulation::OqpskDsss802154, 1_024).unwrap();
-        let n = m.expected_transmissions(Decibel::new(20.0));
-        assert!((n - 1.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn airtime_matches_rate() {
-        let m = PacketErrorModel::new(Modulation::OqpskDsss802154, 250_000).unwrap();
-        assert!((m.airtime_secs() - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn sinr_reduces_effective_snr() {
         let clean = sinr(Decibel::new(20.0), Decibel::new(-30.0));
         let jammed = sinr(Decibel::new(20.0), Decibel::new(20.0));
         assert!((clean.value() - 20.0).abs() < 0.01);
         assert!(jammed.value() < 0.1);
-    }
-
-    #[test]
-    fn required_snr_achieves_target() {
-        let m = PacketErrorModel::new(Modulation::Qpsk, 1_024).unwrap();
-        let snr = required_snr(&m, 0.99);
-        let success = 1.0 - m.per(snr);
-        assert!((0.99..0.9999).contains(&success), "success={success}");
     }
 
     #[test]

@@ -58,14 +58,6 @@ impl LogNormalShadowing {
     pub fn sigma_db(&self) -> f64 {
         self.sigma_db
     }
-
-    /// A deterministic per-link realization: the same `(link_key, seed)`
-    /// always yields the same shadowing value, modelling shadowing as a
-    /// property of the static environment rather than of time.
-    pub fn sample_for_link(&self, link_key: u64, seed: u64) -> Decibel {
-        let mut rng = SeedRng::with_stream(seed, link_key);
-        Decibel::new(rng.normal_with(0.0, self.sigma_db))
-    }
 }
 
 impl Fading for LogNormalShadowing {
@@ -258,16 +250,6 @@ mod tests {
         let var = samples.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n as f64;
         assert!(mean.abs() < 0.1, "mean={mean}");
         assert!((var.sqrt() - 6.0).abs() < 0.1, "sigma={}", var.sqrt());
-    }
-
-    #[test]
-    fn shadowing_per_link_is_deterministic() {
-        let sh = LogNormalShadowing::new(4.0).unwrap();
-        let a = sh.sample_for_link(0xBEEF, 42);
-        let b = sh.sample_for_link(0xBEEF, 42);
-        let c = sh.sample_for_link(0xBEF0, 42);
-        assert_eq!(a, b);
-        assert_ne!(a, c);
     }
 
     #[test]

@@ -111,11 +111,6 @@ impl PeopleCounter {
         Ok(Self { models })
     }
 
-    /// Occupancy counts the model can output.
-    pub fn known_counts(&self) -> Vec<usize> {
-        self.models.iter().map(|m| m.count).collect()
-    }
-
     /// Log-likelihood of `features` under the model of `count`, `None`
     /// when the count was never calibrated.
     pub fn log_likelihood(&self, features: &CountingFeatures, count: usize) -> Option<f64> {
@@ -202,7 +197,8 @@ mod tests {
             (CountingFeatures::new(-64.0, -91.0), 5),
         ];
         let counter = PeopleCounter::fit(&train).unwrap();
-        assert_eq!(counter.known_counts(), vec![0, 5]);
+        let counts: Vec<usize> = counter.models.iter().map(|m| m.count).collect();
+        assert_eq!(counts, vec![0, 5]);
         assert!(counter
             .log_likelihood(&CountingFeatures::new(-60.0, -95.0), 3)
             .is_none());

@@ -92,13 +92,6 @@ pub enum Outcome {
     Failed,
 }
 
-impl Outcome {
-    /// Whether the request received an answer.
-    pub fn is_served(&self) -> bool {
-        matches!(self, Outcome::Served { .. })
-    }
-}
-
 /// A request's identity plus how it ended; [`crate::Server::run`]
 /// returns one per offered request, sorted by `(tenant, seq)`.
 #[derive(Debug, Clone, PartialEq)]
@@ -124,14 +117,5 @@ mod tests {
         assert_eq!(ServiceMode::Full.label(), "full");
         assert_eq!(ServiceMode::Degraded.label(), "degraded");
         assert_eq!(ServiceMode::Stale.label(), "stale");
-    }
-
-    #[test]
-    fn served_predicate() {
-        let shed = Outcome::Shed {
-            reason: RejectReason::TenantLimit,
-        };
-        assert!(!shed.is_served());
-        assert!(!Outcome::Failed.is_served());
     }
 }

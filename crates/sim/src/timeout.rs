@@ -9,7 +9,7 @@
 
 use crate::engine::Context;
 use zeiot_core::error::{require_positive, ConfigError, Result};
-use zeiot_core::time::{SimDuration, SimTime};
+use zeiot_core::time::SimDuration;
 
 /// A bounded exponential-backoff retry schedule.
 ///
@@ -94,21 +94,6 @@ impl RetrySchedule {
         }
         Some(SimDuration::from_nanos(nanos.min(u64::MAX as u128) as u64))
     }
-
-    /// Total simulated time a message spends in backoff if every retry is
-    /// used.
-    pub fn total_backoff(&self) -> SimDuration {
-        (1..=self.max_retries)
-            .filter_map(|k| self.delay_for(k))
-            .sum()
-    }
-
-    /// The absolute instant retry `retry` should fire when the preceding
-    /// attempt happened at `after`, or `None` when the budget is
-    /// exhausted.
-    pub fn fire_at(&self, after: SimTime, retry: u32) -> Option<SimTime> {
-        self.delay_for(retry).map(|d| after.saturating_add(d))
-    }
 }
 
 impl<E> Context<'_, E> {
@@ -132,6 +117,7 @@ impl<E> Context<'_, E> {
 mod tests {
     use super::*;
     use crate::engine::{Engine, World};
+    use zeiot_core::time::SimTime;
 
     #[test]
     fn delays_follow_exponential_backoff() {
@@ -142,7 +128,6 @@ mod tests {
         assert_eq!(s.delay_for(3), Some(SimDuration::from_millis(90)));
         assert_eq!(s.delay_for(4), Some(SimDuration::from_millis(270)));
         assert_eq!(s.delay_for(5), None);
-        assert_eq!(s.total_backoff(), SimDuration::from_millis(400));
     }
 
     #[test]
@@ -164,7 +149,6 @@ mod tests {
     fn zero_retry_budget_refuses_all_retries() {
         let s = RetrySchedule::new(SimDuration::from_millis(10), 2.0, 0).unwrap();
         assert_eq!(s.delay_for(1), None);
-        assert_eq!(s.total_backoff(), SimDuration::ZERO);
     }
 
     #[test]
@@ -174,14 +158,6 @@ mod tests {
         assert!(RetrySchedule::new(SimDuration::from_millis(1), f64::NAN, 1).is_err());
         assert!(RetrySchedule::new(SimDuration::from_millis(1), -1.0, 1).is_err());
         assert!(RetrySchedule::new(SimDuration::from_millis(1), 1e-9, 1).is_err());
-    }
-
-    #[test]
-    fn fire_at_offsets_from_the_attempt_time() {
-        let s = RetrySchedule::new(SimDuration::from_millis(20), 2.0, 2).unwrap();
-        let t = SimTime::from_secs(1);
-        assert_eq!(s.fire_at(t, 1), Some(SimTime::from_nanos(1_020_000_000)));
-        assert_eq!(s.fire_at(t, 3), None);
     }
 
     /// World that retries an event through the schedule until the budget

@@ -1,10 +1,10 @@
 //! One snapshot across three subsystems, then a console report.
 //!
 //! Runs an instrumented slice of each subsystem the observability layer
-//! covers — a distributed-CNN training pass (per-node radio counters,
-//! replica drift), the coexistence MAC (grants, collisions, dummy
-//! carriers), and an intermittent energy-harvesting device (capacitor
-//! voltage, power cycles). Each subsystem records into its own
+//! covers — a distributed CNN (per-node radio counters of one forward
+//! pass, loss and replica drift of a training epoch), the coexistence
+//! MAC (grants, collisions, dummy carriers), and an intermittent
+//! energy-harvesting device (capacitor voltage, power cycles). Each subsystem records into its own
 //! [`zeiot::obs::Recorder`] (they run on independent simulation clocks,
 //! so their traces must not share one buffer); the snapshots are merged
 //! and the per-subsystem highlights printed, followed by the full
@@ -21,7 +21,8 @@ use zeiot::energy::capacitor::Capacitor;
 use zeiot::energy::consumer::PowerProfile;
 use zeiot::energy::harvester::ConstantSource;
 use zeiot::energy::intermittent::{IntermittentDevice, Task};
-use zeiot::microdeep::{Assignment, CnnConfig, DistributedCnn, TrafficInstrument, WeightUpdate};
+use zeiot::microdeep::cost::record_traffic;
+use zeiot::microdeep::{Assignment, CnnConfig, CostModel, DistributedCnn, WeightUpdate};
 use zeiot::net::Topology;
 use zeiot::obs::{Label, Recorder};
 
@@ -35,10 +36,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let topo = Topology::grid(4, 4, 2.0, 3.0)?;
     let assignment = Assignment::balanced_correspondence(&graph, &topo);
 
-    // Radio-level view: what each node's radio does in one training step.
-    let instrument = TrafficInstrument::new(&topo);
-    instrument.record_training_step(&graph, &assignment, &mut md_rec);
-    instrument.record_assignment_cost(&graph, &assignment, topo.len(), &mut md_rec);
+    // Radio-level view: what each node's radio does in one forward pass.
+    let forward = CostModel::new(&topo).forward_cost(&graph, &assignment);
+    record_traffic(&forward, &mut md_rec);
 
     // Learning-level view: loss and replica drift of an observed epoch.
     let generator = GaitGenerator::paper_array()?;
@@ -88,7 +88,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     snap.merge(mac_rec.snapshot());
     snap.merge(energy_rec.snapshot());
 
-    println!("-- microdeep (one training step, {} nodes) --", topo.len());
+    println!("-- microdeep (one forward pass, {} nodes) --", topo.len());
     for name in ["microdeep.tx_messages", "microdeep.rx_messages"] {
         let max = snap.counter_max(name).expect("instrumented");
         let mean = snap.counter_mean(name).expect("instrumented");

@@ -6,7 +6,7 @@ use zeiot::core::geometry::Point2;
 use zeiot::core::id::NodeId;
 use zeiot::core::time::SimDuration;
 use zeiot::microdeep::{Assignment, CnnConfig, CostModel};
-use zeiot::net::Topology;
+use zeiot::net::{RoutingTable, Topology};
 use zeiot::plan::planner::{Planner, Requirements};
 use zeiot::rf::obstacle::ObstacleMap;
 
@@ -24,7 +24,7 @@ fn office_topology() -> Topology {
 #[test]
 fn obstacle_aware_office_supports_a_collection_plan() {
     let topo = office_topology();
-    assert!(topo.is_connected());
+    assert!(RoutingTable::shortest_paths(&topo).diameter().is_some());
     let planner = Planner::new(&topo, NodeId::new(0)).unwrap();
     let req = Requirements {
         cycle: SimDuration::from_secs(1),
@@ -61,7 +61,7 @@ fn microdeep_assignment_works_over_the_obstacle_topology() {
     let graph = config.unit_graph().unwrap();
     let assignment = Assignment::balanced_correspondence(&graph, &topo);
     let cap = graph.total_units().div_ceil(topo.len());
-    assert!(assignment.is_balanced(cap));
+    assert!(assignment.units_per_node().iter().all(|&c| c <= cap));
     let cost = CostModel::new(&topo);
     let central = Assignment::centralized(&graph, &topo);
     assert!(

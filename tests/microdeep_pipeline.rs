@@ -1,11 +1,14 @@
 //! Integration: the full MicroDeep pipeline across `zeiot-data`,
 //! `zeiot-nn`, `zeiot-net` and `zeiot-microdeep`, at reduced scale.
 
+use proptest::prelude::*;
+use zeiot::core::id::NodeId;
 use zeiot::core::rng::SeedRng;
 use zeiot::data::gait::GaitGenerator;
 use zeiot::data::temperature::TemperatureFieldGenerator;
 use zeiot::microdeep::{Assignment, CnnConfig, CostModel, DistributedCnn, WeightUpdate};
 use zeiot::net::Topology;
+use zeiot::nn::tensor::Tensor;
 
 #[test]
 fn temperature_pipeline_learns_and_saves_traffic() {
@@ -82,28 +85,56 @@ fn assignment_strategies_order_by_peak_cost() {
     assert!(balanced > 0);
 }
 
-#[test]
-fn synchronized_distributed_matches_centralized_numerics() {
-    // With identical seeds the distributed forward pass must agree with
-    // the centralized network built from the same config (the layers are
-    // mathematically the same graph).
-    let mut rng_a = SeedRng::new(3);
-    let mut rng_b = SeedRng::new(3);
-    let config = CnnConfig::new(1, 8, 8, 2, 3, 2, 8, 2).unwrap();
-    let graph = config.unit_graph().unwrap();
-    let topo = Topology::grid(3, 3, 2.0, 3.0).unwrap();
-    let assignment = Assignment::balanced_correspondence(&graph, &topo);
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
 
-    let mut central = config.build_centralized(&mut rng_a);
-    let mut distributed =
-        DistributedCnn::new(config, assignment, WeightUpdate::Synchronized, &mut rng_b);
+    /// MicroDeep computes the standard CNN (paper §IV.C). Over random
+    /// configs and grids, under the centralized, the balanced and a
+    /// seeded random placement, and in every weight-update mode, the
+    /// distributed forward at initialisation equals the centralized
+    /// network built from the same seed, bit for bit.
+    #[test]
+    fn distributed_forward_equals_the_centralized_network(
+        shape in (1usize..3, 1usize..4, 1usize..5, 1usize..4),
+        pooled in (1usize..4, 1usize..6, 1usize..12, 2usize..4),
+        grid in (1usize..5, 1usize..5),
+        seed in 0u64..u64::MAX,
+    ) {
+        let ((ic, oc, k, pool), (ph, pw, hidden, classes)) = (shape, pooled);
+        let (h, w) = (pool * ph + k - 1, pool * pw + k - 1);
+        let config = CnnConfig::new(ic, h, w, oc, k, pool, hidden, classes).unwrap();
+        let graph = config.unit_graph().unwrap();
+        let topo = Topology::grid(grid.0, grid.1, 2.0, 3.0).unwrap();
+        let mut rng = SeedRng::with_stream(seed, 1);
+        let mut random = Assignment::centralized(&graph, &topo);
+        for l in 1..graph.layer_count() {
+            for u in 0..graph.units_in_layer(l) {
+                random.set_host(l, u, NodeId::new(rng.below(topo.len()) as u32));
+            }
+        }
+        let inputs: Vec<Tensor> = (0..4)
+            .map(|_| Tensor::uniform(vec![ic, h, w], 1.0, &mut rng))
+            .collect();
+        let bits = |t: Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
 
-    // Same RNG consumption order gives identical initial weights; verify
-    // on a probe input.
-    let probe = zeiot::nn::tensor::Tensor::uniform(vec![1, 8, 8], 1.0, &mut SeedRng::new(9));
-    let out_c = central.forward(&probe);
-    let out_d = distributed.forward(&probe);
-    for (a, b) in out_c.data().iter().zip(out_d.data()) {
-        assert!((a - b).abs() < 1e-4, "centralized {a} vs distributed {b}");
+        let mut central = config.build_centralized(&mut SeedRng::new(seed));
+        let expected: Vec<_> = inputs.iter().map(|x| bits(central.forward(x))).collect();
+        for assignment in [
+            Assignment::centralized(&graph, &topo),
+            Assignment::balanced_correspondence(&graph, &topo),
+            random,
+        ] {
+            for update in [
+                WeightUpdate::Synchronized,
+                WeightUpdate::Independent,
+                WeightUpdate::PerUnit,
+            ] {
+                let mut net =
+                    DistributedCnn::new(config, assignment.clone(), update, &mut SeedRng::new(seed));
+                for (x, want) in inputs.iter().zip(&expected) {
+                    prop_assert_eq!(&bits(net.forward(x)), want, "{:?}", update);
+                }
+            }
+        }
     }
 }
