@@ -1,8 +1,9 @@
-//! Energy-harvest sources.
+//! Energy-harvest sources, and the RF rectifier.
 //!
 //! Each source reports its instantaneous harvested power at a simulated
 //! time; stochastic sources additionally take an RNG. Power values are
-//! always non-negative.
+//! always non-negative. [`RfHarvester`] converts an incident power the
+//! caller supplies, so it is not a source.
 
 use zeiot_core::error::{require_in_range, require_non_negative, require_positive, Result};
 use zeiot_core::rng::SeedRng;
@@ -140,9 +141,11 @@ impl HarvestSource for SolarSource {
     }
 }
 
-/// RF energy harvesting from a received carrier (RFID-style): converts the
+/// RF energy harvesting from a received carrier (RFID-style): converts an
 /// incident power at the tag with a rectifier efficiency, below a
-/// sensitivity threshold nothing is harvested.
+/// sensitivity threshold nothing is harvested. It is a converter, not a
+/// [`HarvestSource`]: the incident power comes from the link, per call
+/// to [`RfHarvester::harvested`].
 ///
 /// # Example
 ///
@@ -164,7 +167,6 @@ impl HarvestSource for SolarSource {
 pub struct RfHarvester {
     efficiency: f64,
     sensitivity: Dbm,
-    incident: Dbm,
 }
 
 impl RfHarvester {
@@ -180,7 +182,6 @@ impl RfHarvester {
         Ok(Self {
             efficiency,
             sensitivity,
-            incident: Dbm::new(-200.0),
         })
     }
 
@@ -191,16 +192,6 @@ impl RfHarvester {
         } else {
             Watt::new(incident.to_watt().value() * self.efficiency)
         }
-    }
-}
-
-impl HarvestSource for RfHarvester {
-    fn power_at(&self, _time: SimTime, _rng: &mut SeedRng) -> Watt {
-        self.harvested(self.incident)
-    }
-
-    fn mean_power(&self) -> Watt {
-        self.harvested(self.incident)
     }
 }
 

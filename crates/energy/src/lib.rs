@@ -8,8 +8,9 @@
 //! ~10 µW — a factor of ~1/10,000 — so energy-harvesting devices can only
 //! communicate by backscatter. This crate provides:
 //!
-//! - [`harvester`] — harvest sources: constant, solar (diurnal), RF (from
-//!   a received power level), vibration (bursty);
+//! - [`harvester`] — harvest sources: constant, solar (diurnal),
+//!   vibration (bursty); and the RF rectifier that converts a received
+//!   power level;
 //! - [`capacitor`] — the storage element with turn-on/turn-off hysteresis;
 //! - [`consumer`] — per-state power draw profiles and task energy costs;
 //! - [`intermittent`] — intermittent execution: a device that computes in

@@ -29,7 +29,7 @@
 
 use crate::assignment::Assignment;
 use crate::config::CnnConfig;
-use crate::exec::{self, Domain, Perfect, Transport};
+use crate::exec::{self, Domain, Grads, Perfect, Transport, Workspace};
 use serde::{de_field, Deserialize, Serialize, Value};
 use std::borrow::Cow;
 use std::collections::BTreeMap;
@@ -89,7 +89,7 @@ impl Params {
         }
     }
 
-    fn apply(&mut self, lr: f32) {
+    pub(crate) fn apply(&mut self, lr: f32) {
         self.weights.add_scaled(&self.grad_weights, -lr);
         self.bias.add_scaled(&self.grad_bias, -lr);
         self.grad_weights.fill_zero();
@@ -139,6 +139,12 @@ pub struct DistributedCnn {
     pub(crate) pool_argmax: Vec<usize>,
     pub(crate) hidden_pre_relu: Vec<f32>,
     pub(crate) hidden_out: Vec<f32>,
+    // Buffers the passes reuse, never serialized: `to_json` stays the
+    // model's alone.
+    #[serde(skip)]
+    pub(crate) work: Workspace<f32, f32>,
+    #[serde(skip)]
+    pub(crate) grads: Grads,
 }
 
 /// Every deserialization path — [`DistributedCnn::from_json`] or a
@@ -161,6 +167,8 @@ impl Deserialize for DistributedCnn {
             pool_argmax: de_field(value, "pool_argmax")?,
             hidden_pre_relu: de_field(value, "hidden_pre_relu")?,
             hidden_out: de_field(value, "hidden_out")?,
+            work: Workspace::default(),
+            grads: Grads::default(),
         };
         model.validate().map_err(serde::Error::custom)?;
         Ok(model)
@@ -255,6 +263,8 @@ impl DistributedCnn {
             pool_argmax: Vec::new(),
             hidden_pre_relu: Vec::new(),
             hidden_out: Vec::new(),
+            work: Workspace::default(),
+            grads: Grads::default(),
         }
     }
 
@@ -403,18 +413,20 @@ impl DistributedCnn {
             // Sum replica gradients (each unit contributed to exactly
             // one replica, so the sum is the full-batch gradient) and
             // apply the common update to every replica.
-            let oc = self.config.conv_channels();
-            let ic = self.config.in_channels();
-            let k = self.config.kernel();
-            let mut total_w = Tensor::zeros(vec![oc, ic, k, k]);
-            let mut total_b = Tensor::zeros(vec![oc]);
+            let c = &self.config;
+            let (total_w, total_b) = self.grads.sums.get_or_insert_with(|| {
+                let (oc, ic, k) = (c.conv_channels(), c.in_channels(), c.kernel());
+                (Tensor::zeros(vec![oc, ic, k, k]), Tensor::zeros(vec![oc]))
+            });
+            total_w.fill_zero();
+            total_b.fill_zero();
             for rep in self.replicas.values() {
                 total_w.add_scaled(&rep.grad_weights, 1.0);
                 total_b.add_scaled(&rep.grad_bias, 1.0);
             }
             for rep in self.replicas.values_mut() {
-                rep.weights.add_scaled(&total_w, -lr);
-                rep.bias.add_scaled(&total_b, -lr);
+                rep.weights.add_scaled(total_w, -lr);
+                rep.bias.add_scaled(total_b, -lr);
                 rep.grad_weights.fill_zero();
                 rep.grad_bias.fill_zero();
             }
@@ -575,6 +587,10 @@ impl Domain for DistributedCnn {
         }
     }
 
+    fn work(&mut self) -> &mut Workspace<f32, f32> {
+        &mut self.work
+    }
+
     fn admit<'a>(&mut self, input: &'a Tensor) -> Cow<'a, [f32]> {
         exec::check_input(&self.config, input);
         Cow::Borrowed(input.data())
@@ -588,25 +604,30 @@ impl Domain for DistributedCnn {
         acc + w * x
     }
 
-    fn activate(&mut self, layer: usize, acc: Vec<f32>) -> Vec<f32> {
-        let relu: Vec<f32> = acc.iter().map(|&v| v.max(0.0)).collect();
+    fn activate(&mut self, layer: usize, acc: &[f32], out: &mut Vec<f32>) {
+        out.clear();
+        out.extend(acc.iter().map(|&v| v.max(0.0)));
         if layer == 1 {
-            self.conv_pre_relu = acc;
+            exec::overwrite(&mut self.conv_pre_relu, acc);
         } else {
-            self.hidden_pre_relu = acc;
-            self.hidden_out = relu.clone();
+            exec::overwrite(&mut self.hidden_pre_relu, acc);
+            exec::overwrite(&mut self.hidden_out, out);
         }
-        relu
     }
 
-    fn pool_done(&mut self, pooled: &[f32], argmax: Vec<usize>) {
-        self.pool_out = pooled.to_vec();
-        self.pool_argmax = argmax;
+    fn pool_done(&mut self, pooled: &[f32], argmax: &[usize]) {
+        exec::overwrite(&mut self.pool_out, pooled);
+        exec::overwrite(&mut self.pool_argmax, argmax);
     }
 
-    fn finish(&mut self, input: &Tensor, logits: Vec<f32>) -> Tensor {
-        self.last_input = Some(input.clone());
-        exec::logits_tensor(logits)
+    fn finish(&mut self, input: &Tensor, logits: &[f32]) -> Tensor {
+        match &mut self.last_input {
+            Some(last) if last.shape() == input.shape() => {
+                last.data_mut().copy_from_slice(input.data());
+            }
+            last => *last = Some(input.clone()),
+        }
+        exec::logits_tensor(logits.to_vec())
     }
 }
 

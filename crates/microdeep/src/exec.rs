@@ -25,6 +25,26 @@
 //! within a unit, so f32 results are bit-identical to computing one
 //! unit at a time (the `reference` tests hold the nest to that). A
 //! transport only decides where a block's inputs come from.
+//!
+//! The conv backward runs in lanes too, across each unit's kernel
+//! terms. It first collects the units whose gradient survives the ReLU
+//! and is non-zero, in unit order and without a branch per unit, then
+//! adds each live unit's contribution to its kernel's gradient
+//! [`LANES`] terms at a time. Every gradient element takes exactly one
+//! contribution from a unit, and a kernel shared by several units (a
+//! replica) takes theirs in unit order, so the gradients are
+//! bit-identical to visiting every unit in turn. Un-pool and the dense
+//! backward carry their gradients one edge at a time, in the order a
+//! unit-at-a-time pass sends them.
+//!
+//! **Buffers.** The tables a model's config fixes (receptive field, pool
+//! window, dense term list) are built on its first pass, and every
+//! stage writes into buffers the model keeps from pass to pass
+//! ([`Workspace`], [`Grads`]); they are never serialized. So after its
+//! first sample an f32 forward and backward over [`Perfect`] allocate
+//! only the logits they return, plus, in the replica modes, one
+//! node-indexed kernel table per pass: re-placement moves units between
+//! replicas, so that table is not kept.
 
 use crate::assignment::Assignment;
 use crate::config::CnnConfig;
@@ -34,6 +54,7 @@ use crate::lossy::{
     STAGE_POOL_HIDDEN,
 };
 use std::borrow::Cow;
+use std::collections::BTreeMap;
 use std::ops::Add;
 use zeiot_core::id::NodeId;
 use zeiot_nn::tensor::Tensor;
@@ -139,20 +160,82 @@ fn blocks(len: usize) -> impl Iterator<Item = (usize, usize)> {
         .map(move |first| (first, (len - first).min(LANES)))
 }
 
-/// A block buffer, reused across one pass: value `t · LANES + j` is lane
+/// A block buffer, reused across passes: value `t · LANES + j` is lane
 /// `j`'s term `t`, and `offsets[t] = t · LANES`.
+#[derive(Debug, Clone, Default)]
 pub(crate) struct Scratch<A> {
     values: Vec<A>,
     offsets: Vec<usize>,
 }
 
-impl<A> Scratch<A> {
-    fn new() -> Self {
-        Self {
-            values: Vec::new(),
-            offsets: Vec::new(),
+/// The offset tables a model's config fixes, built on its first pass.
+#[derive(Debug, Clone, Default)]
+struct Tables {
+    /// A conv unit's receptive field ([`receptive_field`]).
+    field: Vec<usize>,
+    /// A pool unit's window, relative to its top-left conv unit.
+    window: Vec<usize>,
+    /// `0..n` for the wider dense input: dense unit terms.
+    terms: Vec<usize>,
+}
+
+impl Tables {
+    /// Builds the tables unless they are built already.
+    fn build(&mut self, c: &CnnConfig) {
+        if !self.field.is_empty() {
+            return;
         }
+        let (ow, k) = (c.conv_dims().1, c.pool());
+        self.field = receptive_field(c);
+        self.window = (0..k).flat_map(|ky| (ky * ow..).take(k)).collect();
+        self.terms = (0..c.feature_len().max(c.hidden())).collect();
     }
+}
+
+/// What a model's forward passes reuse: its [`Tables`], the lossy block
+/// buffer, and each stage's output. A pass overwrites every buffer
+/// before it reads it, so none carries state from one pass to the next.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Workspace<A, Acc> {
+    tables: Tables,
+    block: Scratch<A>,
+    conv: Vec<Acc>,
+    conv_relu: Vec<A>,
+    pooled: Vec<A>,
+    argmax: Vec<usize>,
+    hidden: Vec<Acc>,
+    hidden_relu: Vec<A>,
+    logits: Vec<Acc>,
+}
+
+/// What the backward pass and the synchronized update reuse, overwritten
+/// before each read like [`Workspace`].
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Grads {
+    /// The gradient reaching each hidden, pool and conv unit.
+    hidden: Vec<f32>,
+    pooled: Vec<f32>,
+    conv: Vec<f32>,
+    /// The live conv units, and where each output channel's run ends.
+    live: Vec<Live>,
+    ends: Vec<usize>,
+    /// The synchronized update's summed kernel and bias gradients.
+    pub(crate) sums: Option<(Tensor, Tensor)>,
+}
+
+/// A conv unit whose gradient `g` passed the ReLU non-zero; its
+/// receptive field starts at input index `corner`.
+#[derive(Debug, Clone, Copy, Default)]
+struct Live {
+    g: f32,
+    unit: usize,
+    corner: usize,
+}
+
+/// Replaces `dst`'s contents with `src`, in `dst`'s own storage.
+pub(crate) fn overwrite<T: Copy>(dst: &mut Vec<T>, src: &[T]) {
+    dst.clear();
+    dst.extend_from_slice(src);
 }
 
 /// How values move between the nodes hosting CNN units.
@@ -302,8 +385,8 @@ pub(crate) trait Domain {
     /// Weight, activation and accumulator elements; biases live in the
     /// accumulator domain.
     type W: Copy;
-    type A: Copy + PartialOrd;
-    type Acc: Copy + Add<Output = Self::Acc>;
+    type A: Copy + PartialOrd + Default;
+    type Acc: Copy + Add<Output = Self::Acc> + Default;
     /// A conv replica's table, and the per-unit and dense tables.
     type Replica: Layout<W = Self::W, B = Self::Acc>;
     type Table: Layout<W = Self::W, B = Self::Acc>;
@@ -318,6 +401,8 @@ pub(crate) trait Domain {
     fn from_wire(v: f32) -> Self::A;
     /// The placement and parameter tables.
     fn parts(&self) -> Parts<'_, Self::Replica, Self::Table>;
+    /// The buffers this model's passes reuse.
+    fn work(&mut self) -> &mut Workspace<Self::A, Self::Acc>;
     /// Checks the input's shape and converts it to activations.
     fn admit<'a>(&mut self, input: &'a Tensor) -> Cow<'a, [Self::A]>;
     /// Where a dense unit's sum starts: the identity `Iterator::sum`
@@ -326,12 +411,12 @@ pub(crate) trait Domain {
     /// `acc + w · x`.
     fn mac(acc: Self::Acc, w: Self::W, x: Self::A) -> Self::Acc;
     /// Accumulators of unit-graph layer 1 (conv) or 3 (hidden) → ReLU'd
-    /// activations.
-    fn activate(&mut self, layer: usize, acc: Vec<Self::Acc>) -> Vec<Self::A>;
+    /// activations, written over `out`.
+    fn activate(&mut self, layer: usize, acc: &[Self::Acc], out: &mut Vec<Self::A>);
     /// Pooled activations and the conv unit each one came from.
-    fn pool_done(&mut self, pooled: &[Self::A], argmax: Vec<usize>);
+    fn pool_done(&mut self, pooled: &[Self::A], argmax: &[usize]);
     /// Logit accumulators → the logits of a completed pass.
-    fn finish(&mut self, input: &Tensor, logits: Vec<Self::Acc>) -> Tensor;
+    fn finish(&mut self, input: &Tensor, logits: &[Self::Acc]) -> Tensor;
 }
 
 /// Offsets of a conv unit's receptive field in kernel order `(in
@@ -342,14 +427,15 @@ fn receptive_field(c: &CnnConfig) -> Vec<usize> {
     rows.flat_map(|row| row..row + k).collect()
 }
 
-/// `entries` laid out by node index; a node without an entry holds
-/// `empty()`.
-fn by_node<T>(entries: impl Iterator<Item = (NodeId, T)>, empty: impl Fn() -> T) -> Vec<T> {
-    let mut table = Vec::new();
+/// `entries` laid out by node index in a table of `len` slots; a node
+/// without an entry holds `empty()`.
+fn by_node<T>(
+    len: usize,
+    entries: impl Iterator<Item = (NodeId, T)>,
+    empty: impl FnMut() -> T,
+) -> Vec<T> {
+    let mut table: Vec<T> = std::iter::repeat_with(empty).take(len).collect();
     for (node, entry) in entries {
-        if table.len() <= node.index() {
-            table.resize_with(node.index() + 1, &empty);
-        }
         if let Some(slot) = table.get_mut(node.index()) {
             *slot = entry;
         }
@@ -357,9 +443,17 @@ fn by_node<T>(entries: impl Iterator<Item = (NodeId, T)>, empty: impl Fn() -> T)
     table
 }
 
-/// Every conv unit's kernel and bias in one output channel, for one
-/// pass: the unit's own, or its host replica's through a node-indexed
-/// table.
+/// Slots a node-indexed table over `replicas` needs.
+fn node_slots<R>(replicas: &BTreeMap<NodeId, R>) -> usize {
+    replicas
+        .keys()
+        .next_back()
+        .map_or(0, |node| node.index() + 1)
+}
+
+/// Every conv unit's kernel and bias, for one pass: the unit's own, or
+/// its host replica's through one node-indexed table per output channel,
+/// all channels in one allocation.
 enum Kernels<'a, W, B> {
     PerUnit {
         weights: &'a [W],
@@ -368,14 +462,16 @@ enum Kernels<'a, W, B> {
     },
     Replicas {
         hosts: &'a [NodeId],
+        /// Channel `o`'s table is `by_node[o · nodes..(o + 1) · nodes]`.
+        nodes: usize,
         by_node: Vec<(&'a [W], B)>,
     },
 }
 
 impl<'a, W, B: Copy> Kernels<'a, W, B> {
-    /// Kernels of length `len` in output `channel`; `zero` fills the
-    /// table slots of nodes without a replica.
-    fn new<R, P>(p: &Parts<'a, R, P>, channel: usize, len: usize, zero: B) -> Self
+    /// Kernels of length `len`; `zero` fills the table slots of nodes
+    /// without a replica.
+    fn new<R, P>(p: &Parts<'a, R, P>, len: usize, zero: B) -> Self
     where
         R: Layout<W = W, B = B>,
         P: Layout<W = W, B = B>,
@@ -384,19 +480,33 @@ impl<'a, W, B: Copy> Kernels<'a, W, B> {
             let (weights, bias) = (pk.weights(), pk.bias());
             return Self::PerUnit { weights, bias, len };
         }
-        let start = channel * len;
-        // zeiot-audit: allow(p1) -- validated replicas hold one kernel and bias per output channel
-        let kernel = |rep: &'a R| (&rep.weights()[start..start + len], rep.bias()[channel]);
-        let tables = p.replicas.iter().map(|(node, rep)| (*node, kernel(rep)));
+        let (nodes, empty): (usize, &[W]) = (node_slots(p.replicas), &[]);
+        let mut by_node = vec![(empty, zero); nodes * p.config.conv_channels()];
+        for (node, rep) in p.replicas {
+            let kernels = rep.weights().chunks_exact(len).zip(rep.bias());
+            let slots = by_node.iter_mut().skip(node.index()).step_by(nodes);
+            for (slot, (kernel, &bias)) in slots.zip(kernels) {
+                *slot = (kernel, bias);
+            }
+        }
         Self::Replicas {
             hosts: p.conv_unit_host,
-            by_node: by_node(tables, || (&[][..], zero)),
+            nodes,
+            by_node,
         }
     }
 
     /// Sets `w` and `b` to the kernels and biases of the `lanes` units
-    /// from `first`, lanes past `lanes` on the last unit.
-    fn fill(&self, first: usize, lanes: usize, w: &mut [&'a [W]; LANES], b: &mut [B; LANES]) {
+    /// from `first`, all in output `channel`, lanes past `lanes` on the
+    /// last unit.
+    fn fill(
+        &self,
+        channel: usize,
+        first: usize,
+        lanes: usize,
+        w: &mut [&'a [W]; LANES],
+        b: &mut [B; LANES],
+    ) {
         let last = first + lanes - 1;
         let slots = w
             .iter_mut()
@@ -409,9 +519,14 @@ impl<'a, W, B: Copy> Kernels<'a, W, B> {
                     (*w, *b) = (&weights[unit * len..(unit + 1) * len], bias[unit]);
                 }
             }
-            Self::Replicas { hosts, by_node } => {
+            Self::Replicas {
+                hosts,
+                nodes,
+                by_node,
+            } => {
+                let table = &by_node[channel * nodes..(channel + 1) * nodes];
                 for ((w, b), unit) in slots {
-                    (*w, *b) = by_node[hosts[unit].index()];
+                    (*w, *b) = table[hosts[unit].index()];
                 }
             }
         }
@@ -444,17 +559,50 @@ pub(crate) fn forward<D: Domain, T: Transport>(
     input: &Tensor,
     t: &mut T,
 ) -> Option<Tensor> {
+    // The workspace leaves the model for the pass, so the stage hooks can
+    // borrow the model while the stages write the workspace.
+    let mut w = std::mem::take(m.work());
+    let logits = stages(m, input, t, &mut w);
+    *m.work() = w;
+    logits
+}
+
+/// [`forward`] over workspace `w`.
+fn stages<D: Domain, T: Transport>(
+    m: &mut D,
+    input: &Tensor,
+    t: &mut T,
+    w: &mut Workspace<D::A, D::Acc>,
+) -> Option<Tensor> {
     let admitted = m.admit(input);
     let x: &[D::A] = &admitted;
-    let mut buf = Scratch::new();
-    let [hop_conv, hop_pool, hop_hidden, hop_logit] = D::HOPS;
-    let conv = conv::<D, T>(&m.parts(), x, t, &mut buf, hop_conv)?;
-    let relu = m.activate(1, conv);
-    let (pooled, argmax) = pool::<D, T>(&m.parts(), &relu, t, &mut buf, hop_pool)?;
-    m.pool_done(&pooled, argmax);
-    let hidden = dense::<D, T>(&m.parts(), 0, &pooled, t, &mut buf, hop_hidden)?;
-    let hidden = m.activate(3, hidden);
-    let logits = dense::<D, T>(&m.parts(), 1, &hidden, t, &mut buf, hop_logit)?;
+    w.tables.build(m.parts().config);
+    let Workspace {
+        tables,
+        block,
+        conv: acc,
+        conv_relu,
+        pooled,
+        argmax,
+        hidden,
+        hidden_relu,
+        logits,
+    } = w;
+    conv::<D, T>(&m.parts(), x, &tables.field, t, block, acc)?;
+    m.activate(1, acc, conv_relu);
+    pool::<D, T>(
+        &m.parts(),
+        conv_relu,
+        &tables.window,
+        t,
+        block,
+        pooled,
+        argmax,
+    )?;
+    m.pool_done(pooled, argmax);
+    dense::<D, T>(&m.parts(), 0, pooled, &tables.terms, t, block, hidden)?;
+    m.activate(3, hidden, hidden_relu);
+    dense::<D, T>(&m.parts(), 1, hidden_relu, &tables.terms, t, block, logits)?;
     Some(m.finish(input, logits))
 }
 
@@ -496,22 +644,24 @@ fn fold<D: Domain, R: Read<D::A>>(
     acc
 }
 
-/// Convolution: each conv unit pulls its receptive field from the
-/// sensors hosting the input units. Blocks run along output rows.
+/// Convolution into `out`: each conv unit pulls its receptive field
+/// `field` from the sensors hosting the input units. Blocks run along
+/// output rows.
 fn conv<D: Domain, T: Transport>(
     p: &Parts<'_, D::Replica, D::Table>,
     x: &[D::A],
+    field: &[usize],
     t: &mut T,
     buf: &mut Scratch<D::A>,
-    hop: &'static str,
-) -> Option<Vec<D::Acc>> {
+    out: &mut Vec<D::Acc>,
+) -> Option<()> {
     let c = p.config;
     let ((oh, ow), iw) = (c.conv_dims(), c.in_width());
-    let field = receptive_field(c);
-    let mut out = Vec::with_capacity(c.conv_channels() * oh * ow);
+    let [hop, ..] = D::HOPS;
+    out.clear();
+    let kernels = Kernels::new(p, field.len(), D::zero());
     let (mut w, mut bias) = ([&[][..]; LANES], [D::zero(); LANES]);
     for channel in 0..c.conv_channels() {
-        let kernels = Kernels::new(p, channel, field.len(), D::zero());
         for oy in 0..oh {
             for (ox, lanes) in blocks(ow) {
                 let first = (channel * oh + oy) * ow + ox;
@@ -520,17 +670,17 @@ fn conv<D: Domain, T: Transport>(
                     first,
                     lanes,
                     base: oy * iw + ox,
-                    terms: &field,
+                    terms: field,
                     stride: 1,
                     hop,
                 };
                 let v = t.deliver::<D>(x, b, p.assignment, buf)?;
-                kernels.fill(first, lanes, &mut w, &mut bias);
+                kernels.fill(channel, first, lanes, &mut w, &mut bias);
                 out.extend(accumulate::<D>(bias, &w, &v).into_iter().take(lanes));
             }
         }
     }
-    Some(out)
+    Some(())
 }
 
 /// Each lane's first strict maximum and the term it came from; a lane
@@ -563,21 +713,23 @@ fn max_fold<D: Domain, R: Read<D::A>>(
     (best, won)
 }
 
-/// Max pooling: each pool unit pulls its window from the conv hosts.
-/// Blocks run along pooled rows. Also returns the conv unit each pooled
-/// value came from (conv unit 0 when none won).
+/// Max pooling into `pooled`: each pool unit pulls its `window` from the
+/// conv hosts. Blocks run along pooled rows. `argmax` gets the conv unit
+/// each pooled value came from (conv unit 0 when none won).
 fn pool<D: Domain, T: Transport>(
     p: &Parts<'_, D::Replica, D::Table>,
     relu: &[D::A],
+    window: &[usize],
     t: &mut T,
     buf: &mut Scratch<D::A>,
-    hop: &'static str,
-) -> Option<(Vec<D::A>, Vec<usize>)> {
+    pooled: &mut Vec<D::A>,
+    argmax: &mut Vec<usize>,
+) -> Option<()> {
     let c = p.config;
     let ((oh, ow), (ph, pw), k) = (c.conv_dims(), c.pool_dims(), c.pool());
-    let window: Vec<usize> = (0..k).flat_map(|ky| (ky * ow..).take(k)).collect();
-    let units = c.conv_channels() * ph * pw;
-    let (mut pooled, mut argmax) = (Vec::with_capacity(units), Vec::with_capacity(units));
+    let [_, hop, ..] = D::HOPS;
+    pooled.clear();
+    argmax.clear();
     for row in 0..c.conv_channels() * ph {
         let (channel, py) = (row / ph, row % ph);
         for (px, lanes) in blocks(pw) {
@@ -586,7 +738,7 @@ fn pool<D: Domain, T: Transport>(
                 first: row * pw + px,
                 lanes,
                 base: channel * oh * ow + py * k * ow + px * k,
-                terms: &window,
+                terms: window,
                 stride: k,
                 hop,
             };
@@ -599,33 +751,39 @@ fn pool<D: Domain, T: Transport>(
             }
         }
     }
-    Some((pooled, argmax))
+    Some(())
 }
 
 /// Dense layer `layer` (0: hidden, 1: logits) over the previous layer's
-/// activations `x`; every unit pulls the whole of `x`.
+/// activations `x`, into `out`; every unit pulls the whole of `x`, its
+/// terms the first `x.len()` of `terms`.
 fn dense<D: Domain, T: Transport>(
     p: &Parts<'_, D::Replica, D::Table>,
     layer: usize,
     x: &[D::A],
+    terms: &[usize],
     t: &mut T,
     buf: &mut Scratch<D::A>,
-    hop: &'static str,
-) -> Option<Vec<D::Acc>> {
-    let [hidden, logits] = p.dense;
-    let table = if layer == 0 { hidden } else { logits };
+    out: &mut Vec<D::Acc>,
+) -> Option<()> {
+    let ([hidden, logits], [.., hop_hidden, hop_logit]) = (p.dense, D::HOPS);
+    let (table, hop) = if layer == 0 {
+        (hidden, hop_hidden)
+    } else {
+        (logits, hop_logit)
+    };
     let (weights, bias) = (table.weights(), table.bias());
     let n = x.len();
-    let terms: Vec<usize> = (0..n).collect();
+    let terms = &terms[..n];
     let empty: &[D::W] = &[];
-    let mut out = Vec::with_capacity(bias.len());
+    out.clear();
     for (first, lanes) in blocks(bias.len()) {
         let b = Block {
             stage: STAGE_POOL_HIDDEN + layer as u64,
             first,
             lanes,
             base: 0,
-            terms: &terms,
+            terms,
             stride: 0,
             hop,
         };
@@ -641,7 +799,7 @@ fn dense<D: Domain, T: Transport>(
         let biased = acc.into_iter().zip(bias.iter().skip(first).take(lanes));
         out.extend(biased.map(|(acc, &bias)| bias + acc));
     }
-    Some(out)
+    Some(())
 }
 
 /// The share of `data` whose forward over `t` completes with the
@@ -676,76 +834,135 @@ pub(crate) fn accuracy<D: Domain, T: Transport>(
 pub(crate) fn backward<T: Transport>(net: &mut DistributedCnn, grad_logits: &Tensor, t: &mut T) {
     // zeiot-audit: allow(p1) -- documented `# Panics` precondition guard
     let input = net.last_input.as_ref().expect("backward before forward");
-    let (at, c) = (&net.assignment, net.config);
+    let (at, c) = (&net.assignment, &net.config);
+    let Grads {
+        hidden,
+        pooled,
+        conv,
+        live,
+        ends,
+        ..
+    } = &mut net.grads;
 
     // Dense layers: weight gradients stay on the consumer unit's host,
     // input gradients travel back to the producers.
     let grad = grad_logits.data();
-    let grad = dense_backward(
-        &mut net.dense2,
-        &net.hidden_out,
-        grad,
-        at,
-        STAGE_HIDDEN_LOGIT,
-        t,
-    );
-    let grad = relu_mask(grad, &net.hidden_pre_relu);
-    let grad_pool = dense_backward(
-        &mut net.dense1,
-        &net.pool_out,
-        &grad,
-        at,
-        STAGE_POOL_HIDDEN,
-        t,
-    );
+    let (x, stage) = (&net.hidden_out, STAGE_HIDDEN_LOGIT);
+    dense_backward(&mut net.dense2, x, grad, at, stage, t, hidden);
+    relu_mask(hidden, &net.hidden_pre_relu);
+    let (x, stage) = (&net.pool_out, STAGE_POOL_HIDDEN);
+    dense_backward(&mut net.dense1, x, hidden, at, stage, t, pooled);
 
     // Un-pool: each pool unit's gradient flows to its argmax conv unit.
-    let mut grad_relu = vec![0.0f32; net.conv_pre_relu.len()];
-    for (i, (&src, &g)) in net.pool_argmax.iter().zip(&grad_pool).enumerate() {
+    conv.clear();
+    conv.resize(net.conv_pre_relu.len(), 0.0);
+    for (i, (&src, &g)) in net.pool_argmax.iter().zip(pooled.iter()).enumerate() {
         if g != 0.0 {
-            // zeiot-audit: allow(p1) -- conv units, kernel slots and receptive fields index tables the completed forward pass sized
-            grad_relu[src] += t.gradient(g, at, (STAGE_CONV_POOL, src, i));
+            // zeiot-audit: allow(p1) -- argmax conv units index the table the completed forward pass sized
+            conv[src] += t.gradient(g, at, (STAGE_CONV_POOL, src, i));
         }
     }
-    let grad_conv = relu_mask(grad_relu, &net.conv_pre_relu);
 
-    // Conv: accumulate into the owning kernel (the host's replica, or
-    // the unit's own in PerUnit mode) from the inputs the unit cached on
-    // its own node at forward time.
-    let ((oh, ow), iw) = (c.conv_dims(), c.in_width());
-    let field = receptive_field(&c);
-    let mut replicas = by_node(net.replicas.iter_mut().map(|(n, r)| (*n, Some(r))), || None);
-    for o in 0..c.conv_channels() {
-        for oy in 0..oh {
-            for ox in 0..ow {
-                let unit = o * oh * ow + oy * ow + ox;
-                let g = grad_conv[unit];
-                if g == 0.0 {
-                    continue;
+    // Conv: each live unit's contribution goes to its kernel (the unit's
+    // own in PerUnit mode, else its host's replica), from the inputs the
+    // unit cached on its own node at forward time.
+    net.work.tables.build(c);
+    let field = &net.work.tables.field;
+    let live = live_units(c, conv, &net.conv_pre_relu, live, ends);
+    let (x, len) = (input.data(), field.len());
+    match net.per_unit.as_mut() {
+        Some(pk) => {
+            let (grad_w, grad_b) = (pk.grad_weights.data_mut(), pk.grad_bias.data_mut());
+            for u in live {
+                let kernel = &mut grad_w[u.unit * len..(u.unit + 1) * len];
+                add_unit(kernel, &mut grad_b[u.unit], u, x, field);
+            }
+        }
+        None => {
+            // Each replica takes its units' contributions in unit order.
+            let slots = node_slots(&net.replicas);
+            let reps = net
+                .replicas
+                .iter_mut()
+                .map(|(&node, rep)| (node, Some(rep)));
+            let mut reps = by_node(slots, reps, || None);
+            let mut start = 0;
+            for (channel, &end) in ends.iter().enumerate() {
+                for u in &live[start..end] {
+                    let host = net.conv_unit_host[u.unit].index();
+                    let Some(rep) = reps.get_mut(host).and_then(Option::as_mut) else {
+                        continue;
+                    };
+                    let grad_w = rep.grad_weights.data_mut();
+                    let kernel = &mut grad_w[channel * len..(channel + 1) * len];
+                    add_unit(kernel, &mut rep.grad_bias.data_mut()[channel], u, x, field);
                 }
-                let kernel = match net.per_unit.as_mut() {
-                    Some(pk) => Some((&mut pk.grad_weights, &mut pk.grad_bias, unit)),
-                    None => replicas
-                        .get_mut(net.conv_unit_host[unit].index())
-                        .and_then(Option::as_mut)
-                        .map(|rep| (&mut rep.grad_weights, &mut rep.grad_bias, o)),
-                };
-                let Some((grad_w, grad_b, slot)) = kernel else {
-                    continue;
-                };
-                grad_b.data_mut()[slot] += g;
-                let grad_w = grad_w.data_mut().chunks_exact_mut(field.len()).nth(slot);
-                for (gw, &off) in grad_w.into_iter().flatten().zip(&field) {
-                    *gw += g * input.data()[oy * iw + ox + off];
-                }
+                start = end;
             }
         }
     }
 }
 
+/// The conv units whose gradient in `grad` is non-zero where the ReLU
+/// passed it (`pre > 0`), in unit order, collected into `live` without a
+/// branch per unit; `ends[o]` is where output channel `o`'s run ends.
+fn live_units<'l>(
+    c: &CnnConfig,
+    grad: &[f32],
+    pre: &[f32],
+    live: &'l mut Vec<Live>,
+    ends: &mut Vec<usize>,
+) -> &'l [Live] {
+    let ((oh, ow), iw) = (c.conv_dims(), c.in_width());
+    // Every unit is written before the count decides whether it stays.
+    if live.len() < grad.len() {
+        live.resize(grad.len(), Live::default());
+    }
+    ends.clear();
+    let mut units = grad.iter().zip(pre).enumerate();
+    let mut n = 0;
+    for _ in 0..c.conv_channels() {
+        for oy in 0..oh {
+            for ((unit, (&g, &pre)), ox) in units.by_ref().take(ow).zip(0..) {
+                let corner = oy * iw + ox;
+                // zeiot-audit: allow(p1) -- `n` counts live units among those before `unit`
+                live[n] = Live { g, unit, corner };
+                n += usize::from((pre > 0.0) & (g != 0.0));
+            }
+        }
+        ends.push(n);
+    }
+    &live[..n]
+}
+
+/// Adds live unit `u`'s contribution to its kernel's gradient: `u.g` to
+/// the bias, and `u.g · x[u.corner + field[t]]` to weight `t`, [`LANES`]
+/// terms at a time. Each weight takes this one contribution.
+#[inline(always)]
+fn add_unit(kernel: &mut [f32], bias: &mut f32, u: &Live, x: &[f32], field: &[usize]) {
+    *bias += u.g;
+    // zeiot-audit: allow(p1) -- receptive fields lie inside the input the forward pass checked
+    let x = &x[u.corner..];
+    let mut kernel = kernel.chunks_exact_mut(LANES);
+    let mut terms = field.chunks_exact(LANES);
+    for (gw, terms) in (&mut kernel).zip(&mut terms) {
+        let mut xs = [0.0f32; LANES];
+        for (xv, &term) in xs.iter_mut().zip(terms) {
+            *xv = x[term];
+        }
+        for (gw, xv) in gw.iter_mut().zip(xs) {
+            *gw += u.g * xv;
+        }
+    }
+    let rest = kernel.into_remainder().iter_mut().zip(terms.remainder());
+    for (gw, &term) in rest {
+        *gw += u.g * x[term];
+    }
+}
+
 /// Accumulates one dense layer's weight and bias gradients for input `x`
-/// (arriving over `stage`) and output gradient `grad_out`, returning the
-/// gradient reaching each input unit.
+/// (arriving over `stage`) and output gradient `grad_out`, writing the
+/// gradient reaching each input unit over `grad_in`.
 fn dense_backward<T: Transport>(
     p: &mut Params,
     x: &[f32],
@@ -753,8 +970,10 @@ fn dense_backward<T: Transport>(
     at: &Assignment,
     stage: u64,
     t: &mut T,
-) -> Vec<f32> {
-    let mut grad_in = vec![0.0f32; x.len()];
+    grad_in: &mut Vec<f32>,
+) {
+    grad_in.clear();
+    grad_in.resize(x.len(), 0.0);
     let rows = p.weights.data().chunks_exact(x.len());
     let grad_rows = p.grad_weights.data_mut().chunks_exact_mut(x.len());
     let outs = grad_out
@@ -771,28 +990,29 @@ fn dense_backward<T: Transport>(
             *gi += t.gradient(g * w, at, (stage, i, o));
         }
     }
-    grad_in
 }
 
-/// ReLU's backward: the gradient passes where the pre-activation was
-/// positive.
-fn relu_mask(mut grad: Vec<f32>, pre: &[f32]) -> Vec<f32> {
+/// ReLU's backward, in place: the gradient passes where the
+/// pre-activation was positive.
+fn relu_mask(grad: &mut [f32], pre: &[f32]) {
     for (g, &v) in grad.iter_mut().zip(pre) {
         *g = if v > 0.0 { *g } else { 0.0 };
     }
-    grad
 }
 
-/// The unit-at-a-time forward nest the blocked nest replaced, kept as
-/// the reference it must equal bit for bit: one conv unit at a time
-/// with its kernel looked up in the replica map, one serial chain per
-/// unit, a branch per max-pool compare, and one `dot` per dense unit.
+/// The unit-at-a-time nests the blocked ones replaced, kept as the
+/// references they must equal bit for bit. The forward: one conv unit
+/// at a time with its kernel looked up in the replica map, one serial
+/// chain per unit, a branch per max-pool compare, and one `dot` per
+/// dense unit. The backward: the dense layers and un-pool as in the
+/// blocked nest, then every conv unit in turn, skipped on a zero
+/// gradient, its kernel looked up in the replica map.
 #[cfg(test)]
 mod reference {
-    use super::{receptive_field, Domain, Edge, Lossy, Perfect};
+    use super::{receptive_field, Domain, Edge, Lossy, Perfect, Transport};
     use crate::assignment::Assignment;
-    use crate::distributed::{DistributedCnn, Layout};
-    use crate::lossy::{STAGE_CONV_POOL, STAGE_INPUT_CONV};
+    use crate::distributed::{DistributedCnn, Layout, Params, WeightUpdate};
+    use crate::lossy::{STAGE_CONV_POOL, STAGE_HIDDEN_LOGIT, STAGE_INPUT_CONV, STAGE_POOL_HIDDEN};
     use crate::quantized::QuantizedCnn;
     use zeiot_nn::quant::dot_i8;
     use zeiot_nn::tensor::Tensor;
@@ -928,7 +1148,8 @@ mod reference {
                 }
             }
         }
-        let relu = m.activate(1, conv);
+        let mut relu = Vec::new();
+        m.activate(1, &conv, &mut relu);
 
         let mut pooled = Vec::with_capacity(oc * ph * pw);
         let mut argmax = Vec::with_capacity(oc * ph * pw);
@@ -954,13 +1175,14 @@ mod reference {
                 }
             }
         }
-        m.pool_done(&pooled, argmax);
+        m.pool_done(&pooled, &argmax);
 
         let mut buf = Vec::new();
         let hidden = dense(m, 0, &pooled, &mut buf, t, hop_hidden)?;
-        let hidden = m.activate(3, hidden);
-        let logits = dense(m, 1, &hidden, &mut buf, t, hop_logit)?;
-        Some(m.finish(input, logits))
+        let mut hidden_relu = Vec::new();
+        m.activate(3, &hidden, &mut hidden_relu);
+        let logits = dense(m, 1, &hidden_relu, &mut buf, t, hop_logit)?;
+        Some(m.finish(input, &logits))
     }
 
     /// Dense layer `layer` (0: hidden, 1: logits) over `x`.
@@ -984,9 +1206,133 @@ mod reference {
         Some(out)
     }
 
+    /// The unit-at-a-time backward pass.
+    fn backward<T: Transport>(net: &mut DistributedCnn, grad_logits: &Tensor, t: &mut T) {
+        let input = net.last_input.as_ref().expect("backward before forward");
+        let (at, c) = (&net.assignment, net.config);
+        let grad = grad_logits.data();
+        let grad = dense_backward(
+            &mut net.dense2,
+            &net.hidden_out,
+            grad,
+            at,
+            STAGE_HIDDEN_LOGIT,
+            t,
+        );
+        let grad = relu_mask(grad, &net.hidden_pre_relu);
+        let grad_pool = dense_backward(
+            &mut net.dense1,
+            &net.pool_out,
+            &grad,
+            at,
+            STAGE_POOL_HIDDEN,
+            t,
+        );
+
+        let mut grad_relu = vec![0.0f32; net.conv_pre_relu.len()];
+        for (i, (&src, &g)) in net.pool_argmax.iter().zip(&grad_pool).enumerate() {
+            if g != 0.0 {
+                grad_relu[src] += t.gradient(g, at, (STAGE_CONV_POOL, src, i));
+            }
+        }
+        let grad_conv = relu_mask(grad_relu, &net.conv_pre_relu);
+
+        let ((oh, ow), iw) = (c.conv_dims(), c.in_width());
+        let field = receptive_field(&c);
+        for o in 0..c.conv_channels() {
+            for oy in 0..oh {
+                for ox in 0..ow {
+                    let unit = o * oh * ow + oy * ow + ox;
+                    let g = grad_conv[unit];
+                    if g == 0.0 {
+                        continue;
+                    }
+                    let kernel = match net.per_unit.as_mut() {
+                        Some(pk) => Some((&mut pk.grad_weights, &mut pk.grad_bias, unit)),
+                        None => net
+                            .replicas
+                            .get_mut(&net.conv_unit_host[unit])
+                            .map(|rep| (&mut rep.grad_weights, &mut rep.grad_bias, o)),
+                    };
+                    let Some((grad_w, grad_b, slot)) = kernel else {
+                        continue;
+                    };
+                    grad_b.data_mut()[slot] += g;
+                    let grad_w = grad_w.data_mut().chunks_exact_mut(field.len()).nth(slot);
+                    for (gw, &off) in grad_w.into_iter().flatten().zip(&field) {
+                        *gw += g * input.data()[oy * iw + ox + off];
+                    }
+                }
+            }
+        }
+    }
+
+    /// The update as it was: a synchronized model sums its replicas'
+    /// gradients into fresh tensors; the other modes are unchanged.
+    fn apply_gradients(net: &mut DistributedCnn, lr: f32) {
+        if net.update != WeightUpdate::Synchronized {
+            return net.apply_gradients(lr);
+        }
+        let (oc, ic, k) = (
+            net.config.conv_channels(),
+            net.config.in_channels(),
+            net.config.kernel(),
+        );
+        let mut total_w = Tensor::zeros(vec![oc, ic, k, k]);
+        let mut total_b = Tensor::zeros(vec![oc]);
+        for rep in net.replicas.values() {
+            total_w.add_scaled(&rep.grad_weights, 1.0);
+            total_b.add_scaled(&rep.grad_bias, 1.0);
+        }
+        for rep in net.replicas.values_mut() {
+            rep.weights.add_scaled(&total_w, -lr);
+            rep.bias.add_scaled(&total_b, -lr);
+            rep.grad_weights.fill_zero();
+            rep.grad_bias.fill_zero();
+        }
+        net.dense1.apply(lr);
+        net.dense2.apply(lr);
+    }
+
+    /// One dense layer's backward, one edge at a time, returning the
+    /// gradient reaching each input unit.
+    fn dense_backward<T: Transport>(
+        p: &mut Params,
+        x: &[f32],
+        grad_out: &[f32],
+        at: &Assignment,
+        stage: u64,
+        t: &mut T,
+    ) -> Vec<f32> {
+        let mut grad_in = vec![0.0f32; x.len()];
+        let rows = p.weights.data().chunks_exact(x.len());
+        let grad_rows = p.grad_weights.data_mut().chunks_exact_mut(x.len());
+        let outs = grad_out
+            .iter()
+            .zip(p.grad_bias.data_mut())
+            .zip(rows.zip(grad_rows));
+        for (o, ((&g, grad_b), (row, grad_row))) in
+            outs.enumerate().filter(|(_, ((&g, _), _))| g != 0.0)
+        {
+            *grad_b += g;
+            let cells = grad_row.iter_mut().zip(row).zip(grad_in.iter_mut().zip(x));
+            for (i, ((gw, &w), (gi, &xi))) in cells.enumerate() {
+                *gw += g * xi;
+                *gi += t.gradient(g * w, at, (stage, i, o));
+            }
+        }
+        grad_in
+    }
+
+    fn relu_mask(mut grad: Vec<f32>, pre: &[f32]) -> Vec<f32> {
+        for (g, &v) in grad.iter_mut().zip(pre) {
+            *g = if v > 0.0 { *g } else { 0.0 };
+        }
+        grad
+    }
+
     mod proptests {
         use super::*;
-        use crate::distributed::WeightUpdate;
         use crate::lossy::LossyRuntime;
         use crate::{CnnConfig, QuantStats};
         use proptest::prelude::*;
@@ -995,6 +1341,7 @@ mod reference {
         use zeiot_core::time::{SimDuration, SimTime};
         use zeiot_fault::{DegradeMode, FaultPlan, FaultStats, RecoveryPolicy};
         use zeiot_net::Topology;
+        use zeiot_nn::loss::cross_entropy;
         use zeiot_obs::trace::{SpanLayer, Trace, TraceSampler, Tracer};
 
         /// A value from a set heavy in exact ties and signed zeros, or a
@@ -1176,6 +1523,83 @@ mod reference {
             *q.stats()
         }
 
+        /// Starts every gradient accumulator from generator values, so
+        /// some hold −0.0 and adding a zero contribution would show.
+        fn randomize_gradients(net: &mut DistributedCnn, rng: &mut SeedRng) {
+            for rep in net.replicas.values_mut() {
+                fill(&mut rep.grad_weights, rng);
+                fill(&mut rep.grad_bias, rng);
+            }
+            let tables = net
+                .per_unit
+                .iter_mut()
+                .chain([&mut net.dense1, &mut net.dense2]);
+            for p in tables {
+                fill(&mut p.grad_weights, rng);
+                fill(&mut p.grad_bias, rng);
+            }
+        }
+
+        /// One training sample over `t`: the blocked forward, then, when
+        /// it completes, cross-entropy and the blocked backward
+        /// (`blocked`) or the reference.
+        fn step<T: Transport>(
+            net: &mut DistributedCnn,
+            (x, target): &(Tensor, usize),
+            t: &mut T,
+            blocked: bool,
+        ) {
+            let logits = super::super::forward(net, x, t);
+            if let Some(logits) = &logits {
+                let (_, grad) = cross_entropy(logits, *target);
+                if blocked {
+                    super::super::backward(net, &grad, t);
+                } else {
+                    backward(net, &grad, t);
+                }
+            }
+            t.end_sample(logits.is_some());
+        }
+
+        /// [`step`] over `rt`, or the perfect radio when `None`.
+        fn sample(
+            net: &mut DistributedCnn,
+            example: &(Tensor, usize),
+            rt: Option<&mut LossyRuntime>,
+            blocked: bool,
+        ) {
+            match rt {
+                None => step(net, example, &mut Perfect, blocked),
+                Some(rt) => step(net, example, &mut Lossy::new(rt, None), blocked),
+            }
+        }
+
+        /// Every kernel, bias and dense table, or its gradient, as bits:
+        /// each replica's, then the per-unit kernels, dense 1 and dense 2.
+        fn tables(net: &DistributedCnn, gradients: bool) -> Vec<Vec<u32>> {
+            let pick = |w: &Tensor, gw: &Tensor| {
+                if gradients {
+                    bits(gw.data())
+                } else {
+                    bits(w.data())
+                }
+            };
+            let replicas = net.replicas.values().flat_map(|r| {
+                [
+                    pick(&r.weights, &r.grad_weights),
+                    pick(&r.bias, &r.grad_bias),
+                ]
+            });
+            let params = net.per_unit.iter().chain([&net.dense1, &net.dense2]);
+            let params = params.flat_map(|p| {
+                [
+                    pick(&p.weights, &p.grad_weights),
+                    pick(&p.bias, &p.grad_bias),
+                ]
+            });
+            replicas.chain(params).collect()
+        }
+
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -1231,6 +1655,54 @@ mod reference {
                     prop_assert_eq!(&blocked, &reference, "i8 {:?} {:?}", radio, update);
                     prop_assert_eq!(stats(&a), stats(&b));
                 }
+            }
+
+            /// The blocked backward equals the unit-at-a-time reference bit
+            /// for bit over random configs (kernels shorter than a lane
+            /// block and not a multiple of it), every weight update mode,
+            /// and the perfect radio and a lossy fabric under every recovery
+            /// policy. Several samples of forward, cross-entropy and backward
+            /// accumulate into gradient tables that start from generator
+            /// values, then one update applies them: every gradient table,
+            /// the updated weights, and the fault counters match.
+            #[test]
+            fn blocked_backward_equals_the_unit_at_a_time_reference(
+                shape in (1usize..3, 1usize..4, 1usize..5, 1usize..4),
+                pooled in (1usize..4, 1usize..7, 1usize..20, 2usize..4),
+                grid in (1usize..4, 1usize..4),
+                update in 0usize..3,
+                radio in 0usize..6,
+                loss in 0.0005f64..0.02,
+                seed in 0u64..u64::MAX,
+            ) {
+                let ((ic, oc, k, pool), (ph, pw, hidden, classes)) = (shape, pooled);
+                let config =
+                    CnnConfig::new(ic, pool * ph + k - 1, pool * pw + k - 1, oc, k, pool, hidden, classes)
+                        .expect("valid config");
+                let topo = Topology::grid(grid.0, grid.1, 2.0, 3.0).expect("valid grid");
+                let graph = config.unit_graph().expect("valid graph");
+                let assignment = Assignment::balanced_correspondence(&graph, &topo);
+                let update = [WeightUpdate::Synchronized, WeightUpdate::Independent, WeightUpdate::PerUnit][update];
+                let mut rng = SeedRng::new(seed);
+                let mut net = DistributedCnn::new(config, assignment, update, &mut rng);
+                randomize(&mut net, &mut rng);
+                randomize_gradients(&mut net, &mut rng);
+                let examples: Vec<(Tensor, usize)> =
+                    (0..4).map(|_| (input(&config, &mut rng), rng.below(classes))).collect();
+                let radio = RADIOS[radio];
+
+                let (mut a, mut b) = (net.clone(), net);
+                let (mut rt_a, mut rt_b) = (runtime(radio, &topo, seed, loss), runtime(radio, &topo, seed, loss));
+                for example in &examples {
+                    sample(&mut a, example, rt_a.as_mut(), true);
+                    sample(&mut b, example, rt_b.as_mut(), false);
+                }
+                prop_assert_eq!(tables(&a, true), tables(&b, true), "{:?} {:?}", radio, update);
+                let faults = |rt: &Option<LossyRuntime>| rt.as_ref().map(|rt| *rt.stats());
+                prop_assert_eq!(faults(&rt_a), faults(&rt_b));
+                a.apply_gradients(0.05);
+                apply_gradients(&mut b, 0.05);
+                prop_assert_eq!(tables(&a, false), tables(&b, false), "{:?} {:?}", radio, update);
             }
         }
     }

@@ -33,7 +33,7 @@
 //! [`QuantizedCnn::forward_quantized`] by construction.
 
 use crate::distributed::{check_layout, DistributedCnn, Layout, Parts};
-use crate::exec::{self, Domain, Lossy, Perfect};
+use crate::exec::{self, Domain, Lossy, Perfect, Workspace};
 use crate::lossy::LossyRuntime;
 use crate::{Assignment, CnnConfig};
 use serde::{de_field, Deserialize, Serialize, Value};
@@ -149,6 +149,9 @@ pub struct QuantizedCnn {
     /// Dense-2 accumulator → real logits.
     logit_scale: f64,
     stats: QuantStats,
+    /// Buffers the passes reuse; never serialized.
+    #[serde(skip)]
+    work: Workspace<i8, i32>,
 }
 
 /// Deterministically re-quantizes a value received off the fabric: the
@@ -220,6 +223,7 @@ impl QuantizedCnn {
             hidden_requant: Requant::from_ratio(acc2 / s_a2 as f64),
             logit_scale: acc3,
             stats: QuantStats::default(),
+            work: Workspace::default(),
         }
     }
 
@@ -346,6 +350,7 @@ impl Deserialize for QuantizedCnn {
             hidden_requant: de_field(value, "hidden_requant")?,
             logit_scale: de_field(value, "logit_scale")?,
             stats: de_field(value, "stats")?,
+            work: Workspace::default(),
         };
         model.validate().map_err(serde::Error::custom)?;
         Ok(model)
@@ -380,6 +385,10 @@ impl Domain for QuantizedCnn {
         }
     }
 
+    fn work(&mut self) -> &mut Workspace<i8, i32> {
+        &mut self.work
+    }
+
     fn admit<'a>(&mut self, input: &'a Tensor) -> Cow<'a, [i8]> {
         exec::check_input(&self.config, input);
         let (q, sat) = quantize_slice(input.data(), self.input_scale);
@@ -398,24 +407,21 @@ impl Domain for QuantizedCnn {
     /// Requantizes into the next activation domain and applies ReLU in
     /// the integer domain (sound because the requantizer is monotone),
     /// counting saturation.
-    fn activate(&mut self, layer: usize, acc: Vec<i32>) -> Vec<i8> {
+    fn activate(&mut self, layer: usize, acc: &[i32], out: &mut Vec<i8>) {
         let requant = if layer == 1 {
             self.conv_requant
         } else {
             self.hidden_requant
         };
         let mut sat = 0u64;
-        let out = acc
-            .iter()
-            .map(|&a| requant.apply_i8(a, &mut sat).max(0))
-            .collect();
+        out.clear();
+        out.extend(acc.iter().map(|&a| requant.apply_i8(a, &mut sat).max(0)));
         self.stats.activation_saturated += sat;
-        out
     }
 
-    fn pool_done(&mut self, _: &[i8], _: Vec<usize>) {}
+    fn pool_done(&mut self, _: &[i8], _: &[usize]) {}
 
-    fn finish(&mut self, _: &Tensor, logits: Vec<i32>) -> Tensor {
+    fn finish(&mut self, _: &Tensor, logits: &[i32]) -> Tensor {
         self.stats.forwards += 1;
         exec::logits_tensor(
             logits
