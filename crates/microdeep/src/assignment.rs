@@ -227,55 +227,83 @@ impl Assignment {
     }
 }
 
-/// `consumers[l][p]` = units of layer `l+1` reading unit `p` of layer
-/// `l`, for **every** value-producing layer including the input layer —
-/// the edge relation [`crate::cost::CostModel`] traverses. Dependency
-/// lists may contain duplicates; each occurrence is one edge here.
-pub(crate) fn producer_consumers(graph: &UnitGraph) -> Vec<Vec<Vec<usize>>> {
-    let mut consumers: Vec<Vec<Vec<usize>>> = (0..graph.layer_count() - 1)
-        .map(|l| vec![Vec::new(); graph.units_in_layer(l)])
-        .collect();
-    for l in 1..graph.layer_count() {
-        for u in 0..graph.units_in_layer(l) {
-            for &d in graph.dependencies(l, u) {
-                // zeiot-audit: allow(p1) -- unit-graph dependencies of layer l index units of layer l-1, which the table is sized by
-                consumers[l - 1][d].push(u);
-            }
-        }
-    }
-    consumers
+/// One unit's edges grouped by the node at their far end: how many of
+/// the unit's producers and consumers each node hosts. A candidate host
+/// then costs one route lookup per distinct node instead of one per
+/// edge. [`improve`] and [`crate::replace::plan_incremental`] both score
+/// candidates with it.
+pub(crate) struct EdgeHosts {
+    /// Edges per node while counting; all zero between units.
+    tally: Vec<usize>,
+    /// `(host, edges)` of the unit's producers, in node order.
+    producers: Vec<(NodeId, usize)>,
+    /// `(host, edges)` of the unit's consumers, in node order.
+    consumers: Vec<(NodeId, usize)>,
 }
 
-/// Total hop distance from unit `u` of layer `l`, placed on `at`, to its
-/// producers and consumers under `asg` (`consumers` as built by
-/// [`producer_consumers`]); an unreachable pair costs 1 000 hops.
-pub(crate) fn hop_cost(
-    graph: &UnitGraph,
-    routes: &RoutingTable,
-    consumers: &[Vec<Vec<usize>>],
-    asg: &Assignment,
-    (l, u): (usize, usize),
-    at: NodeId,
-) -> usize {
-    let hops = |a, b| routes.hop_distance(a, b).unwrap_or(1_000);
-    let deps = graph.dependencies(l, u).iter();
-    let up: usize = deps.map(|&d| hops(asg.host_of(l - 1, d), at)).sum();
-    let next = consumers
-        .get(l)
-        .and_then(|layer| layer.get(u))
-        .into_iter()
-        .flatten();
-    up + next
-        .map(|&k| hops(at, asg.host_of(l + 1, k)))
-        .sum::<usize>()
+impl EdgeHosts {
+    /// Empty counts for units hosted on nodes `0..nodes`.
+    pub(crate) fn new(nodes: usize) -> Self {
+        Self {
+            tally: vec![0; nodes],
+            producers: Vec::new(),
+            consumers: Vec::new(),
+        }
+    }
+
+    /// Groups the edges of unit `u` of layer `l` under `asg`: producers
+    /// from [`UnitGraph::dependencies`], consumers from
+    /// [`UnitGraph::consumers`].
+    pub(crate) fn count(&mut self, graph: &UnitGraph, asg: &Assignment, (l, u): (usize, usize)) {
+        let tally = &mut self.tally;
+        graph
+            .dependencies(l, u)
+            // zeiot-audit: allow(p1) -- hosts come from an assignment over these nodes, so index() < tally.len()
+            .for_each(|d| tally[asg.host_of(l - 1, d).index()] += 1);
+        drain_tally(tally, &mut self.producers);
+        if l + 1 < graph.layer_count() {
+            graph
+                .consumers(l, u)
+                .for_each(|k| tally[asg.host_of(l + 1, k).index()] += 1);
+        }
+        drain_tally(tally, &mut self.consumers);
+    }
+
+    /// The hosts of the counted unit's producers, in node order.
+    pub(crate) fn producer_hosts(&self) -> impl Iterator<Item = NodeId> + '_ {
+        self.producers.iter().map(|&(h, _)| h)
+    }
+
+    /// Total hop distance from the counted unit, placed on `at`, to its
+    /// producers and consumers; an unreachable pair costs 1 000 hops.
+    pub(crate) fn cost(&self, routes: &RoutingTable, at: NodeId) -> usize {
+        let hops = |a, b| routes.hop_distance(a, b).unwrap_or(1_000);
+        let up: usize = self.producers.iter().map(|&(h, n)| n * hops(h, at)).sum();
+        up + self
+            .consumers
+            .iter()
+            .map(|&(h, n)| n * hops(at, h))
+            .sum::<usize>()
+    }
+}
+
+/// Moves the non-zero entries of `tally` into `out` as `(node, count)`
+/// and zeroes them.
+fn drain_tally(tally: &mut [usize], out: &mut Vec<(NodeId, usize)>) {
+    out.clear();
+    for (i, count) in tally.iter_mut().enumerate() {
+        if *count > 0 {
+            out.push((NodeId::new(i as u32), std::mem::take(count)));
+        }
+    }
 }
 
 /// Up to three local-search sweeps of the balanced heuristic. Only
 /// spatial units move — a dense unit's traffic is placement-invariant,
 /// and letting it chase its producers would re-concentrate load. Each
 /// moves to the `topo` neighbour or producer host, not `down` and under
-/// `cap` units, that most lowers its [`hop_cost`]; selection uses the
-/// total order (cost, node id).
+/// `cap` units, that most lowers its [`EdgeHosts::cost`]; selection uses
+/// the total order (cost, node id).
 pub(crate) fn improve(
     asg: &mut Assignment,
     graph: &UnitGraph,
@@ -284,32 +312,27 @@ pub(crate) fn improve(
     cap: usize,
     down: &[NodeId],
 ) {
-    let consumers = producer_consumers(graph);
     let mut load = asg.units_per_node();
+    let mut edges = EdgeHosts::new(asg.node_count());
     let has_room = |load: &[usize], n: NodeId| load.get(n.index()).is_some_and(|&c| c < cap);
     for _sweep in 0..3 {
         let mut improved = false;
         for l in 1..graph.layer_count() {
             for u in (0..graph.units_in_layer(l)).filter(|&u| graph.position(l, u).is_some()) {
                 let current = asg.host_of(l, u);
-                let cost_at = |at| hop_cost(graph, routes, &consumers, asg, (l, u), at);
-                let current_cost = cost_at(current);
+                edges.count(graph, asg, (l, u));
+                let current_cost = edges.cost(routes, current);
                 // Candidates: the current node's neighbourhood plus the
                 // hosts of this unit's producers, minus full nodes.
                 let mut candidates: Vec<NodeId> = topo.neighbors(current).to_vec();
-                candidates.extend(
-                    graph
-                        .dependencies(l, u)
-                        .iter()
-                        .map(|&d| asg.host_of(l - 1, d)),
-                );
+                candidates.extend(edges.producer_hosts());
                 candidates.sort_unstable();
                 candidates.dedup();
                 candidates.retain(|&c| c != current && !down.contains(&c) && has_room(&load, c));
 
                 let best = candidates
                     .iter()
-                    .map(|&cand| (cand, cost_at(cand)))
+                    .map(|&cand| (cand, edges.cost(routes, cand)))
                     .filter(|&(_, cost)| cost < current_cost)
                     .min_by_key(|&(cand, cost)| (cost, cand.raw()));
                 if let Some((to, _)) = best {
@@ -347,12 +370,107 @@ fn scale_into(normalized: (f64, f64), bbox: (Point2, Point2)) -> Point2 {
     )
 }
 
+/// Edge-by-edge scoring, the reference [`EdgeHosts`] is tested against.
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::*;
+
+    /// `consumers[l][p]` = the units of layer `l + 1` reading unit `p` of
+    /// layer `l`, found by inverting every dependency list, so it does
+    /// not rest on [`UnitGraph::consumers`].
+    pub(crate) fn inverted_dependencies(graph: &UnitGraph) -> Vec<Vec<Vec<usize>>> {
+        let mut consumers: Vec<Vec<Vec<usize>>> = (0..graph.layer_count() - 1)
+            .map(|l| vec![Vec::new(); graph.units_in_layer(l)])
+            .collect();
+        for l in 1..graph.layer_count() {
+            for u in 0..graph.units_in_layer(l) {
+                for d in graph.dependencies(l, u) {
+                    consumers[l - 1][d].push(u);
+                }
+            }
+        }
+        consumers
+    }
+
+    /// Total hop distance from unit `u` of layer `l`, placed on `at`, to
+    /// its producers and consumers under `asg`, one route lookup per
+    /// edge; an unreachable pair costs 1 000 hops.
+    pub(crate) fn per_edge_hop_cost(
+        graph: &UnitGraph,
+        routes: &RoutingTable,
+        consumers: &[Vec<Vec<usize>>],
+        asg: &Assignment,
+        (l, u): (usize, usize),
+        at: NodeId,
+    ) -> usize {
+        let hops = |a, b| routes.hop_distance(a, b).unwrap_or(1_000);
+        let up: usize = graph
+            .dependencies(l, u)
+            .map(|d| hops(asg.host_of(l - 1, d), at))
+            .sum();
+        let next = consumers.get(l).map_or(&[][..], |layer| &layer[u]);
+        up + next
+            .iter()
+            .map(|&k| hops(at, asg.host_of(l + 1, k)))
+            .sum::<usize>()
+    }
+}
+
 #[cfg(test)]
 mod proptests {
     use super::*;
     use crate::config::CnnConfig;
     use proptest::prelude::*;
     use zeiot_core::rng::SeedRng;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Grouping a unit's edges by host scores every candidate node as
+        /// the edge-by-edge hop sum does: random small configs and grids,
+        /// a seeded random placement, routes over the grid with up to two
+        /// nodes cut out (so some pairs are unreachable), every unit
+        /// against every node.
+        #[test]
+        fn edge_hosts_cost_equals_the_per_edge_hop_sum(
+            shape in (1usize..3, 1usize..4, 1usize..4, 1usize..3),
+            pooled in (1usize..4, 1usize..4, 1usize..9, 2usize..4),
+            grid in (1usize..5, 1usize..5),
+            cut in 0usize..3,
+            seed in 0u64..u64::MAX,
+        ) {
+            let ((ic, oc, k, pool), (ph, pw, hidden, classes)) = (shape, pooled);
+            let config =
+                CnnConfig::new(ic, pool * ph + k - 1, pool * pw + k - 1, oc, k, pool, hidden, classes)
+                    .expect("valid config");
+            let graph = config.unit_graph().expect("valid graph");
+            let topo = Topology::grid(grid.0, grid.1, 2.0, 3.0).expect("valid grid");
+            let mut rng = SeedRng::new(seed);
+            let mut asg = Assignment::centralized(&graph, &topo);
+            for l in 1..graph.layer_count() {
+                for u in 0..graph.units_in_layer(l) {
+                    asg.set_host(l, u, NodeId::new(rng.below(topo.len()) as u32));
+                }
+            }
+            let down: Vec<NodeId> =
+                (0..cut).map(|_| NodeId::new(rng.below(topo.len()) as u32)).collect();
+            let routes = RoutingTable::shortest_paths(&topo.without_nodes(&down));
+            let consumers = reference::inverted_dependencies(&graph);
+            let mut edges = EdgeHosts::new(topo.len());
+            for l in 1..graph.layer_count() {
+                for u in 0..graph.units_in_layer(l) {
+                    edges.count(&graph, &asg, (l, u));
+                    for at in topo.node_ids() {
+                        prop_assert_eq!(
+                            edges.cost(&routes, at),
+                            reference::per_edge_hop_cost(&graph, &routes, &consumers, &asg, (l, u), at),
+                            "unit ({}, {}) on {:?}", l, u, at
+                        );
+                    }
+                }
+            }
+        }
+    }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(16))]
@@ -574,19 +692,6 @@ mod tests {
             for l in 1..graph.layer_count() {
                 for u in 0..graph.units_in_layer(l) {
                     assert!(a.host_of(l, u).index() < topo.len());
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn producer_consumers_are_consistent() {
-        let (graph, _) = setup();
-        let consumers = producer_consumers(&graph);
-        for l in 1..graph.layer_count() {
-            for u in 0..graph.units_in_layer(l) {
-                for &d in graph.dependencies(l, u) {
-                    assert!(consumers[l - 1][d].contains(&u));
                 }
             }
         }

@@ -24,7 +24,7 @@
 //! unit, and nothing crosses a conv→input edge, because input units hold
 //! no parameters. The fabric's `sent` counter measures it at run time.
 
-use crate::assignment::{producer_consumers, Assignment};
+use crate::assignment::Assignment;
 use std::collections::BTreeSet;
 use zeiot_core::id::NodeId;
 use zeiot_net::routing::RoutingTable;
@@ -79,26 +79,21 @@ impl CostModel {
         assignment: &Assignment,
         cache_per_node: bool,
     ) -> TrafficLedger {
-        let consumers = producer_consumers(graph);
         let mut ledger = TrafficLedger::new(self.node_count);
-        for (l, layer) in consumers.iter().enumerate() {
-            for (p, unit_consumers) in layer.iter().enumerate() {
+        for l in 0..graph.layer_count() - 1 {
+            for p in 0..graph.units_in_layer(l) {
                 let src = assignment.host_of(l, p);
+                let remote = graph
+                    .consumers(l, p)
+                    .map(|u| assignment.host_of(l + 1, u))
+                    .filter(|&dst| dst != src);
                 if cache_per_node {
-                    let dest_nodes: BTreeSet<_> = unit_consumers
-                        .iter()
-                        .map(|&u| assignment.host_of(l + 1, u))
-                        .filter(|&dst| dst != src)
-                        .collect();
-                    for dst in dest_nodes {
+                    for dst in remote.collect::<BTreeSet<_>>() {
                         ledger.send(&self.routes, src, dst, 1);
                     }
                 } else {
-                    for &u in unit_consumers {
-                        let dst = assignment.host_of(l + 1, u);
-                        if dst != src {
-                            ledger.send(&self.routes, src, dst, 1);
-                        }
+                    for dst in remote {
+                        ledger.send(&self.routes, src, dst, 1);
                     }
                 }
             }
@@ -217,8 +212,7 @@ mod tests {
             .map(|u| {
                 graph
                     .dependencies(1, u)
-                    .iter()
-                    .filter(|&&d| a.host_of(0, d) != NodeId::new(0))
+                    .filter(|&d| a.host_of(0, d) != NodeId::new(0))
                     .count() as u64
             })
             .sum();
@@ -238,7 +232,7 @@ mod tests {
         for l in 1..graph.layer_count() {
             for u in 0..graph.units_in_layer(l) {
                 let dst = assignment.host_of(l, u);
-                for &d in graph.dependencies(l, u) {
+                for d in graph.dependencies(l, u) {
                     let src = assignment.host_of(l - 1, d);
                     if src != dst {
                         ledger.send(&model.routes, src, dst, 1);
@@ -383,7 +377,7 @@ mod proptests {
             for l in 1..graph.layer_count() {
                 for u in 0..graph.units_in_layer(l) {
                     let dst = assignment.host_of(l, u);
-                    for &d in graph.dependencies(l, u) {
+                    for d in graph.dependencies(l, u) {
                         let src = assignment.host_of(l - 1, d);
                         if src != dst {
                             edges += 1;

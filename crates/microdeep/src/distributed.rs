@@ -739,16 +739,9 @@ pub(crate) fn check_layout<R: Layout, P: Layout>(parts: &Parts<'_, R, P>) -> Res
         per_unit,
         dense: [dense1, dense2],
     } = *parts;
-    // Units per layer come off the layer specs, not an expanded unit
-    // graph: this runs inside `Deserialize`, while the parsed JSON tree
-    // is still alive, so it must not allocate the graph's edges too.
     let specs = c.layer_specs();
     let inputs = specs.first().map_or(0, LayerSpec::input_len);
-    let layers: Vec<usize> = specs
-        .iter()
-        .filter(|s| s.is_computational())
-        .map(LayerSpec::output_len)
-        .collect();
+    let layers: Vec<usize> = specs.iter().map(LayerSpec::output_len).collect();
     if assignment.layer_count() != layers.len() + 1 {
         return Err(format!(
             "assignment has {} layers, config's unit graph has {}",

@@ -15,10 +15,11 @@
 //! *current* assignment under a bounded migration budget.
 //!
 //! **An epoch costs its orphans, not the graph.** [`plan_incremental`]
-//! scores only units on dark hosts. It finds an orphan's consumers in
-//! the next layer's dependency lists, counts the orphan's producer and
-//! consumer hosts once, and scores each candidate node as
-//! Σ edges × hops over those hosts. No whole-graph consumer table is
+//! scores only units on dark hosts. It reads an orphan's producers and
+//! consumers off the CNN's geometry ([`UnitGraph::dependencies`],
+//! [`UnitGraph::consumers`]), counts their hosts once, and scores each
+//! candidate node as Σ edges × hops over those hosts, with the same
+//! scorer the set-up placement's local search uses. No edge table is
 //! built.
 //!
 //! **State handoff is radio traffic.** A migrated conv unit needs its
@@ -45,7 +46,7 @@
 //! proptest below), and reports are byte-identical across thread
 //! counts.
 
-use crate::assignment::{improve, Assignment};
+use crate::assignment::{improve, Assignment, EdgeHosts};
 use crate::distributed::{ConvReplica, DistributedCnn};
 use crate::lossy::{HopProbe, LossyRuntime};
 use zeiot_core::id::NodeId;
@@ -290,76 +291,6 @@ pub fn plan_incremental(
             budget_exhausted,
         },
     )
-}
-
-/// One unit's edges grouped by the node at their far end: how many of
-/// the unit's producers and consumers each node hosts. A candidate host
-/// then costs one route lookup per distinct node instead of one per
-/// edge.
-struct EdgeHosts {
-    /// Edges per node while counting; all zero between units.
-    tally: Vec<usize>,
-    /// `(host, edges)` of the unit's producers, in node order.
-    producers: Vec<(NodeId, usize)>,
-    /// `(host, edges)` of the unit's consumers, in node order.
-    consumers: Vec<(NodeId, usize)>,
-}
-
-impl EdgeHosts {
-    fn new(nodes: usize) -> Self {
-        Self {
-            tally: vec![0; nodes],
-            producers: Vec::new(),
-            consumers: Vec::new(),
-        }
-    }
-
-    /// Groups the edges of unit `u` of layer `l` under `asg`: producers
-    /// from the unit's dependency list, consumers from the next layer's
-    /// (a dependency listed twice is two edges).
-    fn count(&mut self, graph: &UnitGraph, asg: &Assignment, (l, u): (usize, usize)) {
-        for &d in graph.dependencies(l, u) {
-            // zeiot-audit: allow(p1) -- hosts come from an assignment over this topology, so index() < tally.len()
-            self.tally[asg.host_of(l - 1, d).index()] += 1;
-        }
-        drain_tally(&mut self.tally, &mut self.producers);
-        if l + 1 < graph.layer_count() {
-            for k in 0..graph.units_in_layer(l + 1) {
-                let reads = graph
-                    .dependencies(l + 1, k)
-                    .iter()
-                    .filter(|&&d| d == u)
-                    .count();
-                if reads > 0 {
-                    self.tally[asg.host_of(l + 1, k).index()] += reads;
-                }
-            }
-        }
-        drain_tally(&mut self.tally, &mut self.consumers);
-    }
-
-    /// Total hop distance from the counted unit, placed on `at`, to its
-    /// producers and consumers; an unreachable pair costs 1 000 hops.
-    fn cost(&self, routes: &RoutingTable, at: NodeId) -> usize {
-        let hops = |a, b| routes.hop_distance(a, b).unwrap_or(1_000);
-        let up: usize = self.producers.iter().map(|&(h, n)| n * hops(h, at)).sum();
-        up + self
-            .consumers
-            .iter()
-            .map(|&(h, n)| n * hops(at, h))
-            .sum::<usize>()
-    }
-}
-
-/// Moves the non-zero entries of `tally` into `out` as `(node, count)`
-/// and zeroes them.
-fn drain_tally(tally: &mut [usize], out: &mut Vec<(NodeId, usize)>) {
-    out.clear();
-    for (i, count) in tally.iter_mut().enumerate() {
-        if *count > 0 {
-            out.push((NodeId::new(i as u32), std::mem::take(count)));
-        }
-    }
 }
 
 /// Plans a full re-solve over the survivors: orphans are re-homed as in
@@ -1075,13 +1006,14 @@ mod tests {
 
     mod proptests {
         use super::*;
-        use crate::assignment::{hop_cost, producer_consumers};
+        use crate::assignment::reference::{inverted_dependencies, per_edge_hop_cost};
         use proptest::prelude::*;
 
         /// The planner as it scored orphans before [`EdgeHosts`]: every
         /// candidate walks all of the orphan's producers and consumers
-        /// through [`hop_cost`] over a whole-graph [`producer_consumers`]
-        /// table. Kept as the reference `plan_incremental` must equal.
+        /// through [`per_edge_hop_cost`] over a consumer table inverted
+        /// from the dependency lists. Kept as the reference
+        /// `plan_incremental` must equal.
         fn plan_incremental_reference(
             graph: &UnitGraph,
             topo: &Topology,
@@ -1094,7 +1026,7 @@ mod tests {
             let degraded = topo.without_nodes(down);
             let routes = RoutingTable::shortest_paths(&degraded);
             let cap = graph.total_units().div_ceil(surviving.len());
-            let consumers = producer_consumers(graph);
+            let consumers = inverted_dependencies(graph);
 
             let mut repaired = assignment.clone();
             let mut load = vec![0usize; topo.len()];
@@ -1125,7 +1057,14 @@ mod tests {
                         .filter(|n| load[n.index()] < cap)
                         .min_by_key(|n| {
                             (
-                                hop_cost(graph, &routes, &consumers, &repaired, (l, u), **n),
+                                per_edge_hop_cost(
+                                    graph,
+                                    &routes,
+                                    &consumers,
+                                    &repaired,
+                                    (l, u),
+                                    **n,
+                                ),
                                 n.raw(),
                             )
                         })

@@ -26,7 +26,7 @@ use std::fmt;
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ConfusionMatrix {
     classes: usize,
-    /// counts[true][predicted]
+    /// `counts[true][predicted]`
     counts: Vec<u64>,
 }
 

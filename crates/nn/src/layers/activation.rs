@@ -1,12 +1,11 @@
 //! Element-wise activations and shape adapters.
 //!
-//! These layers are *fused* in the MicroDeep unit graph: a sensor node
+//! These layers have no units in the MicroDeep unit graph: a sensor node
 //! applies them locally to a unit's output without any communication, so
-//! their [`LayerSpec`]s are non-computational.
+//! [`LayerSpec`](crate::topology::LayerSpec) has no variant for them.
 
 use super::Layer;
 use crate::tensor::Tensor;
-use crate::topology::LayerSpec;
 
 /// Rectified linear unit, `max(0, x)` element-wise.
 ///
@@ -23,7 +22,6 @@ use crate::topology::LayerSpec;
 #[derive(Debug, Clone, Default)]
 pub struct Relu {
     mask: Vec<bool>,
-    len: usize,
 }
 
 impl Relu {
@@ -35,7 +33,6 @@ impl Relu {
 
 impl Layer for Relu {
     fn forward(&mut self, input: &Tensor) -> Tensor {
-        self.len = input.len();
         self.mask = input.data().iter().map(|&v| v > 0.0).collect();
         let data = input.data().iter().map(|&v| v.max(0.0)).collect();
         Tensor::from_vec(input.shape().to_vec(), data).expect("same shape")
@@ -54,17 +51,12 @@ impl Layer for Relu {
     }
 
     fn apply_gradients(&mut self, _lr: f32) {}
-
-    fn spec(&self) -> LayerSpec {
-        LayerSpec::Elementwise { len: self.len }
-    }
 }
 
 /// Logistic sigmoid, `1 / (1 + e^{-x})` element-wise.
 #[derive(Debug, Clone, Default)]
 pub struct Sigmoid {
     last_output: Vec<f32>,
-    len: usize,
 }
 
 impl Sigmoid {
@@ -76,7 +68,6 @@ impl Sigmoid {
 
 impl Layer for Sigmoid {
     fn forward(&mut self, input: &Tensor) -> Tensor {
-        self.len = input.len();
         let data: Vec<f32> = input
             .data()
             .iter()
@@ -106,10 +97,6 @@ impl Layer for Sigmoid {
     }
 
     fn apply_gradients(&mut self, _lr: f32) {}
-
-    fn spec(&self) -> LayerSpec {
-        LayerSpec::Elementwise { len: self.len }
-    }
 }
 
 /// Flattens any input to rank 1 (and restores the shape on backward).
@@ -141,12 +128,6 @@ impl Layer for Flatten {
     }
 
     fn apply_gradients(&mut self, _lr: f32) {}
-
-    fn spec(&self) -> LayerSpec {
-        LayerSpec::Flatten {
-            len: self.in_shape.iter().product(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -207,16 +188,6 @@ mod tests {
         assert_eq!(y.shape(), &[24]);
         let g = f.backward(&Tensor::zeros(vec![24]));
         assert_eq!(g.shape(), &[2, 3, 4]);
-    }
-
-    #[test]
-    fn activations_report_fused_specs() {
-        let mut relu = Relu::new();
-        relu.forward(&Tensor::zeros(vec![5]));
-        assert!(!relu.spec().is_computational());
-        let mut f = Flatten::new();
-        f.forward(&Tensor::zeros(vec![5]));
-        assert!(!f.spec().is_computational());
     }
 
     #[test]

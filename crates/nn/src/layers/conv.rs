@@ -2,7 +2,7 @@
 
 use super::Layer;
 use crate::tensor::Tensor;
-use crate::topology::{conv_output_dims, LayerSpec};
+use crate::topology::conv_output_dims;
 use zeiot_core::rng::SeedRng;
 
 /// A 2-D convolution over `in_channels × height × width` inputs with
@@ -219,18 +219,6 @@ impl Layer for Conv2d {
         self.momentum = momentum;
     }
 
-    fn spec(&self) -> LayerSpec {
-        LayerSpec::Conv2d {
-            in_channels: self.in_channels,
-            in_height: self.in_height,
-            in_width: self.in_width,
-            out_channels: self.out_channels,
-            kernel: self.kernel,
-            stride: self.stride,
-            padding: self.padding,
-        }
-    }
-
     fn param_count(&self) -> usize {
         self.weights.len() + self.bias.len()
     }
@@ -349,12 +337,9 @@ mod tests {
     }
 
     #[test]
-    fn spec_round_trips_geometry() {
+    fn param_count_counts_kernels_and_biases() {
         let mut rng = SeedRng::new(8);
         let conv = Conv2d::new(2, 4, 6, 7, 3, 1, 1, &mut rng);
-        let spec = conv.spec();
-        assert_eq!(spec.input_len(), 2 * 6 * 7);
-        assert_eq!(spec.output_len(), 4 * 6 * 7);
         assert_eq!(conv.param_count(), 4 * 2 * 9 + 4);
     }
 

@@ -2,7 +2,6 @@
 
 use super::Layer;
 use crate::tensor::Tensor;
-use crate::topology::LayerSpec;
 use zeiot_core::rng::SeedRng;
 
 /// A fully-connected (dense) layer `y = Wx + b` with He-uniform
@@ -138,13 +137,6 @@ impl Layer for Dense {
     fn set_momentum(&mut self, momentum: f32) {
         assert!((0.0..1.0).contains(&momentum), "momentum must be in [0, 1)");
         self.momentum = momentum;
-    }
-
-    fn spec(&self) -> LayerSpec {
-        LayerSpec::Dense {
-            in_len: self.in_len,
-            out_len: self.out_len,
-        }
     }
 
     fn param_count(&self) -> usize {

@@ -17,7 +17,6 @@ pub use dense::Dense;
 pub use pool::{AvgPool2d, MaxPool2d};
 
 use crate::tensor::Tensor;
-use crate::topology::LayerSpec;
 
 /// A differentiable network layer.
 pub trait Layer {
@@ -35,9 +34,6 @@ pub trait Layer {
     /// Applies accumulated parameter gradients scaled by `lr` and clears
     /// them. A no-op for parameter-free layers.
     fn apply_gradients(&mut self, lr: f32);
-
-    /// Structural description of this layer for topology extraction.
-    fn spec(&self) -> LayerSpec;
 
     /// Number of trainable parameters.
     fn param_count(&self) -> usize {

@@ -2,7 +2,6 @@
 
 use super::Layer;
 use crate::tensor::Tensor;
-use crate::topology::LayerSpec;
 
 /// Max pooling with a square window equal to the stride (non-overlapping),
 /// as in the paper's CNN (one pooling layer after the convolution).
@@ -110,15 +109,6 @@ impl Layer for MaxPool2d {
     }
 
     fn apply_gradients(&mut self, _lr: f32) {}
-
-    fn spec(&self) -> LayerSpec {
-        LayerSpec::Pool2d {
-            channels: self.channels,
-            in_height: self.in_height,
-            in_width: self.in_width,
-            kernel: self.kernel,
-        }
-    }
 }
 
 /// Average pooling with a square non-overlapping window.
@@ -217,15 +207,6 @@ impl Layer for AvgPool2d {
     }
 
     fn apply_gradients(&mut self, _lr: f32) {}
-
-    fn spec(&self) -> LayerSpec {
-        LayerSpec::Pool2d {
-            channels: self.channels,
-            in_height: self.in_height,
-            in_width: self.in_width,
-            kernel: self.kernel,
-        }
-    }
 }
 
 #[cfg(test)]

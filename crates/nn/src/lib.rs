@@ -7,9 +7,10 @@
 //! sensor network. This crate provides that CNN (and the centralized
 //! baseline it is compared against): [`Tensor`]s, layers with exact
 //! backpropagation, an SGD training loop, and — crucially for MicroDeep —
-//! [`topology`]: structural introspection that enumerates every *unit*
-//! (neuron) of every layer and the input units it reads, which is what the
-//! distributed assignment algorithms consume.
+//! [`topology`]: the unit graph that enumerates every *unit* (neuron) of
+//! every layer and, from the layer geometry, the units it reads and the
+//! units that read it, which is what the distributed assignment
+//! algorithms consume.
 //!
 //! No external ML dependency is used; gradient correctness is enforced by
 //! numerical gradient checking in the test suite.

@@ -3,7 +3,6 @@
 use crate::layers::Layer;
 use crate::loss::cross_entropy;
 use crate::tensor::Tensor;
-use crate::topology::{LayerSpec, UnitGraph};
 use zeiot_core::rng::SeedRng;
 
 /// A feed-forward stack of layers trained with mini-batch SGD and softmax
@@ -139,23 +138,6 @@ impl Sequential {
         let correct = data.iter().filter(|(x, t)| self.predict(x) == *t).count();
         correct as f64 / data.len() as f64
     }
-
-    /// The structural specs of all layers, in order.
-    pub fn specs(&self) -> Vec<LayerSpec> {
-        self.layers.iter().map(|l| l.spec()).collect()
-    }
-
-    /// The expanded unit graph of this network (see [`UnitGraph`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates structural validation errors; a network assembled from
-    /// this crate's layers after at least one forward pass always
-    /// succeeds. (Activation layers learn their element count on the
-    /// first forward pass, so call [`Sequential::forward`] once first.)
-    pub fn unit_graph(&self) -> zeiot_core::Result<UnitGraph> {
-        UnitGraph::from_specs(&self.specs())
-    }
 }
 
 #[cfg(test)]
@@ -221,23 +203,6 @@ mod tests {
             net.train_epoch(&data, 0.1, 8, &mut rng);
         }
         assert!(net.accuracy(&data) > 0.9);
-    }
-
-    #[test]
-    fn unit_graph_extraction_after_forward() {
-        let mut rng = SeedRng::new(44);
-        let mut net = Sequential::new();
-        net.push(Conv2d::new(1, 2, 6, 6, 3, 1, 0, &mut rng));
-        net.push(Relu::new());
-        net.push(MaxPool2d::new(2, 4, 4, 2));
-        net.push(Flatten::new());
-        net.push(Dense::new(8, 2, &mut rng));
-        net.forward(&Tensor::zeros(vec![1, 6, 6]));
-        let graph = net.unit_graph().unwrap();
-        assert_eq!(graph.units_in_layer(0), 36);
-        assert_eq!(graph.units_in_layer(1), 2 * 4 * 4);
-        assert_eq!(graph.units_in_layer(2), 8);
-        assert_eq!(graph.units_in_layer(3), 2);
     }
 
     #[test]

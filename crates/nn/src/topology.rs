@@ -1,24 +1,27 @@
-//! Structural introspection of a network: units and their data
-//! dependencies.
+//! The unit graph of a CNN: its units and which unit reads which.
 //!
 //! MicroDeep's assignment algorithms (paper Fig. 8) do not care about
 //! weights — they care about *which unit reads which unit*, because every
 //! cross-node dependency becomes a radio message. This module describes a
-//! network as a list of [`LayerSpec`]s and expands it into a [`UnitGraph`]:
-//! one vertex per neuron/unit, one edge per data dependency between
-//! consecutive computational layers.
+//! network's computational layers as [`LayerSpec`]s and views them as a
+//! [`UnitGraph`]: one vertex per neuron/unit, one edge per data dependency
+//! between consecutive layers. The graph stores no edges:
+//! [`UnitGraph::dependencies`] and [`UnitGraph::consumers`] compute a
+//! unit's edges from its layer's geometry on every call.
 //!
-//! Element-wise layers (activations) and flattening do not appear as units:
-//! they are fused into the producing unit, exactly as a sensor node would
-//! apply ReLU locally without any communication.
+//! Activations and flattening have no spec: they are fused into the
+//! producing unit, exactly as a sensor node would apply ReLU locally
+//! without any communication.
 
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
-/// Structural description of one layer, sufficient to enumerate unit
-/// dependencies.
+/// Structural description of one computational layer, sufficient to
+/// enumerate unit dependencies.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum LayerSpec {
-    /// 2-D convolution over a `channels × height × width` input.
+    /// Stride-1, unpadded 2-D convolution over a `channels × height ×
+    /// width` input.
     Conv2d {
         /// Input channels.
         in_channels: usize,
@@ -30,10 +33,6 @@ pub enum LayerSpec {
         out_channels: usize,
         /// Square kernel size.
         kernel: usize,
-        /// Stride.
-        stride: usize,
-        /// Zero padding on each border.
-        padding: usize,
     },
     /// 2-D pooling (max or average — structurally identical).
     Pool2d {
@@ -53,194 +52,85 @@ pub enum LayerSpec {
         /// Output length.
         out_len: usize,
     },
-    /// Element-wise transformation (activation); fused, never a unit.
-    Elementwise {
-        /// Number of elements passed through.
-        len: usize,
-    },
-    /// Shape change only; fused, never a unit.
-    Flatten {
-        /// Number of elements passed through.
-        len: usize,
-    },
 }
 
 impl LayerSpec {
     /// Number of output elements this layer produces.
     pub fn output_len(&self) -> usize {
-        match *self {
-            LayerSpec::Conv2d {
-                out_channels,
-                in_height,
-                in_width,
-                kernel,
-                stride,
-                padding,
-                ..
-            } => {
-                let (oh, ow) = conv_output_dims(in_height, in_width, kernel, stride, padding);
-                out_channels * oh * ow
-            }
-            LayerSpec::Pool2d {
-                channels,
-                in_height,
-                in_width,
-                kernel,
-            } => channels * (in_height / kernel) * (in_width / kernel),
-            LayerSpec::Dense { out_len, .. } => out_len,
-            LayerSpec::Elementwise { len } | LayerSpec::Flatten { len } => len,
-        }
+        let channels = match *self {
+            LayerSpec::Conv2d { out_channels, .. } => out_channels,
+            LayerSpec::Pool2d { channels, .. } => channels,
+            LayerSpec::Dense { .. } => 1,
+        };
+        let (oh, ow) = self.out_dims();
+        channels * oh * ow
     }
 
     /// Number of input elements this layer consumes.
     pub fn input_len(&self) -> usize {
+        let channels = match *self {
+            LayerSpec::Conv2d { in_channels, .. } => in_channels,
+            LayerSpec::Pool2d { channels, .. } => channels,
+            LayerSpec::Dense { .. } => 1,
+        };
+        let (h, w) = self.in_dims();
+        channels * h * w
+    }
+
+    /// Input `(height, width)` per channel; a dense input is one row.
+    fn in_dims(&self) -> (usize, usize) {
         match *self {
             LayerSpec::Conv2d {
-                in_channels,
                 in_height,
                 in_width,
                 ..
-            } => in_channels * in_height * in_width,
-            LayerSpec::Pool2d {
-                channels,
+            }
+            | LayerSpec::Pool2d {
                 in_height,
                 in_width,
                 ..
-            } => channels * in_height * in_width,
-            LayerSpec::Dense { in_len, .. } => in_len,
-            LayerSpec::Elementwise { len } | LayerSpec::Flatten { len } => len,
+            } => (in_height, in_width),
+            LayerSpec::Dense { in_len, .. } => (1, in_len),
         }
     }
 
-    /// Whether this layer creates computational units (false for fused
-    /// element-wise/flatten layers).
-    pub fn is_computational(&self) -> bool {
-        !matches!(
-            self,
-            LayerSpec::Elementwise { .. } | LayerSpec::Flatten { .. }
-        )
-    }
-
-    /// The flat indices of the *input* elements that output element
-    /// `out_index` reads.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out_index >= output_len()`.
-    pub fn inputs_of(&self, out_index: usize) -> Vec<usize> {
-        assert!(out_index < self.output_len(), "out_index out of range");
+    /// Output `(height, width)` per channel; a dense output is one row.
+    fn out_dims(&self) -> (usize, usize) {
         match *self {
             LayerSpec::Conv2d {
-                in_channels,
                 in_height,
                 in_width,
                 kernel,
-                stride,
-                padding,
                 ..
-            } => {
-                let (oh, ow) = conv_output_dims(in_height, in_width, kernel, stride, padding);
-                let per_ch = oh * ow;
-                let spatial = out_index % per_ch;
-                let oy = spatial / ow;
-                let ox = spatial % ow;
-                let mut inputs = Vec::with_capacity(in_channels * kernel * kernel);
-                for ic in 0..in_channels {
-                    for ky in 0..kernel {
-                        for kx in 0..kernel {
-                            let iy = (oy * stride + ky) as isize - padding as isize;
-                            let ix = (ox * stride + kx) as isize - padding as isize;
-                            if iy >= 0
-                                && ix >= 0
-                                && (iy as usize) < in_height
-                                && (ix as usize) < in_width
-                            {
-                                inputs.push(
-                                    ic * in_height * in_width
-                                        + iy as usize * in_width
-                                        + ix as usize,
-                                );
-                            }
-                        }
-                    }
-                }
-                inputs
-            }
+            } => conv_output_dims(in_height, in_width, kernel, 1, 0),
             LayerSpec::Pool2d {
                 in_height,
                 in_width,
                 kernel,
                 ..
-            } => {
-                let oh = in_height / kernel;
-                let ow = in_width / kernel;
-                let per_ch = oh * ow;
-                let c = out_index / per_ch;
-                let spatial = out_index % per_ch;
-                let oy = spatial / ow;
-                let ox = spatial % ow;
-                let mut inputs = Vec::with_capacity(kernel * kernel);
-                for ky in 0..kernel {
-                    for kx in 0..kernel {
-                        let iy = oy * kernel + ky;
-                        let ix = ox * kernel + kx;
-                        inputs.push(c * in_height * in_width + iy * in_width + ix);
-                    }
-                }
-                inputs
-            }
-            LayerSpec::Dense { in_len, .. } => (0..in_len).collect(),
-            LayerSpec::Elementwise { .. } | LayerSpec::Flatten { .. } => vec![out_index],
+            } => (in_height / kernel, in_width / kernel),
+            LayerSpec::Dense { out_len, .. } => (1, out_len),
         }
     }
 
     /// Normalized `(x, y)` position in `[0, 1]²` of output element
     /// `out_index`, when the layer is spatial (conv/pool); `None` for
-    /// dense and fused layers. MicroDeep's grid-projection assignment
-    /// places spatial units on the sensor whose coordinates are nearest.
+    /// dense layers. MicroDeep's grid-projection assignment places
+    /// spatial units on the sensor whose coordinates are nearest.
     pub fn unit_position(&self, out_index: usize) -> Option<(f64, f64)> {
-        match *self {
-            LayerSpec::Conv2d {
-                in_height,
-                in_width,
-                kernel,
-                stride,
-                padding,
-                ..
-            } => {
-                let (oh, ow) = conv_output_dims(in_height, in_width, kernel, stride, padding);
-                let per_ch = oh * ow;
-                let spatial = out_index % per_ch;
-                let oy = spatial / ow;
-                let ox = spatial % ow;
-                let cx = (ox * stride) as f64 + kernel as f64 / 2.0 - padding as f64;
-                let cy = (oy * stride) as f64 + kernel as f64 / 2.0 - padding as f64;
-                Some((
-                    (cx / in_width as f64).clamp(0.0, 1.0),
-                    (cy / in_height as f64).clamp(0.0, 1.0),
-                ))
-            }
-            LayerSpec::Pool2d {
-                in_height,
-                in_width,
-                kernel,
-                ..
-            } => {
-                let oh = in_height / kernel;
-                let ow = in_width / kernel;
-                let per_ch = oh * ow;
-                let spatial = out_index % per_ch;
-                let oy = spatial / ow;
-                let ox = spatial % ow;
-                let cx = (ox * kernel) as f64 + kernel as f64 / 2.0;
-                let cy = (oy * kernel) as f64 + kernel as f64 / 2.0;
-                Some((
-                    (cx / in_width as f64).clamp(0.0, 1.0),
-                    (cy / in_height as f64).clamp(0.0, 1.0),
-                ))
-            }
-            _ => None,
-        }
+        let (stride, kernel) = match *self {
+            LayerSpec::Conv2d { kernel, .. } => (1, kernel),
+            LayerSpec::Pool2d { kernel, .. } => (kernel, kernel),
+            LayerSpec::Dense { .. } => return None,
+        };
+        let (in_height, in_width) = self.in_dims();
+        let (_, oy, ox) = coords(out_index, self.out_dims());
+        let cx = (ox * stride) as f64 + kernel as f64 / 2.0;
+        let cy = (oy * stride) as f64 + kernel as f64 / 2.0;
+        Some((
+            (cx / in_width as f64).clamp(0.0, 1.0),
+            (cy / in_height as f64).clamp(0.0, 1.0),
+        ))
     }
 }
 
@@ -263,20 +153,107 @@ pub fn conv_output_dims(
     )
 }
 
-/// The expanded dependency graph of a network: one vertex per unit, edges
-/// from each unit to the previous-layer units it reads.
+/// `(channel, row, column)` of flat index `index` in a stack of
+/// `height × width` planes.
+fn coords(index: usize, (height, width): (usize, usize)) -> (usize, usize, usize) {
+    let plane = height * width;
+    (index / plane, index % plane / width, index % width)
+}
+
+/// Flat indices `c·plane + y·width + x` over a `channels × rows × cols`
+/// rectangle, channel-major, then row-major. Every edge set of a conv,
+/// pool or dense layer has this shape.
+struct Units {
+    plane: usize,
+    width: usize,
+    rows: Range<usize>,
+    cols: Range<usize>,
+    end_channel: usize,
+    /// Channel, row and column of the next index; `c == end_channel`
+    /// once exhausted.
+    c: usize,
+    y: usize,
+    x: usize,
+}
+
+impl Units {
+    fn new(
+        (plane, width): (usize, usize),
+        channels: Range<usize>,
+        rows: Range<usize>,
+        cols: Range<usize>,
+    ) -> Self {
+        let empty = rows.is_empty() || cols.is_empty();
+        Self {
+            plane,
+            width,
+            c: if empty { channels.end } else { channels.start },
+            end_channel: channels.end,
+            y: rows.start,
+            x: cols.start,
+            rows,
+            cols,
+        }
+    }
+
+    /// The indices `0..len`.
+    fn run(len: usize) -> Self {
+        Self::new((0, 0), 0..1, 0..1, 0..len)
+    }
+
+    /// Moves the cursor to the start of the next row.
+    fn next_row(&mut self) {
+        self.x = self.cols.start;
+        self.y += 1;
+        if self.y == self.rows.end {
+            self.y = self.rows.start;
+            self.c += 1;
+        }
+    }
+}
+
+impl Iterator for Units {
+    type Item = usize;
+
+    fn next(&mut self) -> Option<usize> {
+        if self.c >= self.end_channel {
+            return None;
+        }
+        let index = self.c * self.plane + self.y * self.width + self.x;
+        self.x += 1;
+        if self.x == self.cols.end {
+            self.next_row();
+        }
+        Some(index)
+    }
+
+    // A row at a time: `for_each`, `sum` and `count` come through here,
+    // and the placement search walks every spatial unit's edges with them.
+    fn fold<B, F: FnMut(B, usize) -> B>(mut self, init: B, mut f: F) -> B {
+        let mut acc = init;
+        while self.c < self.end_channel {
+            let row = self.c * self.plane + self.y * self.width;
+            acc = (row + self.x..row + self.cols.end).fold(acc, &mut f);
+            self.next_row();
+        }
+        acc
+    }
+}
+
+/// The dependency graph of a network's computational layers: one vertex
+/// per unit, edges from each unit to the previous-layer units it reads.
+/// A view over the layers' [`LayerSpec`]s that computes edges on demand.
 ///
 /// # Example
 ///
 /// ```
 /// use zeiot_nn::topology::{LayerSpec, UnitGraph};
 ///
-/// let specs = vec![
+/// let specs = [
 ///     LayerSpec::Conv2d {
 ///         in_channels: 1, in_height: 4, in_width: 4,
-///         out_channels: 2, kernel: 3, stride: 1, padding: 0,
+///         out_channels: 2, kernel: 3,
 ///     },
-///     LayerSpec::Elementwise { len: 8 }, // fused ReLU
 ///     LayerSpec::Dense { in_len: 8, out_len: 2 },
 /// ];
 /// let graph = UnitGraph::from_specs(&specs).unwrap();
@@ -285,102 +262,51 @@ pub fn conv_output_dims(
 /// assert_eq!(graph.units_in_layer(0), 16);
 /// assert_eq!(graph.units_in_layer(1), 8);
 /// assert_eq!(graph.units_in_layer(2), 2);
+/// // Conv unit 0 reads the input's top-left 3×3 window, and input 0
+/// // feeds the top-left unit of each of the two conv channels.
+/// let window: Vec<usize> = graph.dependencies(1, 0).collect();
+/// assert_eq!(window, [0, 1, 2, 4, 5, 6, 8, 9, 10]);
+/// assert_eq!(graph.consumers(0, 0).collect::<Vec<_>>(), [0, 4]);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct UnitGraph {
-    /// `layer_sizes\[0\]` is the input layer; the rest are computational
+    /// The computational layers: `specs[l - 1]` computes layer `l`.
+    specs: Vec<LayerSpec>,
+    /// `layer_sizes[0]` is the input layer; the rest are computational
     /// layers in order.
     layer_sizes: Vec<usize>,
-    /// `deps[l][u]` = indices in layer `l` that unit `u` of layer `l+1`
-    /// reads.
-    deps: Vec<Vec<Vec<usize>>>,
-    /// Normalized spatial position per computational layer unit (parallel
-    /// to layers 1..): `None` for non-spatial layers.
-    positions: Vec<Vec<Option<(f64, f64)>>>,
-    /// Spatial dims of the input layer, if 2-D sensing data.
-    input_dims: Option<(usize, usize)>,
 }
 
 impl UnitGraph {
-    /// Expands layer specs into a unit graph.
-    ///
-    /// Fused (element-wise / flatten) layers must preserve element count
-    /// and are skipped, wherever they sit: a leading fused layer reads the
-    /// first computational layer's input. Every layer must accept the
-    /// element count the layer before it produces.
+    /// Views computational layer specs as a unit graph.
     ///
     /// # Errors
     ///
-    /// Returns an error if the spec list has no computational layer, or a
-    /// layer expects a different element count than it receives.
+    /// Returns an error if the spec list is empty, or a layer expects a
+    /// different element count than the layer before it produces.
     pub fn from_specs(specs: &[LayerSpec]) -> zeiot_core::Result<Self> {
         use zeiot_core::error::ConfigError;
-        let computational: Vec<&LayerSpec> =
-            specs.iter().filter(|s| s.is_computational()).collect();
-        if computational.is_empty() {
-            return Err(ConfigError::new("specs", "no computational layers"));
-        }
-        // Validate fused layers preserve counts along the chain.
-        let mut current_len = computational[0].input_len();
+        let first = specs
+            .first()
+            .ok_or_else(|| ConfigError::new("specs", "no layers"))?;
+        let mut receives = first.input_len();
+        let mut layer_sizes = vec![receives];
         for spec in specs {
-            if spec.is_computational() {
-                if spec.input_len() != current_len {
-                    return Err(ConfigError::new(
-                        "specs",
-                        format!(
-                            "layer expects {} inputs but receives {current_len}",
-                            spec.input_len()
-                        ),
-                    ));
-                }
-                current_len = spec.output_len();
-            } else {
-                if spec.input_len() != current_len {
-                    return Err(ConfigError::new(
-                        "specs",
-                        format!(
-                            "fused layer expects {} elements but receives {current_len}",
-                            spec.input_len()
-                        ),
-                    ));
-                }
-                current_len = spec.output_len();
+            if spec.input_len() != receives {
+                return Err(ConfigError::new(
+                    "specs",
+                    format!(
+                        "layer expects {} inputs but receives {receives}",
+                        spec.input_len()
+                    ),
+                ));
             }
+            receives = spec.output_len();
+            layer_sizes.push(receives);
         }
-
-        let mut layer_sizes = vec![computational[0].input_len()];
-        let mut deps = Vec::new();
-        let mut positions = Vec::new();
-        for spec in &computational {
-            let out_len = spec.output_len();
-            let mut layer_deps = Vec::with_capacity(out_len);
-            let mut layer_pos = Vec::with_capacity(out_len);
-            for u in 0..out_len {
-                layer_deps.push(spec.inputs_of(u));
-                layer_pos.push(spec.unit_position(u));
-            }
-            deps.push(layer_deps);
-            positions.push(layer_pos);
-            layer_sizes.push(out_len);
-        }
-        let input_dims = match computational[0] {
-            LayerSpec::Conv2d {
-                in_height,
-                in_width,
-                ..
-            } => Some((*in_height, *in_width)),
-            LayerSpec::Pool2d {
-                in_height,
-                in_width,
-                ..
-            } => Some((*in_height, *in_width)),
-            _ => None,
-        };
         Ok(Self {
+            specs: specs.to_vec(),
             layer_sizes,
-            deps,
-            positions,
-            input_dims,
         })
     }
 
@@ -403,15 +329,72 @@ impl UnitGraph {
         self.layer_sizes[1..].iter().sum()
     }
 
+    /// The spec computing layer `layer`, which must have unit `index`.
+    fn spec(&self, layer: usize, index: usize) -> &LayerSpec {
+        assert!(layer >= 1 && layer < self.layer_sizes.len(), "bad layer");
+        assert!(index < self.layer_sizes[layer], "unit index out of range");
+        &self.specs[layer - 1]
+    }
+
     /// The previous-layer unit indices read by unit `index` of layer
-    /// `layer` (`layer >= 1`).
+    /// `layer` (`layer >= 1`): a conv unit's window in `(in channel,
+    /// ky, kx)` order, a pool unit's window row by row, every unit for a
+    /// dense unit.
     ///
     /// # Panics
     ///
     /// Panics if `layer` is 0 or out of range, or `index` is out of range.
-    pub fn dependencies(&self, layer: usize, index: usize) -> &[usize] {
-        assert!(layer >= 1 && layer < self.layer_sizes.len(), "bad layer");
-        &self.deps[layer - 1][index]
+    pub fn dependencies(&self, layer: usize, index: usize) -> impl Iterator<Item = usize> {
+        let spec = self.spec(layer, index);
+        let (c, oy, ox) = coords(index, spec.out_dims());
+        let (h, w) = spec.in_dims();
+        match *spec {
+            LayerSpec::Conv2d {
+                in_channels,
+                kernel,
+                ..
+            } => Units::new((h * w, w), 0..in_channels, oy..oy + kernel, ox..ox + kernel),
+            LayerSpec::Pool2d { kernel: k, .. } => {
+                Units::new((h * w, w), c..c + 1, oy * k..oy * k + k, ox * k..ox * k + k)
+            }
+            LayerSpec::Dense { in_len, .. } => Units::run(in_len),
+        }
+    }
+
+    /// The units of layer `layer + 1` that read unit `index` of layer
+    /// `layer`, in unit order: for a conv unit's input, every output
+    /// channel over the positions whose window covers it; for a pool
+    /// unit's input, the one window holding it, or none when the floor
+    /// division drops its row or column; every unit of a dense layer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `layer + 1 >= layer_count()` or `index` is out of range.
+    pub fn consumers(&self, layer: usize, index: usize) -> impl Iterator<Item = usize> {
+        assert!(layer + 1 < self.layer_sizes.len(), "bad layer");
+        assert!(index < self.layer_sizes[layer], "unit index out of range");
+        let spec = &self.specs[layer];
+        let (c, iy, ix) = coords(index, spec.in_dims());
+        let (oh, ow) = spec.out_dims();
+        match *spec {
+            LayerSpec::Conv2d {
+                out_channels,
+                kernel,
+                ..
+            } => Units::new(
+                (oh * ow, ow),
+                0..out_channels,
+                (iy + 1).saturating_sub(kernel)..(iy + 1).min(oh),
+                (ix + 1).saturating_sub(kernel)..(ix + 1).min(ow),
+            ),
+            LayerSpec::Pool2d { kernel: k, .. } => Units::new(
+                (oh * ow, ow),
+                c..c + 1,
+                iy / k..(iy / k + 1).min(oh),
+                ix / k..(ix / k + 1).min(ow),
+            ),
+            LayerSpec::Dense { out_len, .. } => Units::run(out_len),
+        }
     }
 
     /// Normalized spatial position of a computational unit, when defined.
@@ -420,30 +403,41 @@ impl UnitGraph {
     ///
     /// Panics if `layer` is 0 or out of range, or `index` is out of range.
     pub fn position(&self, layer: usize, index: usize) -> Option<(f64, f64)> {
-        assert!(layer >= 1 && layer < self.layer_sizes.len(), "bad layer");
-        self.positions[layer - 1][index]
+        self.spec(layer, index).unit_position(index)
     }
 
     /// Spatial dimensions `(height, width)` of the input layer, when the
     /// first computational layer is spatial.
     pub fn input_dims(&self) -> Option<(usize, usize)> {
-        self.input_dims
+        match self.specs[0] {
+            LayerSpec::Dense { .. } => None,
+            ref spatial => Some(spatial.in_dims()),
+        }
     }
 
     /// Normalized position of an *input* unit when input dims are known.
     pub fn input_position(&self, index: usize) -> Option<(f64, f64)> {
-        let (h, w) = self.input_dims?;
-        let spatial = index % (h * w);
-        let y = spatial / w;
-        let x = spatial % w;
+        let (h, w) = self.input_dims()?;
+        let (_, y, x) = coords(index, (h, w));
         Some(((x as f64 + 0.5) / w as f64, (y as f64 + 0.5) / h as f64))
     }
 
     /// Total number of dependency edges.
     pub fn edge_count(&self) -> usize {
-        self.deps
+        self.specs
             .iter()
-            .map(|layer| layer.iter().map(Vec::len).sum::<usize>())
+            .map(|spec| {
+                let fan_in = match *spec {
+                    LayerSpec::Conv2d {
+                        in_channels,
+                        kernel,
+                        ..
+                    } => in_channels * kernel * kernel,
+                    LayerSpec::Pool2d { kernel, .. } => kernel * kernel,
+                    LayerSpec::Dense { in_len, .. } => in_len,
+                };
+                spec.output_len() * fan_in
+            })
             .sum()
     }
 }
@@ -461,27 +455,28 @@ mod tests {
                 in_width: 8,
                 out_channels: 4,
                 kernel: 3,
-                stride: 1,
-                padding: 0,
             },
-            LayerSpec::Elementwise { len: 4 * 6 * 6 },
             LayerSpec::Pool2d {
                 channels: 4,
                 in_height: 6,
                 in_width: 6,
                 kernel: 2,
             },
-            LayerSpec::Flatten { len: 4 * 3 * 3 },
             LayerSpec::Dense {
                 in_len: 36,
                 out_len: 16,
             },
-            LayerSpec::Elementwise { len: 16 },
             LayerSpec::Dense {
                 in_len: 16,
                 out_len: 2,
             },
         ]
+    }
+
+    /// The inputs unit `u` of a one-layer graph over `spec` reads.
+    fn inputs(spec: LayerSpec, u: usize) -> Vec<usize> {
+        let graph = UnitGraph::from_specs(&[spec]).unwrap();
+        graph.dependencies(1, u).collect()
     }
 
     #[test]
@@ -499,8 +494,6 @@ mod tests {
             in_width: 5,
             out_channels: 3,
             kernel: 3,
-            stride: 1,
-            padding: 0,
         };
         assert_eq!(spec.input_len(), 50);
         assert_eq!(spec.output_len(), 3 * 3 * 3);
@@ -514,34 +507,11 @@ mod tests {
             in_width: 4,
             out_channels: 1,
             kernel: 3,
-            stride: 1,
-            padding: 0,
         };
         // Output (0,0) reads input rows 0-2, cols 0-2.
-        let inputs = spec.inputs_of(0);
-        assert_eq!(inputs, vec![0, 1, 2, 4, 5, 6, 8, 9, 10]);
+        assert_eq!(inputs(spec.clone(), 0), vec![0, 1, 2, 4, 5, 6, 8, 9, 10]);
         // Output (1,1) reads rows 1-3, cols 1-3.
-        let inputs = spec.inputs_of(3); // ow=2 → index 3 = (1,1)
-        assert_eq!(inputs, vec![5, 6, 7, 9, 10, 11, 13, 14, 15]);
-    }
-
-    #[test]
-    fn conv_with_padding_drops_out_of_bounds_inputs() {
-        let spec = LayerSpec::Conv2d {
-            in_channels: 1,
-            in_height: 4,
-            in_width: 4,
-            out_channels: 1,
-            kernel: 3,
-            stride: 1,
-            padding: 1,
-        };
-        // Corner output (0,0) only sees the 2×2 in-bounds part.
-        let inputs = spec.inputs_of(0);
-        assert_eq!(inputs, vec![0, 1, 4, 5]);
-        // A middle output sees all 9.
-        let mid = spec.inputs_of(5); // (1,1) in a 4×4 output
-        assert_eq!(mid.len(), 9);
+        assert_eq!(inputs(spec, 3), vec![5, 6, 7, 9, 10, 11, 13, 14, 15]); // ow=2 → index 3 = (1,1)
     }
 
     #[test]
@@ -553,7 +523,7 @@ mod tests {
             kernel: 2,
         };
         let mut all: Vec<usize> = (0..spec.output_len())
-            .flat_map(|u| spec.inputs_of(u))
+            .flat_map(|u| inputs(spec.clone(), u))
             .collect();
         all.sort_unstable();
         assert_eq!(all, (0..16).collect::<Vec<_>>());
@@ -566,7 +536,7 @@ mod tests {
             out_len: 3,
         };
         for u in 0..3 {
-            assert_eq!(spec.inputs_of(u), (0..7).collect::<Vec<_>>());
+            assert_eq!(inputs(spec.clone(), u), (0..7).collect::<Vec<_>>());
         }
     }
 
@@ -581,28 +551,6 @@ mod tests {
         assert_eq!(graph.units_in_layer(3), 16);
         assert_eq!(graph.units_in_layer(4), 2);
         assert_eq!(graph.total_units(), 144 + 36 + 16 + 2);
-    }
-
-    #[test]
-    fn a_leading_fused_layer_is_skipped_when_its_count_matches() {
-        let conv = || LayerSpec::Conv2d {
-            in_channels: 1,
-            in_height: 4,
-            in_width: 4,
-            out_channels: 2,
-            kernel: 3,
-            stride: 1,
-            padding: 0,
-        };
-        let dense = || LayerSpec::Dense {
-            in_len: 8,
-            out_len: 2,
-        };
-        let fused = |len| LayerSpec::Elementwise { len };
-        let graph = UnitGraph::from_specs(&[fused(16), conv(), fused(8), dense()]).unwrap();
-        assert_eq!(graph.layer_count(), 3);
-        assert_eq!(graph, UnitGraph::from_specs(&[conv(), dense()]).unwrap());
-        assert!(UnitGraph::from_specs(&[fused(15), conv(), fused(8), dense()]).is_err());
     }
 
     #[test]
@@ -629,7 +577,7 @@ mod tests {
         }];
         let graph = UnitGraph::from_specs(&specs).unwrap();
         assert_eq!(graph.edge_count(), 12);
-        assert_eq!(graph.dependencies(1, 0), &[0, 1, 2, 3]);
+        assert_eq!(graph.dependencies(1, 0).collect::<Vec<_>>(), [0, 1, 2, 3]);
     }
 
     #[test]
@@ -667,5 +615,89 @@ mod tests {
         .unwrap();
         assert_eq!(graph.input_dims(), None);
         assert_eq!(graph.input_position(0), None);
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// The edge set `set()` yields stepped with `next` alone, checked
+    /// against the same set folded whole and folded after one `next`.
+    fn walk<I: Iterator<Item = usize>>(set: impl Fn() -> I) -> Vec<usize> {
+        let stepped: Vec<usize> = set().collect();
+        let push = |mut v: Vec<usize>, i| {
+            v.push(i);
+            v
+        };
+        assert_eq!(set().fold(Vec::new(), push), stepped);
+        let mut it = set();
+        let head = it.next().into_iter().collect();
+        assert_eq!(it.fold(head, push), stepped);
+        stepped
+    }
+
+    /// Every edge `(producer, consumer)` into layer `l`, sorted, found by
+    /// walking the consumers' dependencies or the producers' consumers.
+    fn edges(graph: &UnitGraph, l: usize, from_consumers: bool) -> Vec<(usize, usize)> {
+        let mut pairs = Vec::new();
+        if from_consumers {
+            for p in 0..graph.units_in_layer(l - 1) {
+                for u in walk(|| graph.consumers(l - 1, p)) {
+                    assert!(u < graph.units_in_layer(l), "layer {l} consumer {u}");
+                    pairs.push((p, u));
+                }
+            }
+        } else {
+            for u in 0..graph.units_in_layer(l) {
+                for p in walk(|| graph.dependencies(l, u)) {
+                    assert!(p < graph.units_in_layer(l - 1), "layer {l} producer {p}");
+                    pairs.push((p, u));
+                }
+            }
+        }
+        pairs.sort_unstable();
+        pairs
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Over random conv → pool → dense → dense geometries, with pool
+        /// windows that may leave a remainder row and column, every
+        /// layer's `(producer, consumer)` multiset from `consumers`
+        /// equals the one from `dependencies`, and `edge_count` counts
+        /// it.
+        #[test]
+        fn consumers_invert_dependencies(
+            conv in (1usize..3, 1usize..4, 1usize..5),
+            conv_out in (1usize..9, 1usize..9),
+            pool in 1usize..5,
+            dense in (1usize..6, 1usize..4),
+        ) {
+            let ((ic, oc, k), (ch, cw), (hidden, classes)) = (conv, conv_out, dense);
+            let pool = pool.min(ch).min(cw);
+            let specs = [
+                LayerSpec::Conv2d {
+                    in_channels: ic,
+                    in_height: ch + k - 1,
+                    in_width: cw + k - 1,
+                    out_channels: oc,
+                    kernel: k,
+                },
+                LayerSpec::Pool2d { channels: oc, in_height: ch, in_width: cw, kernel: pool },
+                LayerSpec::Dense { in_len: oc * (ch / pool) * (cw / pool), out_len: hidden },
+                LayerSpec::Dense { in_len: hidden, out_len: classes },
+            ];
+            let graph = UnitGraph::from_specs(&specs).expect("a consistent chain");
+            let mut total = 0;
+            for l in 1..graph.layer_count() {
+                let from_dependencies = edges(&graph, l, false);
+                total += from_dependencies.len();
+                prop_assert_eq!(from_dependencies, edges(&graph, l, true), "layer {}", l);
+            }
+            prop_assert_eq!(graph.edge_count(), total);
+        }
     }
 }

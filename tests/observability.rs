@@ -37,7 +37,7 @@ fn instrumented_traffic_matches_the_static_cost_model() {
         for l in 1..graph.layer_count() {
             for u in 0..graph.units_in_layer(l) {
                 let dst = assignment.host_of(l, u);
-                for &d in graph.dependencies(l, u) {
+                for d in graph.dependencies(l, u) {
                     let src = assignment.host_of(l - 1, d);
                     if src != dst {
                         edges += 1;
