@@ -12,13 +12,17 @@
 //!
 //! Every attempt's fate is [`FaultPlan::decide`]'s, computed without
 //! redoing per message what is fixed for the fabric's lifetime (the
-//! lossless flag, the attempt budget, the retry schedule and the hash
-//! prefixes) or what changes only when the clock moves (the set of dark
-//! nodes, refreshed on [`LinkFabric::advance`] and after each retry
-//! backoff). A proptest below drives the fabric against a reference loop
-//! written on `decide`.
+//! lossless flag, the attempt budget, the retry schedule, the hash
+//! prefixes and the probabilities as integer thresholds) or what changes
+//! only when the clock moves (the set of dark nodes, refreshed on
+//! [`LinkFabric::advance`] and after each retry backoff).
+//! [`LinkFabric::transmit_burst`] carries a consumer's messages from many
+//! sources in one call, so a single-attempt policy checks the
+//! destination's liveness and adds the counters once per burst. Two
+//! proptests below drive the fabric, one message at a time and in bursts,
+//! against a reference loop written on `decide`.
 
-use crate::plan::{DrawPrefixes, FaultPlan, LinkEvent};
+use crate::plan::{FaultPlan, LinkEvent, Rolls};
 use crate::policy::RecoveryPolicy;
 use zeiot_core::id::NodeId;
 use zeiot_core::time::{SimDuration, SimTime};
@@ -180,8 +184,9 @@ pub struct LinkFabric {
     max_attempts: u32,
     /// `policy.retry_schedule()`.
     schedule: Option<RetrySchedule>,
-    /// The plan's drop and corruption hash prefixes.
-    prefixes: DrawPrefixes,
+    /// The plan's hash prefixes and its probabilities as integer
+    /// thresholds.
+    rolls: Rolls,
     /// The nodes dark at `now`, as `plan.down_set_at(now)` reports them:
     /// sorted, and never longer than the plan's list of nodes with
     /// outage windows.
@@ -198,7 +203,7 @@ impl LinkFabric {
             lossless: plan.is_lossless(),
             max_attempts: policy.max_attempts(),
             schedule: policy.retry_schedule(),
-            prefixes: plan.draw_prefixes(),
+            rolls: plan.rolls(),
             down: Vec::new(),
             down_until: SimTime::ZERO,
             plan,
@@ -342,6 +347,92 @@ impl LinkFabric {
         }
     }
 
+    /// Transmits one consumer's burst to `dst`: entry `i` is a message
+    /// from `srcs[i]` carrying `values[i]`, sent in entry order. An entry
+    /// whose source is `dst` is local: it takes no sequence number and no
+    /// counter, and its value passes through. Every other entry is one
+    /// message, with the sequence number, fate and counters
+    /// [`LinkFabric::transmit_over`] gives it over a route of `hops(src)`
+    /// hops. On return `values` holds what arrived, a corrupted payload
+    /// flipped by [`FaultPlan::corrupt_value`], and `lost` the indices of
+    /// the entries that never did, ascending; a lost entry keeps the value
+    /// sent, for the caller to substitute. Under a policy that does not
+    /// degrade, the first loss ends the burst: no later entry is sent, and
+    /// the call returns `false`.
+    ///
+    /// Under a single-attempt policy the burst checks `dst` against the
+    /// dark set once, compares each draw against an integer threshold, and
+    /// adds the counters once. A retransmitting policy sends each message
+    /// through `transmit_over`, since its backoffs move the clock.
+    #[must_use = "`false` means a loss ended the burst"]
+    pub fn transmit_burst(
+        &mut self,
+        dst: NodeId,
+        srcs: &[NodeId],
+        values: &mut [f32],
+        mut hops: impl FnMut(NodeId) -> u32,
+        lost: &mut Vec<usize>,
+    ) -> bool {
+        lost.clear();
+        lost.reserve(srcs.len());
+        let aborts = self.policy.degrade_mode().is_none();
+        let entries = srcs.iter().zip(values).enumerate();
+        if self.max_attempts > 1 {
+            for (i, (&src, value)) in entries.filter(|(_, (&src, _))| src != dst) {
+                match self.transmit_over(src, dst, hops(src)) {
+                    Delivery::Delivered { corrupted, .. } => {
+                        if corrupted {
+                            let seq = self.seq - 1;
+                            *value = self.plan.corrupt_value(*value, src, dst, seq);
+                        }
+                    }
+                    Delivery::Failed { .. } => {
+                        lost.push(i);
+                        if aborts {
+                            return false;
+                        }
+                    }
+                }
+            }
+            return true;
+        }
+        let (plan, rolls, down) = (&self.plan, &self.rolls, self.down.as_slice());
+        let dst_dark = down.binary_search(&dst).is_ok();
+        let (mut seq, mut corrupted) = (self.seq, 0);
+        for (i, (&src, value)) in entries {
+            if src == dst {
+                continue;
+            }
+            let event = if dst_dark || down.binary_search(&src).is_ok() {
+                LinkEvent::Dropped
+            } else {
+                plan.roll_first(rolls, src, dst, seq)
+            };
+            seq += 1;
+            match event {
+                LinkEvent::Delivered => {}
+                LinkEvent::Corrupted => {
+                    *value = plan.corrupt_value(*value, src, dst, seq - 1);
+                    corrupted += 1;
+                }
+                LinkEvent::Dropped => {
+                    lost.push(i);
+                    if aborts {
+                        break;
+                    }
+                }
+            }
+        }
+        let (sent, failed) = (seq - self.seq, lost.len() as u64);
+        self.seq = seq;
+        self.stats.sent += sent;
+        self.stats.delivered += sent - failed;
+        self.stats.drops += failed;
+        self.stats.failed += failed;
+        self.stats.corrupted += corrupted;
+        !(aborts && failed > 0)
+    }
+
     /// `plan.decide(src, dst, seq, attempt, now)`, from the cached
     /// dark-node set and hash prefixes.
     #[inline]
@@ -349,7 +440,7 @@ impl LinkFabric {
         if self.down.binary_search(&src).is_ok() || self.down.binary_search(&dst).is_ok() {
             return LinkEvent::Dropped;
         }
-        self.plan.roll(self.prefixes, src, dst, seq, attempt)
+        self.plan.roll(self.rolls.prefixes, src, dst, seq, attempt)
     }
 
     /// The sequence number of the next message (how many messages the
@@ -588,12 +679,91 @@ mod proptests {
                 attempts: self.policy.max_attempts(),
             }
         }
+
+        /// A burst as single messages in entry order: a local entry
+        /// passes untouched, every other one goes through
+        /// `transmit_over`, and a loss ends the burst unless the policy
+        /// degrades.
+        fn transmit_burst(
+            &mut self,
+            dst: NodeId,
+            srcs: &[NodeId],
+            values: &mut [f32],
+            hops: impl Fn(NodeId) -> u32,
+            lost: &mut Vec<usize>,
+        ) -> bool {
+            lost.clear();
+            for (i, (&src, value)) in srcs.iter().zip(values).enumerate() {
+                if src == dst {
+                    continue;
+                }
+                match self.transmit_over(src, dst, hops(src)) {
+                    Delivery::Delivered { corrupted, .. } => {
+                        if corrupted {
+                            *value = self.plan.corrupt_value(*value, src, dst, self.seq - 1);
+                        }
+                    }
+                    Delivery::Failed { .. } => {
+                        lost.push(i);
+                        if self.policy.degrade_mode().is_none() {
+                            return false;
+                        }
+                    }
+                }
+            }
+            true
+        }
     }
 
     /// Node ids the streams use; the last stands for an id outside any
     /// topology.
     fn node(i: u32) -> NodeId {
         NodeId::new(if i == 7 { 99 } else { i })
+    }
+
+    /// A plan from `(seed, drop, corrupt)` rates, `(src, dst, p)` link
+    /// overrides and `(node, from ms, length ms)` outages, and a policy
+    /// from `(kind, max retries, timeout ms, backoff)`; and a reference
+    /// fabric over both.
+    fn scenario(
+        (seed, drop, corrupt): (u64, f64, f64),
+        links: &[(u32, u32, f64)],
+        outages: &[(u32, u64, u64)],
+        (kind, max_retries, timeout_ms, backoff): (usize, u32, u64, f64),
+    ) -> (FaultPlan, RecoveryPolicy, Reference) {
+        let mut plan = FaultPlan::uniform(seed, drop)
+            .unwrap()
+            .with_corruption(corrupt)
+            .unwrap();
+        for &(src, dst, p) in links {
+            plan = plan.with_link_drop(node(src), node(dst), p).unwrap();
+        }
+        for &(n, from, len) in outages {
+            let (from, until) = (SimTime::from_millis(from), SimTime::from_millis(from + len));
+            plan = plan.with_outage(node(n), from, until).unwrap();
+        }
+        let policy = match kind {
+            0 => RecoveryPolicy::FailFast,
+            1 => RecoveryPolicy::Retransmit {
+                max_retries,
+                timeout: SimDuration::from_millis(timeout_ms),
+                backoff,
+            },
+            2 => RecoveryPolicy::Degrade {
+                mode: DegradeMode::ZeroFill,
+            },
+            _ => RecoveryPolicy::Degrade {
+                mode: DegradeMode::LastValueHold,
+            },
+        };
+        let reference = Reference {
+            plan: plan.clone(),
+            policy,
+            seq: 0,
+            now: SimTime::ZERO,
+            stats: FaultStats::default(),
+        };
+        (plan, policy, reference)
     }
 
     proptest! {
@@ -611,37 +781,8 @@ mod proptests {
             policy in (0usize..4, 0u32..5, 1u64..200, 1.0f64..3.0),
             ops in vec((0u32..10, 0u32..8, 0u32..8, 0u64..300), 1..200),
         ) {
-            let (seed, drop, corrupt) = rates;
-            let mut plan = FaultPlan::uniform(seed, drop)
-                .unwrap()
-                .with_corruption(corrupt)
-                .unwrap();
-            for &(src, dst, p) in &links {
-                plan = plan.with_link_drop(node(src), node(dst), p).unwrap();
-            }
-            for &(n, from, len) in &outages {
-                let (from, until) = (SimTime::from_millis(from), SimTime::from_millis(from + len));
-                plan = plan.with_outage(node(n), from, until).unwrap();
-            }
-            let (kind, max_retries, timeout_ms, backoff) = policy;
-            let policy = match kind {
-                0 => RecoveryPolicy::FailFast,
-                1 => RecoveryPolicy::Retransmit {
-                    max_retries,
-                    timeout: SimDuration::from_millis(timeout_ms),
-                    backoff,
-                },
-                2 => RecoveryPolicy::Degrade { mode: DegradeMode::ZeroFill },
-                _ => RecoveryPolicy::Degrade { mode: DegradeMode::LastValueHold },
-            };
+            let (plan, policy, mut reference) = scenario(rates, &links, &outages, policy);
             let mut fabric = LinkFabric::new(plan.clone(), policy);
-            let mut reference = Reference {
-                plan: plan.clone(),
-                policy,
-                seq: 0,
-                now: SimTime::ZERO,
-                stats: FaultStats::default(),
-            };
             for &(op, src, dst, arg) in &ops {
                 if op < 2 {
                     let d = SimDuration::from_millis(arg);
@@ -659,6 +800,60 @@ mod proptests {
             }
             prop_assert_eq!(fabric.stats(), &reference.stats);
             prop_assert_eq!(fabric.next_seq(), reference.seq);
+        }
+
+        /// A burst sends exactly the messages that single transmissions
+        /// over `FaultPlan::decide` send: random destinations, source
+        /// lists mixing local entries (source 8 and up stands for the
+        /// destination), off-topology ids and corruption, bursts
+        /// interleaved with clock advances and single messages so outage
+        /// edges fall between and inside them, under every policy. Every
+        /// entry's value and fate, every burst's end, the stats, the next
+        /// sequence number, the clock and the dark set match.
+        #[test]
+        fn bursts_equal_single_messages_over_decide(
+            rates in (0u64..10_000, 0.0f64..0.6, 0.0f64..0.3),
+            links in vec((0u32..8, 0u32..8, 0.0f64..1.0), 0..4),
+            outages in vec((0u32..8, 0u64..3_000, 1u64..800), 0..6),
+            policy in (0usize..4, 0u32..5, 1u64..200, 1.0f64..3.0),
+            ops in vec((0u32..10, 0u32..8, vec((0u32..11, -4.0f32..4.0), 0..12), 0u64..300), 1..80),
+        ) {
+            let (plan, policy, mut reference) = scenario(rates, &links, &outages, policy);
+            let mut fabric = LinkFabric::new(plan.clone(), policy);
+            let hops = |src: NodeId| 1 + src.raw() % 4;
+            let (mut lost, mut lost_ref) = (Vec::new(), Vec::new());
+            for (op, dst, entries, arg) in &ops {
+                let dst = node(*dst);
+                if *op < 2 {
+                    let d = SimDuration::from_millis(*arg);
+                    fabric.advance(d);
+                    reference.now = reference.now.saturating_add(d);
+                } else if *op < 4 {
+                    let src = node((*arg % 8) as u32);
+                    prop_assert_eq!(
+                        fabric.transmit_over(src, dst, hops(src)),
+                        reference.transmit_over(src, dst, hops(src))
+                    );
+                } else {
+                    let srcs: Vec<NodeId> = entries
+                        .iter()
+                        .map(|&(src, _)| if src < 8 { node(src) } else { dst })
+                        .collect();
+                    let mut values: Vec<f32> = entries.iter().map(|&(_, v)| v).collect();
+                    let mut expected = values.clone();
+                    let ended = fabric.transmit_burst(dst, &srcs, &mut values, hops, &mut lost);
+                    let ended_ref =
+                        reference.transmit_burst(dst, &srcs, &mut expected, hops, &mut lost_ref);
+                    prop_assert_eq!(ended, ended_ref);
+                    prop_assert_eq!(&lost, &lost_ref);
+                    let bits = |v: &[f32]| v.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                    prop_assert_eq!(bits(&values), bits(&expected));
+                }
+                prop_assert_eq!(fabric.stats(), &reference.stats);
+                prop_assert_eq!(fabric.next_seq(), reference.seq);
+                prop_assert_eq!(fabric.now(), reference.now);
+                prop_assert_eq!(fabric.down_set(), plan.down_set_at(fabric.now()).as_slice());
+            }
         }
     }
 

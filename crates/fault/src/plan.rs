@@ -35,15 +35,27 @@ fn splitmix64(x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Hashes the message coordinates into a uniform `[0, 1)` draw, starting
-/// from `prefix = splitmix64(seed ^ salt)`.
+/// Hashes the message coordinates into 53 uniform bits, starting from
+/// `prefix = splitmix64(seed ^ salt)`.
 #[inline]
-fn unit_draw(prefix: u64, src: u32, dst: u32, seq: u64, attempt: u32) -> f64 {
+fn draw_bits(prefix: u64, src: u32, dst: u32, seq: u64, attempt: u32) -> u64 {
     let mut h = splitmix64(prefix ^ ((u64::from(src) << 32) | u64::from(dst)));
     h = splitmix64(h ^ seq);
     h = splitmix64(h ^ u64::from(attempt));
-    // 53 high bits → uniform double in [0, 1).
-    (h >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+    h >> 11
+}
+
+/// [`draw_bits`] as a uniform `[0, 1)` draw.
+#[inline]
+fn unit_draw(prefix: u64, src: u32, dst: u32, seq: u64, attempt: u32) -> f64 {
+    draw_bits(prefix, src, dst, seq, attempt) as f64 * (1.0 / (1u64 << 53) as f64)
+}
+
+/// `⌈p · 2^53⌉`, a probability `p` in `[0, 1]` as an integer threshold:
+/// 53 draw bits `x` pass `x · 2^-53 < p` exactly when `x < threshold(p)`,
+/// because scaling by a power of two is exact.
+fn threshold(p: f64) -> u64 {
+    (p * (1u64 << 53) as f64).ceil() as u64
 }
 
 const DROP_SALT: u64 = 0xD0_0D;
@@ -55,6 +67,17 @@ const CORRUPT_SALT: u64 = 0xC0_44;
 pub(crate) struct DrawPrefixes {
     drop: u64,
     corrupt: u64,
+}
+
+/// What the fabric's rolls need, fixed by the plan: the draw
+/// prefixes, the default drop and the corruption probabilities as
+/// [`threshold`]s, and whether any link overrides the default.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Rolls {
+    pub(crate) prefixes: DrawPrefixes,
+    drop: u64,
+    corrupt: u64,
+    per_link: bool,
 }
 
 /// A deterministic description of link losses, node outages and payload
@@ -339,6 +362,36 @@ impl FaultPlan {
         LinkEvent::Delivered
     }
 
+    /// The constants [`FaultPlan::roll_first`] takes.
+    pub(crate) fn rolls(&self) -> Rolls {
+        Rolls {
+            prefixes: self.draw_prefixes(),
+            drop: threshold(self.default_drop),
+            corrupt: threshold(self.corrupt),
+            per_link: !self.link_drop.is_empty(),
+        }
+    }
+
+    /// [`FaultPlan::roll`] for attempt 0, comparing draw bits against
+    /// integer thresholds: the same fate, without a conversion to `f64`,
+    /// and without a lookup in the link overrides when there are none.
+    #[inline]
+    pub(crate) fn roll_first(&self, r: &Rolls, src: NodeId, dst: NodeId, seq: u64) -> LinkEvent {
+        let drop = if r.per_link {
+            threshold(self.drop_prob(src, dst))
+        } else {
+            r.drop
+        };
+        let (s, d) = (src.raw(), dst.raw());
+        if drop > 0 && draw_bits(r.prefixes.drop, s, d, seq, 0) < drop {
+            return LinkEvent::Dropped;
+        }
+        if r.corrupt > 0 && draw_bits(r.prefixes.corrupt, s, d, seq, 0) < r.corrupt {
+            return LinkEvent::Corrupted;
+        }
+        LinkEvent::Delivered
+    }
+
     /// Deterministically corrupts a payload value: flips one mantissa bit
     /// chosen by the message coordinates. Non-finite results collapse to
     /// zero so corrupted activations cannot poison downstream arithmetic
@@ -556,6 +609,43 @@ mod tests {
         assert_ne!(v, 1.5);
         assert!(v.is_finite());
         assert_eq!(v, plan.corrupt_value(1.5, n(0), n(1), 0));
+    }
+
+    #[test]
+    fn integer_thresholds_decide_as_the_unit_draw_does() {
+        let scale = 1.0 / (1u64 << 53) as f64;
+        let ps = [
+            0.0,
+            f64::MIN_POSITIVE,
+            scale,
+            0.05,
+            0.1,
+            1.0 / 3.0,
+            0.5,
+            1.0 - scale,
+            1.0,
+        ];
+        for p in ps {
+            let t = threshold(p);
+            for x in t.saturating_sub(2)..(t + 2).min(1 << 53) {
+                assert_eq!(x < t, x as f64 * scale < p, "p={p} x={x}");
+            }
+        }
+        let plan = FaultPlan::uniform(17, 0.3)
+            .unwrap()
+            .with_corruption(0.2)
+            .unwrap()
+            .with_link_drop(n(1), n(2), 0.9)
+            .unwrap();
+        let first = plan.rolls();
+        for seq in 0..2_000 {
+            let (src, dst) = (n((seq % 3) as u32), n((seq % 5) as u32));
+            assert_eq!(
+                plan.roll_first(&first, src, dst, seq),
+                plan.decide(src, dst, seq, 0, SimTime::ZERO),
+                "seq={seq}"
+            );
+        }
     }
 
     #[test]

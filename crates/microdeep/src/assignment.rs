@@ -168,6 +168,15 @@ impl Assignment {
         }
     }
 
+    /// The hosts of layer `layer`'s units, by unit; `layer` 0 addresses
+    /// input units, and a layer past the last has none.
+    pub(crate) fn hosts(&self, layer: usize) -> &[NodeId] {
+        match layer.checked_sub(1) {
+            None => &self.input_host,
+            Some(l) => self.unit_host.get(l).map_or(&[], Vec::as_slice),
+        }
+    }
+
     /// Overrides the host of a computational unit (used by runtime
     /// re-placement).
     ///

@@ -5,9 +5,9 @@
 //! plain, lossy, integer and traced passes differ only in how values
 //! cross from producer units' nodes to a consumer unit's node — the
 //! [`Transport`]: [`Perfect`], which reads the producer layer in place,
-//! or [`Lossy`], which carries each cross-node edge over a
-//! [`LossyRuntime`] and, when traced, spans each consumer unit's
-//! fetches — and in the number [`Domain`] the units compute in: f32 over
+//! or [`Lossy`], which carries each consumer unit's cross-node edges
+//! over a [`LossyRuntime`] as one fabric burst and, when traced, spans
+//! it — and in the number [`Domain`] the units compute in: f32 over
 //! [`crate::DistributedCnn`], or i8 with exact i32 accumulation over
 //! [`crate::QuantizedCnn`]. "Lossless equals plain" therefore holds by
 //! construction: a lossless fabric hands every value back unchanged,
@@ -28,9 +28,10 @@
 //!
 //! The conv backward runs in lanes too, across each unit's kernel
 //! terms. It first collects the units whose gradient survives the ReLU
-//! and is non-zero, in unit order and without a branch per unit, then
-//! adds each live unit's contribution to its kernel's gradient
-//! [`LANES`] terms at a time. Every gradient element takes exactly one
+//! and is non-zero, in unit order and without a branch per unit. Only
+//! un-pool targets can be live, so un-pool marks them in a bitmap and
+//! only they are visited. It then adds each live unit's contribution to
+//! its kernel's gradient [`LANES`] terms at a time. Every gradient element takes exactly one
 //! contribution from a unit, and a kernel shared by several units (a
 //! replica) takes theirs in unit order, so the gradients are
 //! bit-identical to visiting every unit in turn. Un-pool and the dense
@@ -44,7 +45,9 @@
 //! first sample an f32 forward and backward over [`Perfect`] allocate
 //! only the logits they return, plus, in the replica modes, one
 //! node-indexed kernel table per pass: re-placement moves units between
-//! replicas, so that table is not kept.
+//! replicas, so that table is not kept. A forward over [`Lossy`]
+//! allocates the same: each unit's burst is gathered into the block
+//! buffer's [`Scratch`].
 
 use crate::assignment::Assignment;
 use crate::config::CnnConfig;
@@ -161,11 +164,17 @@ fn blocks(len: usize) -> impl Iterator<Item = (usize, usize)> {
 }
 
 /// A block buffer, reused across passes: value `t · LANES + j` is lane
-/// `j`'s term `t`, and `offsets[t] = t · LANES`.
+/// `j`'s term `t`, and `offsets[t] = t · LANES`. A lossy block gathers
+/// each unit's burst here too.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Scratch<A> {
     values: Vec<A>,
     offsets: Vec<usize>,
+    /// One unit's source hosts and wire values, in term order.
+    srcs: Vec<NodeId>,
+    wire: Vec<f32>,
+    /// A dense block's wire values, which all its lanes read.
+    sent: Vec<f32>,
 }
 
 /// The offset tables a model's config fixes, built on its first pass.
@@ -216,6 +225,8 @@ pub(crate) struct Grads {
     hidden: Vec<f32>,
     pooled: Vec<f32>,
     conv: Vec<f32>,
+    /// The conv units un-pool wrote a gradient to, one bit per unit.
+    targets: Vec<u64>,
     /// The live conv units, and where each output channel's run ends.
     live: Vec<Live>,
     ends: Vec<usize>,
@@ -321,8 +332,10 @@ impl<'r, 's, 'b> Lossy<'r, 's, 'b> {
 }
 
 impl Transport for Lossy<'_, '_, '_> {
-    /// Fetches unit by unit, each unit's edges in term order under one
-    /// hop span: the messages a unit-at-a-time pass sends, in its order.
+    /// Sends unit by unit, each unit's edges in term order as one burst
+    /// under one hop span: the messages a unit-at-a-time pass sends, in
+    /// its order. A dense block's lanes read the same producers, so their
+    /// sources are gathered once.
     fn deliver<'v, D: Domain>(
         &mut self,
         x: &'v [D::A],
@@ -331,34 +344,46 @@ impl Transport for Lossy<'_, '_, '_> {
         buf: &'v mut Scratch<D::A>,
     ) -> Option<Inputs<'v, D::A>> {
         let n = b.terms.len();
-        buf.values.clear();
-        buf.values.resize(n * LANES, D::FLOOR);
+        let Scratch {
+            values,
+            offsets,
+            srcs,
+            wire,
+            sent,
+        } = buf;
+        values.clear();
+        values.resize(n * LANES, D::FLOOR);
         let stage = b.stage as usize;
+        let hosts = at.hosts(stage);
+        let shared = b.stride == 0;
+        if shared {
+            gather::<D>(x, hosts, &b, 0, srcs, sent);
+        }
         for lane in 0..b.lanes {
+            if shared {
+                overwrite(wire, sent);
+            } else {
+                gather::<D>(x, hosts, &b, lane, srcs, wire);
+            }
             let consumer = b.first + lane;
             let dst = at.host_of(stage + 1, consumer);
+            let producer = |t: usize| b.producer(b.terms[t], lane);
             self.open_unit();
-            let slots = buf.values.iter_mut().skip(lane).step_by(LANES);
-            for (slot, &term) in slots.zip(b.terms) {
-                let producer = b.producer(term, lane);
-                let src = at.host_of(stage, producer);
-                // zeiot-audit: allow(p1) -- producers of config-shaped blocks lie inside the producer layer
-                let wire = D::to_wire(x[producer]);
-                let got = self
-                    .rt
-                    .transport(wire, src, dst, b.stage, producer, consumer)?;
-                *slot = D::from_wire(got);
-            }
+            self.rt
+                .transport_unit(dst, srcs, wire, (b.stage, consumer), producer)?;
             self.close_unit(b.hop);
+            for (slots, &got) in values.chunks_exact_mut(LANES).zip(wire.iter()) {
+                slots[lane] = D::from_wire(got);
+            }
         }
-        if buf.offsets.len() < n {
-            let from = buf.offsets.len();
-            buf.offsets.extend((from..n).map(|t| t * LANES));
+        if offsets.len() < n {
+            let from = offsets.len();
+            offsets.extend((from..n).map(|t| t * LANES));
         }
         Some(Inputs {
-            src: &buf.values,
+            src: values,
             base: 0,
-            terms: &buf.offsets[..n],
+            terms: &offsets[..n],
             lanes: Lanes::Contiguous,
         })
     }
@@ -375,6 +400,23 @@ impl Transport for Lossy<'_, '_, '_> {
         }
         self.rt.advance_pass();
     }
+}
+
+/// Gathers lane `lane`'s source hosts into `srcs` and its wire values
+/// into `wire`, in term order; `hosts` are the producer layer's.
+fn gather<D: Domain>(
+    x: &[D::A],
+    hosts: &[NodeId],
+    b: &Block<'_>,
+    lane: usize,
+    srcs: &mut Vec<NodeId>,
+    wire: &mut Vec<f32>,
+) {
+    let producers = b.terms.iter().map(|&term| b.producer(term, lane));
+    srcs.clear();
+    srcs.extend(producers.clone().map(|p| hosts[p]));
+    wire.clear();
+    wire.extend(producers.map(|p| D::to_wire(x[p])));
 }
 
 /// A model's number domain and parameters, as the forward nest sees
@@ -839,6 +881,7 @@ pub(crate) fn backward<T: Transport>(net: &mut DistributedCnn, grad_logits: &Ten
         hidden,
         pooled,
         conv,
+        targets,
         live,
         ends,
         ..
@@ -853,13 +896,17 @@ pub(crate) fn backward<T: Transport>(net: &mut DistributedCnn, grad_logits: &Ten
     let (x, stage) = (&net.pool_out, STAGE_POOL_HIDDEN);
     dense_backward(&mut net.dense1, x, hidden, at, stage, t, pooled);
 
-    // Un-pool: each pool unit's gradient flows to its argmax conv unit.
+    // Un-pool: each pool unit's gradient flows to its argmax conv unit,
+    // which `targets` marks.
     conv.clear();
     conv.resize(net.conv_pre_relu.len(), 0.0);
+    targets.clear();
+    targets.resize(conv.len().div_ceil(64), 0);
     for (i, (&src, &g)) in net.pool_argmax.iter().zip(pooled.iter()).enumerate() {
         if g != 0.0 {
             // zeiot-audit: allow(p1) -- argmax conv units index the table the completed forward pass sized
             conv[src] += t.gradient(g, at, (STAGE_CONV_POOL, src, i));
+            targets[src / 64] |= 1 << (src % 64);
         }
     }
 
@@ -868,7 +915,7 @@ pub(crate) fn backward<T: Transport>(net: &mut DistributedCnn, grad_logits: &Ten
     // unit cached on its own node at forward time.
     net.work.tables.build(c);
     let field = &net.work.tables.field;
-    let live = live_units(c, conv, &net.conv_pre_relu, live, ends);
+    let live = live_units(c, conv, &net.conv_pre_relu, targets, live, ends);
     let (x, len) = (input.data(), field.len());
     match net.per_unit.as_mut() {
         Some(pk) => {
@@ -906,32 +953,46 @@ pub(crate) fn backward<T: Transport>(net: &mut DistributedCnn, grad_logits: &Ten
 /// The conv units whose gradient in `grad` is non-zero where the ReLU
 /// passed it (`pre > 0`), in unit order, collected into `live` without a
 /// branch per unit; `ends[o]` is where output channel `o`'s run ends.
+/// Only un-pool targets can be live, so only the units `targets` marks
+/// are visited, in ascending order, and a cursor walks the output rows to
+/// place each one.
 fn live_units<'l>(
     c: &CnnConfig,
     grad: &[f32],
     pre: &[f32],
+    targets: &[u64],
     live: &'l mut Vec<Live>,
     ends: &mut Vec<usize>,
 ) -> &'l [Live] {
     let ((oh, ow), iw) = (c.conv_dims(), c.in_width());
-    // Every unit is written before the count decides whether it stays.
+    // Every target is written before the count decides whether it stays.
     if live.len() < grad.len() {
         live.resize(grad.len(), Live::default());
     }
     ends.clear();
-    let mut units = grad.iter().zip(pre).enumerate();
-    let mut n = 0;
-    for _ in 0..c.conv_channels() {
-        for oy in 0..oh {
-            for ((unit, (&g, &pre)), ox) in units.by_ref().take(ow).zip(0..) {
-                let corner = oy * iw + ox;
-                // zeiot-audit: allow(p1) -- `n` counts live units among those before `unit`
-                live[n] = Live { g, unit, corner };
-                n += usize::from((pre > 0.0) & (g != 0.0));
+    // Unit `row` starts output row `oy` of channel `ends.len()`.
+    let (mut row, mut oy, mut n) = (0, 0, 0);
+    for (word, &bits) in targets.iter().enumerate() {
+        let mut bits = bits;
+        while bits != 0 {
+            let unit = word * 64 + bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            while unit >= row + ow {
+                row += ow;
+                oy += 1;
+                if oy == oh {
+                    oy = 0;
+                    ends.push(n);
+                }
             }
+            let corner = oy * iw + unit - row;
+            // zeiot-audit: allow(p1) -- targets are conv units, `n` counts live units among those before `unit`
+            let (g, passed) = (grad[unit], pre[unit] > 0.0);
+            live[n] = Live { g, unit, corner };
+            n += usize::from(passed & (g != 0.0));
         }
-        ends.push(n);
     }
+    ends.resize(c.conv_channels(), n);
     &live[..n]
 }
 

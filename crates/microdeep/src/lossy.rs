@@ -8,6 +8,16 @@
 //! dropped, delayed into a brownout window, retransmitted, corrupted, or
 //! substituted by a degrade policy.
 //!
+//! A forward pass sends each consumer unit's inputs as one burst
+//! ([`zeiot_fault::LinkFabric::transmit_burst`]): one [`LossyRuntime`]
+//! call per unit, which also substitutes what the burst lost. Every
+//! message keeps the sequence number, fate and counters it would have
+//! had sent alone, so bursts change host time and nothing else;
+//! [`LossyRuntime::transport`] is a burst of one. Backward gradients and
+//! re-placement handoffs go one message at a time through
+//! [`zeiot_fault::LinkFabric::transmit_over`], since they interleave
+//! with other work.
+//!
 //! Determinism contract: with [`zeiot_fault::FaultPlan::lossless`] the
 //! lossy pass is **byte-for-byte identical** to the plain pass by
 //! construction. Both run the crate's one forward and backward loop
@@ -78,6 +88,8 @@ pub struct LossyRuntime {
     last_seen: BTreeMap<(u64, u64), f32>,
     /// The model whose last values transports read and write.
     model: u64,
+    /// The entries the last burst lost, reused from burst to burst.
+    lost: Vec<usize>,
     /// Simulated time one full inference pass occupies; advanced after
     /// every sample so brownout windows move across the run.
     pass_period: SimDuration,
@@ -98,6 +110,7 @@ impl LossyRuntime {
             routes: RoutingTable::shortest_paths(topo),
             last_seen: BTreeMap::new(),
             model: 0,
+            lost: Vec::new(),
             pass_period,
         }
     }
@@ -148,18 +161,17 @@ impl LossyRuntime {
     }
 
     pub(crate) fn hops(&self, src: NodeId, dst: NodeId) -> u32 {
-        self.routes.hop_distance(src, dst).unwrap_or(1).max(1) as u32
+        hop_count(&self.routes, src, dst)
     }
 
     /// Transports one scalar over the edge `(stage, producer,
-    /// consumer)` — the per-edge fetch the distributed CNN runs on, also
-    /// public for external estimators (sensing tenants) that gather
-    /// features over the same lossy fabric. Colocated endpoints are free
-    /// (no message, no stats), matching [`crate::cost::CostModel`]'s
-    /// counting; `None` means the message was lost and the recovery
-    /// policy does not degrade. External callers should use a stage at
-    /// or above [`STAGE_SENSING`] so their last-value-hold state never
-    /// collides with the CNN's edges.
+    /// consumer)`: a burst of one. Public for external estimators
+    /// (sensing tenants) that gather features over the same lossy fabric.
+    /// Colocated endpoints are free (no message, no stats), matching
+    /// [`crate::cost::CostModel`]'s counting; `None` means the message was
+    /// lost and the recovery policy does not degrade. External callers
+    /// should use a stage at or above [`STAGE_SENSING`] so their
+    /// last-value-hold state never collides with the CNN's edges.
     pub fn transport(
         &mut self,
         value: f32,
@@ -169,23 +181,68 @@ impl LossyRuntime {
         producer: usize,
         consumer: usize,
     ) -> Option<f32> {
-        if src == dst {
-            return Some(value);
+        let mut values = [value];
+        self.transport_unit(dst, &[src], &mut values, (stage, consumer), |_| producer)?;
+        let [got] = values;
+        Some(got)
+    }
+
+    /// Transports one consumer unit's inputs in one fabric burst: entry
+    /// `i` of `values` travels from `srcs[i]` to `dst` over the edge
+    /// `(stage, producer(i), consumer)`, in entry order, and on return
+    /// holds what the consumer reads. A lost value is substituted under a
+    /// degrade policy: zero-fill writes 0, counted `degraded`;
+    /// last-value-hold writes the edge's last delivered value (0 before
+    /// the first) and remembers every delivered cross-node value, the only
+    /// policy that does. `None` means a loss aborted the unit.
+    #[inline]
+    pub(crate) fn transport_unit(
+        &mut self,
+        dst: NodeId,
+        srcs: &[NodeId],
+        values: &mut [f32],
+        (stage, consumer): (u64, usize),
+        producer: impl Fn(usize) -> usize,
+    ) -> Option<()> {
+        let Self {
+            fabric,
+            routes,
+            last_seen,
+            model,
+            lost,
+            ..
+        } = self;
+        let hops = |src| hop_count(routes, src, dst);
+        if !fabric.transmit_burst(dst, srcs, values, hops, lost) {
+            return None;
         }
-        let key = (self.model, edge_key(stage, producer, consumer));
-        let mode = self.fabric.policy().degrade_mode();
-        if let Some(got) = self.deliver(value, src, dst) {
-            if mode == Some(DegradeMode::LastValueHold) {
-                self.last_seen.insert(key, got);
-            }
-            return Some(got);
-        }
-        let substitute = match mode? {
-            DegradeMode::ZeroFill => 0.0,
-            DegradeMode::LastValueHold => self.last_seen.get(&key).copied().unwrap_or(0.0),
+        let Some(mode) = fabric.policy().degrade_mode() else {
+            return Some(());
         };
-        self.fabric.note_degraded();
-        Some(substitute)
+        match mode {
+            DegradeMode::ZeroFill => {
+                for &i in lost.iter() {
+                    if let Some(value) = values.get_mut(i) {
+                        *value = 0.0;
+                    }
+                    fabric.note_degraded();
+                }
+            }
+            DegradeMode::LastValueHold => {
+                let mut lost = lost.iter().copied().peekable();
+                let entries = srcs.iter().zip(values).enumerate();
+                for (i, (_, value)) in entries.filter(|(_, (&src, _))| src != dst) {
+                    let key = (*model, edge_key(stage, producer(i), consumer));
+                    if lost.next_if_eq(&i).is_some() {
+                        *value = last_seen.get(&key).copied().unwrap_or(0.0);
+                        fabric.note_degraded();
+                    } else {
+                        last_seen.insert(key, *value);
+                    }
+                }
+            }
+        }
+        Some(())
     }
 
     /// Transports one backward gradient contribution; losses zero-fill
@@ -194,12 +251,6 @@ impl LossyRuntime {
         if src == dst {
             return grad;
         }
-        self.deliver(grad, src, dst).unwrap_or(0.0)
-    }
-
-    /// One cross-node message: what arrives (corruption applied), or
-    /// `None` once the fabric's recovery policy has given up on it.
-    fn deliver(&mut self, value: f32, src: NodeId, dst: NodeId) -> Option<f32> {
         // Hops feed only `recovery_latency_hops`, which only a retry
         // touches.
         let hops = if self.fabric.max_attempts() > 1 {
@@ -212,12 +263,17 @@ impl LossyRuntime {
                 corrupted: true, ..
             } => {
                 let seq = self.fabric.next_seq() - 1;
-                Some(self.fabric.plan().corrupt_value(value, src, dst, seq))
+                self.fabric.plan().corrupt_value(grad, src, dst, seq)
             }
-            Delivery::Delivered { .. } => Some(value),
-            Delivery::Failed { .. } => None,
+            Delivery::Delivered { .. } => grad,
+            Delivery::Failed { .. } => 0.0,
         }
     }
+}
+
+/// Route length from `src` to `dst` in hops, at least 1.
+fn hop_count(routes: &RoutingTable, src: NodeId, dst: NodeId) -> u32 {
+    routes.hop_distance(src, dst).unwrap_or(1).max(1) as u32
 }
 
 /// Brackets one consumer unit's burst of cross-node fetches: fault

@@ -20,7 +20,9 @@
 //! [`UnitGraph::consumers`]), counts their hosts once, and scores each
 //! candidate node as Σ edges × hops over those hosts, with the same
 //! scorer the set-up placement's local search uses. No edge table is
-//! built.
+//! built. The hop counts come from shortest paths over the mesh without
+//! its dark nodes; the engine keeps them while the down-set stays the
+//! same, since stranded units re-plan poll after poll over one down-set.
 //!
 //! **State handoff is radio traffic.** A migrated conv unit needs its
 //! kernel replica on the destination node; dense units need their
@@ -217,13 +219,33 @@ pub fn plan_incremental(
     down: &[NodeId],
     budget: usize,
 ) -> (Assignment, ReplanOutcome) {
+    let routes = degraded_routes(topo, down);
+    plan_incremental_over(graph, topo, &routes, assignment, down, budget)
+}
+
+/// Routes over `topo` without the nodes in `down`: dark nodes cannot
+/// relay.
+fn degraded_routes(topo: &Topology, down: &[NodeId]) -> RoutingTable {
+    RoutingTable::shortest_paths(&topo.without_nodes(down))
+}
+
+/// [`plan_incremental`] over `routes`, which must be
+/// [`degraded_routes`]`(topo, down)`.
+///
+/// # Panics
+///
+/// Panics if every node is down.
+fn plan_incremental_over(
+    graph: &UnitGraph,
+    topo: &Topology,
+    routes: &RoutingTable,
+    assignment: &Assignment,
+    down: &[NodeId],
+    budget: usize,
+) -> (Assignment, ReplanOutcome) {
     let surviving: Vec<NodeId> = topo.node_ids().filter(|n| !down.contains(n)).collect();
     // zeiot-audit: allow(p1) -- documented `# Panics` precondition guard
     assert!(!surviving.is_empty(), "all nodes down");
-
-    // Routes over the degraded mesh (dark nodes cannot relay).
-    let degraded = topo.without_nodes(down);
-    let routes = RoutingTable::shortest_paths(&degraded);
     let cap = graph.total_units().div_ceil(surviving.len());
 
     let mut repaired = assignment.clone();
@@ -260,7 +282,7 @@ pub fn plan_incremental(
             let candidate = surviving
                 .iter()
                 .filter(|n| load[n.index()] < cap)
-                .min_by_key(|n| (edges.cost(&routes, **n), n.raw()))
+                .min_by_key(|n| (edges.cost(routes, **n), n.raw()))
                 .copied();
             match candidate {
                 Some(to) => {
@@ -309,10 +331,11 @@ pub fn plan_full_resolve(
     assignment: &Assignment,
     down: &[NodeId],
 ) -> (Assignment, ReplanOutcome) {
-    let (mut repaired, outcome) = plan_incremental(graph, topo, assignment, down, usize::MAX);
-    let surviving = topo.node_ids().filter(|n| !down.contains(n)).count();
     let degraded = topo.without_nodes(down);
     let routes = RoutingTable::shortest_paths(&degraded);
+    let (mut repaired, outcome) =
+        plan_incremental_over(graph, topo, &routes, assignment, down, usize::MAX);
+    let surviving = topo.node_ids().filter(|n| !down.contains(n)).count();
     let cap = graph.total_units().div_ceil(surviving);
     improve(&mut repaired, graph, &degraded, &routes, cap, down);
 
@@ -474,6 +497,10 @@ pub struct ReplacementEngine {
     /// instead of abandoning it.
     pending: bool,
     stats: ReplaceStats,
+    /// The last incremental epoch's down-set and its degraded routes,
+    /// kept while the down-set stays the same: stranded units re-plan
+    /// epoch after epoch over one dark set.
+    routes: Option<(Vec<NodeId>, RoutingTable)>,
 }
 
 impl ReplacementEngine {
@@ -486,6 +513,7 @@ impl ReplacementEngine {
             last_down: Vec::new(),
             pending: false,
             stats: ReplaceStats::default(),
+            routes: None,
         }
     }
 
@@ -543,14 +571,16 @@ impl ReplacementEngine {
         let graph = net.config.unit_graph().expect("validated config");
         let outcome = match self.config.strategy {
             ReplaceStrategy::Incremental => {
-                plan_incremental(
-                    &graph,
-                    &self.topo,
-                    &net.assignment,
-                    &down,
-                    self.config.migration_budget,
-                )
-                .1
+                let routes = match &mut self.routes {
+                    Some((dark, routes)) if *dark == down => routes,
+                    kept => {
+                        &kept
+                            .insert((down.clone(), degraded_routes(&self.topo, &down)))
+                            .1
+                    }
+                };
+                let budget = self.config.migration_budget;
+                plan_incremental_over(&graph, &self.topo, routes, &net.assignment, &down, budget).1
             }
             ReplaceStrategy::FullResolve => {
                 plan_full_resolve(&graph, &self.topo, &net.assignment, &down).1

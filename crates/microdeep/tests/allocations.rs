@@ -1,17 +1,21 @@
-//! Heap allocations of one training sample's passes, counted exactly.
+//! Heap allocations of one sample's passes, counted exactly.
 //!
 //! A counting global allocator forwards every call to the system
 //! allocator and counts, per thread, each allocation and reallocation.
 //! On the lounge CNN over the 10×5 grid, after one warm-up sample, a
 //! forward plus backward allocates only the logits tensor it returns;
 //! the replica modes' forward adds its one node-indexed kernel table;
-//! and the gradient update allocates nothing. One test, alone in its
-//! binary, so no other test's allocations interleave.
+//! and the gradient update allocates nothing. A lossy forward allocates
+//! what a perfect one does, so its per-unit bursts allocate nothing.
+//! The counts are per thread, and each test runs on its own, so no other
+//! test's allocations interleave.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use zeiot_core::rng::SeedRng;
-use zeiot_microdeep::{Assignment, CnnConfig, DistributedCnn, WeightUpdate};
+use zeiot_core::time::{SimDuration, SimTime};
+use zeiot_fault::{DegradeMode, FaultPlan, RecoveryPolicy};
+use zeiot_microdeep::{Assignment, CnnConfig, DistributedCnn, LossyRuntime, WeightUpdate};
 use zeiot_net::Topology;
 use zeiot_nn::loss::cross_entropy;
 use zeiot_nn::tensor::Tensor;
@@ -67,17 +71,24 @@ fn allocations<T>(f: impl FnOnce() -> T) -> (usize, T) {
     (ALLOCATIONS.with(Cell::get) - before, out)
 }
 
-#[test]
-fn training_passes_allocate_only_the_returned_logits() {
+/// The lounge CNN, its grid, the balanced placement, a generator and
+/// `n` uniform input samples.
+fn lounge(n: usize) -> (CnnConfig, Topology, Assignment, SeedRng, Vec<Tensor>) {
     let config = CnnConfig::new(1, 17, 25, 4, 4, 2, 32, 2).expect("the lounge CNN is valid");
     let topo = Topology::grid(10, 5, 5.0, 7.6).expect("the lounge grid is valid");
     let graph = config.unit_graph().expect("the lounge CNN is valid");
     let assignment = Assignment::balanced_correspondence(&graph, &topo);
     let mut rng = SeedRng::new(42);
     let shape = vec![1, 17, 25];
-    let samples: Vec<Tensor> = (0..2)
+    let samples: Vec<Tensor> = (0..n)
         .map(|_| Tensor::uniform(shape.clone(), 1.0, &mut rng))
         .collect();
+    (config, topo, assignment, rng, samples)
+}
+
+#[test]
+fn training_passes_allocate_only_the_returned_logits() {
+    let (config, _, assignment, mut rng, samples) = lounge(2);
 
     for update in [
         WeightUpdate::PerUnit,
@@ -101,5 +112,45 @@ fn training_passes_allocate_only_the_returned_logits() {
             assert_eq!(forward, 3, "{update:?}: {counts:?}");
         }
         assert_eq!(apply, 0, "{update:?}: {counts:?}");
+    }
+}
+
+#[test]
+fn lossy_forwards_allocate_what_perfect_forwards_do() {
+    let (config, topo, assignment, mut rng, samples) = lounge(4);
+    // 5% loss, zero-filled, and the host of hidden unit 0 dark from the
+    // second sample on: the samples after the warm-up lose whole bursts.
+    let dark = assignment.host_of(3, 0);
+    let plan = FaultPlan::uniform(42, 0.05)
+        .and_then(|plan| plan.with_outage(dark, SimTime::from_millis(500), SimTime::from_secs(60)))
+        .expect("the plan is valid");
+    let policy = RecoveryPolicy::Degrade {
+        mode: DegradeMode::ZeroFill,
+    };
+    for update in [WeightUpdate::PerUnit, WeightUpdate::Independent] {
+        let mut net = DistributedCnn::new(config, assignment.clone(), update, &mut rng);
+        let period = SimDuration::from_millis(500);
+        let mut rt = LossyRuntime::new(plan.clone(), policy, &topo, period);
+        let mut counts = Vec::new();
+        for x in &samples {
+            let (forward, logits) = allocations(|| net.forward_lossy(x, &mut rt));
+            assert!(logits.is_some(), "zero-fill never aborts");
+            rt.advance_pass();
+            counts.push(forward);
+        }
+        assert!(
+            rt.stats().degraded > 0,
+            "{update:?}: the fabric lost messages"
+        );
+        // The first sample is the warm-up: it sizes the buffers.
+        let expected = if update == WeightUpdate::PerUnit {
+            2
+        } else {
+            3
+        };
+        assert!(
+            counts[1..].iter().all(|&n| n == expected),
+            "{update:?}: {counts:?}"
+        );
     }
 }

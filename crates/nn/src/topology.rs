@@ -113,6 +113,22 @@ impl LayerSpec {
         }
     }
 
+    /// Checks that a conv kernel or pooling window is at least 1 and no
+    /// larger than its input, the geometry every other method assumes.
+    fn check_window(&self) -> zeiot_core::Result<()> {
+        let (LayerSpec::Conv2d { kernel, .. } | LayerSpec::Pool2d { kernel, .. }) = *self else {
+            return Ok(());
+        };
+        let (h, w) = self.in_dims();
+        if kernel == 0 || kernel > h || kernel > w {
+            return Err(zeiot_core::error::ConfigError::new(
+                "specs",
+                format!("window {kernel} must be at least 1 and fit its {h}×{w} input"),
+            ));
+        }
+        Ok(())
+    }
+
     /// Normalized `(x, y)` position in `[0, 1]²` of output element
     /// `out_index`, when the layer is spatial (conv/pool); `None` for
     /// dense layers. MicroDeep's grid-projection assignment places
@@ -282,7 +298,8 @@ impl UnitGraph {
     ///
     /// # Errors
     ///
-    /// Returns an error if the spec list is empty, or a layer expects a
+    /// Returns an error if the spec list is empty, a conv kernel or
+    /// pooling window is 0 or larger than its input, or a layer expects a
     /// different element count than the layer before it produces.
     pub fn from_specs(specs: &[LayerSpec]) -> zeiot_core::Result<Self> {
         use zeiot_core::error::ConfigError;
@@ -292,6 +309,7 @@ impl UnitGraph {
         let mut receives = first.input_len();
         let mut layer_sizes = vec![receives];
         for spec in specs {
+            spec.check_window()?;
             if spec.input_len() != receives {
                 return Err(ConfigError::new(
                     "specs",
@@ -567,6 +585,32 @@ mod tests {
         ];
         assert!(UnitGraph::from_specs(&bad).is_err());
         assert!(UnitGraph::from_specs(&[]).is_err());
+    }
+
+    #[test]
+    fn unit_graph_rejects_empty_and_oversized_windows() {
+        let conv = |kernel| LayerSpec::Conv2d {
+            in_channels: 1,
+            in_height: 4,
+            in_width: 6,
+            out_channels: 2,
+            kernel,
+        };
+        let pool = |kernel| LayerSpec::Pool2d {
+            channels: 2,
+            in_height: 4,
+            in_width: 6,
+            kernel,
+        };
+        for bad in [conv(0), conv(5), pool(0), pool(5)] {
+            assert!(
+                UnitGraph::from_specs(std::slice::from_ref(&bad)).is_err(),
+                "{bad:?}"
+            );
+        }
+        // A window as large as its input's shorter side is fine.
+        assert!(UnitGraph::from_specs(&[conv(4)]).is_ok());
+        assert!(UnitGraph::from_specs(&[pool(4)]).is_ok());
     }
 
     #[test]
