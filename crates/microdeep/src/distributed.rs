@@ -31,7 +31,6 @@ use crate::assignment::Assignment;
 use crate::config::CnnConfig;
 use crate::exec::{self, Domain, Grads, Perfect, Transport, Workspace};
 use serde::{de_field, Deserialize, Serialize, Value};
-use std::borrow::Cow;
 use std::collections::BTreeMap;
 use zeiot_core::id::NodeId;
 use zeiot_core::rng::SeedRng;
@@ -142,7 +141,7 @@ pub struct DistributedCnn {
     // Buffers the passes reuse, never serialized: `to_json` stays the
     // model's alone.
     #[serde(skip)]
-    pub(crate) work: Workspace<f32, f32>,
+    pub(crate) work: Workspace<f32, f32, f32>,
     #[serde(skip)]
     pub(crate) grads: Grads,
 }
@@ -402,6 +401,9 @@ impl DistributedCnn {
 
     /// Applies accumulated gradients according to the update mode.
     pub fn apply_gradients(&mut self, lr: f32) {
+        // Every mode changes weights the forward reads: the next forward
+        // repacks them.
+        self.work.invalidate_pack();
         if let Some(pk) = &mut self.per_unit {
             // Locally-connected: each unit's gradient is complete for its
             // own kernel, but carries ~1/positions of the gradient mass a
@@ -587,13 +589,13 @@ impl Domain for DistributedCnn {
         }
     }
 
-    fn work(&mut self) -> &mut Workspace<f32, f32> {
+    fn work(&mut self) -> &mut Workspace<f32, f32, f32> {
         &mut self.work
     }
 
-    fn admit<'a>(&mut self, input: &'a Tensor) -> Cow<'a, [f32]> {
+    fn admit<'a>(&mut self, input: &'a Tensor, _: &'a mut Vec<f32>) -> &'a [f32] {
         exec::check_input(&self.config, input);
-        Cow::Borrowed(input.data())
+        input.data()
     }
 
     fn zero() -> f32 {

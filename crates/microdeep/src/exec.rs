@@ -41,11 +41,19 @@
 //! **Buffers.** The tables a model's config fixes (receptive field, pool
 //! window, dense term list) are built on its first pass, and every
 //! stage writes into buffers the model keeps from pass to pass
-//! ([`Workspace`], [`Grads`]); they are never serialized. So after its
-//! first sample an f32 forward and backward over [`Perfect`] allocate
-//! only the logits they return, plus, in the replica modes, one
-//! node-indexed kernel table per pass: re-placement moves units between
-//! replicas, so that table is not kept. A forward over [`Lossy`]
+//! ([`Workspace`], [`Grads`]); they are never serialized. The forward
+//! reads its weights from the workspace's [`Packed`] table, each block's
+//! kernels laid out lane-major so that one term's lane weights are one
+//! contiguous row. The first forward after a parameter change builds it:
+//! a model starts without one, `apply_gradients` marks it stale, and
+//! `QuantizedCnn::new` frees the one its calibration built. A
+//! re-placement does not repack: it re-points each migrated conv unit's
+//! lane at its new host's replica ([`Workspace::repoint`]). So after its
+//! first sample an f32 or i8 forward over [`Perfect`] allocates only the
+//! logits it returns, plus, on a repack in the replica modes, the
+//! node-indexed replica table the pack is built from; in those modes
+//! the backward allocates its own node-indexed table of the replicas'
+//! gradients once per pass. A forward over [`Lossy`]
 //! allocates the same: each unit's burst is gathered into the block
 //! buffer's [`Scratch`].
 
@@ -56,7 +64,6 @@ use crate::lossy::{
     HopProbe, LossyRuntime, STAGE_CONV_POOL, STAGE_HIDDEN_LOGIT, STAGE_INPUT_CONV,
     STAGE_POOL_HIDDEN,
 };
-use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::ops::Add;
 use zeiot_core::id::NodeId;
@@ -201,12 +208,20 @@ impl Tables {
     }
 }
 
-/// What a model's forward passes reuse: its [`Tables`], the lossy block
-/// buffer, and each stage's output. A pass overwrites every buffer
-/// before it reads it, so none carries state from one pass to the next.
+/// What a model's forward passes reuse: its [`Tables`], its [`Packed`]
+/// weights, the admitted input, the lossy block buffer, and each stage's
+/// output. A pass overwrites every buffer but the packed weights before
+/// it reads it, so none carries state from one pass to the next; the
+/// packed weights are a copy of the model's parameters, kept current as
+/// [`Packed`] says.
+///
+/// A clone carries the packed weights: they are a function of the
+/// parameters and the placement, which the clone copies too.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct Workspace<A, Acc> {
+pub(crate) struct Workspace<W, A, Acc> {
     tables: Tables,
+    packed: Packed<W, Acc>,
+    input: Vec<A>,
     block: Scratch<A>,
     conv: Vec<Acc>,
     conv_relu: Vec<A>,
@@ -215,6 +230,150 @@ pub(crate) struct Workspace<A, Acc> {
     hidden: Vec<Acc>,
     hidden_relu: Vec<A>,
     logits: Vec<Acc>,
+}
+
+impl<W: Copy, A, Acc: Copy> Workspace<W, A, Acc> {
+    /// Marks the packed weights stale after the parameters changed: the
+    /// next forward repacks them into the same storage.
+    pub(crate) fn invalidate_pack(&mut self) {
+        let Packed { conv, bias, dense } = &mut self.packed;
+        conv.clear();
+        bias.clear();
+        dense.iter_mut().for_each(Vec::clear);
+    }
+
+    /// Frees the packed weights; the next forward, if any, packs anew.
+    pub(crate) fn release_pack(&mut self) {
+        self.packed = Packed::default();
+    }
+
+    /// Points conv unit `unit`'s lane at its output channel's kernel and
+    /// bias in `rep`, the replica of the unit's new host: a migration
+    /// changes no parameter, only which replica the unit reads. Stale
+    /// packed weights are left to the next forward, which packs the new
+    /// placement.
+    pub(crate) fn repoint<R: Layout<W = W, B = Acc>>(
+        &mut self,
+        c: &CnnConfig,
+        unit: usize,
+        rep: &R,
+    ) {
+        let Packed { conv, bias, .. } = &mut self.packed;
+        let ((oh, ow), n) = (c.conv_dims(), c.in_channels() * c.kernel() * c.kernel());
+        // Unit `unit` is at `ox` of output row `row` (channel-major).
+        let (channel, row, ox) = (unit / (oh * ow), unit / ow, unit % ow);
+        let (block, lane) = (row * ow.div_ceil(LANES) + ox / LANES, ox % LANES);
+        let kernel = rep.weights().chunks_exact(n).nth(channel).unwrap_or(&[]);
+        for (terms, &w) in conv.iter_mut().skip(block * n).zip(kernel) {
+            if let Some(slot) = terms.get_mut(lane) {
+                *slot = w;
+            }
+        }
+        let slot = bias.get_mut(block).and_then(|b| b.get_mut(lane));
+        if let (Some(slot), Some(&b)) = (slot, rep.bias().get(channel)) {
+            *slot = b;
+        }
+    }
+}
+
+/// Every forward block's weights, lane-major: a block's row `t` holds
+/// its lanes' term `t`, lane `j` at `j`, so the forward reads one
+/// contiguous row per term. Lanes past a block's width repeat its last
+/// unit; their results are dropped. Empty when stale; the first forward
+/// after that packs the model's parameters (`Packed::build`).
+///
+/// The paths that change what a model's forward reads keep it current:
+/// - `DistributedCnn::apply_gradients`, in every mode, marks it stale
+///   ([`Workspace::invalidate_pack`]);
+/// - `replace::apply_one` and `QuantizedCnn::resync_placement` re-point
+///   the lane of each conv unit that moved to another replica
+///   ([`Workspace::repoint`]); per-unit kernels travel with their units,
+///   and dense and pool units read no per-host weights, so no other
+///   migration changes it;
+/// - a constructed or deserialized model starts without one, and
+///   `QuantizedCnn::new` frees the one its calibration forwards built
+///   ([`Workspace::release_pack`]).
+#[derive(Debug, Clone)]
+pub(crate) struct Packed<W, B> {
+    /// Conv blocks in forward order (channel, output row, block), one row
+    /// per kernel term.
+    conv: Vec<[W; LANES]>,
+    /// Each conv block's lane biases, where its lanes start.
+    bias: Vec<[B; LANES]>,
+    /// Dense-1's and dense-2's blocks, one row per input; a dense lane
+    /// adds its bias last, from the model's own table.
+    dense: [Vec<[W; LANES]>; 2],
+}
+
+impl<W, B> Default for Packed<W, B> {
+    fn default() -> Self {
+        let (conv, bias, dense) = (Vec::new(), Vec::new(), [Vec::new(), Vec::new()]);
+        Self { conv, bias, dense }
+    }
+}
+
+impl<W: Copy + Default, B: Copy> Packed<W, B> {
+    /// Packs `p`'s parameters unless the table is current; a conv kernel
+    /// has `n` terms. Reserves exact capacity, so a repack reuses the
+    /// first pack's storage.
+    fn build<D: Domain<W = W, Acc = B>>(&mut self, p: &Parts<'_, D::Replica, D::Table>, n: usize) {
+        if !self.conv.is_empty() {
+            return;
+        }
+        let c = p.config;
+        let (channels, (oh, ow)) = (c.conv_channels(), c.conv_dims());
+        let blocks_of = |units: usize| units.div_ceil(LANES);
+        let conv_blocks = channels * oh * blocks_of(ow);
+        self.conv.reserve_exact(conv_blocks * n);
+        self.bias.reserve_exact(conv_blocks);
+        let kernels = Kernels::new(p, n, D::zero());
+        let empty: &[W] = &[];
+        let (mut w, mut bias) = ([empty; LANES], [D::zero(); LANES]);
+        for channel in 0..channels {
+            for oy in 0..oh {
+                for (ox, lanes) in blocks(ow) {
+                    let first = (channel * oh + oy) * ow + ox;
+                    kernels.fill(channel, first, lanes, &mut w, &mut bias);
+                    transpose(&w, n, &mut self.conv);
+                    self.bias.push(bias);
+                }
+            }
+        }
+        let inputs = [c.feature_len(), c.hidden()];
+        for ((table, n), rows) in p.dense.into_iter().zip(inputs).zip(&mut self.dense) {
+            let (weights, units) = (table.weights(), table.bias().len());
+            rows.reserve_exact(blocks_of(units) * n);
+            for (first, lanes) in blocks(units) {
+                // Lanes past `lanes` repeat the last unit's row.
+                let mut unit_rows = weights.chunks_exact(n).skip(first).take(lanes);
+                let mut last = empty;
+                for row in &mut w {
+                    last = unit_rows.next().unwrap_or(last);
+                    *row = last;
+                }
+                transpose(&w, n, rows);
+            }
+        }
+    }
+
+    /// Conv blocks in forward order: each one's `n` rows and its biases.
+    fn conv(&self, n: usize) -> impl Iterator<Item = (&[[W; LANES]], &[B; LANES])> {
+        self.conv.chunks_exact(n).zip(&self.bias)
+    }
+}
+
+/// Appends the `n` rows of a block whose lane `j` reads `kernels[j]`:
+/// row `t` is every lane's term `t`. Written a lane at a time, so each
+/// kernel is read in order.
+fn transpose<W: Copy + Default>(kernels: &[&[W]; LANES], n: usize, rows: &mut Vec<[W; LANES]>) {
+    let start = rows.len();
+    rows.resize(start + n, [W::default(); LANES]);
+    for (j, kernel) in kernels.iter().enumerate() {
+        for (row, &w) in rows.iter_mut().skip(start).zip(*kernel) {
+            // zeiot-audit: allow(p1) -- `j` enumerates the block's LANES kernels
+            row[j] = w;
+        }
+    }
 }
 
 /// What the backward pass and the synchronized update reuse, overwritten
@@ -426,7 +585,7 @@ fn gather<D: Domain>(
 pub(crate) trait Domain {
     /// Weight, activation and accumulator elements; biases live in the
     /// accumulator domain.
-    type W: Copy;
+    type W: Copy + Default;
     type A: Copy + PartialOrd + Default;
     type Acc: Copy + Add<Output = Self::Acc> + Default;
     /// A conv replica's table, and the per-unit and dense tables.
@@ -444,9 +603,10 @@ pub(crate) trait Domain {
     /// The placement and parameter tables.
     fn parts(&self) -> Parts<'_, Self::Replica, Self::Table>;
     /// The buffers this model's passes reuse.
-    fn work(&mut self) -> &mut Workspace<Self::A, Self::Acc>;
-    /// Checks the input's shape and converts it to activations.
-    fn admit<'a>(&mut self, input: &'a Tensor) -> Cow<'a, [Self::A]>;
+    fn work(&mut self) -> &mut Workspace<Self::W, Self::A, Self::Acc>;
+    /// Checks the input's shape and converts it to activations, in `buf`
+    /// when they are not the input's own values.
+    fn admit<'a>(&mut self, input: &'a Tensor, buf: &'a mut Vec<Self::A>) -> &'a [Self::A];
     /// Where a dense unit's sum starts: the identity `Iterator::sum`
     /// folds from.
     fn zero() -> Self::Acc;
@@ -493,7 +653,7 @@ fn node_slots<R>(replicas: &BTreeMap<NodeId, R>) -> usize {
         .map_or(0, |node| node.index() + 1)
 }
 
-/// Every conv unit's kernel and bias, for one pass: the unit's own, or
+/// Every conv unit's kernel and bias, for one pack: the unit's own, or
 /// its host replica's through one node-indexed table per output channel,
 /// all channels in one allocation.
 enum Kernels<'a, W, B> {
@@ -614,13 +774,12 @@ fn stages<D: Domain, T: Transport>(
     m: &mut D,
     input: &Tensor,
     t: &mut T,
-    w: &mut Workspace<D::A, D::Acc>,
+    w: &mut Workspace<D::W, D::A, D::Acc>,
 ) -> Option<Tensor> {
-    let admitted = m.admit(input);
-    let x: &[D::A] = &admitted;
-    w.tables.build(m.parts().config);
     let Workspace {
         tables,
+        packed,
+        input: admitted,
         block,
         conv: acc,
         conv_relu,
@@ -630,7 +789,10 @@ fn stages<D: Domain, T: Transport>(
         hidden_relu,
         logits,
     } = w;
-    conv::<D, T>(&m.parts(), x, &tables.field, t, block, acc)?;
+    let x = m.admit(input, admitted);
+    tables.build(m.parts().config);
+    packed.build::<D>(&m.parts(), tables.field.len());
+    conv::<D, T>(&m.parts(), x, &tables.field, packed, t, block, acc)?;
     m.activate(1, acc, conv_relu);
     pool::<D, T>(
         &m.parts(),
@@ -642,17 +804,19 @@ fn stages<D: Domain, T: Transport>(
         argmax,
     )?;
     m.pool_done(pooled, argmax);
-    dense::<D, T>(&m.parts(), 0, pooled, &tables.terms, t, block, hidden)?;
+    let terms = &tables.terms;
+    dense::<D, T>(&m.parts(), 0, pooled, terms, packed, t, block, hidden)?;
     m.activate(3, hidden, hidden_relu);
-    dense::<D, T>(&m.parts(), 1, hidden_relu, &tables.terms, t, block, logits)?;
+    dense::<D, T>(&m.parts(), 1, hidden_relu, terms, packed, t, block, logits)?;
     Some(m.finish(input, logits))
 }
 
-/// Folds every term into every lane, in term order: lane `j` becomes
-/// `mac(… mac(acc[j], w[j][0], v(0, j)) …, w[j][n−1], v(n−1, j))`.
+/// Folds every term into every lane, in term order, from the block's
+/// packed rows: lane `j` becomes `mac(… mac(acc[j], w[0][j], v(0, j)) …,
+/// w[n−1][j], v(n−1, j))`.
 fn accumulate<D: Domain>(
     acc: [D::Acc; LANES],
-    w: &[&[D::W]; LANES],
+    w: &[[D::W; LANES]],
     v: &Inputs<'_, D::A>,
 ) -> [D::Acc; LANES] {
     match v.lanes {
@@ -666,21 +830,15 @@ fn accumulate<D: Domain>(
 #[inline(always)]
 fn fold<D: Domain, R: Read<D::A>>(
     acc: [D::Acc; LANES],
-    w: &[&[D::W]; LANES],
+    w: &[[D::W; LANES]],
     v: &Inputs<'_, D::A>,
     lanes: R,
 ) -> [D::Acc; LANES] {
     let mut acc = acc;
-    let n = v.terms.len();
-    let mut w = *w;
-    for w in &mut w {
-        // zeiot-audit: allow(p1) -- weight rows hold one entry per term
-        *w = &w[..n];
-    }
-    for (t, &term) in v.terms.iter().enumerate() {
+    for (row, &term) in w.iter().zip(v.terms) {
         let xs = lanes.read(v.src, v.base + term);
-        for ((a, w), x) in acc.iter_mut().zip(w).zip(xs) {
-            *a = D::mac(*a, w[t], x);
+        for ((a, &w), x) in acc.iter_mut().zip(row).zip(xs) {
+            *a = D::mac(*a, w, x);
         }
     }
     acc
@@ -688,11 +846,12 @@ fn fold<D: Domain, R: Read<D::A>>(
 
 /// Convolution into `out`: each conv unit pulls its receptive field
 /// `field` from the sensors hosting the input units. Blocks run along
-/// output rows.
+/// output rows, each reading its packed kernels.
 fn conv<D: Domain, T: Transport>(
     p: &Parts<'_, D::Replica, D::Table>,
     x: &[D::A],
     field: &[usize],
+    packed: &Packed<D::W, D::Acc>,
     t: &mut T,
     buf: &mut Scratch<D::A>,
     out: &mut Vec<D::Acc>,
@@ -701,11 +860,10 @@ fn conv<D: Domain, T: Transport>(
     let ((oh, ow), iw) = (c.conv_dims(), c.in_width());
     let [hop, ..] = D::HOPS;
     out.clear();
-    let kernels = Kernels::new(p, field.len(), D::zero());
-    let (mut w, mut bias) = ([&[][..]; LANES], [D::zero(); LANES]);
+    let mut kernels = packed.conv(field.len());
     for channel in 0..c.conv_channels() {
         for oy in 0..oh {
-            for (ox, lanes) in blocks(ow) {
+            for ((ox, lanes), (w, &bias)) in blocks(ow).zip(&mut kernels) {
                 let first = (channel * oh + oy) * ow + ox;
                 let b = Block {
                     stage: STAGE_INPUT_CONV,
@@ -717,8 +875,7 @@ fn conv<D: Domain, T: Transport>(
                     hop,
                 };
                 let v = t.deliver::<D>(x, b, p.assignment, buf)?;
-                kernels.fill(channel, first, lanes, &mut w, &mut bias);
-                out.extend(accumulate::<D>(bias, &w, &v).into_iter().take(lanes));
+                out.extend(accumulate::<D>(bias, w, &v).into_iter().take(lanes));
             }
         }
     }
@@ -798,28 +955,31 @@ fn pool<D: Domain, T: Transport>(
 
 /// Dense layer `layer` (0: hidden, 1: logits) over the previous layer's
 /// activations `x`, into `out`; every unit pulls the whole of `x`, its
-/// terms the first `x.len()` of `terms`.
+/// terms the first `x.len()` of `terms`, its block's weights the layer's
+/// packed rows.
+#[allow(clippy::too_many_arguments)]
 fn dense<D: Domain, T: Transport>(
     p: &Parts<'_, D::Replica, D::Table>,
     layer: usize,
     x: &[D::A],
     terms: &[usize],
+    packed: &Packed<D::W, D::Acc>,
     t: &mut T,
     buf: &mut Scratch<D::A>,
     out: &mut Vec<D::Acc>,
 ) -> Option<()> {
     let ([hidden, logits], [.., hop_hidden, hop_logit]) = (p.dense, D::HOPS);
-    let (table, hop) = if layer == 0 {
-        (hidden, hop_hidden)
+    let [rows_hidden, rows_logits] = &packed.dense;
+    let (table, rows, hop) = if layer == 0 {
+        (hidden, rows_hidden, hop_hidden)
     } else {
-        (logits, hop_logit)
+        (logits, rows_logits, hop_logit)
     };
-    let (weights, bias) = (table.weights(), table.bias());
+    let bias = table.bias();
     let n = x.len();
     let terms = &terms[..n];
-    let empty: &[D::W] = &[];
     out.clear();
-    for (first, lanes) in blocks(bias.len()) {
+    for ((first, lanes), w) in blocks(bias.len()).zip(rows.chunks_exact(n)) {
         let b = Block {
             stage: STAGE_POOL_HIDDEN + layer as u64,
             first,
@@ -830,14 +990,7 @@ fn dense<D: Domain, T: Transport>(
             hop,
         };
         let v = t.deliver::<D>(x, b, p.assignment, buf)?;
-        // Lanes past `lanes` repeat the last unit's row.
-        let mut units = weights.chunks_exact(n).skip(first).take(lanes);
-        let (mut rows, mut last) = ([empty; LANES], empty);
-        for row in &mut rows {
-            last = units.next().unwrap_or(last);
-            *row = last;
-        }
-        let acc = accumulate::<D>([D::zero(); LANES], &rows, &v);
+        let acc = accumulate::<D>([D::zero(); LANES], w, &v);
         let biased = acc.into_iter().zip(bias.iter().skip(first).take(lanes));
         out.extend(biased.map(|(acc, &bias)| bias + acc));
     }
@@ -1182,8 +1335,8 @@ mod reference {
 
     /// The unit-at-a-time forward pass.
     fn forward<D: Dot, T: Fetch>(m: &mut D, input: &Tensor, t: &mut T) -> Option<Tensor> {
-        let admitted = m.admit(input);
-        let x: &[D::A] = &admitted;
+        let mut admitted = Vec::new();
+        let x = m.admit(input, &mut admitted);
         let c = *m.parts().config;
         let ((oh, ow), (ph, pw)) = (c.conv_dims(), c.pool_dims());
         let (oc, p, iw) = (c.conv_channels(), c.pool(), c.in_width());
@@ -1329,11 +1482,13 @@ mod reference {
     }
 
     /// The update as it was: a synchronized model sums its replicas'
-    /// gradients into fresh tensors; the other modes are unchanged.
+    /// gradients into fresh tensors; the other modes are unchanged. Its
+    /// writes mark the packed weights stale, as the model's own do.
     fn apply_gradients(net: &mut DistributedCnn, lr: f32) {
         if net.update != WeightUpdate::Synchronized {
             return net.apply_gradients(lr);
         }
+        net.work.invalidate_pack();
         let (oc, ic, k) = (
             net.config.conv_channels(),
             net.config.in_channels(),
@@ -1395,6 +1550,7 @@ mod reference {
     mod proptests {
         use super::*;
         use crate::lossy::LossyRuntime;
+        use crate::replace::{apply_offline, Migration, ReplaceConfig, ReplacementEngine};
         use crate::{CnnConfig, QuantStats};
         use proptest::prelude::*;
         use zeiot_core::id::NodeId;
@@ -1423,8 +1579,9 @@ mod reference {
 
         /// Gives every replica, per-unit kernel and dense table its own
         /// values, biases included, so lanes of one block run different
-        /// kernels.
+        /// kernels, and marks the packed weights stale.
         fn randomize(net: &mut DistributedCnn, rng: &mut SeedRng) {
+            net.work.invalidate_pack();
             for rep in net.replicas.values_mut() {
                 fill(&mut rep.weights, rng);
                 fill(&mut rep.bias, rng);
@@ -1661,6 +1818,138 @@ mod reference {
             replicas.chain(params).collect()
         }
 
+        /// What one step of the stale-pack case changes.
+        #[derive(Debug, Clone, Copy)]
+        enum Change {
+            /// Two training samples, then the model's update or the
+            /// reference's.
+            Train { reference: bool },
+            /// A conv unit to a node without a replica, or to another
+            /// node with one.
+            Conv { to_replica: bool },
+            /// Every conv unit of one host to other nodes: the host loses
+            /// its last unit and its replica.
+            EmptyHost,
+            /// A pool, hidden or logit unit to another node.
+            Stateless,
+            /// A `ReplacementEngine` poll over a fabric whose outage
+            /// darkens a conv host from the first poll until the third.
+            Poll,
+        }
+
+        const CHANGES: [Change; 10] = [
+            Change::Train { reference: false },
+            Change::Train { reference: true },
+            Change::Conv { to_replica: false },
+            Change::Conv { to_replica: true },
+            Change::EmptyHost,
+            Change::Stateless,
+            Change::Poll,
+            Change::Poll,
+            Change::Poll,
+            Change::Train { reference: false },
+        ];
+
+        /// Moves unit `unit` of layer `layer` to `to` through
+        /// `apply_offline`; a move onto its own host is skipped.
+        fn migrate(net: &mut DistributedCnn, layer: usize, unit: usize, to: NodeId) {
+            let from = net.assignment().host_of(layer, unit);
+            if from != to {
+                let graph = net.config().unit_graph().expect("valid graph");
+                let m = Migration {
+                    layer,
+                    unit,
+                    from,
+                    to,
+                };
+                apply_offline(net, &graph, &[m], &[]);
+            }
+        }
+
+        /// A node of `topo` other than `not`, drawn from `rng`.
+        fn other(topo: &Topology, not: NodeId, rng: &mut SeedRng) -> NodeId {
+            let nodes: Vec<NodeId> = topo.node_ids().filter(|&n| n != not).collect();
+            *rng.choose(&nodes).expect("at least two nodes")
+        }
+
+        /// Applies `change` to `net`, drawing its units and nodes from
+        /// `rng`; `fabric` is the poll's runtime and engine, built on
+        /// the first poll.
+        fn apply(
+            change: Change,
+            net: &mut DistributedCnn,
+            examples: &[(Tensor, usize)],
+            topo: &Topology,
+            fabric: &mut Option<(LossyRuntime, ReplacementEngine)>,
+            rng: &mut SeedRng,
+        ) {
+            let conv_units = net.conv_unit_host.len();
+            match change {
+                Change::Train { reference } => {
+                    for example in examples.iter().take(2) {
+                        step(net, example, &mut Perfect, true);
+                    }
+                    if reference {
+                        apply_gradients(net, 0.05);
+                    } else {
+                        net.apply_gradients(0.05);
+                    }
+                }
+                Change::Conv { to_replica } => {
+                    let unit = rng.below(conv_units);
+                    let from = net.conv_unit_host[unit];
+                    let nodes: Vec<NodeId> = topo
+                        .node_ids()
+                        .filter(|n| *n != from && net.replicas.contains_key(n) == to_replica)
+                        .collect();
+                    let to = match rng.choose(&nodes) {
+                        Some(&to) => to,
+                        None => other(topo, from, rng),
+                    };
+                    migrate(net, 1, unit, to);
+                }
+                Change::EmptyHost => {
+                    let hosts: Vec<NodeId> = net.replicas.keys().copied().collect();
+                    let host = *rng.choose(&hosts).expect("a conv host");
+                    for unit in 0..conv_units {
+                        if net.conv_unit_host[unit] == host {
+                            let to = other(topo, host, rng);
+                            migrate(net, 1, unit, to);
+                        }
+                    }
+                    assert!(
+                        !net.replicas.contains_key(&host),
+                        "{host:?} kept its replica"
+                    );
+                }
+                Change::Stateless => {
+                    let layer = 2 + rng.below(3);
+                    let unit = rng.below(net.assignment().layer_sizes()[layer - 1]);
+                    let to = other(topo, net.assignment().host_of(layer, unit), rng);
+                    migrate(net, layer, unit, to);
+                }
+                Change::Poll => {
+                    let (rt, engine) = fabric.get_or_insert_with(|| {
+                        let dark = net.conv_unit_host[rng.below(conv_units)];
+                        let plan = FaultPlan::lossless()
+                            .with_outage(dark, SimTime::ZERO, SimTime::from_millis(1500))
+                            .expect("valid window");
+                        let period = SimDuration::from_millis(500);
+                        let rt = LossyRuntime::new(plan, RecoveryPolicy::FailFast, topo, period);
+                        let engine =
+                            ReplacementEngine::new(ReplaceConfig::incremental(usize::MAX), topo);
+                        // The first poll runs at the outage's start.
+                        (rt, engine)
+                    });
+                    if engine.stats().epochs > 0 {
+                        rt.advance_pass();
+                        rt.advance_pass();
+                    }
+                    engine.poll(net, rt, None);
+                }
+            }
+        }
+
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -1764,6 +2053,57 @@ mod reference {
                 a.apply_gradients(0.05);
                 apply_gradients(&mut b, 0.05);
                 prop_assert_eq!(tables(&a, false), tables(&b, false), "{:?} {:?}", radio, update);
+            }
+
+            /// The packed weights follow every change to what the forward
+            /// reads. Over random configs on meshes of two or more nodes,
+            /// every weight update mode, f32 and i8, a shuffled script of
+            /// steps runs: training samples ending in the model's update
+            /// or the reference's, single-unit migrations through
+            /// `replace::apply_offline` (conv units to nodes with and
+            /// without a replica, every conv unit off one host, pool and
+            /// dense units), and `ReplacementEngine` polls over a fabric
+            /// with an outage. The int8 model is frozen from the f32 one
+            /// first and resynced after every step. After each step both
+            /// models' blocked forwards equal the reference, which reads
+            /// the replica map directly, by `to_bits`.
+            #[test]
+            fn packed_weights_follow_every_parameter_and_placement_change(
+                shape in (1usize..3, 1usize..4, 1usize..5, 1usize..4),
+                pooled in (1usize..4, 1usize..7, 1usize..20, 2usize..4),
+                grid in (2usize..4, 1usize..4),
+                update in 0usize..3,
+                seed in 0u64..u64::MAX,
+            ) {
+                let ((ic, oc, k, pool), (ph, pw, hidden, classes)) = (shape, pooled);
+                let config =
+                    CnnConfig::new(ic, pool * ph + k - 1, pool * pw + k - 1, oc, k, pool, hidden, classes)
+                        .expect("valid config");
+                let topo = Topology::grid(grid.0, grid.1, 2.0, 3.0).expect("valid grid");
+                let graph = config.unit_graph().expect("valid graph");
+                let assignment = Assignment::balanced_correspondence(&graph, &topo);
+                let update = [WeightUpdate::Synchronized, WeightUpdate::Independent, WeightUpdate::PerUnit][update];
+                let mut rng = SeedRng::new(seed);
+                let mut net = DistributedCnn::new(config, assignment, update, &mut rng);
+                randomize(&mut net, &mut rng);
+                let examples: Vec<(Tensor, usize)> =
+                    (0..4).map(|_| (input(&config, &mut rng), rng.below(classes))).collect();
+                let calibration: Vec<Tensor> = examples.iter().map(|(x, _)| x.clone()).collect();
+                let mut q = QuantizedCnn::new(&mut net, &calibration);
+                let mut script = CHANGES;
+                rng.shuffle(&mut script);
+                let mut fabric = None;
+                for (i, change) in script.into_iter().enumerate() {
+                    apply(change, &mut net, &examples, &topo, &mut fabric, &mut rng);
+                    q.resync_placement(&net);
+                    let x = &examples[i % examples.len()].0;
+                    let blocked = super::super::forward(&mut net, x, &mut Perfect).map(|l| bits(l.data()));
+                    let reference = forward(&mut net, x, &mut Perfect).map(|l| bits(l.data()));
+                    prop_assert_eq!(blocked, reference, "f32 {:?} after {:?}", update, change);
+                    let blocked = super::super::forward(&mut q, x, &mut Perfect).map(|l| bits(l.data()));
+                    let reference = forward(&mut q, x, &mut Perfect).map(|l| bits(l.data()));
+                    prop_assert_eq!(blocked, reference, "i8 {:?} after {:?}", update, change);
+                }
             }
         }
     }

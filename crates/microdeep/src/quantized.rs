@@ -37,10 +37,9 @@ use crate::exec::{self, Domain, Lossy, Perfect, Workspace};
 use crate::lossy::LossyRuntime;
 use crate::{Assignment, CnnConfig};
 use serde::{de_field, Deserialize, Serialize, Value};
-use std::borrow::Cow;
 use std::collections::BTreeMap;
 use zeiot_core::id::NodeId;
-use zeiot_nn::quant::{quantize_slice, scale_for, Calibration, Requant};
+use zeiot_nn::quant::{quantize_into, quantize_slice, scale_for, Calibration, Requant};
 use zeiot_nn::tensor::Tensor;
 use zeiot_obs::trace::SpanScope;
 use zeiot_obs::{Label, Recorder};
@@ -151,7 +150,7 @@ pub struct QuantizedCnn {
     stats: QuantStats,
     /// Buffers the passes reuse; never serialized.
     #[serde(skip)]
-    work: Workspace<i8, i32>,
+    work: Workspace<i8, i8, i32>,
 }
 
 /// Deterministically re-quantizes a value received off the fabric: the
@@ -202,6 +201,9 @@ impl QuantizedCnn {
         let acc1 = s_in as f64 * s_w1 as f64;
         let acc2 = s_a1 as f64 * s_w2 as f64;
         let acc3 = s_a2 as f64 * s_w3 as f64;
+        // The f32 model stays only as the re-placement source of this
+        // deployment; its calibration forwards' packed weights go.
+        net.work.release_pack();
         let replicas = net.replicas.iter();
         Self {
             config: net.config,
@@ -257,9 +259,10 @@ impl QuantizedCnn {
     /// if the node had been part of the original freeze. Activation
     /// scales and requantizers are untouched (re-placement moves units,
     /// it does not retrain them), so an unchanged placement is a no-op.
+    /// Each conv unit whose host changed reads its new host's replica
+    /// from here on; per-unit kernels travel with their units.
     pub fn resync_placement(&mut self, net: &DistributedCnn) {
         self.assignment = net.assignment.clone();
-        self.conv_unit_host = net.conv_unit_host.clone();
         self.replicas
             .retain(|node, _| net.replicas.contains_key(node));
         let (s_w, acc) = (self.conv_weight_scale, self.conv_acc_scale);
@@ -267,6 +270,15 @@ impl QuantizedCnn {
             let freeze = || QTable::freeze(&rep.weights, &rep.bias, s_w, acc);
             self.replicas.entry(*node).or_insert_with(freeze);
         }
+        if self.per_unit.is_none() {
+            let hosts = self.conv_unit_host.iter().zip(&net.conv_unit_host);
+            for (unit, (_, new)) in hosts.enumerate().filter(|(_, (old, new))| old != new) {
+                if let Some(rep) = self.replicas.get(new) {
+                    self.work.repoint(&self.config, unit, rep);
+                }
+            }
+        }
+        exec::overwrite(&mut self.conv_unit_host, &net.conv_unit_host);
     }
 
     /// Integer forward pass. Bit-exact under any loop order or thread
@@ -385,15 +397,14 @@ impl Domain for QuantizedCnn {
         }
     }
 
-    fn work(&mut self) -> &mut Workspace<i8, i32> {
+    fn work(&mut self) -> &mut Workspace<i8, i8, i32> {
         &mut self.work
     }
 
-    fn admit<'a>(&mut self, input: &'a Tensor) -> Cow<'a, [i8]> {
+    fn admit<'a>(&mut self, input: &'a Tensor, buf: &'a mut Vec<i8>) -> &'a [i8] {
         exec::check_input(&self.config, input);
-        let (q, sat) = quantize_slice(input.data(), self.input_scale);
-        self.stats.input_saturated += sat;
-        Cow::Owned(q)
+        self.stats.input_saturated += quantize_into(input.data(), self.input_scale, buf);
+        buf
     }
 
     fn zero() -> i32 {

@@ -421,7 +421,10 @@ fn state_source(
 /// own (under replica sharing the checkpoint peer's kernel *is* the
 /// migrated state; replicas may have drifted under
 /// [`crate::WeightUpdate::Independent`], which is the accuracy price of
-/// a handoff from a peer instead of the dark node).
+/// a handoff from a peer instead of the dark node). This is the one place
+/// a model's placement changes, so it keeps the forward's packed weights
+/// current: a conv unit that moved to another replica re-points its own
+/// lane there.
 fn apply_one(net: &mut DistributedCnn, m: &Migration, source: NodeId) {
     net.assignment.set_host(m.layer, m.unit, m.to);
     if m.layer != 1 {
@@ -429,10 +432,13 @@ fn apply_one(net: &mut DistributedCnn, m: &Migration, source: NodeId) {
     }
     // zeiot-audit: allow(p1) -- migrations come from a plan over this model's unit graph, so unit < conv_unit_host.len()
     net.conv_unit_host[m.unit] = m.to;
+    // A replica leaves with its host's last unit; it is the template of
+    // last resort, when the model had no other.
+    let mut left = None;
     if let Some(rep) = net.replicas.get_mut(&m.from) {
         rep.units -= 1;
         if rep.units == 0 {
-            net.replicas.remove(&m.from);
+            left = net.replicas.remove(&m.from);
         }
     }
     // Replica bookkeeping applies under every update mode: per-unit
@@ -440,22 +446,26 @@ fn apply_one(net: &mut DistributedCnn, m: &Migration, source: NodeId) {
     // but the per-node replica map still tracks hosting counts.
     if let Some(rep) = net.replicas.get_mut(&m.to) {
         rep.units += 1;
-        return;
+    } else {
+        let template = net
+            .replicas
+            .get(&source)
+            .or_else(|| net.replicas.values().next())
+            .or(left.as_ref())
+            // zeiot-audit: allow(p1) -- a validated model keeps a replica on every conv host, so the unit's old host had one
+            .expect("the unit's old host kept a replica");
+        let fresh = ConvReplica {
+            weights: template.weights.clone(),
+            bias: template.bias.clone(),
+            grad_weights: Tensor::zeros(template.weights.shape().to_vec()),
+            grad_bias: Tensor::zeros(vec![template.bias.len()]),
+            units: 1,
+        };
+        net.replicas.insert(m.to, fresh);
     }
-    let template = net
-        .replicas
-        .get(&source)
-        .or_else(|| net.replicas.values().next())
-        // zeiot-audit: allow(p1) -- a validated deployment always hosts layer-1 units, so the replica map is non-empty
-        .expect("at least one replica survives");
-    let fresh = ConvReplica {
-        weights: template.weights.clone(),
-        bias: template.bias.clone(),
-        grad_weights: Tensor::zeros(template.weights.shape().to_vec()),
-        grad_bias: Tensor::zeros(vec![template.bias.len()]),
-        units: 1,
-    };
-    net.replicas.insert(m.to, fresh);
+    if let (None, Some(rep)) = (&net.per_unit, net.replicas.get(&m.to)) {
+        net.work.repoint(&net.config, m.unit, rep);
+    }
 }
 
 /// Applies a planned epoch to `net` **without a fabric** — the offline,

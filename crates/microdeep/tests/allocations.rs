@@ -2,11 +2,19 @@
 //!
 //! A counting global allocator forwards every call to the system
 //! allocator and counts, per thread, each allocation and reallocation.
-//! On the lounge CNN over the 10×5 grid, after one warm-up sample, a
-//! forward plus backward allocates only the logits tensor it returns;
-//! the replica modes' forward adds its one node-indexed kernel table;
-//! and the gradient update allocates nothing. A lossy forward allocates
-//! what a perfect one does, so its per-unit bursts allocate nothing.
+//! On the lounge CNN over the 10×5 grid, after one warm-up sample:
+//! - a forward with no parameter change since the previous one allocates
+//!   only the logits tensor it returns (two allocations), in every weight
+//!   update mode, f32 and i8 alike, and so does one right after a
+//!   migration, which re-points the packed weights instead of repacking;
+//! - the forward right after `apply_gradients` repacks the weights into
+//!   their old storage, and in the replica modes allocates the
+//!   node-indexed replica table it packs from;
+//! - the backward allocates nothing under `PerUnit` and its replica
+//!   table in the replica modes, and the update allocates nothing;
+//! - a lossy forward allocates what a perfect one does, so its per-unit
+//!   bursts allocate nothing.
+//!
 //! The counts are per thread, and each test runs on its own, so no other
 //! test's allocations interleave.
 
@@ -15,7 +23,10 @@ use std::cell::Cell;
 use zeiot_core::rng::SeedRng;
 use zeiot_core::time::{SimDuration, SimTime};
 use zeiot_fault::{DegradeMode, FaultPlan, RecoveryPolicy};
-use zeiot_microdeep::{Assignment, CnnConfig, DistributedCnn, LossyRuntime, WeightUpdate};
+use zeiot_microdeep::replace::{apply_offline, plan_incremental};
+use zeiot_microdeep::{
+    Assignment, CnnConfig, DistributedCnn, LossyRuntime, QuantizedCnn, WeightUpdate,
+};
 use zeiot_net::Topology;
 use zeiot_nn::loss::cross_entropy;
 use zeiot_nn::tensor::Tensor;
@@ -86,15 +97,17 @@ fn lounge(n: usize) -> (CnnConfig, Topology, Assignment, SeedRng, Vec<Tensor>) {
     (config, topo, assignment, rng, samples)
 }
 
+const MODES: [WeightUpdate; 3] = [
+    WeightUpdate::PerUnit,
+    WeightUpdate::Independent,
+    WeightUpdate::Synchronized,
+];
+
 #[test]
 fn training_passes_allocate_only_the_returned_logits() {
     let (config, _, assignment, mut rng, samples) = lounge(2);
 
-    for update in [
-        WeightUpdate::PerUnit,
-        WeightUpdate::Independent,
-        WeightUpdate::Synchronized,
-    ] {
+    for update in MODES {
         let mut net = DistributedCnn::new(config, assignment.clone(), update, &mut rng);
         let mut counts = Vec::new();
         for (i, x) in samples.iter().enumerate() {
@@ -105,13 +118,43 @@ fn training_passes_allocate_only_the_returned_logits() {
             counts.push((forward, backward, apply));
         }
         // The first sample is the warm-up: it sizes the model's buffers.
-        let (forward, backward, apply) = counts[1];
-        if update == WeightUpdate::PerUnit {
-            assert_eq!(forward + backward, 2, "{update:?}: {counts:?}");
+        // The second forward follows an update, so it repacks.
+        let expected = if update == WeightUpdate::PerUnit {
+            (2, 0, 0)
         } else {
-            assert_eq!(forward, 3, "{update:?}: {counts:?}");
-        }
-        assert_eq!(apply, 0, "{update:?}: {counts:?}");
+            (3, 1, 0)
+        };
+        assert_eq!(counts[1], expected, "{update:?}: {counts:?}");
+    }
+}
+
+#[test]
+fn warm_forwards_allocate_only_the_returned_logits() {
+    let (config, topo, assignment, mut rng, samples) = lounge(3);
+    let graph = config.unit_graph().expect("the lounge CNN is valid");
+    // The host of conv unit 0 goes dark, and its units move.
+    let dark = [assignment.host_of(1, 0)];
+    let (_, plan) = plan_incremental(&graph, &topo, &assignment, &dark, usize::MAX);
+    assert!(plan.migrations.iter().any(|m| m.layer == 1));
+
+    for update in MODES {
+        let mut net = DistributedCnn::new(config, assignment.clone(), update, &mut rng);
+        let mut q = QuantizedCnn::new(&mut net, &samples);
+        // The first forward of each domain is the warm-up: it sizes the
+        // model's buffers and packs its weights.
+        let _ = net.forward(&samples[0]);
+        let _ = q.forward_quantized(&samples[0]);
+        let (f32_warm, _) = allocations(|| net.forward(&samples[1]));
+        let (i8_warm, _) = allocations(|| q.forward_quantized(&samples[1]));
+        apply_offline(&mut net, &graph, &plan.migrations, &dark);
+        q.resync_placement(&net);
+        let (f32_moved, _) = allocations(|| net.forward(&samples[2]));
+        let (i8_moved, _) = allocations(|| q.forward_quantized(&samples[2]));
+        let counts = [f32_warm, i8_warm, f32_moved, i8_moved];
+        assert_eq!(
+            counts, [2; 4],
+            "{update:?}: f32, i8, then both after migrating"
+        );
     }
 }
 
@@ -142,14 +185,10 @@ fn lossy_forwards_allocate_what_perfect_forwards_do() {
             rt.stats().degraded > 0,
             "{update:?}: the fabric lost messages"
         );
-        // The first sample is the warm-up: it sizes the buffers.
-        let expected = if update == WeightUpdate::PerUnit {
-            2
-        } else {
-            3
-        };
+        // The first sample is the warm-up: it sizes the buffers and packs
+        // the weights.
         assert!(
-            counts[1..].iter().all(|&n| n == expected),
+            counts[1..].iter().all(|&n| n == 2),
             "{update:?}: {counts:?}"
         );
     }

@@ -61,18 +61,24 @@ pub fn quantize_value(x: f32, scale: f32) -> i8 {
 
 /// Quantizes a slice, counting how many values clamped (saturated).
 pub fn quantize_slice(xs: &[f32], scale: f32) -> (Vec<i8>, u64) {
-    let mut saturated = 0u64;
-    let out = xs
-        .iter()
-        .map(|&x| {
-            let q = (x / scale).round();
-            if q > QMAX as f32 || q < -(QMAX as f32) {
-                saturated += 1;
-            }
-            q.clamp(-(QMAX as f32), QMAX as f32) as i8
-        })
-        .collect();
+    let mut out = Vec::with_capacity(xs.len());
+    let saturated = quantize_into(xs, scale, &mut out);
     (out, saturated)
+}
+
+/// [`quantize_slice`] into `out`, replacing its contents in its own
+/// storage; returns how many values saturated.
+pub fn quantize_into(xs: &[f32], scale: f32, out: &mut Vec<i8>) -> u64 {
+    let mut saturated = 0u64;
+    out.clear();
+    out.extend(xs.iter().map(|&x| {
+        let q = (x / scale).round();
+        if q > QMAX as f32 || q < -(QMAX as f32) {
+            saturated += 1;
+        }
+        q.clamp(-(QMAX as f32), QMAX as f32) as i8
+    }));
+    saturated
 }
 
 /// A tensor quantized to i8 with one symmetric per-tensor scale.
@@ -369,6 +375,10 @@ mod tests {
         let (q, sat) = quantize_slice(&[100.0, -100.0, 1.0], s);
         assert_eq!(q, vec![127, -127, 10]);
         assert_eq!(sat, 2);
+        // The in-place variant replaces a buffer's contents alike.
+        let mut buf = vec![5; 8];
+        assert_eq!(quantize_into(&[100.0, -100.0, 1.0], s, &mut buf), 2);
+        assert_eq!(buf, q);
     }
 
     #[test]
