@@ -13,16 +13,26 @@
 //! Every attempt's fate is [`FaultPlan::decide`]'s, computed without
 //! redoing per message what is fixed for the fabric's lifetime (the
 //! lossless flag, the attempt budget, the retry schedule, the hash
-//! prefixes and the probabilities as integer thresholds) or what changes
-//! only when the clock moves (the set of dark nodes, refreshed on
-//! [`LinkFabric::advance`] and after each retry backoff).
+//! prefixes and the probabilities as integer thresholds), what changes
+//! only when the clock moves (the nodes dark at `now`, kept as a sorted
+//! list and as a bitmap, refreshed on [`LinkFabric::advance`] and after
+//! each retry backoff), or what depends only on the link: the first of
+//! a drop draw's three hash rounds, which a table keeps for every pair
+//! of the node ids the fabric has carried, so a draw costs the two
+//! rounds over the sequence number and the attempt. Single messages and
+//! bursts roll alike, from the bitmap, the table and the thresholds.
+//!
 //! [`LinkFabric::transmit_burst`] carries a consumer's messages from many
-//! sources in one call, so a single-attempt policy checks the
-//! destination's liveness and adds the counters once per burst. Two
-//! proptests below drive the fabric, one message at a time and in bursts,
-//! against a reference loop written on `decide`.
+//! sources in one call: it reads each entry and hands back what became
+//! of it through closures, so the consumer needs no list of sources or
+//! values. Under a single-attempt policy and a plan without corruption or
+//! link overrides, as in every experiment, a burst checks the
+//! destination's liveness, reads its row of the table and adds the
+//! counters once. Two proptests below drive the fabric, one message at a
+//! time and in bursts, against a reference loop written on `decide`;
+//! half their plans have no corruption and no overrides.
 
-use crate::plan::{FaultPlan, LinkEvent, Rolls};
+use crate::plan::{drops, link_round, FaultPlan, LinkEvent, Rolls};
 use crate::policy::RecoveryPolicy;
 use zeiot_core::id::NodeId;
 use zeiot_core::time::{SimDuration, SimTime};
@@ -51,6 +61,20 @@ impl Delivery {
     pub fn is_delivered(&self) -> bool {
         matches!(self, Delivery::Delivered { .. })
     }
+}
+
+/// What one entry of a [`LinkFabric::transmit_burst`] hands its
+/// consumer.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Arrival {
+    /// The entry's source is the destination: no message, the value as
+    /// sent.
+    Local(f32),
+    /// The message arrived; a corrupted payload is already flipped by
+    /// [`FaultPlan::corrupt_value`].
+    Delivered(f32),
+    /// The message never arrived, under a policy that degrades.
+    Lost,
 }
 
 /// Running fault-injection counters.
@@ -191,20 +215,198 @@ pub struct LinkFabric {
     /// sorted, and never longer than the plan's list of nodes with
     /// outage windows.
     down: Vec<NodeId>,
+    /// `down` as a bitmap: bit `i % 64` of word `i / 64` is set while
+    /// node `i` is dark. Sized once to reach the plan's highest node with
+    /// an outage window, up to [`DARK_WORDS`] words; a node past it is
+    /// looked up in `down`.
+    dark: Vec<u64>,
     /// The next instant an outage window opens or closes: `down` holds
     /// until the clock reaches it.
     down_until: SimTime,
+    /// Each link's first drop round.
+    links: LinkRounds,
+}
+
+/// Words the dark-node bitmap takes at most: 65,536 node ids in 8 KB.
+const DARK_WORDS: usize = 1024;
+
+/// Whether `node` is dark, from the bitmap `dark` and, for a node past
+/// it, the sorted list `down`.
+#[inline]
+fn is_dark(dark: &[u64], down: &[NodeId], node: NodeId) -> bool {
+    let i = node.index();
+    match dark.get(i / 64) {
+        Some(word) => word >> (i % 64) & 1 == 1,
+        None => !down.is_empty() && is_listed(down, node),
+    }
+}
+
+/// Whether the sorted list `down` holds `node`.
+#[cold]
+#[inline(never)]
+fn is_listed(down: &[NodeId], node: NodeId) -> bool {
+    down.binary_search(&node).is_ok()
+}
+
+/// A single-attempt burst's loop: entries land in order, `dropped(src,
+/// seq)` decides the fate of each message, numbered from `seq`, and the
+/// first loss ends the burst when the policy `aborts`. Returns how many
+/// messages were sent and how many of them were lost.
+#[inline(always)]
+fn single_attempt(
+    dst: NodeId,
+    len: usize,
+    mut seq: u64,
+    aborts: bool,
+    mut entry: impl FnMut(usize) -> (NodeId, f32),
+    mut land: impl FnMut(usize, Arrival),
+    mut dropped: impl FnMut(NodeId, u64) -> bool,
+) -> (u64, u64) {
+    let (first, mut lost) = (seq, 0);
+    for i in 0..len {
+        let (src, value) = entry(i);
+        if src == dst {
+            land(i, Arrival::Local(value));
+            continue;
+        }
+        let lose = dropped(src, seq);
+        seq += 1;
+        if !lose {
+            land(i, Arrival::Delivered(value));
+            continue;
+        }
+        lost += 1;
+        if aborts {
+            break;
+        }
+        land(i, Arrival::Lost);
+    }
+    (seq - first, lost)
+}
+
+/// The first drop round of `src → dst` for a source past the table,
+/// whose highest id `past` keeps.
+#[cold]
+#[inline(never)]
+fn round_past_row(prefix: u64, src: NodeId, dst: NodeId, past: &mut u32) -> u64 {
+    *past = (*past).max(src.raw());
+    link_round(prefix, src.raw(), dst.raw())
+}
+
+/// Node ids the link table covers at most: 256², 512 KB.
+const TABLE_IDS: usize = 256;
+
+/// Node ids the table covers when the first message arrives, at least.
+const FIRST_TABLE_IDS: usize = 16;
+
+/// Each link's first drop round, `link_round(drop prefix, src, dst)`,
+/// for every pair of node ids below `n`: row `dst` holds source `src` at
+/// `src`, so a burst to one destination reads one row. The table grows
+/// to cover every id the fabric carries, doubling, up to `limit`; the
+/// round of an id past it is computed when a draw needs it.
+#[derive(Debug, Clone)]
+struct LinkRounds {
+    prefix: u64,
+    /// [`TABLE_IDS`], or 0 when the plan draws no drop and no roll reads
+    /// the table.
+    limit: usize,
+    n: usize,
+    rounds: Vec<u64>,
+}
+
+impl LinkRounds {
+    fn new(rolls: &Rolls) -> Self {
+        Self {
+            prefix: rolls.drop_prefix,
+            limit: if rolls.draws_drops() { TABLE_IDS } else { 0 },
+            n: 0,
+            rounds: Vec::new(),
+        }
+    }
+
+    /// Grows the table to cover `node`, unless it does or `node` is past
+    /// the limit.
+    #[inline]
+    fn cover(&mut self, node: NodeId) {
+        let id = node.index();
+        if id >= self.n && id < self.limit {
+            self.grow(id);
+        }
+    }
+
+    /// Rebuilds the table over at least twice as many ids, enough for
+    /// `id`: a handful of builds covers any topology up to the limit.
+    #[cold]
+    #[inline(never)]
+    fn grow(&mut self, id: usize) {
+        let wanted = (id + 1).next_power_of_two().max(2 * self.n);
+        let n = wanted.max(FIRST_TABLE_IDS).min(self.limit);
+        self.n = n;
+        self.rounds.clear();
+        self.rounds.reserve_exact(n * n);
+        let ids = 0..n as u32;
+        let rounds = ids.flat_map(|dst| (0..n as u32).map(move |src| (src, dst)));
+        let prefix = self.prefix;
+        self.rounds
+            .extend(rounds.map(|(src, dst)| link_round(prefix, src, dst)));
+    }
+
+    /// Destination `dst`'s row, source `src` at `src`; empty for a
+    /// destination past the table.
+    #[inline]
+    fn row(&self, dst: NodeId) -> &[u64] {
+        let (d, n) = (dst.index(), self.n);
+        if d < n {
+            self.rounds.get(d * n..(d + 1) * n).unwrap_or(&[])
+        } else {
+            &[]
+        }
+    }
+
+    /// The first round of `src → dst`, read from the table.
+    #[inline]
+    fn round(&mut self, src: NodeId, dst: NodeId) -> u64 {
+        let (s, d, n) = (src.index(), dst.index(), self.n);
+        let hit = if s < n && d < n {
+            self.rounds.get(d * n + s)
+        } else {
+            None
+        };
+        match hit {
+            Some(&round) => round,
+            None => self.round_past(src, dst),
+        }
+    }
+
+    /// [`LinkRounds::round`] for a pair past the table: grows it to cover
+    /// both ids, and computes the round of an id past the limit.
+    #[cold]
+    #[inline(never)]
+    fn round_past(&mut self, src: NodeId, dst: NodeId) -> u64 {
+        self.cover(src);
+        self.cover(dst);
+        match self.row(dst).get(src.index()) {
+            Some(&round) => round,
+            None => link_round(self.prefix, src.raw(), dst.raw()),
+        }
+    }
 }
 
 impl LinkFabric {
     /// A fabric at simulated time zero with zeroed counters.
     pub fn new(plan: FaultPlan, policy: RecoveryPolicy) -> Self {
+        let rolls = plan.rolls();
+        // Sized once, so no refresh of the dark set allocates.
+        let (nodes, highest) = (plan.outage_nodes().len(), plan.outage_nodes().next_back());
+        let words = highest.map_or(0, |node| (node.index() / 64 + 1).min(DARK_WORDS));
         let mut fabric = Self {
             lossless: plan.is_lossless(),
             max_attempts: policy.max_attempts(),
             schedule: policy.retry_schedule(),
-            rolls: plan.rolls(),
-            down: Vec::new(),
+            links: LinkRounds::new(&rolls),
+            rolls,
+            down: Vec::with_capacity(nodes),
+            dark: vec![0; words],
             down_until: SimTime::ZERO,
             plan,
             policy,
@@ -254,12 +456,19 @@ impl LinkFabric {
         self.set_now(self.now.saturating_add(d));
     }
 
-    /// Moves the clock and refreshes the dark-node set in place once
-    /// the clock reaches a window edge (the clock never moves back).
+    /// Moves the clock and, once it reaches a window edge, refreshes the
+    /// dark-node list and bitmap in place (the clock never moves back).
     fn set_now(&mut self, now: SimTime) {
         self.now = now;
         if now >= self.down_until {
             self.down_until = self.plan.fill_down_set(now, &mut self.down);
+            self.dark.fill(0);
+            for node in &self.down {
+                let i = node.index();
+                if let Some(word) = self.dark.get_mut(i / 64) {
+                    *word |= 1 << (i % 64);
+                }
+            }
         }
     }
 
@@ -269,10 +478,10 @@ impl LinkFabric {
         &self.stats
     }
 
-    /// Counts a degrade-substituted value.
+    /// Counts `substituted` degrade-substituted values.
     #[inline]
-    pub fn note_degraded(&mut self) {
-        self.stats.degraded += 1;
+    pub fn note_degraded(&mut self, substituted: u64) {
+        self.stats.degraded += substituted;
     }
 
     /// Counts an aborted consuming computation.
@@ -289,7 +498,9 @@ impl LinkFabric {
     /// policy's retransmission loop. Retries advance the simulated clock
     /// by the policy's backoff schedule, so a retransmission that lands
     /// inside an outage window is (correctly) lost and one that lands
-    /// after the window ends can succeed.
+    /// after the window ends can succeed. Every attempt's fate comes from
+    /// the dark-node bitmap, the link table and the integer thresholds, as
+    /// a burst's does.
     #[inline]
     pub fn transmit_over(&mut self, src: NodeId, dst: NodeId, hops: u32) -> Delivery {
         let seq = self.seq;
@@ -312,7 +523,16 @@ impl LinkFabric {
                 }
             }
             self.stats.sent += 1;
-            match self.decide(src, dst, seq, attempt) {
+            let (dark, down) = (&self.dark, &self.down);
+            let event = if is_dark(dark, down, src) || is_dark(dark, down, dst) {
+                LinkEvent::Dropped
+            } else {
+                let links = &mut self.links;
+                let link = || links.round(src, dst);
+                self.plan
+                    .roll_first(&self.rolls, link, (src, dst), seq, attempt)
+            };
+            match event {
                 LinkEvent::Delivered => {
                     self.stats.delivered += 1;
                     if attempt > 0 {
@@ -347,100 +567,83 @@ impl LinkFabric {
         }
     }
 
-    /// Transmits one consumer's burst to `dst`: entry `i` is a message
-    /// from `srcs[i]` carrying `values[i]`, sent in entry order. An entry
-    /// whose source is `dst` is local: it takes no sequence number and no
-    /// counter, and its value passes through. Every other entry is one
-    /// message, with the sequence number, fate and counters
-    /// [`LinkFabric::transmit_over`] gives it over a route of `hops(src)`
-    /// hops. On return `values` holds what arrived, a corrupted payload
-    /// flipped by [`FaultPlan::corrupt_value`], and `lost` the indices of
-    /// the entries that never did, ascending; a lost entry keeps the value
-    /// sent, for the caller to substitute. Under a policy that does not
-    /// degrade, the first loss ends the burst: no later entry is sent, and
-    /// the call returns `false`.
+    /// Transmits one consumer's burst of `len` entries to `dst`, in entry
+    /// order: `entry(i)` gives entry `i`'s source and value, and `land(i,
+    /// arrival)` receives what became of it. An entry whose source is
+    /// `dst` lands [`Arrival::Local`]: it takes no sequence number and no
+    /// counter. Every other entry is one message, with the sequence
+    /// number, fate and counters [`LinkFabric::transmit_over`] gives it
+    /// over a route of `hops(src)` hops, and lands
+    /// [`Arrival::Delivered`] or [`Arrival::Lost`]. Under a policy that
+    /// does not degrade, the first loss ends the burst: that entry does
+    /// not land, no later entry is read or sent, and the call returns
+    /// `false`.
     ///
-    /// Under a single-attempt policy the burst checks `dst` against the
-    /// dark set once, compares each draw against an integer threshold, and
-    /// adds the counters once. A retransmitting policy sends each message
-    /// through `transmit_over`, since its backoffs move the clock.
+    /// Under a single-attempt policy and a plan without corruption or
+    /// link overrides, as in every experiment, the burst keeps in locals
+    /// what every message reads: the sequence number, the drop threshold,
+    /// the dark-node bitmap and `dst`'s row of the link table. It checks
+    /// `dst` against the bitmap once, draws nothing when `dst` is dark,
+    /// and adds the counters once. Otherwise each message goes through
+    /// `transmit_over`: a retransmitting policy's backoffs move the clock,
+    /// and no experiment corrupts payloads or overrides a link.
     #[must_use = "`false` means a loss ended the burst"]
     pub fn transmit_burst(
         &mut self,
         dst: NodeId,
-        srcs: &[NodeId],
-        values: &mut [f32],
+        len: usize,
+        mut entry: impl FnMut(usize) -> (NodeId, f32),
         mut hops: impl FnMut(NodeId) -> u32,
-        lost: &mut Vec<usize>,
+        mut land: impl FnMut(usize, Arrival),
     ) -> bool {
-        lost.clear();
-        lost.reserve(srcs.len());
         let aborts = self.policy.degrade_mode().is_none();
-        let entries = srcs.iter().zip(values).enumerate();
-        if self.max_attempts > 1 {
-            for (i, (&src, value)) in entries.filter(|(_, (&src, _))| src != dst) {
+        if self.max_attempts > 1 || !self.rolls.plain() {
+            for i in 0..len {
+                let (src, value) = entry(i);
+                if src == dst {
+                    land(i, Arrival::Local(value));
+                    continue;
+                }
                 match self.transmit_over(src, dst, hops(src)) {
                     Delivery::Delivered { corrupted, .. } => {
-                        if corrupted {
-                            let seq = self.seq - 1;
-                            *value = self.plan.corrupt_value(*value, src, dst, seq);
-                        }
+                        let value = if corrupted {
+                            self.plan.corrupt_value(value, src, dst, self.seq - 1)
+                        } else {
+                            value
+                        };
+                        land(i, Arrival::Delivered(value));
                     }
-                    Delivery::Failed { .. } => {
-                        lost.push(i);
-                        if aborts {
-                            return false;
-                        }
-                    }
+                    Delivery::Failed { .. } if aborts => return false,
+                    Delivery::Failed { .. } => land(i, Arrival::Lost),
                 }
             }
             return true;
         }
-        let (plan, rolls, down) = (&self.plan, &self.rolls, self.down.as_slice());
-        let dst_dark = down.binary_search(&dst).is_ok();
-        let (mut seq, mut corrupted) = (self.seq, 0);
-        for (i, (&src, value)) in entries {
-            if src == dst {
-                continue;
-            }
-            let event = if dst_dark || down.binary_search(&src).is_ok() {
-                LinkEvent::Dropped
-            } else {
-                plan.roll_first(rolls, src, dst, seq)
+        self.links.cover(dst);
+        let (dark, down) = (self.dark.as_slice(), self.down.as_slice());
+        let (drop, prefix, row) = (self.rolls.drop, self.rolls.drop_prefix, self.links.row(dst));
+        // The highest source read past `dst`'s row, for the table to cover.
+        let mut past = 0;
+        let (sent, lost) = if is_dark(dark, down, dst) {
+            // Every message to a dark destination is lost, with no draw.
+            single_attempt(dst, len, self.seq, aborts, entry, land, |_, _| true)
+        } else {
+            let dropped = |src: NodeId, seq| {
+                let link = || match row.get(src.index()) {
+                    Some(&round) => round,
+                    None => round_past_row(prefix, src, dst, &mut past),
+                };
+                is_dark(dark, down, src) || drops(drop, link, seq, 0)
             };
-            seq += 1;
-            match event {
-                LinkEvent::Delivered => {}
-                LinkEvent::Corrupted => {
-                    *value = plan.corrupt_value(*value, src, dst, seq - 1);
-                    corrupted += 1;
-                }
-                LinkEvent::Dropped => {
-                    lost.push(i);
-                    if aborts {
-                        break;
-                    }
-                }
-            }
-        }
-        let (sent, failed) = (seq - self.seq, lost.len() as u64);
-        self.seq = seq;
+            single_attempt(dst, len, self.seq, aborts, entry, land, dropped)
+        };
+        self.seq += sent;
         self.stats.sent += sent;
-        self.stats.delivered += sent - failed;
-        self.stats.drops += failed;
-        self.stats.failed += failed;
-        self.stats.corrupted += corrupted;
-        !(aborts && failed > 0)
-    }
-
-    /// `plan.decide(src, dst, seq, attempt, now)`, from the cached
-    /// dark-node set and hash prefixes.
-    #[inline]
-    fn decide(&self, src: NodeId, dst: NodeId, seq: u64, attempt: u32) -> LinkEvent {
-        if self.down.binary_search(&src).is_ok() || self.down.binary_search(&dst).is_ok() {
-            return LinkEvent::Dropped;
-        }
-        self.plan.roll(self.rolls.prefixes, src, dst, seq, attempt)
+        self.stats.delivered += sent - lost;
+        self.stats.drops += lost;
+        self.stats.failed += lost;
+        self.links.cover(NodeId::new(past));
+        !(aborts && lost > 0)
     }
 
     /// The sequence number of the next message (how many messages the
@@ -600,7 +803,7 @@ mod tests {
             },
         );
         if !fabric.transmit(n(0), n(1)).is_delivered() {
-            fabric.note_degraded();
+            fabric.note_degraded(1);
         }
         assert_eq!(fabric.stats().degraded, 1);
         fabric.note_aborted();
@@ -681,37 +884,40 @@ mod proptests {
         }
 
         /// A burst as single messages in entry order: a local entry
-        /// passes untouched, every other one goes through
-        /// `transmit_over`, and a loss ends the burst unless the policy
-        /// degrades.
+        /// lands as sent, every other one goes through `transmit_over`,
+        /// and a loss ends the burst unless the policy degrades. Returns
+        /// whether the burst ran to its end, how many entries it read
+        /// and what landed.
         fn transmit_burst(
             &mut self,
             dst: NodeId,
-            srcs: &[NodeId],
-            values: &mut [f32],
+            entries: &[(NodeId, f32)],
             hops: impl Fn(NodeId) -> u32,
-            lost: &mut Vec<usize>,
-        ) -> bool {
-            lost.clear();
-            for (i, (&src, value)) in srcs.iter().zip(values).enumerate() {
+        ) -> (bool, usize, Vec<(usize, Arrival)>) {
+            let mut landed = Vec::new();
+            for (i, &(src, value)) in entries.iter().enumerate() {
                 if src == dst {
+                    landed.push((i, Arrival::Local(value)));
                     continue;
                 }
                 match self.transmit_over(src, dst, hops(src)) {
                     Delivery::Delivered { corrupted, .. } => {
-                        if corrupted {
-                            *value = self.plan.corrupt_value(*value, src, dst, self.seq - 1);
-                        }
+                        let value = if corrupted {
+                            self.plan.corrupt_value(value, src, dst, self.seq - 1)
+                        } else {
+                            value
+                        };
+                        landed.push((i, Arrival::Delivered(value)));
                     }
                     Delivery::Failed { .. } => {
-                        lost.push(i);
                         if self.policy.degrade_mode().is_none() {
-                            return false;
+                            return (false, i + 1, landed);
                         }
+                        landed.push((i, Arrival::Lost));
                     }
                 }
             }
-            true
+            (true, entries.len(), landed)
         }
     }
 
@@ -721,21 +927,24 @@ mod proptests {
         NodeId::new(if i == 7 { 99 } else { i })
     }
 
-    /// A plan from `(seed, drop, corrupt)` rates, `(src, dst, p)` link
-    /// overrides and `(node, from ms, length ms)` outages, and a policy
-    /// from `(kind, max retries, timeout ms, backoff)`; and a reference
-    /// fabric over both.
+    /// A plan from `(seed, drop, corrupt, plain)` rates, `(src, dst, p)`
+    /// link overrides and `(node, from ms, length ms)` outages, and a
+    /// policy from `(kind, max retries, timeout ms, backoff)`; and a
+    /// reference fabric over both. A `plain` plan has no corruption and
+    /// no overrides, as every experiment's plan: its draws take the path
+    /// that reads only the link table and the default threshold.
     fn scenario(
-        (seed, drop, corrupt): (u64, f64, f64),
+        (seed, drop, corrupt, plain): (u64, f64, f64, bool),
         links: &[(u32, u32, f64)],
         outages: &[(u32, u64, u64)],
         (kind, max_retries, timeout_ms, backoff): (usize, u32, u64, f64),
     ) -> (FaultPlan, RecoveryPolicy, Reference) {
+        let corrupt = if plain { 0.0 } else { corrupt };
         let mut plan = FaultPlan::uniform(seed, drop)
             .unwrap()
             .with_corruption(corrupt)
             .unwrap();
-        for &(src, dst, p) in links {
+        for &(src, dst, p) in links.iter().filter(|_| !plain) {
             plan = plan.with_link_drop(node(src), node(dst), p).unwrap();
         }
         for &(n, from, len) in outages {
@@ -769,13 +978,15 @@ mod proptests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
-        /// The fabric's cached constants and dark-node set decide every
-        /// attempt exactly as `FaultPlan::decide` does, with outage edges
-        /// falling inside retry backoffs and clock advances interleaved
-        /// with messages, under every policy.
+        /// The fabric's cached constants, dark-node bitmap and link table
+        /// decide every attempt exactly as `FaultPlan::decide` does, with
+        /// outage edges falling inside retry backoffs and clock advances
+        /// interleaved with messages, under every policy, for plans with
+        /// and without corruption and link overrides. The off-topology id
+        /// grows the link table far past the others.
         #[test]
         fn cached_fabric_equals_decide_reference(
-            rates in (0u64..10_000, 0.0f64..0.6, 0.0f64..0.3),
+            rates in (0u64..10_000, 0.0f64..0.6, 0.0f64..0.3, proptest::bool::ANY),
             links in vec((0u32..8, 0u32..8, 0.0f64..1.0), 0..4),
             outages in vec((0u32..8, 0u64..3_000, 1u64..800), 0..6),
             policy in (0usize..4, 0u32..5, 1u64..200, 1.0f64..3.0),
@@ -805,14 +1016,15 @@ mod proptests {
         /// A burst sends exactly the messages that single transmissions
         /// over `FaultPlan::decide` send: random destinations, source
         /// lists mixing local entries (source 8 and up stands for the
-        /// destination), off-topology ids and corruption, bursts
-        /// interleaved with clock advances and single messages so outage
-        /// edges fall between and inside them, under every policy. Every
-        /// entry's value and fate, every burst's end, the stats, the next
-        /// sequence number, the clock and the dark set match.
+        /// destination) and off-topology ids, plans with and without
+        /// corruption and link overrides, bursts interleaved with clock
+        /// advances and single messages so outage edges fall between and
+        /// inside them, under every policy. The entries read, what landed
+        /// (each entry's fate and value), every burst's end, the stats,
+        /// the next sequence number, the clock and the dark set match.
         #[test]
         fn bursts_equal_single_messages_over_decide(
-            rates in (0u64..10_000, 0.0f64..0.6, 0.0f64..0.3),
+            rates in (0u64..10_000, 0.0f64..0.6, 0.0f64..0.3, proptest::bool::ANY),
             links in vec((0u32..8, 0u32..8, 0.0f64..1.0), 0..4),
             outages in vec((0u32..8, 0u64..3_000, 1u64..800), 0..6),
             policy in (0usize..4, 0u32..5, 1u64..200, 1.0f64..3.0),
@@ -821,7 +1033,14 @@ mod proptests {
             let (plan, policy, mut reference) = scenario(rates, &links, &outages, policy);
             let mut fabric = LinkFabric::new(plan.clone(), policy);
             let hops = |src: NodeId| 1 + src.raw() % 4;
-            let (mut lost, mut lost_ref) = (Vec::new(), Vec::new());
+            let bits = |landed: &[(usize, Arrival)]| {
+                let bits = |&(i, arrival): &(usize, Arrival)| match arrival {
+                    Arrival::Local(v) => (i, 0, v.to_bits()),
+                    Arrival::Delivered(v) => (i, 1, v.to_bits()),
+                    Arrival::Lost => (i, 2, 0),
+                };
+                landed.iter().map(bits).collect::<Vec<_>>()
+            };
             for (op, dst, entries, arg) in &ops {
                 let dst = node(*dst);
                 if *op < 2 {
@@ -835,19 +1054,22 @@ mod proptests {
                         reference.transmit_over(src, dst, hops(src))
                     );
                 } else {
-                    let srcs: Vec<NodeId> = entries
+                    let entries: Vec<(NodeId, f32)> = entries
                         .iter()
-                        .map(|&(src, _)| if src < 8 { node(src) } else { dst })
+                        .map(|&(src, v)| (if src < 8 { node(src) } else { dst }, v))
                         .collect();
-                    let mut values: Vec<f32> = entries.iter().map(|&(_, v)| v).collect();
-                    let mut expected = values.clone();
-                    let ended = fabric.transmit_burst(dst, &srcs, &mut values, hops, &mut lost);
-                    let ended_ref =
-                        reference.transmit_burst(dst, &srcs, &mut expected, hops, &mut lost_ref);
+                    let (mut read, mut landed) = (Vec::new(), Vec::new());
+                    let entry = |i: usize| {
+                        read.push(i);
+                        entries[i]
+                    };
+                    let land = |i, arrival| landed.push((i, arrival));
+                    let ended = fabric.transmit_burst(dst, entries.len(), entry, hops, land);
+                    let (ended_ref, reads, landed_ref) =
+                        reference.transmit_burst(dst, &entries, hops);
                     prop_assert_eq!(ended, ended_ref);
-                    prop_assert_eq!(&lost, &lost_ref);
-                    let bits = |v: &[f32]| v.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-                    prop_assert_eq!(bits(&values), bits(&expected));
+                    prop_assert_eq!(bits(&landed), bits(&landed_ref));
+                    prop_assert_eq!(read, (0..reads).collect::<Vec<_>>());
                 }
                 prop_assert_eq!(fabric.stats(), &reference.stats);
                 prop_assert_eq!(fabric.next_seq(), reference.seq);

@@ -20,7 +20,8 @@
 //!   `zeiot_sim::RetrySchedule`), or [`RecoveryPolicy::Degrade`]
 //!   substitution.
 //! * [`LinkFabric`] — the stateful message path: sequence numbering, the
-//!   retransmission loop, and [`FaultStats`] counters exportable to a
+//!   retransmission loop, consumer bursts that hand each entry back as an
+//!   [`Arrival`], and [`FaultStats`] counters exportable to a
 //!   `zeiot_obs::Recorder`.
 //!
 //! # Example
@@ -52,6 +53,6 @@ pub mod fabric;
 pub mod plan;
 pub mod policy;
 
-pub use fabric::{Delivery, FaultStats, LinkFabric};
+pub use fabric::{Arrival, Delivery, FaultStats, LinkFabric};
 pub use plan::{FaultPlan, LinkEvent};
 pub use policy::{DegradeMode, RecoveryPolicy};

@@ -28,6 +28,7 @@ pub enum LinkEvent {
 /// SplitMix64 finalizer — the same mixing construction the core RNG uses
 /// for per-point stream derivation, replicated here so fault decisions
 /// stay pure hash evaluations with no RNG state.
+#[inline]
 fn splitmix64(x: u64) -> u64 {
     let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
@@ -35,20 +36,26 @@ fn splitmix64(x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Hashes the message coordinates into 53 uniform bits, starting from
-/// `prefix = splitmix64(seed ^ salt)`.
+/// The first of a draw's three hash rounds, which depends only on the
+/// link: `splitmix64(prefix ^ (src << 32 | dst))`, from `prefix =
+/// splitmix64(seed ^ salt)`.
 #[inline]
-fn draw_bits(prefix: u64, src: u32, dst: u32, seq: u64, attempt: u32) -> u64 {
-    let mut h = splitmix64(prefix ^ ((u64::from(src) << 32) | u64::from(dst)));
-    h = splitmix64(h ^ seq);
-    h = splitmix64(h ^ u64::from(attempt));
-    h >> 11
+pub(crate) fn link_round(prefix: u64, src: u32, dst: u32) -> u64 {
+    splitmix64(prefix ^ ((u64::from(src) << 32) | u64::from(dst)))
 }
 
-/// [`draw_bits`] as a uniform `[0, 1)` draw.
+/// The draw's other two rounds, over the message and the attempt: 53
+/// uniform bits from the link's first round `link`.
 #[inline]
+fn draw_bits(link: u64, seq: u64, attempt: u32) -> u64 {
+    splitmix64(splitmix64(link ^ seq) ^ u64::from(attempt)) >> 11
+}
+
+/// [`draw_bits`] from the message coordinates, as a uniform `[0, 1)`
+/// draw.
 fn unit_draw(prefix: u64, src: u32, dst: u32, seq: u64, attempt: u32) -> f64 {
-    draw_bits(prefix, src, dst, seq, attempt) as f64 * (1.0 / (1u64 << 53) as f64)
+    let bits = draw_bits(link_round(prefix, src, dst), seq, attempt);
+    bits as f64 * (1.0 / (1u64 << 53) as f64)
 }
 
 /// `⌈p · 2^53⌉`, a probability `p` in `[0, 1]` as an integer threshold:
@@ -61,23 +68,40 @@ fn threshold(p: f64) -> u64 {
 const DROP_SALT: u64 = 0xD0_0D;
 const CORRUPT_SALT: u64 = 0xC0_44;
 
-/// The hash prefixes `splitmix64(seed ^ salt)` that every drop and
-/// corruption draw of one plan starts from.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct DrawPrefixes {
-    drop: u64,
-    corrupt: u64,
-}
-
-/// What the fabric's rolls need, fixed by the plan: the draw
-/// prefixes, the default drop and the corruption probabilities as
+/// What the fabric's rolls need, fixed by the plan: the hash prefixes
+/// `splitmix64(seed ^ salt)` that every drop and corruption draw starts
+/// from, the default drop and the corruption probabilities as
 /// [`threshold`]s, and whether any link overrides the default.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Rolls {
-    pub(crate) prefixes: DrawPrefixes,
-    drop: u64,
+    pub(crate) drop_prefix: u64,
+    corrupt_prefix: u64,
+    pub(crate) drop: u64,
     corrupt: u64,
     per_link: bool,
+}
+
+impl Rolls {
+    /// Whether any drop draw can be made: a non-zero default drop or a
+    /// link override. Without one, no roll reads a link's first round.
+    pub(crate) fn draws_drops(&self) -> bool {
+        self.drop > 0 || self.per_link
+    }
+
+    /// Whether the plan has neither corruption nor link overrides, as
+    /// every experiment's plan: an attempt between live endpoints is then
+    /// one [`drops`] at the default threshold.
+    pub(crate) fn plain(&self) -> bool {
+        self.corrupt == 0 && !self.per_link
+    }
+}
+
+/// Whether attempt `attempt` of message `seq` drops at integer threshold
+/// `drop`, over a link whose first drop round `link` returns; `link` is
+/// called only when there is a drop to draw.
+#[inline]
+pub(crate) fn drops(drop: u64, link: impl FnOnce() -> u64, seq: u64, attempt: u32) -> bool {
+    drop > 0 && draw_bits(link(), seq, attempt) < drop
 }
 
 /// A deterministic description of link losses, node outages and payload
@@ -279,6 +303,14 @@ impl FaultPlan {
         next
     }
 
+    /// The nodes with outage windows, in ascending id order: no other
+    /// node is ever dark.
+    pub(crate) fn outage_nodes(
+        &self,
+    ) -> impl DoubleEndedIterator<Item = NodeId> + ExactSizeIterator + '_ {
+        self.outages.keys().map(|&raw| NodeId::new(raw))
+    }
+
     /// Fraction of `[SimTime::ZERO, horizon)` the node spends dark.
     pub fn downtime_fraction(&self, node: NodeId, horizon: SimTime) -> f64 {
         let total = horizon.duration_since(SimTime::ZERO).as_secs_f64();
@@ -328,35 +360,14 @@ impl FaultPlan {
         if self.is_down(src, now) || self.is_down(dst, now) {
             return LinkEvent::Dropped;
         }
-        self.roll(self.draw_prefixes(), src, dst, seq, attempt)
-    }
-
-    /// The prefixes [`FaultPlan::roll`] takes, fixed by the seed.
-    pub(crate) fn draw_prefixes(&self) -> DrawPrefixes {
-        DrawPrefixes {
-            drop: splitmix64(self.seed ^ DROP_SALT),
-            corrupt: splitmix64(self.seed ^ CORRUPT_SALT),
-        }
-    }
-
-    /// [`FaultPlan::decide`] for an attempt whose endpoints are both up:
-    /// the link-drop roll, then the corruption roll.
-    #[inline]
-    pub(crate) fn roll(
-        &self,
-        prefixes: DrawPrefixes,
-        src: NodeId,
-        dst: NodeId,
-        seq: u64,
-        attempt: u32,
-    ) -> LinkEvent {
+        let (s, d) = (src.raw(), dst.raw());
         let p = self.drop_prob(src, dst);
-        if p > 0.0 && unit_draw(prefixes.drop, src.raw(), dst.raw(), seq, attempt) < p {
+        let drop_prefix = splitmix64(self.seed ^ DROP_SALT);
+        if p > 0.0 && unit_draw(drop_prefix, s, d, seq, attempt) < p {
             return LinkEvent::Dropped;
         }
-        if self.corrupt > 0.0
-            && unit_draw(prefixes.corrupt, src.raw(), dst.raw(), seq, attempt) < self.corrupt
-        {
+        let corrupt_prefix = splitmix64(self.seed ^ CORRUPT_SALT);
+        if self.corrupt > 0.0 && unit_draw(corrupt_prefix, s, d, seq, attempt) < self.corrupt {
             return LinkEvent::Corrupted;
         }
         LinkEvent::Delivered
@@ -365,29 +376,44 @@ impl FaultPlan {
     /// The constants [`FaultPlan::roll_first`] takes.
     pub(crate) fn rolls(&self) -> Rolls {
         Rolls {
-            prefixes: self.draw_prefixes(),
+            drop_prefix: splitmix64(self.seed ^ DROP_SALT),
+            corrupt_prefix: splitmix64(self.seed ^ CORRUPT_SALT),
             drop: threshold(self.default_drop),
             corrupt: threshold(self.corrupt),
             per_link: !self.link_drop.is_empty(),
         }
     }
 
-    /// [`FaultPlan::roll`] for attempt 0, comparing draw bits against
-    /// integer thresholds: the same fate, without a conversion to `f64`,
-    /// and without a lookup in the link overrides when there are none.
+    /// [`FaultPlan::decide`] for an attempt whose endpoints are both up,
+    /// starting from the first round of the link's drop draw, which
+    /// `link` returns (`link_round(r.drop_prefix, src, dst)`) and is
+    /// called only when there is a drop to draw: the draw then costs the
+    /// two rounds over `seq` and `attempt`. Draw bits are compared
+    /// against integer thresholds, which gives the same fate without a
+    /// conversion to `f64`, and the link overrides are looked up only
+    /// when there are some.
     #[inline]
-    pub(crate) fn roll_first(&self, r: &Rolls, src: NodeId, dst: NodeId, seq: u64) -> LinkEvent {
+    pub(crate) fn roll_first(
+        &self,
+        r: &Rolls,
+        link: impl FnOnce() -> u64,
+        (src, dst): (NodeId, NodeId),
+        seq: u64,
+        attempt: u32,
+    ) -> LinkEvent {
         let drop = if r.per_link {
             threshold(self.drop_prob(src, dst))
         } else {
             r.drop
         };
-        let (s, d) = (src.raw(), dst.raw());
-        if drop > 0 && draw_bits(r.prefixes.drop, s, d, seq, 0) < drop {
+        if drops(drop, link, seq, attempt) {
             return LinkEvent::Dropped;
         }
-        if r.corrupt > 0 && draw_bits(r.prefixes.corrupt, s, d, seq, 0) < r.corrupt {
-            return LinkEvent::Corrupted;
+        if r.corrupt > 0 {
+            let corrupt = link_round(r.corrupt_prefix, src.raw(), dst.raw());
+            if draw_bits(corrupt, seq, attempt) < r.corrupt {
+                return LinkEvent::Corrupted;
+            }
         }
         LinkEvent::Delivered
     }
@@ -637,14 +663,17 @@ mod tests {
             .unwrap()
             .with_link_drop(n(1), n(2), 0.9)
             .unwrap();
-        let first = plan.rolls();
+        let rolls = plan.rolls();
         for seq in 0..2_000 {
             let (src, dst) = (n((seq % 3) as u32), n((seq % 5) as u32));
-            assert_eq!(
-                plan.roll_first(&first, src, dst, seq),
-                plan.decide(src, dst, seq, 0, SimTime::ZERO),
-                "seq={seq}"
-            );
+            let link = link_round(rolls.drop_prefix, src.raw(), dst.raw());
+            for attempt in 0..3 {
+                assert_eq!(
+                    plan.roll_first(&rolls, || link, (src, dst), seq, attempt),
+                    plan.decide(src, dst, seq, attempt, SimTime::ZERO),
+                    "seq={seq} attempt={attempt}"
+                );
+            }
         }
     }
 

@@ -53,9 +53,9 @@
 //! logits it returns, plus, on a repack in the replica modes, the
 //! node-indexed replica table the pack is built from; in those modes
 //! the backward allocates its own node-indexed table of the replicas'
-//! gradients once per pass. A forward over [`Lossy`]
-//! allocates the same: each unit's burst is gathered into the block
-//! buffer's [`Scratch`].
+//! gradients once per pass. A forward over [`Lossy`] allocates the
+//! same: each unit's burst reads its inputs straight from the producer
+//! layer and lands them in the block buffer's [`Scratch`].
 
 use crate::assignment::Assignment;
 use crate::config::CnnConfig;
@@ -171,17 +171,12 @@ fn blocks(len: usize) -> impl Iterator<Item = (usize, usize)> {
 }
 
 /// A block buffer, reused across passes: value `t · LANES + j` is lane
-/// `j`'s term `t`, and `offsets[t] = t · LANES`. A lossy block gathers
-/// each unit's burst here too.
+/// `j`'s term `t`, and `offsets[t] = t · LANES`. A lossy block's bursts
+/// land here.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Scratch<A> {
     values: Vec<A>,
     offsets: Vec<usize>,
-    /// One unit's source hosts and wire values, in term order.
-    srcs: Vec<NodeId>,
-    wire: Vec<f32>,
-    /// A dense block's wire values, which all its lanes read.
-    sent: Vec<f32>,
 }
 
 /// The offset tables a model's config fixes, built on its first pass.
@@ -493,8 +488,8 @@ impl<'r, 's, 'b> Lossy<'r, 's, 'b> {
 impl Transport for Lossy<'_, '_, '_> {
     /// Sends unit by unit, each unit's edges in term order as one burst
     /// under one hop span: the messages a unit-at-a-time pass sends, in
-    /// its order. A dense block's lanes read the same producers, so their
-    /// sources are gathered once.
+    /// its order. Each entry reads its producer's host and value, and
+    /// lands in the unit's lane of the block buffer.
     fn deliver<'v, D: Domain>(
         &mut self,
         x: &'v [D::A],
@@ -503,37 +498,30 @@ impl Transport for Lossy<'_, '_, '_> {
         buf: &'v mut Scratch<D::A>,
     ) -> Option<Inputs<'v, D::A>> {
         let n = b.terms.len();
-        let Scratch {
-            values,
-            offsets,
-            srcs,
-            wire,
-            sent,
-        } = buf;
+        let Scratch { values, offsets } = buf;
         values.clear();
         values.resize(n * LANES, D::FLOOR);
         let stage = b.stage as usize;
-        let hosts = at.hosts(stage);
-        let shared = b.stride == 0;
-        if shared {
-            gather::<D>(x, hosts, &b, 0, srcs, sent);
-        }
+        // Sliced to one length, so one bounds check covers a producer's
+        // host and its value.
+        let len = at.hosts(stage).len().min(x.len());
+        let (hosts, x, terms) = (&at.hosts(stage)[..len], &x[..len], b.terms);
         for lane in 0..b.lanes {
-            if shared {
-                overwrite(wire, sent);
-            } else {
-                gather::<D>(x, hosts, &b, lane, srcs, wire);
-            }
             let consumer = b.first + lane;
             let dst = at.host_of(stage + 1, consumer);
-            let producer = |t: usize| b.producer(b.terms[t], lane);
+            // The lane reads term `t` from producer `origin + terms[t]`.
+            let origin = b.producer(0, lane);
+            let producer = |t: usize| origin + terms[t];
+            let entry = |t| {
+                let p = producer(t);
+                (hosts[p], D::to_wire(x[p]))
+            };
+            let slots = &mut values[lane..];
+            let write = |t: usize, v| slots[t * LANES] = D::from_wire(v);
             self.open_unit();
             self.rt
-                .transport_unit(dst, srcs, wire, (b.stage, consumer), producer)?;
+                .transport_unit(dst, n, entry, (b.stage, consumer), producer, write)?;
             self.close_unit(b.hop);
-            for (slots, &got) in values.chunks_exact_mut(LANES).zip(wire.iter()) {
-                slots[lane] = D::from_wire(got);
-            }
         }
         if offsets.len() < n {
             let from = offsets.len();
@@ -559,23 +547,6 @@ impl Transport for Lossy<'_, '_, '_> {
         }
         self.rt.advance_pass();
     }
-}
-
-/// Gathers lane `lane`'s source hosts into `srcs` and its wire values
-/// into `wire`, in term order; `hosts` are the producer layer's.
-fn gather<D: Domain>(
-    x: &[D::A],
-    hosts: &[NodeId],
-    b: &Block<'_>,
-    lane: usize,
-    srcs: &mut Vec<NodeId>,
-    wire: &mut Vec<f32>,
-) {
-    let producers = b.terms.iter().map(|&term| b.producer(term, lane));
-    srcs.clear();
-    srcs.extend(producers.clone().map(|p| hosts[p]));
-    wire.clear();
-    wire.extend(producers.map(|p| D::to_wire(x[p])));
 }
 
 /// A model's number domain and parameters, as the forward nest sees
@@ -1603,21 +1574,26 @@ mod reference {
         }
 
         /// The transport a case runs over: the perfect radio, or a fabric
-        /// under one recovery policy.
+        /// under one recovery policy. `PlainZeroFill` is zero-fill over a
+        /// plan without corruption, as every experiment's plan, whose
+        /// bursts take the fabric's fast path; the other lossy radios
+        /// corrupt one delivered message in ten.
         #[derive(Debug, Clone, Copy)]
         enum Radio {
             Perfect,
             Lossless,
             ZeroFill,
+            PlainZeroFill,
             LastValueHold,
             FailFast,
             Retransmit,
         }
 
-        const RADIOS: [Radio; 6] = [
+        const RADIOS: [Radio; 7] = [
             Radio::Perfect,
             Radio::Lossless,
             Radio::ZeroFill,
+            Radio::PlainZeroFill,
             Radio::LastValueHold,
             Radio::FailFast,
             Radio::Retransmit,
@@ -1625,24 +1601,26 @@ mod reference {
 
         /// A fresh runtime for `radio`; `loss` is the per-attempt loss of
         /// the aborting policies, low enough that some passes complete and
-        /// the rest abort at any stage.
+        /// the rest abort at any stage. Every lossy plan darkens node 0
+        /// over the third and fourth passes.
         fn runtime(radio: Radio, topo: &Topology, seed: u64, loss: f64) -> Option<LossyRuntime> {
-            let lossy = |p: f64| {
-                let plan = FaultPlan::uniform(seed, p).and_then(|plan| plan.with_corruption(0.1));
+            let plan = |p: f64, corrupt: f64| {
+                let plan =
+                    FaultPlan::uniform(seed, p).and_then(|plan| plan.with_corruption(corrupt));
                 let plan = plan.and_then(|plan| {
                     plan.with_outage(NodeId::new(0), SimTime::from_secs(1), SimTime::from_secs(2))
                 });
                 plan.expect("valid plan")
             };
+            let lossy = |p: f64| plan(p, 0.1);
+            let zero_fill = RecoveryPolicy::Degrade {
+                mode: DegradeMode::ZeroFill,
+            };
             let (plan, policy) = match radio {
                 Radio::Perfect => return None,
                 Radio::Lossless => (FaultPlan::lossless(), RecoveryPolicy::FailFast),
-                Radio::ZeroFill => (
-                    lossy(0.2),
-                    RecoveryPolicy::Degrade {
-                        mode: DegradeMode::ZeroFill,
-                    },
-                ),
+                Radio::ZeroFill => (lossy(0.2), zero_fill),
+                Radio::PlainZeroFill => (plan(0.2, 0.0), zero_fill),
                 Radio::LastValueHold => (
                     lossy(0.2),
                     RecoveryPolicy::Degrade {
@@ -1957,16 +1935,19 @@ mod reference {
             /// bit over random configs (conv rows narrower than a block and
             /// not a multiple of it, hidden widths likewise), every weight
             /// update mode, f32 and i8, the perfect radio and a lossy fabric
-            /// under every recovery policy, traced and untraced: logits,
-            /// forward caches, quantization counters, fault counters and hop
-            /// spans, pass after pass on one shared runtime per side.
+            /// under every recovery policy, with and without corruption,
+            /// traced and untraced: logits, forward caches, quantization
+            /// counters, fault counters and hop spans, pass after pass on
+            /// one shared runtime per side. The blocked side sends each
+            /// unit as one burst and the reference sends one message at a
+            /// time, so the fabric's burst is held to its single messages.
             #[test]
             fn blocked_forward_equals_the_unit_at_a_time_reference(
                 shape in (1usize..3, 1usize..4, 1usize..5, 1usize..4),
                 pooled in (1usize..4, 1usize..7, 1usize..20, 2usize..4),
                 grid in (1usize..4, 1usize..4),
                 update in 0usize..3,
-                radio in 0usize..6,
+                radio in 0usize..RADIOS.len(),
                 loss in 0.0005f64..0.02,
                 traced in proptest::bool::ANY,
                 seed in 0u64..u64::MAX,
@@ -2021,7 +2002,7 @@ mod reference {
                 pooled in (1usize..4, 1usize..7, 1usize..20, 2usize..4),
                 grid in (1usize..4, 1usize..4),
                 update in 0usize..3,
-                radio in 0usize..6,
+                radio in 0usize..RADIOS.len(),
                 loss in 0.0005f64..0.02,
                 seed in 0u64..u64::MAX,
             ) {

@@ -10,11 +10,13 @@
 //!
 //! A forward pass sends each consumer unit's inputs as one burst
 //! ([`zeiot_fault::LinkFabric::transmit_burst`]): one [`LossyRuntime`]
-//! call per unit, which also substitutes what the burst lost. Every
-//! message keeps the sequence number, fate and counters it would have
-//! had sent alone, so bursts change host time and nothing else;
-//! [`LossyRuntime::transport`] is a burst of one. Backward gradients and
-//! re-placement handoffs go one message at a time through
+//! call per unit, in which each input is read from its producer, takes
+//! its fate, is substituted if lost and is written where the unit reads
+//! it, in one loop. The degrade mode picks the substitution once per
+//! burst. Every message keeps the sequence number, fate and counters it
+//! would have had sent alone, so bursts change host time and nothing
+//! else; [`LossyRuntime::transport`] is a burst of one. Backward
+//! gradients and re-placement handoffs go one message at a time through
 //! [`zeiot_fault::LinkFabric::transmit_over`], since they interleave
 //! with other work.
 //!
@@ -51,7 +53,9 @@ use std::collections::BTreeMap;
 use zeiot_core::id::NodeId;
 use zeiot_core::rng::SeedRng;
 use zeiot_core::time::SimDuration;
-use zeiot_fault::{DegradeMode, Delivery, FaultPlan, FaultStats, LinkFabric, RecoveryPolicy};
+use zeiot_fault::{
+    Arrival, DegradeMode, Delivery, FaultPlan, FaultStats, LinkFabric, RecoveryPolicy,
+};
 use zeiot_net::routing::RoutingTable;
 use zeiot_net::topology::Topology;
 use zeiot_nn::tensor::Tensor;
@@ -88,8 +92,6 @@ pub struct LossyRuntime {
     last_seen: BTreeMap<(u64, u64), f32>,
     /// The model whose last values transports read and write.
     model: u64,
-    /// The entries the last burst lost, reused from burst to burst.
-    lost: Vec<usize>,
     /// Simulated time one full inference pass occupies; advanced after
     /// every sample so brownout windows move across the run.
     pass_period: SimDuration,
@@ -110,7 +112,6 @@ impl LossyRuntime {
             routes: RoutingTable::shortest_paths(topo),
             last_seen: BTreeMap::new(),
             model: 0,
-            lost: Vec::new(),
             pass_period,
         }
     }
@@ -181,68 +182,75 @@ impl LossyRuntime {
         producer: usize,
         consumer: usize,
     ) -> Option<f32> {
-        let mut values = [value];
-        self.transport_unit(dst, &[src], &mut values, (stage, consumer), |_| producer)?;
-        let [got] = values;
+        let mut got = value;
+        let (entry, producers) = (|_| (src, value), |_| producer);
+        self.transport_unit(dst, 1, entry, (stage, consumer), producers, |_, v| got = v)?;
         Some(got)
     }
 
-    /// Transports one consumer unit's inputs in one fabric burst: entry
-    /// `i` of `values` travels from `srcs[i]` to `dst` over the edge
-    /// `(stage, producer(i), consumer)`, in entry order, and on return
-    /// holds what the consumer reads. A lost value is substituted under a
-    /// degrade policy: zero-fill writes 0, counted `degraded`;
-    /// last-value-hold writes the edge's last delivered value (0 before
-    /// the first) and remembers every delivered cross-node value, the only
-    /// policy that does. `None` means a loss aborted the unit.
+    /// Transports one consumer unit's `len` inputs in one fabric burst:
+    /// `entry(i)` gives input `i`'s source host and wire value, which
+    /// travels to `dst` over the edge `(stage, producer(i), consumer)`, in
+    /// entry order, and `write(i, v)` receives what the consumer reads.
+    /// A lost value is substituted under a degrade policy: zero-fill
+    /// writes 0; last-value-hold writes the edge's last delivered value
+    /// (0 before the first) and remembers every delivered cross-node
+    /// value, the only policy that does. Both count `degraded`. The mode
+    /// is matched once per burst, not per entry. `None` means a loss
+    /// aborted the unit.
     #[inline]
     pub(crate) fn transport_unit(
         &mut self,
         dst: NodeId,
-        srcs: &[NodeId],
-        values: &mut [f32],
+        len: usize,
+        entry: impl FnMut(usize) -> (NodeId, f32),
         (stage, consumer): (u64, usize),
         producer: impl Fn(usize) -> usize,
+        mut write: impl FnMut(usize, f32),
     ) -> Option<()> {
         let Self {
             fabric,
             routes,
             last_seen,
             model,
-            lost,
             ..
         } = self;
         let hops = |src| hop_count(routes, src, dst);
-        if !fabric.transmit_burst(dst, srcs, values, hops, lost) {
-            return None;
-        }
-        let Some(mode) = fabric.policy().degrade_mode() else {
-            return Some(());
+        let failed = fabric.stats().failed;
+        let mode = fabric.policy().degrade_mode();
+        let completed = match mode {
+            Some(DegradeMode::LastValueHold) => {
+                let land = |i, arrival| {
+                    let key = || (*model, edge_key(stage, producer(i), consumer));
+                    let value = match arrival {
+                        Arrival::Local(v) => v,
+                        Arrival::Delivered(v) => {
+                            last_seen.insert(key(), v);
+                            v
+                        }
+                        Arrival::Lost => last_seen.get(&key()).copied().unwrap_or(0.0),
+                    };
+                    write(i, value);
+                };
+                fabric.transmit_burst(dst, len, entry, hops, land)
+            }
+            // A non-degrading policy ends the burst at its first loss, so
+            // only zero-fill lands one.
+            _ => {
+                let land = |i, arrival| match arrival {
+                    Arrival::Local(v) | Arrival::Delivered(v) => write(i, v),
+                    Arrival::Lost => write(i, 0.0),
+                };
+                fabric.transmit_burst(dst, len, entry, hops, land)
+            }
         };
-        match mode {
-            DegradeMode::ZeroFill => {
-                for &i in lost.iter() {
-                    if let Some(value) = values.get_mut(i) {
-                        *value = 0.0;
-                    }
-                    fabric.note_degraded();
-                }
-            }
-            DegradeMode::LastValueHold => {
-                let mut lost = lost.iter().copied().peekable();
-                let entries = srcs.iter().zip(values).enumerate();
-                for (i, (_, value)) in entries.filter(|(_, (&src, _))| src != dst) {
-                    let key = (*model, edge_key(stage, producer(i), consumer));
-                    if lost.next_if_eq(&i).is_some() {
-                        *value = last_seen.get(&key).copied().unwrap_or(0.0);
-                        fabric.note_degraded();
-                    } else {
-                        last_seen.insert(key, *value);
-                    }
-                }
-            }
+        if mode.is_some() {
+            // A degrading burst lands every message it loses, so each
+            // failed message is one substituted value.
+            let substituted = fabric.stats().failed - failed;
+            fabric.note_degraded(substituted);
         }
-        Some(())
+        completed.then_some(())
     }
 
     /// Transports one backward gradient contribution; losses zero-fill

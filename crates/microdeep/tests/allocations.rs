@@ -13,7 +13,9 @@
 //! - the backward allocates nothing under `PerUnit` and its replica
 //!   table in the replica modes, and the update allocates nothing;
 //! - a lossy forward allocates what a perfect one does, so its per-unit
-//!   bursts allocate nothing.
+//!   bursts allocate nothing, and an aborted one allocates nothing at
+//!   all; the fabric's dark-node list and bitmap, refreshed as the clock
+//!   moves, and its link table allocate nothing after the first sample.
 //!
 //! The counts are per thread, and each test runs on its own, so no other
 //! test's allocations interleave.
@@ -161,35 +163,62 @@ fn warm_forwards_allocate_only_the_returned_logits() {
 #[test]
 fn lossy_forwards_allocate_what_perfect_forwards_do() {
     let (config, topo, assignment, mut rng, samples) = lounge(4);
-    // 5% loss, zero-filled, and the host of hidden unit 0 dark from the
-    // second sample on: the samples after the warm-up lose whole bursts.
-    let dark = assignment.host_of(3, 0);
-    let plan = FaultPlan::uniform(42, 0.05)
-        .and_then(|plan| plan.with_outage(dark, SimTime::from_millis(500), SimTime::from_secs(60)))
-        .expect("the plan is valid");
-    let policy = RecoveryPolicy::Degrade {
+    // 5% loss, with a node dark from the third sample on, so that the
+    // dark set first changes after the warm-up: the host of hidden unit
+    // 0, whose samples then lose whole bursts, or the highest-numbered
+    // node, the last bit of the dark-node bitmap.
+    let outage = |node| {
+        FaultPlan::uniform(42, 0.05)
+            .and_then(|plan| plan.with_outage(node, SimTime::from_secs(1), SimTime::from_secs(60)))
+            .expect("the plan is valid")
+    };
+    let last = topo.node_ids().max().expect("the grid has nodes");
+    let zero_fill = RecoveryPolicy::Degrade {
         mode: DegradeMode::ZeroFill,
     };
+    let runs = [
+        (outage(assignment.host_of(3, 0)), zero_fill),
+        (outage(last), zero_fill),
+        // Fail-fast: every pass aborts in the middle of a burst.
+        (
+            FaultPlan::uniform(42, 0.05).expect("the plan is valid"),
+            RecoveryPolicy::FailFast,
+        ),
+    ];
     for update in [WeightUpdate::PerUnit, WeightUpdate::Independent] {
-        let mut net = DistributedCnn::new(config, assignment.clone(), update, &mut rng);
-        let period = SimDuration::from_millis(500);
-        let mut rt = LossyRuntime::new(plan.clone(), policy, &topo, period);
-        let mut counts = Vec::new();
-        for x in &samples {
-            let (forward, logits) = allocations(|| net.forward_lossy(x, &mut rt));
-            assert!(logits.is_some(), "zero-fill never aborts");
-            rt.advance_pass();
-            counts.push(forward);
+        for (plan, policy) in &runs {
+            let mut net = DistributedCnn::new(config, assignment.clone(), update, &mut rng);
+            let period = SimDuration::from_millis(500);
+            let mut rt = LossyRuntime::new(plan.clone(), *policy, &topo, period);
+            let mut counts = Vec::new();
+            for x in &samples {
+                // The pass, then the clock's advance, which refreshes the
+                // dark-node list and bitmap.
+                counts.push(allocations(|| {
+                    let completed = net.forward_lossy(x, &mut rt).is_some();
+                    rt.advance_pass();
+                    completed
+                }));
+            }
+            let completed = counts.iter().filter(|&&(_, done)| done).count();
+            if *policy == RecoveryPolicy::FailFast {
+                assert_eq!(completed, 0, "{update:?}: fail-fast aborts");
+            } else {
+                assert_eq!(completed, counts.len(), "zero-fill never aborts");
+                assert!(
+                    rt.stats().degraded > 0,
+                    "{update:?}: the fabric lost messages"
+                );
+            }
+            // The first sample is the warm-up: it sizes the buffers, packs
+            // the weights and builds the link table. A completed pass then
+            // allocates the logits it returns, and an aborted one nothing.
+            assert!(
+                counts[1..]
+                    .iter()
+                    .all(|&(n, done)| n == if done { 2 } else { 0 }),
+                "{update:?} {policy:?}: {counts:?}"
+            );
         }
-        assert!(
-            rt.stats().degraded > 0,
-            "{update:?}: the fabric lost messages"
-        );
-        // The first sample is the warm-up: it sizes the buffers and packs
-        // the weights.
-        assert!(
-            counts[1..].iter().all(|&n| n == 2),
-            "{update:?}: {counts:?}"
-        );
     }
 }
