@@ -337,6 +337,13 @@ impl FaultPlan {
         (dark / total).min(1.0)
     }
 
+    /// Whether a delivered message's payload can arrive corrupted
+    /// ([`FaultPlan::corrupt_value`]). Without corruption every delivered
+    /// payload is the value its sender sent.
+    pub fn can_corrupt(&self) -> bool {
+        self.corrupt > 0.0
+    }
+
     /// Whether the plan can never touch a message — the fast path that
     /// lets lossless runs skip hashing entirely.
     pub fn is_lossless(&self) -> bool {

@@ -141,7 +141,7 @@ pub struct DistributedCnn {
     // Buffers the passes reuse, never serialized: `to_json` stays the
     // model's alone.
     #[serde(skip)]
-    pub(crate) work: Workspace<f32, f32, f32>,
+    pub(crate) work: Workspace<f32>,
     #[serde(skip)]
     pub(crate) grads: Grads,
 }
@@ -563,16 +563,12 @@ impl DistributedCnn {
 
 impl Domain for DistributedCnn {
     type W = f32;
-    type A = f32;
     type Acc = f32;
     type Replica = ConvReplica;
     type Table = Params;
     const HOPS: [&'static str; 4] = ["hop.conv", "hop.pool", "hop.hidden", "hop.logit"];
     const FLOOR: f32 = f32::NEG_INFINITY;
-
-    fn to_wire(a: f32) -> f32 {
-        a
-    }
+    const ARGMAX: bool = true;
 
     fn from_wire(v: f32) -> f32 {
         v
@@ -589,7 +585,7 @@ impl Domain for DistributedCnn {
         }
     }
 
-    fn work(&mut self) -> &mut Workspace<f32, f32, f32> {
+    fn work(&mut self) -> &mut Workspace<f32> {
         &mut self.work
     }
 
@@ -600,10 +596,6 @@ impl Domain for DistributedCnn {
 
     fn zero() -> f32 {
         std::iter::empty::<f32>().sum()
-    }
-
-    fn mac(acc: f32, w: f32, x: f32) -> f32 {
-        acc + w * x
     }
 
     fn activate(&mut self, layer: usize, acc: &[f32], out: &mut Vec<f32>) {
@@ -636,7 +628,8 @@ impl Domain for DistributedCnn {
 /// A weights-and-biases table: its flat row-major contents, and its
 /// shape as [`check_layout`] sees it.
 pub(crate) trait Layout {
-    type W: Copy;
+    /// Weight elements, which the forward reads as their f32 images.
+    type W: Copy + Into<f32>;
     type B: Copy;
 
     fn weights(&self) -> &[Self::W];

@@ -13,6 +13,15 @@
 //! construction: a lossless fabric hands every value back unchanged,
 //! and the arithmetic around each delivery is the same code.
 //!
+//! **One lane type.** Activations and packed weights are f32 in both
+//! domains: an i8 model's are the exact f32 images of its i8 values.
+//! Both domains fold `w · x` in the same f32 lanes, which the compiler
+//! vectorizes on the build's baseline, where i8×i8→i32 products compile
+//! to scalar instructions. What differs is where a lane's sum goes (its
+//! [`Accumulator`]): an f32 lane runs from its unit's own accumulator to
+//! the end, while an i32 lane sums at most [`SPAN`] terms from 0.0 and
+//! adds that exact integer to its i32 accumulator, span after span.
+//!
 //! **Blocks.** Every forward stage runs in blocks of up to [`LANES`]
 //! neighbouring consumer units — conv units of one output row, pool
 //! units of one pooled row, dense units — computed together, one lane
@@ -23,8 +32,9 @@
 //! folds from, adds the inputs in order and adds the bias last; a pool
 //! lane keeps the first strict maximum. Lanes reassociate nothing
 //! within a unit, so f32 results are bit-identical to computing one
-//! unit at a time (the `reference` tests hold the nest to that). A
-//! transport only decides where a block's inputs come from.
+//! unit at a time, and i32 results to its sequential integer fold (the
+//! `reference` tests hold the nest to both). A transport only decides
+//! where a block's inputs come from.
 //!
 //! The conv backward runs in lanes too, across each unit's kernel
 //! terms. It first collects the units whose gradient survives the ReLU
@@ -43,10 +53,11 @@
 //! stage writes into buffers the model keeps from pass to pass
 //! ([`Workspace`], [`Grads`]); they are never serialized. The forward
 //! reads its weights from the workspace's [`Packed`] table, each block's
-//! kernels laid out lane-major so that one term's lane weights are one
-//! contiguous row. The first forward after a parameter change builds it:
-//! a model starts without one, `apply_gradients` marks it stale, and
-//! `QuantizedCnn::new` frees the one its calibration built. A
+//! kernels laid out lane-major as f32 images so that one term's lane
+//! weights are one contiguous row. The first forward after a parameter
+//! change builds it: a model starts without one, `apply_gradients`
+//! marks it stale, and `QuantizedCnn::new` frees the one its
+//! calibration built. A
 //! re-placement does not repack: it re-points each migrated conv unit's
 //! lane at its new host's replica ([`Workspace::repoint`]). So after its
 //! first sample an f32 or i8 forward over [`Perfect`] allocates only the
@@ -72,6 +83,13 @@ use zeiot_obs::trace::SpanScope;
 
 /// Consumer units one block computes together.
 const LANES: usize = 8;
+
+/// Terms an i32 lane sums in f32 before it settles the sum into its
+/// accumulator. A term of an i8 model is `w · x` with |w| ≤ 127 and
+/// |x| ≤ 128 (the pool floor −128 fills a lossy block's unused lanes),
+/// so a span's partial sums stay within 256 · 127 · 128 = 4,161,536 <
+/// 2^22: each is an exact f32 integer, and [`settle`] reads it exactly.
+const SPAN: usize = 256;
 
 /// `(stage, producer, consumer)`: edge stage `s` (a `STAGE_*` constant)
 /// links unit `producer` of unit-graph layer `s` to unit `consumer` of
@@ -101,8 +119,8 @@ impl Block<'_> {
 
 /// A delivered block: lane `j`'s term `t` is `src[base + terms[t] + o_j]`,
 /// where the lane offsets `o_j` follow [`Lanes`].
-pub(crate) struct Inputs<'v, A> {
-    src: &'v [A],
+pub(crate) struct Inputs<'v> {
+    src: &'v [f32],
     base: usize,
     terms: &'v [usize],
     lanes: Lanes,
@@ -122,8 +140,8 @@ enum Lanes {
 }
 
 /// Reads one term's lane values from `src`, lane 0 at `at`.
-trait Read<A> {
-    fn read(&self, src: &[A], at: usize) -> [A; LANES];
+pub(crate) trait Read {
+    fn read(&self, src: &[f32], at: usize) -> [f32; LANES];
 }
 
 /// [`Lanes::Contiguous`].
@@ -133,9 +151,9 @@ struct Splat;
 /// [`Lanes::Gathered`].
 struct Gather([usize; LANES]);
 
-impl<A: Copy> Read<A> for Run {
+impl Read for Run {
     #[inline(always)]
-    fn read(&self, src: &[A], at: usize) -> [A; LANES] {
+    fn read(&self, src: &[f32], at: usize) -> [f32; LANES] {
         // zeiot-audit: allow(p1) -- delivered blocks index inside their source
         let mut xs = [src[at]; LANES];
         xs.copy_from_slice(&src[at..at + LANES]);
@@ -143,17 +161,17 @@ impl<A: Copy> Read<A> for Run {
     }
 }
 
-impl<A: Copy> Read<A> for Splat {
+impl Read for Splat {
     #[inline(always)]
-    fn read(&self, src: &[A], at: usize) -> [A; LANES] {
+    fn read(&self, src: &[f32], at: usize) -> [f32; LANES] {
         // zeiot-audit: allow(p1) -- delivered blocks index inside their source
         [src[at]; LANES]
     }
 }
 
-impl<A: Copy> Read<A> for Gather {
+impl Read for Gather {
     #[inline(always)]
-    fn read(&self, src: &[A], at: usize) -> [A; LANES] {
+    fn read(&self, src: &[f32], at: usize) -> [f32; LANES] {
         // zeiot-audit: allow(p1) -- delivered blocks index inside their source
         let mut xs = [src[at]; LANES];
         for (x, off) in xs.iter_mut().zip(self.0) {
@@ -174,8 +192,8 @@ fn blocks(len: usize) -> impl Iterator<Item = (usize, usize)> {
 /// `j`'s term `t`, and `offsets[t] = t · LANES`. A lossy block's bursts
 /// land here.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct Scratch<A> {
-    values: Vec<A>,
+pub(crate) struct Scratch {
+    values: Vec<f32>,
     offsets: Vec<usize>,
 }
 
@@ -205,29 +223,30 @@ impl Tables {
 
 /// What a model's forward passes reuse: its [`Tables`], its [`Packed`]
 /// weights, the admitted input, the lossy block buffer, and each stage's
-/// output. A pass overwrites every buffer but the packed weights before
-/// it reads it, so none carries state from one pass to the next; the
-/// packed weights are a copy of the model's parameters, kept current as
-/// [`Packed`] says.
+/// output, activations as f32 (exact images in the i8 domain) and sums
+/// in the domain's accumulator `Acc`. A pass overwrites every buffer but
+/// the packed weights before it reads it, so none carries state from
+/// one pass to the next; the packed weights are a copy of the model's
+/// parameters, kept current as [`Packed`] says.
 ///
 /// A clone carries the packed weights: they are a function of the
 /// parameters and the placement, which the clone copies too.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct Workspace<W, A, Acc> {
+pub(crate) struct Workspace<Acc> {
     tables: Tables,
-    packed: Packed<W, Acc>,
-    input: Vec<A>,
-    block: Scratch<A>,
+    packed: Packed<Acc>,
+    input: Vec<f32>,
+    block: Scratch,
     conv: Vec<Acc>,
-    conv_relu: Vec<A>,
-    pooled: Vec<A>,
+    conv_relu: Vec<f32>,
+    pooled: Vec<f32>,
     argmax: Vec<usize>,
     hidden: Vec<Acc>,
-    hidden_relu: Vec<A>,
+    hidden_relu: Vec<f32>,
     logits: Vec<Acc>,
 }
 
-impl<W: Copy, A, Acc: Copy> Workspace<W, A, Acc> {
+impl<Acc: Copy> Workspace<Acc> {
     /// Marks the packed weights stale after the parameters changed: the
     /// next forward repacks them into the same storage.
     pub(crate) fn invalidate_pack(&mut self) {
@@ -247,12 +266,7 @@ impl<W: Copy, A, Acc: Copy> Workspace<W, A, Acc> {
     /// changes no parameter, only which replica the unit reads. Stale
     /// packed weights are left to the next forward, which packs the new
     /// placement.
-    pub(crate) fn repoint<R: Layout<W = W, B = Acc>>(
-        &mut self,
-        c: &CnnConfig,
-        unit: usize,
-        rep: &R,
-    ) {
+    pub(crate) fn repoint<R: Layout<B = Acc>>(&mut self, c: &CnnConfig, unit: usize, rep: &R) {
         let Packed { conv, bias, .. } = &mut self.packed;
         let ((oh, ow), n) = (c.conv_dims(), c.in_channels() * c.kernel() * c.kernel());
         // Unit `unit` is at `ox` of output row `row` (channel-major).
@@ -261,7 +275,7 @@ impl<W: Copy, A, Acc: Copy> Workspace<W, A, Acc> {
         let kernel = rep.weights().chunks_exact(n).nth(channel).unwrap_or(&[]);
         for (terms, &w) in conv.iter_mut().skip(block * n).zip(kernel) {
             if let Some(slot) = terms.get_mut(lane) {
-                *slot = w;
+                *slot = w.into();
             }
         }
         let slot = bias.get_mut(block).and_then(|b| b.get_mut(lane));
@@ -273,7 +287,9 @@ impl<W: Copy, A, Acc: Copy> Workspace<W, A, Acc> {
 
 /// Every forward block's weights, lane-major: a block's row `t` holds
 /// its lanes' term `t`, lane `j` at `j`, so the forward reads one
-/// contiguous row per term. Lanes past a block's width repeat its last
+/// contiguous row per term. Rows hold f32 weights as they are and i8
+/// weights as their exact f32 images; biases stay in the accumulator
+/// domain `B`. Lanes past a block's width repeat its last
 /// unit; their results are dropped. Empty when stale; the first forward
 /// after that packs the model's parameters (`Packed::build`).
 ///
@@ -289,29 +305,29 @@ impl<W: Copy, A, Acc: Copy> Workspace<W, A, Acc> {
 ///   `QuantizedCnn::new` frees the one its calibration forwards built
 ///   ([`Workspace::release_pack`]).
 #[derive(Debug, Clone)]
-pub(crate) struct Packed<W, B> {
+pub(crate) struct Packed<B> {
     /// Conv blocks in forward order (channel, output row, block), one row
     /// per kernel term.
-    conv: Vec<[W; LANES]>,
+    conv: Vec<[f32; LANES]>,
     /// Each conv block's lane biases, where its lanes start.
     bias: Vec<[B; LANES]>,
     /// Dense-1's and dense-2's blocks, one row per input; a dense lane
     /// adds its bias last, from the model's own table.
-    dense: [Vec<[W; LANES]>; 2],
+    dense: [Vec<[f32; LANES]>; 2],
 }
 
-impl<W, B> Default for Packed<W, B> {
+impl<B> Default for Packed<B> {
     fn default() -> Self {
         let (conv, bias, dense) = (Vec::new(), Vec::new(), [Vec::new(), Vec::new()]);
         Self { conv, bias, dense }
     }
 }
 
-impl<W: Copy + Default, B: Copy> Packed<W, B> {
+impl<B: Copy> Packed<B> {
     /// Packs `p`'s parameters unless the table is current; a conv kernel
     /// has `n` terms. Reserves exact capacity, so a repack reuses the
     /// first pack's storage.
-    fn build<D: Domain<W = W, Acc = B>>(&mut self, p: &Parts<'_, D::Replica, D::Table>, n: usize) {
+    fn build<D: Domain<Acc = B>>(&mut self, p: &Parts<'_, D::Replica, D::Table>, n: usize) {
         if !self.conv.is_empty() {
             return;
         }
@@ -322,7 +338,7 @@ impl<W: Copy + Default, B: Copy> Packed<W, B> {
         self.conv.reserve_exact(conv_blocks * n);
         self.bias.reserve_exact(conv_blocks);
         let kernels = Kernels::new(p, n, D::zero());
-        let empty: &[W] = &[];
+        let empty: &[D::W] = &[];
         let (mut w, mut bias) = ([empty; LANES], [D::zero(); LANES]);
         for channel in 0..channels {
             for oy in 0..oh {
@@ -352,21 +368,21 @@ impl<W: Copy + Default, B: Copy> Packed<W, B> {
     }
 
     /// Conv blocks in forward order: each one's `n` rows and its biases.
-    fn conv(&self, n: usize) -> impl Iterator<Item = (&[[W; LANES]], &[B; LANES])> {
+    fn conv(&self, n: usize) -> impl Iterator<Item = (&[[f32; LANES]], &[B; LANES])> {
         self.conv.chunks_exact(n).zip(&self.bias)
     }
 }
 
 /// Appends the `n` rows of a block whose lane `j` reads `kernels[j]`:
-/// row `t` is every lane's term `t`. Written a lane at a time, so each
-/// kernel is read in order.
-fn transpose<W: Copy + Default>(kernels: &[&[W]; LANES], n: usize, rows: &mut Vec<[W; LANES]>) {
+/// row `t` is every lane's term `t`, as f32. Written a lane at a time,
+/// so each kernel is read in order.
+fn transpose<W: Copy + Into<f32>>(kernels: &[&[W]; LANES], n: usize, rows: &mut Vec<[f32; LANES]>) {
     let start = rows.len();
-    rows.resize(start + n, [W::default(); LANES]);
+    rows.resize(start + n, [0.0; LANES]);
     for (j, kernel) in kernels.iter().enumerate() {
         for (row, &w) in rows.iter_mut().skip(start).zip(*kernel) {
             // zeiot-audit: allow(p1) -- `j` enumerates the block's LANES kernels
-            row[j] = w;
+            row[j] = w.into();
         }
     }
 }
@@ -409,11 +425,11 @@ pub(crate) trait Transport {
     /// the pass.
     fn deliver<'v, D: Domain>(
         &mut self,
-        x: &'v [D::A],
+        x: &'v [f32],
         b: Block<'v>,
         at: &Assignment,
-        buf: &'v mut Scratch<D::A>,
-    ) -> Option<Inputs<'v, D::A>>;
+        buf: &'v mut Scratch,
+    ) -> Option<Inputs<'v>>;
 
     /// Carries one gradient contribution back over `edge`, consumer to
     /// producer; a lost contribution is zero.
@@ -429,11 +445,11 @@ pub(crate) struct Perfect;
 impl Transport for Perfect {
     fn deliver<'v, D: Domain>(
         &mut self,
-        x: &'v [D::A],
+        x: &'v [f32],
         b: Block<'v>,
         _: &Assignment,
-        _: &'v mut Scratch<D::A>,
-    ) -> Option<Inputs<'v, D::A>> {
+        _: &'v mut Scratch,
+    ) -> Option<Inputs<'v>> {
         // Terms ascend, so the last one bounds a contiguous block.
         let last = b.terms.last().map_or(b.base, |&term| b.base + term);
         let lanes = match b.stride {
@@ -489,19 +505,24 @@ impl Transport for Lossy<'_, '_, '_> {
     /// Sends unit by unit, each unit's edges in term order as one burst
     /// under one hop span: the messages a unit-at-a-time pass sends, in
     /// its order. Each entry reads its producer's host and value, and
-    /// lands in the unit's lane of the block buffer.
+    /// lands in the unit's lane of the block buffer. A landed value is
+    /// read through [`Domain::from_wire`] only when the plan can corrupt
+    /// a payload: otherwise it is a value some producer of this model
+    /// computed (local, delivered, or held by last-value-hold) or
+    /// zero-fill's 0, already a value of the domain.
     fn deliver<'v, D: Domain>(
         &mut self,
-        x: &'v [D::A],
+        x: &'v [f32],
         b: Block<'v>,
         at: &Assignment,
-        buf: &'v mut Scratch<D::A>,
-    ) -> Option<Inputs<'v, D::A>> {
+        buf: &'v mut Scratch,
+    ) -> Option<Inputs<'v>> {
         let n = b.terms.len();
         let Scratch { values, offsets } = buf;
         values.clear();
         values.resize(n * LANES, D::FLOOR);
         let stage = b.stage as usize;
+        let corrupts = self.rt.fabric().plan().can_corrupt();
         // Sliced to one length, so one bounds check covers a producer's
         // host and its value.
         let len = at.hosts(stage).len().min(x.len());
@@ -514,10 +535,12 @@ impl Transport for Lossy<'_, '_, '_> {
             let producer = |t: usize| origin + terms[t];
             let entry = |t| {
                 let p = producer(t);
-                (hosts[p], D::to_wire(x[p]))
+                (hosts[p], x[p])
             };
             let slots = &mut values[lane..];
-            let write = |t: usize, v| slots[t * LANES] = D::from_wire(v);
+            let write = |t: usize, v| {
+                slots[t * LANES] = if corrupts { D::from_wire(v) } else { v };
+            };
             self.open_unit();
             self.rt
                 .transport_unit(dst, n, entry, (b.stage, consumer), producer, write)?;
@@ -550,46 +573,105 @@ impl Transport for Lossy<'_, '_, '_> {
 }
 
 /// A model's number domain and parameters, as the forward nest sees
-/// them. `activate`, `pool_done` and `finish` run as each stage
-/// completes, so a pass that aborts mid-way has updated exactly the
-/// earlier stages' caches and counters.
+/// them. Activations are f32 in every domain: an i8 domain's are the
+/// exact f32 images of its i8 values. `activate`, `pool_done` and
+/// `finish` run as each stage completes, so a pass that aborts mid-way
+/// has updated exactly the earlier stages' caches and counters.
 pub(crate) trait Domain {
-    /// Weight, activation and accumulator elements; biases live in the
-    /// accumulator domain.
-    type W: Copy + Default;
-    type A: Copy + PartialOrd + Default;
-    type Acc: Copy + Add<Output = Self::Acc> + Default;
+    /// Weight and accumulator elements; biases live in the accumulator
+    /// domain.
+    type W: Copy + Into<f32>;
+    type Acc: Accumulator;
     /// A conv replica's table, and the per-unit and dense tables.
     type Replica: Layout<W = Self::W, B = Self::Acc>;
     type Table: Layout<W = Self::W, B = Self::Acc>;
     /// Hop-span names of conv, pool, hidden and logit units.
     const HOPS: [&'static str; 4];
     /// The max-pooling identity: every activation compares above it.
-    const FLOOR: Self::A;
+    const FLOOR: f32;
+    /// Whether max-pooling records the conv unit each pooled value came
+    /// from, for `pool_done`; a domain without a backward skips it.
+    const ARGMAX: bool;
 
-    /// An activation's image on the fabric, and the receiver's reading
-    /// of a (possibly corrupted or substituted) image.
-    fn to_wire(a: Self::A) -> f32;
-    fn from_wire(v: f32) -> Self::A;
+    /// The receiver's reading of a value off the fabric, when the plan
+    /// can have corrupted it.
+    fn from_wire(v: f32) -> f32;
     /// The placement and parameter tables.
     fn parts(&self) -> Parts<'_, Self::Replica, Self::Table>;
     /// The buffers this model's passes reuse.
-    fn work(&mut self) -> &mut Workspace<Self::W, Self::A, Self::Acc>;
+    fn work(&mut self) -> &mut Workspace<Self::Acc>;
     /// Checks the input's shape and converts it to activations, in `buf`
     /// when they are not the input's own values.
-    fn admit<'a>(&mut self, input: &'a Tensor, buf: &'a mut Vec<Self::A>) -> &'a [Self::A];
+    fn admit<'a>(&mut self, input: &'a Tensor, buf: &'a mut Vec<f32>) -> &'a [f32];
     /// Where a dense unit's sum starts: the identity `Iterator::sum`
     /// folds from.
     fn zero() -> Self::Acc;
-    /// `acc + w · x`.
-    fn mac(acc: Self::Acc, w: Self::W, x: Self::A) -> Self::Acc;
     /// Accumulators of unit-graph layer 1 (conv) or 3 (hidden) → ReLU'd
     /// activations, written over `out`.
-    fn activate(&mut self, layer: usize, acc: &[Self::Acc], out: &mut Vec<Self::A>);
-    /// Pooled activations and the conv unit each one came from.
-    fn pool_done(&mut self, pooled: &[Self::A], argmax: &[usize]);
+    fn activate(&mut self, layer: usize, acc: &[Self::Acc], out: &mut Vec<f32>);
+    /// Pooled activations and, when [`Domain::ARGMAX`], the conv unit
+    /// each one came from (empty otherwise).
+    fn pool_done(&mut self, pooled: &[f32], argmax: &[usize]);
     /// Logit accumulators → the logits of a completed pass.
     fn finish(&mut self, input: &Tensor, logits: &[Self::Acc]) -> Tensor;
+}
+
+/// Where a lane's sum of `w · x` terms goes. Every lane folds its terms
+/// in f32, in term order ([`span`]); the accumulator decides how many
+/// terms one f32 run covers and how it reaches the unit's sum.
+pub(crate) trait Accumulator: Copy + Add<Output = Self> + Default {
+    /// Folds the block rows `w` over the terms of `v`, read by `lanes`,
+    /// into the lanes `acc`: lane `j` takes `w[t][j] · x(t, j)` for every
+    /// term `t` in order.
+    fn fold<R: Read>(
+        acc: [Self; LANES],
+        w: &[[f32; LANES]],
+        v: &Inputs<'_>,
+        lanes: &R,
+    ) -> [Self; LANES];
+}
+
+/// One f32 run from the accumulator itself: the unit's own rounding.
+impl Accumulator for f32 {
+    #[inline(always)]
+    fn fold<R: Read>(
+        acc: [f32; LANES],
+        w: &[[f32; LANES]],
+        v: &Inputs<'_>,
+        lanes: &R,
+    ) -> [f32; LANES] {
+        span(acc, w, v, v.terms, lanes)
+    }
+}
+
+/// Exact integer sums: runs of at most [`SPAN`] terms from 0.0, each an
+/// exact f32 integer, [`settle`]d into the i32 accumulator. i32 addition
+/// is associative, so the result is the sequential integer fold's.
+impl Accumulator for i32 {
+    #[inline(always)]
+    fn fold<R: Read>(
+        acc: [i32; LANES],
+        w: &[[f32; LANES]],
+        v: &Inputs<'_>,
+        lanes: &R,
+    ) -> [i32; LANES] {
+        let mut acc = acc;
+        for (w, terms) in w.chunks(SPAN).zip(v.terms.chunks(SPAN)) {
+            let sums = span([0.0; LANES], w, v, terms, lanes);
+            for (a, s) in acc.iter_mut().zip(sums) {
+                *a += settle(s);
+            }
+        }
+        acc
+    }
+}
+
+/// The integer an exact f32 sum `s` holds, for |s| ≤ 2^22: 1.5 · 2^23 +
+/// s lies in [2^23, 2^24], where f32 integers are exact, and its bits
+/// are `0x4B40_0000 + s`.
+#[inline(always)]
+fn settle(s: f32) -> i32 {
+    (s + 12_582_912.0).to_bits() as i32 - 0x4B40_0000
 }
 
 /// Offsets of a conv unit's receptive field in kernel order `(in
@@ -745,7 +827,7 @@ fn stages<D: Domain, T: Transport>(
     m: &mut D,
     input: &Tensor,
     t: &mut T,
-    w: &mut Workspace<D::W, D::A, D::Acc>,
+    w: &mut Workspace<D::Acc>,
 ) -> Option<Tensor> {
     let Workspace {
         tables,
@@ -783,36 +865,39 @@ fn stages<D: Domain, T: Transport>(
 }
 
 /// Folds every term into every lane, in term order, from the block's
-/// packed rows: lane `j` becomes `mac(… mac(acc[j], w[0][j], v(0, j)) …,
-/// w[n−1][j], v(n−1, j))`.
+/// packed rows: lane `j` takes `w[t][j] · v(t, j)` for `t` = 0, 1, …, n−1,
+/// into `acc[j]` as its [`Accumulator`] says.
 fn accumulate<D: Domain>(
     acc: [D::Acc; LANES],
-    w: &[[D::W; LANES]],
-    v: &Inputs<'_, D::A>,
+    w: &[[f32; LANES]],
+    v: &Inputs<'_>,
 ) -> [D::Acc; LANES] {
     match v.lanes {
-        Lanes::Contiguous => fold::<D, _>(acc, w, v, Run),
-        Lanes::Broadcast => fold::<D, _>(acc, w, v, Splat),
-        Lanes::Gathered(offsets) => fold::<D, _>(acc, w, v, Gather(offsets)),
+        Lanes::Contiguous => D::Acc::fold(acc, w, v, &Run),
+        Lanes::Broadcast => D::Acc::fold(acc, w, v, &Splat),
+        Lanes::Gathered(offsets) => D::Acc::fold(acc, w, v, &Gather(offsets)),
     }
 }
 
-/// [`accumulate`] for one lane layout.
+/// One f32 run over `terms`, a run of `v`'s terms, and the matching
+/// rows `w`: lane `j` becomes `(… (s[j] + w[0][j] · x(0, j)) + …) +
+/// w[n−1][j] · x(n−1, j)`.
 #[inline(always)]
-fn fold<D: Domain, R: Read<D::A>>(
-    acc: [D::Acc; LANES],
-    w: &[[D::W; LANES]],
-    v: &Inputs<'_, D::A>,
-    lanes: R,
-) -> [D::Acc; LANES] {
-    let mut acc = acc;
-    for (row, &term) in w.iter().zip(v.terms) {
+fn span<R: Read>(
+    s: [f32; LANES],
+    w: &[[f32; LANES]],
+    v: &Inputs<'_>,
+    terms: &[usize],
+    lanes: &R,
+) -> [f32; LANES] {
+    let mut s = s;
+    for (row, &term) in w.iter().zip(terms) {
         let xs = lanes.read(v.src, v.base + term);
-        for ((a, &w), x) in acc.iter_mut().zip(row).zip(xs) {
-            *a = D::mac(*a, w, x);
+        for ((s, &w), x) in s.iter_mut().zip(row).zip(xs) {
+            *s += w * x;
         }
     }
-    acc
+    s
 }
 
 /// Convolution into `out`: each conv unit pulls its receptive field
@@ -820,11 +905,11 @@ fn fold<D: Domain, R: Read<D::A>>(
 /// output rows, each reading its packed kernels.
 fn conv<D: Domain, T: Transport>(
     p: &Parts<'_, D::Replica, D::Table>,
-    x: &[D::A],
+    x: &[f32],
     field: &[usize],
-    packed: &Packed<D::W, D::Acc>,
+    packed: &Packed<D::Acc>,
     t: &mut T,
-    buf: &mut Scratch<D::A>,
+    buf: &mut Scratch,
     out: &mut Vec<D::Acc>,
 ) -> Option<()> {
     let c = p.config;
@@ -853,10 +938,11 @@ fn conv<D: Domain, T: Transport>(
     Some(())
 }
 
-/// Each lane's first strict maximum and the term it came from; a lane
-/// where nothing compares above [`Domain::FLOOR`] (NaN, or the floor
-/// itself) keeps the floor and no term (`usize::MAX`).
-fn max_lanes<D: Domain>(v: &Inputs<'_, D::A>) -> ([D::A; LANES], [usize; LANES]) {
+/// Each lane's first strict maximum and, when [`Domain::ARGMAX`], the
+/// term it came from; a lane where nothing compares above
+/// [`Domain::FLOOR`] (NaN, or the floor itself) keeps the floor and no
+/// term (`usize::MAX`), as does every lane without the argmax.
+fn max_lanes<D: Domain>(v: &Inputs<'_>) -> ([f32; LANES], [usize; LANES]) {
     match v.lanes {
         Lanes::Contiguous => max_fold::<D, _>(v, Run),
         Lanes::Broadcast => max_fold::<D, _>(v, Splat),
@@ -866,33 +952,37 @@ fn max_lanes<D: Domain>(v: &Inputs<'_, D::A>) -> ([D::A; LANES], [usize; LANES])
 
 /// [`max_lanes`] for one lane layout: selects, not branches.
 #[inline(always)]
-fn max_fold<D: Domain, R: Read<D::A>>(
-    v: &Inputs<'_, D::A>,
-    lanes: R,
-) -> ([D::A; LANES], [usize; LANES]) {
+fn max_fold<D: Domain, R: Read>(v: &Inputs<'_>, lanes: R) -> ([f32; LANES], [usize; LANES]) {
     let mut best = [D::FLOOR; LANES];
     let mut won = [usize::MAX; LANES];
     for (t, &term) in v.terms.iter().enumerate() {
         let xs = lanes.read(v.src, v.base + term);
-        for ((best, won), x) in best.iter_mut().zip(&mut won).zip(xs) {
-            let above = x > *best;
-            *best = if above { x } else { *best };
-            *won = if above { t } else { *won };
+        if D::ARGMAX {
+            for ((best, won), x) in best.iter_mut().zip(&mut won).zip(xs) {
+                let above = x > *best;
+                *best = if above { x } else { *best };
+                *won = if above { t } else { *won };
+            }
+        } else {
+            for (best, x) in best.iter_mut().zip(xs) {
+                *best = if x > *best { x } else { *best };
+            }
         }
     }
     (best, won)
 }
 
 /// Max pooling into `pooled`: each pool unit pulls its `window` from the
-/// conv hosts. Blocks run along pooled rows. `argmax` gets the conv unit
-/// each pooled value came from (conv unit 0 when none won).
+/// conv hosts. Blocks run along pooled rows. When [`Domain::ARGMAX`],
+/// `argmax` gets the conv unit each pooled value came from (conv unit 0
+/// when none won); otherwise it stays empty.
 fn pool<D: Domain, T: Transport>(
     p: &Parts<'_, D::Replica, D::Table>,
-    relu: &[D::A],
+    relu: &[f32],
     window: &[usize],
     t: &mut T,
-    buf: &mut Scratch<D::A>,
-    pooled: &mut Vec<D::A>,
+    buf: &mut Scratch,
+    pooled: &mut Vec<f32>,
     argmax: &mut Vec<usize>,
 ) -> Option<()> {
     let c = p.config;
@@ -915,9 +1005,11 @@ fn pool<D: Domain, T: Transport>(
             let v = t.deliver::<D>(relu, b, p.assignment, buf)?;
             let (best, won) = max_lanes::<D>(&v);
             pooled.extend(best.into_iter().take(lanes));
-            for (lane, won) in won.into_iter().take(lanes).enumerate() {
-                let term = window.get(won);
-                argmax.push(term.map_or(0, |&term| b.producer(term, lane)));
+            if D::ARGMAX {
+                for (lane, won) in won.into_iter().take(lanes).enumerate() {
+                    let term = window.get(won);
+                    argmax.push(term.map_or(0, |&term| b.producer(term, lane)));
+                }
             }
         }
     }
@@ -932,11 +1024,11 @@ fn pool<D: Domain, T: Transport>(
 fn dense<D: Domain, T: Transport>(
     p: &Parts<'_, D::Replica, D::Table>,
     layer: usize,
-    x: &[D::A],
+    x: &[f32],
     terms: &[usize],
-    packed: &Packed<D::W, D::Acc>,
+    packed: &Packed<D::Acc>,
     t: &mut T,
-    buf: &mut Scratch<D::A>,
+    buf: &mut Scratch,
     out: &mut Vec<D::Acc>,
 ) -> Option<()> {
     let ([hidden, logits], [.., hop_hidden, hop_logit]) = (p.dense, D::HOPS);
@@ -1199,23 +1291,24 @@ mod reference {
     use crate::distributed::{DistributedCnn, Layout, Params, WeightUpdate};
     use crate::lossy::{STAGE_CONV_POOL, STAGE_HIDDEN_LOGIT, STAGE_INPUT_CONV, STAGE_POOL_HIDDEN};
     use crate::quantized::QuantizedCnn;
+    use zeiot_fault::{DegradeMode, Delivery};
     use zeiot_nn::quant::dot_i8;
     use zeiot_nn::tensor::Tensor;
 
     /// How the reference nest moves values: one edge at a time.
     trait Fetch {
         /// Carries one forward value over `edge`; `None` aborts the pass.
-        fn fetch<D: Domain>(&mut self, v: D::A, at: &Assignment, edge: Edge) -> Option<D::A>;
+        fn fetch<D: Domain>(&mut self, v: f32, at: &Assignment, edge: Edge) -> Option<f32>;
 
         /// Carries a dense unit's whole input (element `i` from unit `i`)
         /// over `(stage, consumer)`.
         fn gather<'v, D: Domain>(
             &mut self,
-            x: &'v [D::A],
-            buf: &'v mut Vec<D::A>,
+            x: &'v [f32],
+            buf: &'v mut Vec<f32>,
             at: &Assignment,
             (stage, consumer): (u64, usize),
-        ) -> Option<&'v [D::A]> {
+        ) -> Option<&'v [f32]> {
             buf.clear();
             for (producer, &v) in x.iter().enumerate() {
                 buf.push(self.fetch::<D>(v, at, (stage, producer, consumer))?);
@@ -1229,17 +1322,17 @@ mod reference {
     }
 
     impl Fetch for Perfect {
-        fn fetch<D: Domain>(&mut self, v: D::A, _: &Assignment, _: Edge) -> Option<D::A> {
+        fn fetch<D: Domain>(&mut self, v: f32, _: &Assignment, _: Edge) -> Option<f32> {
             Some(v)
         }
 
         fn gather<'v, D: Domain>(
             &mut self,
-            x: &'v [D::A],
-            _: &'v mut Vec<D::A>,
+            x: &'v [f32],
+            _: &'v mut Vec<f32>,
             _: &Assignment,
             _: (u64, usize),
-        ) -> Option<&'v [D::A]> {
+        ) -> Option<&'v [f32]> {
             Some(x)
         }
 
@@ -1248,15 +1341,46 @@ mod reference {
         fn close(&mut self, _: &'static str) {}
     }
 
+    /// One message at a time through `LinkFabric::transmit_over`, apart
+    /// from the bursts the blocked nest sends: a colocated value is free;
+    /// a corrupted payload is flipped; a lost one aborts the pass or is
+    /// substituted here, by zero-fill's 0 or the edge's last delivered
+    /// value, and counted `degraded`. Every received value is read
+    /// through [`Domain::from_wire`].
     impl Fetch for Lossy<'_, '_, '_> {
-        fn fetch<D: Domain>(&mut self, v: D::A, at: &Assignment, edge: Edge) -> Option<D::A> {
+        fn fetch<D: Domain>(&mut self, v: f32, at: &Assignment, edge: Edge) -> Option<f32> {
             let (stage, producer, consumer) = edge;
             let src = at.host_of(stage as usize, producer);
             let dst = at.host_of(stage as usize + 1, consumer);
-            let got = self
-                .rt
-                .transport(D::to_wire(v), src, dst, stage, producer, consumer);
-            got.map(D::from_wire)
+            if src == dst {
+                return Some(v);
+            }
+            let hops = self.rt.hops(src, dst);
+            let mode = self.rt.fabric().policy().degrade_mode();
+            let fabric = self.rt.fabric_mut();
+            let got = match fabric.transmit_over(src, dst, hops) {
+                Delivery::Delivered { corrupted, .. } => {
+                    let seq = fabric.next_seq() - 1;
+                    let got = if corrupted {
+                        fabric.plan().corrupt_value(v, src, dst, seq)
+                    } else {
+                        v
+                    };
+                    if mode == Some(DegradeMode::LastValueHold) {
+                        self.rt.hold(edge, got);
+                    }
+                    got
+                }
+                Delivery::Failed { .. } => {
+                    let substitute = match mode? {
+                        DegradeMode::ZeroFill => 0.0,
+                        DegradeMode::LastValueHold => self.rt.held(edge),
+                    };
+                    self.rt.fabric_mut().note_degraded(1);
+                    substitute
+                }
+            };
+            Some(D::from_wire(got))
         }
 
         fn open(&mut self) {
@@ -1268,20 +1392,38 @@ mod reference {
         }
     }
 
-    /// A dense unit's `bias + row · x`, as each domain computed it.
+    /// A domain's arithmetic as each unit computed it alone: `acc + w ·
+    /// x`, and a dense unit's `bias + row · x`. The i8 domain computes in
+    /// integers, over the i8 values of its activations' images.
     trait Dot: Domain {
-        fn dot(bias: Self::Acc, row: &[Self::W], x: &[Self::A]) -> Self::Acc;
+        fn mac(acc: Self::Acc, w: Self::W, x: f32) -> Self::Acc;
+        fn dot(bias: Self::Acc, row: &[Self::W], x: &[f32]) -> Self::Acc;
     }
 
     impl Dot for DistributedCnn {
+        fn mac(acc: f32, w: f32, x: f32) -> f32 {
+            acc + w * x
+        }
+
         fn dot(bias: f32, row: &[f32], x: &[f32]) -> f32 {
             bias + row.iter().zip(x).map(|(w, v)| w * v).sum::<f32>()
         }
     }
 
+    /// The i8 value an activation image holds.
+    fn value(x: f32) -> i8 {
+        assert_eq!(x, f32::from(x as i8), "{x} is not an i8 image");
+        x as i8
+    }
+
     impl Dot for QuantizedCnn {
-        fn dot(bias: i32, row: &[i8], x: &[i8]) -> i32 {
-            bias + dot_i8(row, x)
+        fn mac(acc: i32, w: i8, x: f32) -> i32 {
+            acc + i32::from(w) * i32::from(value(x))
+        }
+
+        fn dot(bias: i32, row: &[i8], x: &[f32]) -> i32 {
+            let x: Vec<i8> = x.iter().map(|&x| value(x)).collect();
+            bias + dot_i8(row, &x)
         }
     }
 
@@ -1374,8 +1516,8 @@ mod reference {
     fn dense<D: Dot, T: Fetch>(
         m: &D,
         layer: usize,
-        x: &[D::A],
-        buf: &mut Vec<D::A>,
+        x: &[f32],
+        buf: &mut Vec<f32>,
         t: &mut T,
         hop: &'static str,
     ) -> Option<Vec<D::Acc>> {
@@ -1924,6 +2066,111 @@ mod reference {
                         rt.advance_pass();
                     }
                     engine.poll(net, rt, None);
+                }
+            }
+        }
+
+        /// An f32 model of `config` on a 3×3 grid whose every weight is
+        /// ±1, so each freezes to ±127 at its layer's scale: every conv
+        /// kernel +1, dense rows +1 and −1 by turns. Biases come from
+        /// `rng`.
+        fn saturating_model(config: CnnConfig, rng: &mut SeedRng) -> (DistributedCnn, Topology) {
+            let topo = Topology::grid(3, 3, 2.0, 3.0).expect("valid grid");
+            let graph = config.unit_graph().expect("valid graph");
+            let assignment = Assignment::balanced_correspondence(&graph, &topo);
+            let update = WeightUpdate::Independent;
+            let mut net = DistributedCnn::new(config, assignment, update, rng);
+            randomize(&mut net, rng);
+            for rep in net.replicas.values_mut() {
+                rep.weights.data_mut().fill(1.0);
+            }
+            for dense in [&mut net.dense1, &mut net.dense2] {
+                let n = dense.weights.shape()[1];
+                for (row, weights) in dense.weights.data_mut().chunks_exact_mut(n).enumerate() {
+                    weights.fill(if row % 2 == 0 { 1.0 } else { -1.0 });
+                }
+            }
+            (net, topo)
+        }
+
+        /// An input of `config`'s shape with every value `v`, or ±`v` by
+        /// draws from `rng` when `signs`.
+        fn level(config: &CnnConfig, v: f32, signs: Option<&mut SeedRng>) -> Tensor {
+            let mut x = Tensor::zeros(vec![
+                config.in_channels(),
+                config.in_height(),
+                config.in_width(),
+            ]);
+            x.data_mut().fill(v);
+            if let Some(rng) = signs {
+                for x in x.data_mut() {
+                    *x *= if rng.below(2) == 0 { 1.0 } else { -1.0 };
+                }
+            }
+            x
+        }
+
+        /// Int8 lanes stay exact where their sums are largest. Each config
+        /// freezes a model whose weights are all ±127, calibrated on
+        /// inputs of ±1, and feeds inputs of ±10, which saturate at
+        /// ±127: the accumulators reach n · 127² for a fan-in of n, past
+        /// the 2^22 an f32 run holds exactly. The lounge CNN's dense-1
+        /// sums 308 terms (≈ 4.97M), the second config's conv 392
+        /// (≈ 6.32M), the third's dense-1 1,444 (≈ 23.3M, past even the
+        /// 2^24 of exact f32 integers). Over the perfect radio and every
+        /// lossy one, where a block's unused lanes hold the −128 floor,
+        /// the blocked logits equal the integer reference's by `to_bits`,
+        /// and so do the saturation counters.
+        #[test]
+        fn int8_lanes_are_exact_at_the_accumulation_bound() {
+            let configs = [
+                // The lounge CNN: dense-1 has 308 inputs.
+                (CnnConfig::new(1, 17, 25, 4, 4, 2, 32, 2), 3),
+                // Conv fan-in 8 · 7 · 7 = 392.
+                (CnnConfig::new(8, 10, 10, 2, 7, 2, 4, 2), 1),
+                // Dense-1 fan-in 4 · 19 · 19 = 1,444.
+                (CnnConfig::new(1, 40, 40, 4, 3, 2, 8, 2), 3),
+            ];
+            for (seed, (config, layer)) in configs.into_iter().enumerate() {
+                let config = config.expect("valid config");
+                let mut rng = SeedRng::new(seed as u64);
+                let (mut net, topo) = saturating_model(config, &mut rng);
+                let calibration = [
+                    level(&config, 1.0, None),
+                    level(&config, 1.0, Some(&mut rng)),
+                ];
+                let q = QuantizedCnn::new(&mut net, &calibration);
+                let p = q.parts();
+                let tables = p.replicas.values().chain(p.dense);
+                assert!(tables.flat_map(|t| t.weights()).all(|w| w.abs() == 127));
+                let inputs = [
+                    level(&config, 10.0, None),
+                    level(&config, -10.0, None),
+                    level(&config, 10.0, Some(&mut rng)),
+                    level(&config, 0.7, Some(&mut rng)),
+                ];
+
+                // The accumulators the config is built to stress pass 2^22.
+                let mut probe = q.clone();
+                let _ = super::super::forward(&mut probe, &inputs[0], &mut Perfect);
+                let work = probe.work();
+                let sums = if layer == 1 { &work.conv } else { &work.hidden };
+                let peak = sums.iter().map(|s| s.unsigned_abs()).max();
+                assert!(peak > Some(1 << 22), "{config:?}: {peak:?}");
+
+                for radio in RADIOS {
+                    let (mut a, mut b) = (q.clone(), q.clone());
+                    let (mut rt_a, mut rt_b) = (
+                        runtime(radio, &topo, 7, 0.01),
+                        runtime(radio, &topo, 7, 0.01),
+                    );
+                    for x in &inputs {
+                        let blocked = pass(&mut a, x, rt_a.as_mut(), false, true);
+                        let reference = pass(&mut b, x, rt_b.as_mut(), false, false);
+                        assert_eq!(blocked, reference, "{config:?} {radio:?}");
+                        assert_eq!(stats(&a), stats(&b), "{config:?} {radio:?}");
+                    }
+                    assert!(stats(&a).input_saturated > 0);
                 }
             }
         }

@@ -279,6 +279,25 @@ impl LossyRuntime {
     }
 }
 
+/// The last-value-hold cache, for the unit-at-a-time reference nest,
+/// which substitutes lost values itself.
+#[cfg(test)]
+impl LossyRuntime {
+    /// Remembers `v` as the last value delivered over `edge` to the
+    /// selected model.
+    pub(crate) fn hold(&mut self, (stage, producer, consumer): exec::Edge, v: f32) {
+        let key = (self.model, edge_key(stage, producer, consumer));
+        self.last_seen.insert(key, v);
+    }
+
+    /// The last value delivered over `edge` to the selected model, 0
+    /// before the first.
+    pub(crate) fn held(&self, (stage, producer, consumer): exec::Edge) -> f32 {
+        let key = (self.model, edge_key(stage, producer, consumer));
+        self.last_seen.get(&key).copied().unwrap_or(0.0)
+    }
+}
+
 /// Route length from `src` to `dst` in hops, at least 1.
 fn hop_count(routes: &RoutingTable, src: NodeId, dst: NodeId) -> u32 {
     routes.hop_distance(src, dst).unwrap_or(1).max(1) as u32

@@ -6,28 +6,42 @@
 //! module freezes a trained [`DistributedCnn`] into a [`QuantizedCnn`]:
 //! symmetric per-layer i8 weights, per-layer activation scales selected
 //! from calibration activations at deploy time, and a forward pass whose
-//! hot loops are pure i8×i8→i32 integer arithmetic
-//! ([`zeiot_nn::quant`]).
+//! every sum is an exact integer: `Σ w · x` over i8 weights and
+//! activations, accumulated in i32 (the arithmetic of
+//! [`zeiot_nn::quant`]).
+//!
+//! **Exact integer sums in f32 lanes.** The forward keeps each i8 weight
+//! and activation as its exact f32 image and folds `w · x` in the f32
+//! lanes the f32 model uses, which the compiler vectorizes on the build's
+//! baseline, where i8×i8→i32 products compile to scalar instructions.
+//! Every product and partial sum is an integer, and a lane sums at most
+//! 256 terms before it settles: 256 · 127 · 128 < 2^22, so each partial
+//! sum is an exact f32 integer. The lane settles by adding the integer
+//! `(s + 1.5 · 2^23).to_bits() − 0x4B40_0000` into its i32 accumulator:
+//! 1.5 · 2^23 + s is exact, and its bits are `0x4B40_0000 + s`.
 //!
 //! **Why this strengthens the determinism contract.** The f32 lossy path
 //! keeps its guarantees by replicating one canonical accumulation order
-//! everywhere. The quantized path needs no such discipline: `i32`
-//! addition is associative and commutative, so any blocking, any loop
-//! order, and any distribution of partial sums across nodes produces the
-//! same bits. The audit's d3 no-float-order-hazard rule is satisfied *by
-//! construction* — there is no floating-point accumulation to reorder.
+//! everywhere. The quantized path needs no such discipline: each span's
+//! f32 sum is exact, and `i32` addition is associative and commutative,
+//! so any blocking, any loop order, and any distribution of partial sums
+//! across nodes produces the same bits. The audit's d3
+//! no-float-order-hazard rule is satisfied *by construction* — no f32
+//! sum here ever rounds, so there is no rounding to reorder.
 //!
 //! **Fabric transport.** A quantized activation is one signed byte. The
 //! lossy path ships it through the existing [`LossyRuntime`] as its
 //! exact `f32` image (every i8 is exactly representable), so all fault
 //! machinery — drops, retransmission, corruption, degrade substitution —
-//! applies unchanged; the receiver re-quantizes deterministically
-//! (round half away from zero, clamp to ±127, NaN to 0) before the value
-//! ever reaches an accumulator.
+//! applies unchanged. When the plan can corrupt a payload, the receiver
+//! re-quantizes deterministically (round half away from zero, clamp to
+//! ±127, NaN to 0) before the value ever reaches an accumulator; without
+//! corruption every value that lands is already an image within ±127 (a
+//! producer's value, a held one, or zero-fill's 0), so it is left as is.
 //!
 //! **One kernel.** The i8 passes run the same forward loop nest as the
 //! f32 ones; this module supplies only the integer number domain (i8
-//! weights and activations, i32 accumulators, requantization between
+//! weights as f32 images, i32 accumulators, requantization between
 //! layers, `hop.q*` span names). With a lossless plan the lossy
 //! quantized pass is therefore **bit-identical** to
 //! [`QuantizedCnn::forward_quantized`] by construction.
@@ -150,14 +164,13 @@ pub struct QuantizedCnn {
     stats: QuantStats,
     /// Buffers the passes reuse; never serialized.
     #[serde(skip)]
-    work: Workspace<i8, i8, i32>,
+    work: Workspace<i32>,
 }
 
 /// Deterministically re-quantizes a value received off the fabric: the
-/// producer sent an i8 as its exact f32 image, but corruption or degrade
-/// substitution may have replaced it with anything — round half away
-/// from zero, clamp to the symmetric range, map NaN to 0 (the saturating
-/// float→int cast).
+/// producer sent an i8 as its exact f32 image, but corruption may have
+/// flipped any bit of it — round half away from zero, clamp to the
+/// symmetric range, map NaN to 0 (the saturating float→int cast).
 fn requantize_received(v: f32) -> i8 {
     v.round().clamp(-127.0, 127.0) as i8
 }
@@ -282,7 +295,7 @@ impl QuantizedCnn {
     }
 
     /// Integer forward pass. Bit-exact under any loop order or thread
-    /// count: every accumulation is exact i32 addition.
+    /// count: every sum is an exact integer, settled into i32.
     ///
     /// # Panics
     ///
@@ -371,19 +384,15 @@ impl Deserialize for QuantizedCnn {
 
 impl Domain for QuantizedCnn {
     type W = i8;
-    type A = i8;
     type Acc = i32;
     type Replica = QTable;
     type Table = QTable;
     const HOPS: [&'static str; 4] = ["hop.qconv", "hop.qpool", "hop.qhidden", "hop.qlogit"];
-    const FLOOR: i8 = i8::MIN;
+    const FLOOR: f32 = i8::MIN as f32;
+    const ARGMAX: bool = false;
 
-    fn to_wire(a: i8) -> f32 {
-        f32::from(a)
-    }
-
-    fn from_wire(v: f32) -> i8 {
-        requantize_received(v)
+    fn from_wire(v: f32) -> f32 {
+        f32::from(requantize_received(v))
     }
 
     fn parts(&self) -> Parts<'_, QTable, QTable> {
@@ -397,11 +406,11 @@ impl Domain for QuantizedCnn {
         }
     }
 
-    fn work(&mut self) -> &mut Workspace<i8, i8, i32> {
+    fn work(&mut self) -> &mut Workspace<i32> {
         &mut self.work
     }
 
-    fn admit<'a>(&mut self, input: &'a Tensor, buf: &'a mut Vec<i8>) -> &'a [i8] {
+    fn admit<'a>(&mut self, input: &'a Tensor, buf: &'a mut Vec<f32>) -> &'a [f32] {
         exec::check_input(&self.config, input);
         self.stats.input_saturated += quantize_into(input.data(), self.input_scale, buf);
         buf
@@ -411,14 +420,10 @@ impl Domain for QuantizedCnn {
         0
     }
 
-    fn mac(acc: i32, w: i8, x: i8) -> i32 {
-        acc + i32::from(w) * i32::from(x)
-    }
-
-    /// Requantizes into the next activation domain and applies ReLU in
-    /// the integer domain (sound because the requantizer is monotone),
-    /// counting saturation.
-    fn activate(&mut self, layer: usize, acc: &[i32], out: &mut Vec<i8>) {
+    /// Requantizes into the next activation domain and applies ReLU to
+    /// the image (sound because the requantizer is monotone), counting
+    /// saturation.
+    fn activate(&mut self, layer: usize, acc: &[i32], out: &mut Vec<f32>) {
         let requant = if layer == 1 {
             self.conv_requant
         } else {
@@ -426,11 +431,14 @@ impl Domain for QuantizedCnn {
         };
         let mut sat = 0u64;
         out.clear();
-        out.extend(acc.iter().map(|&a| requant.apply_i8(a, &mut sat).max(0)));
+        out.extend(
+            acc.iter()
+                .map(|&a| f32::from(requant.apply_i8(a, &mut sat)).max(0.0)),
+        );
         self.stats.activation_saturated += sat;
     }
 
-    fn pool_done(&mut self, _: &[i8], _: &[usize]) {}
+    fn pool_done(&mut self, _: &[f32], _: &[usize]) {}
 
     fn finish(&mut self, _: &Tensor, logits: &[i32]) -> Tensor {
         self.stats.forwards += 1;

@@ -67,8 +67,9 @@ pub fn quantize_slice(xs: &[f32], scale: f32) -> (Vec<i8>, u64) {
 }
 
 /// [`quantize_slice`] into `out`, replacing its contents in its own
-/// storage; returns how many values saturated.
-pub fn quantize_into(xs: &[f32], scale: f32, out: &mut Vec<i8>) -> u64 {
+/// storage, each i8 as a `T` (itself, or its exact f32 image); returns
+/// how many values saturated.
+pub fn quantize_into<T: From<i8>>(xs: &[f32], scale: f32, out: &mut Vec<T>) -> u64 {
     let mut saturated = 0u64;
     out.clear();
     out.extend(xs.iter().map(|&x| {
@@ -76,7 +77,7 @@ pub fn quantize_into(xs: &[f32], scale: f32, out: &mut Vec<i8>) -> u64 {
         if q > QMAX as f32 || q < -(QMAX as f32) {
             saturated += 1;
         }
-        q.clamp(-(QMAX as f32), QMAX as f32) as i8
+        T::from(q.clamp(-(QMAX as f32), QMAX as f32) as i8)
     }));
     saturated
 }

@@ -788,6 +788,66 @@ mod tests {
     }
 
     #[test]
+    fn int8_tenants_keep_their_function_under_re_placement() {
+        use crate::tenant::QuantMode;
+        use zeiot_core::id::NodeId;
+        use zeiot_core::time::SimTime;
+        use zeiot_microdeep::replace::ReplaceConfig;
+        use zeiot_microdeep::QuantizedCnn;
+
+        // Independent replicas that training drove apart, so a conv unit
+        // that changes host reads other weights.
+        let trained = |seed| {
+            let mut net = small_net(seed);
+            let mut rng = SeedRng::new(seed);
+            for _ in 0..3 {
+                net.train_epoch(&pool(8), 0.1, 4, &mut rng);
+            }
+            net
+        };
+        let int8_tenant = |name, seed| {
+            let deadline = SimDuration::from_millis(400);
+            let spec = TenantSpec::new(name, ArrivalProcess::poisson(6.0), deadline)
+                .with_quant(QuantMode::Int8);
+            Tenant::new(spec, trained(seed), pool(8)).unwrap()
+        };
+        // Nodes 4 and 5 go dark once ten passes have packed both
+        // tenants' weights, and the engines move their units.
+        let mut plan = FaultPlan::lossless();
+        for node in [4, 5] {
+            let (from, until) = (SimTime::from_secs(1), SimTime::from_secs(100));
+            plan = plan.with_outage(NodeId::new(node), from, until).unwrap();
+        }
+        let degraded = DegradedServing {
+            plan,
+            policy: RecoveryPolicy::Degrade {
+                mode: DegradeMode::ZeroFill,
+            },
+            pass_period: SimDuration::from_millis(100),
+            stale_cache: false,
+            replace: Some(ReplaceConfig::incremental(64)),
+        };
+        let tenants = vec![int8_tenant("q0", 5), int8_tenant("q1", 6)];
+        let mut server = server(1, 2, 32, tenants).with_degraded(degraded);
+        let outcome = server.run(21, SimDuration::from_secs(4), None);
+        let replace = outcome.report.replace.expect("engine stats present");
+        assert!(replace.migrations > 0, "{replace:?}");
+
+        let bits = |t: Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for tenant in server.tenants() {
+            // The clone keeps the packed rows `resync_placement` re-pointed;
+            // the restored copy packs its own from its integer tables.
+            let mut served = tenant.quantized_model().expect("an int8 tenant").clone();
+            let json = serde_json::to_string(&served).unwrap();
+            let mut restored: QuantizedCnn = serde_json::from_str(&json).unwrap();
+            for (x, _) in pool(8) {
+                let (got, want) = (served.forward_quantized(&x), restored.forward_quantized(&x));
+                assert_eq!(bits(got), bits(want), "{}", tenant.spec.name);
+            }
+        }
+    }
+
+    #[test]
     fn dwell_times_tile_the_horizon_and_track_the_ladder() {
         use crate::stats::DwellState;
         let horizon = SimDuration::from_secs(4);
