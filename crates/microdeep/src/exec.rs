@@ -26,15 +26,19 @@
 //! neighbouring consumer units — conv units of one output row, pool
 //! units of one pooled row, dense units — computed together, one lane
 //! per unit, so the lanes' dependency chains overlap instead of running
-//! one after another. Each lane keeps its unit's own order: a conv lane
-//! starts from the bias and adds the kernel terms in `(in channel, ky,
-//! kx)` order; a dense lane starts from the identity `Iterator::sum`
+//! one after another. A dense stage whose units all read the same
+//! inputs, as they do over the perfect radio, folds up to
+//! [`Transport::GROUP`] blocks in one pass over them, so the blocks'
+//! chains overlap too. Each lane keeps its unit's own order: a conv
+//! lane starts from the bias and adds the kernel terms in `(in channel,
+//! ky, kx)` order; a dense lane starts from the identity `Iterator::sum`
 //! folds from, adds the inputs in order and adds the bias last; a pool
 //! lane keeps the first strict maximum. Lanes reassociate nothing
 //! within a unit, so f32 results are bit-identical to computing one
 //! unit at a time, and i32 results to its sequential integer fold (the
 //! `reference` tests hold the nest to both). A transport only decides
-//! where a block's inputs come from.
+//! where a block's inputs come from, and so how many dense blocks one
+//! pass folds.
 //!
 //! The conv backward runs in lanes too, across each unit's kernel
 //! terms. It first collects the units whose gradient survives the ReLU
@@ -78,6 +82,7 @@ use crate::lossy::{
 use std::collections::BTreeMap;
 use std::ops::Add;
 use zeiot_core::id::NodeId;
+use zeiot_nn::quant::exact_int;
 use zeiot_nn::tensor::Tensor;
 use zeiot_obs::trace::SpanScope;
 
@@ -88,7 +93,7 @@ const LANES: usize = 8;
 /// accumulator. A term of an i8 model is `w · x` with |w| ≤ 127 and
 /// |x| ≤ 128 (the pool floor −128 fills a lossy block's unused lanes),
 /// so a span's partial sums stay within 256 · 127 · 128 = 4,161,536 <
-/// 2^22: each is an exact f32 integer, and [`settle`] reads it exactly.
+/// 2^22: each is an exact f32 integer, and [`exact_int`] reads it exactly.
 const SPAN: usize = 256;
 
 /// `(stage, producer, consumer)`: edge stage `s` (a `STAGE_*` constant)
@@ -118,7 +123,8 @@ impl Block<'_> {
 }
 
 /// A delivered block: lane `j`'s term `t` is `src[base + terms[t] + o_j]`,
-/// where the lane offsets `o_j` follow [`Lanes`].
+/// where the lane offsets `o_j` follow [`Lanes`]. A dense group's blocks
+/// all read these inputs ([`Transport::GROUP`]).
 pub(crate) struct Inputs<'v> {
     src: &'v [f32],
     base: usize,
@@ -133,6 +139,9 @@ pub(crate) struct Inputs<'v> {
 enum Lanes {
     /// Lane `j` at `j`: the block's lane values are one contiguous run.
     Contiguous,
+    /// Lane `j` at `2j`: every other value of a contiguous run of
+    /// `2 · LANES`, a max-pool row's windows of width 2.
+    Alternate,
     /// Every lane at 0: each term is one value all lanes read.
     Broadcast,
     /// Lane `j` at its own offset, the `j`-th entry.
@@ -146,6 +155,8 @@ pub(crate) trait Read {
 
 /// [`Lanes::Contiguous`].
 struct Run;
+/// [`Lanes::Alternate`].
+struct EveryOther;
 /// [`Lanes::Broadcast`].
 struct Splat;
 /// [`Lanes::Gathered`].
@@ -157,6 +168,21 @@ impl Read for Run {
         // zeiot-audit: allow(p1) -- delivered blocks index inside their source
         let mut xs = [src[at]; LANES];
         xs.copy_from_slice(&src[at..at + LANES]);
+        xs
+    }
+}
+
+impl Read for EveryOther {
+    /// One contiguous load and a shuffle, where a gather makes a
+    /// bounds-checked load per lane.
+    #[inline(always)]
+    fn read(&self, src: &[f32], at: usize) -> [f32; LANES] {
+        // zeiot-audit: allow(p1) -- delivered blocks index inside their source
+        let run = &src[at..at + 2 * LANES];
+        let mut xs = [0.0; LANES];
+        for (x, pair) in xs.iter_mut().zip(run.chunks_exact(2)) {
+            *x = pair[0];
+        }
         xs
     }
 }
@@ -181,11 +207,17 @@ impl Read for Gather {
     }
 }
 
+/// The runs of at most `width` units that cover a row of `len`:
+/// `(offset, lanes)`.
+fn runs(len: usize, width: usize) -> impl Iterator<Item = (usize, usize)> {
+    (0..len)
+        .step_by(width)
+        .map(move |first| (first, (len - first).min(width)))
+}
+
 /// The blocks of a row of `len` units: `(offset, lanes)`.
 fn blocks(len: usize) -> impl Iterator<Item = (usize, usize)> {
-    (0..len)
-        .step_by(LANES)
-        .map(move |first| (first, (len - first).min(LANES)))
+    runs(len, LANES)
 }
 
 /// A block buffer, reused across passes: value `t · LANES + j` is lane
@@ -421,7 +453,12 @@ pub(crate) fn overwrite<T: Copy>(dst: &mut Vec<T>, src: &[T]) {
 
 /// How values move between the nodes hosting CNN units.
 pub(crate) trait Transport {
-    /// Delivers block `b`'s inputs from producer layer `x`; `None` aborts
+    /// Dense blocks one pass delivers and folds together, so that their
+    /// lanes' dependency chains overlap: at most 4.
+    const GROUP: usize;
+
+    /// Delivers block `b`'s inputs from producer layer `x`, where `b`
+    /// spans a group of [`Transport::GROUP`] dense blocks; `None` aborts
     /// the pass.
     fn deliver<'v, D: Domain>(
         &mut self,
@@ -443,6 +480,10 @@ pub(crate) trait Transport {
 pub(crate) struct Perfect;
 
 impl Transport for Perfect {
+    /// A dense group reads the producer layer in place, which its units
+    /// share.
+    const GROUP: usize = 4;
+
     fn deliver<'v, D: Domain>(
         &mut self,
         x: &'v [f32],
@@ -455,6 +496,7 @@ impl Transport for Perfect {
         let lanes = match b.stride {
             0 => Lanes::Broadcast,
             1 if last + LANES <= x.len() => Lanes::Contiguous,
+            2 if last + 2 * LANES <= x.len() => Lanes::Alternate,
             // Lanes past the block's width on its last unit.
             stride => Lanes::Gathered(std::array::from_fn(|j| j.min(b.lanes - 1) * stride)),
         };
@@ -502,6 +544,11 @@ impl<'r, 's, 'b> Lossy<'r, 's, 'b> {
 }
 
 impl Transport for Lossy<'_, '_, '_> {
+    /// Each unit's inputs are its own delivered values, so a group of
+    /// four dense blocks of 308 terms lands in a 39 KB block buffer, which
+    /// served lossy requests 8% slower than one block at a time.
+    const GROUP: usize = 1;
+
     /// Sends unit by unit, each unit's edges in term order as one burst
     /// under one hop span: the messages a unit-at-a-time pass sends, in
     /// its order. Each entry reads its producer's host and value, and
@@ -620,58 +667,55 @@ pub(crate) trait Domain {
 /// in f32, in term order ([`span`]); the accumulator decides how many
 /// terms one f32 run covers and how it reaches the unit's sum.
 pub(crate) trait Accumulator: Copy + Add<Output = Self> + Default {
-    /// Folds the block rows `w` over the terms of `v`, read by `lanes`,
-    /// into the lanes `acc`: lane `j` takes `w[t][j] · x(t, j)` for every
-    /// term `t` in order.
-    fn fold<R: Read>(
-        acc: [Self; LANES],
-        w: &[[f32; LANES]],
+    /// Folds the rows `w[g]` of each of a group of `G` blocks over the
+    /// terms of `v`, read by `lanes`, into the lanes `acc`: lane `j` of
+    /// block `g` takes `w[g][t][j] · x(t, j)` for every term `t` in order.
+    fn fold<R: Read, const G: usize>(
+        acc: [[Self; LANES]; G],
+        w: [&[[f32; LANES]]; G],
         v: &Inputs<'_>,
         lanes: &R,
-    ) -> [Self; LANES];
+    ) -> [[Self; LANES]; G];
 }
 
 /// One f32 run from the accumulator itself: the unit's own rounding.
 impl Accumulator for f32 {
     #[inline(always)]
-    fn fold<R: Read>(
-        acc: [f32; LANES],
-        w: &[[f32; LANES]],
+    fn fold<R: Read, const G: usize>(
+        acc: [[f32; LANES]; G],
+        w: [&[[f32; LANES]]; G],
         v: &Inputs<'_>,
         lanes: &R,
-    ) -> [f32; LANES] {
+    ) -> [[f32; LANES]; G] {
         span(acc, w, v, v.terms, lanes)
     }
 }
 
 /// Exact integer sums: runs of at most [`SPAN`] terms from 0.0, each an
-/// exact f32 integer, [`settle`]d into the i32 accumulator. i32 addition
-/// is associative, so the result is the sequential integer fold's.
+/// exact f32 integer, settled into the i32 accumulator by [`exact_int`].
+/// i32 addition is associative, so the result is the sequential integer
+/// fold's.
 impl Accumulator for i32 {
     #[inline(always)]
-    fn fold<R: Read>(
-        acc: [i32; LANES],
-        w: &[[f32; LANES]],
+    fn fold<R: Read, const G: usize>(
+        acc: [[i32; LANES]; G],
+        w: [&[[f32; LANES]]; G],
         v: &Inputs<'_>,
         lanes: &R,
-    ) -> [i32; LANES] {
+    ) -> [[i32; LANES]; G] {
         let mut acc = acc;
-        for (w, terms) in w.chunks(SPAN).zip(v.terms.chunks(SPAN)) {
-            let sums = span([0.0; LANES], w, v, terms, lanes);
-            for (a, s) in acc.iter_mut().zip(sums) {
-                *a += settle(s);
+        for (k, terms) in v.terms.chunks(SPAN).enumerate() {
+            // zeiot-audit: allow(p1) -- each block has a row per term of `v`
+            let w = w.map(|w| &w[k * SPAN..]);
+            let sums = span([[0.0; LANES]; G], w, v, terms, lanes);
+            for (acc, sums) in acc.iter_mut().zip(sums) {
+                for (a, s) in acc.iter_mut().zip(sums) {
+                    *a += exact_int(s);
+                }
             }
         }
         acc
     }
-}
-
-/// The integer an exact f32 sum `s` holds, for |s| ≤ 2^22: 1.5 · 2^23 +
-/// s lies in [2^23, 2^24], where f32 integers are exact, and its bits
-/// are `0x4B40_0000 + s`.
-#[inline(always)]
-fn settle(s: f32) -> i32 {
-    (s + 12_582_912.0).to_bits() as i32 - 0x4B40_0000
 }
 
 /// Offsets of a conv unit's receptive field in kernel order `(in
@@ -864,40 +908,59 @@ fn stages<D: Domain, T: Transport>(
     Some(m.finish(input, logits))
 }
 
-/// Folds every term into every lane, in term order, from the block's
-/// packed rows: lane `j` takes `w[t][j] · v(t, j)` for `t` = 0, 1, …, n−1,
-/// into `acc[j]` as its [`Accumulator`] says.
-fn accumulate<D: Domain>(
-    acc: [D::Acc; LANES],
-    w: &[[f32; LANES]],
+/// Folds every term into every lane of a group of `G` blocks, in term
+/// order, from each block's packed rows: lane `j` of block `g` takes
+/// `w[g][t][j] · v(t, j)` for `t` = 0, 1, …, n−1, into `acc[g][j]` as its
+/// [`Accumulator`] says.
+fn accumulate<D: Domain, const G: usize>(
+    acc: [[D::Acc; LANES]; G],
+    w: [&[[f32; LANES]]; G],
     v: &Inputs<'_>,
-) -> [D::Acc; LANES] {
+) -> [[D::Acc; LANES]; G] {
     match v.lanes {
         Lanes::Contiguous => D::Acc::fold(acc, w, v, &Run),
+        Lanes::Alternate => D::Acc::fold(acc, w, v, &EveryOther),
         Lanes::Broadcast => D::Acc::fold(acc, w, v, &Splat),
         Lanes::Gathered(offsets) => D::Acc::fold(acc, w, v, &Gather(offsets)),
     }
 }
 
-/// One f32 run over `terms`, a run of `v`'s terms, and the matching
-/// rows `w`: lane `j` becomes `(… (s[j] + w[0][j] · x(0, j)) + …) +
-/// w[n−1][j] · x(n−1, j)`.
+/// One f32 run over `terms`, a run of `v`'s terms, and each of a group
+/// of `G` blocks' matching rows `w[g]`: lane `j` of block `g` becomes
+/// `(… (s[g][j] + w[g][0][j] · x(0, j)) + …) + w[g][n−1][j] · x(n−1, j)`.
+/// The blocks' chains are independent, so they overlap.
 #[inline(always)]
-fn span<R: Read>(
-    s: [f32; LANES],
-    w: &[[f32; LANES]],
+fn span<R: Read, const G: usize>(
+    s: [[f32; LANES]; G],
+    w: [&[[f32; LANES]]; G],
     v: &Inputs<'_>,
     terms: &[usize],
     lanes: &R,
-) -> [f32; LANES] {
+) -> [[f32; LANES]; G] {
     let mut s = s;
-    for (row, &term) in w.iter().zip(terms) {
+    // zeiot-audit: allow(p1) -- each block has a row per term of `v`
+    let w = w.map(|w| &w[..terms.len()]);
+    let (Some((s0, s_rest)), Some((w0, w_rest))) = (s.split_first_mut(), w.split_first()) else {
+        return s;
+    };
+    // Block 0 walks its rows beside the terms, the loop a one-block conv
+    // fold runs fastest as; the group's other blocks index theirs.
+    for (t, (row0, &term)) in w0.iter().zip(terms).enumerate() {
         let xs = lanes.read(v.src, v.base + term);
-        for ((s, &w), x) in s.iter_mut().zip(row).zip(xs) {
-            *s += w * x;
+        add_products(s0, row0, xs);
+        for (s, w) in s_rest.iter_mut().zip(w_rest) {
+            add_products(s, &w[t], xs);
         }
     }
     s
+}
+
+/// `s[j] += w[j] · x[j]` in every lane.
+#[inline(always)]
+fn add_products(s: &mut [f32; LANES], w: &[f32; LANES], xs: [f32; LANES]) {
+    for ((s, &w), x) in s.iter_mut().zip(w).zip(xs) {
+        *s += w * x;
+    }
 }
 
 /// Convolution into `out`: each conv unit pulls its receptive field
@@ -931,7 +994,8 @@ fn conv<D: Domain, T: Transport>(
                     hop,
                 };
                 let v = t.deliver::<D>(x, b, p.assignment, buf)?;
-                out.extend(accumulate::<D>(bias, w, &v).into_iter().take(lanes));
+                let [acc] = accumulate::<D, 1>([bias], [w], &v);
+                out.extend(acc.into_iter().take(lanes));
             }
         }
     }
@@ -941,21 +1005,23 @@ fn conv<D: Domain, T: Transport>(
 /// Each lane's first strict maximum and, when [`Domain::ARGMAX`], the
 /// term it came from; a lane where nothing compares above
 /// [`Domain::FLOOR`] (NaN, or the floor itself) keeps the floor and no
-/// term (`usize::MAX`), as does every lane without the argmax.
-fn max_lanes<D: Domain>(v: &Inputs<'_>) -> ([f32; LANES], [usize; LANES]) {
+/// term (`u32::MAX`), as does every lane without the argmax.
+fn max_lanes<D: Domain>(v: &Inputs<'_>) -> ([f32; LANES], [u32; LANES]) {
     match v.lanes {
         Lanes::Contiguous => max_fold::<D, _>(v, Run),
+        Lanes::Alternate => max_fold::<D, _>(v, EveryOther),
         Lanes::Broadcast => max_fold::<D, _>(v, Splat),
         Lanes::Gathered(offsets) => max_fold::<D, _>(v, Gather(offsets)),
     }
 }
 
-/// [`max_lanes`] for one lane layout: selects, not branches.
+/// [`max_lanes`] for one lane layout: selects, not branches. The terms
+/// are counted in u32 lanes, as wide as the values they are selected by.
 #[inline(always)]
-fn max_fold<D: Domain, R: Read>(v: &Inputs<'_>, lanes: R) -> ([f32; LANES], [usize; LANES]) {
+fn max_fold<D: Domain, R: Read>(v: &Inputs<'_>, lanes: R) -> ([f32; LANES], [u32; LANES]) {
     let mut best = [D::FLOOR; LANES];
-    let mut won = [usize::MAX; LANES];
-    for (t, &term) in v.terms.iter().enumerate() {
+    let mut won = [u32::MAX; LANES];
+    for (t, &term) in (0u32..).zip(v.terms) {
         let xs = lanes.read(v.src, v.base + term);
         if D::ARGMAX {
             for ((best, won), x) in best.iter_mut().zip(&mut won).zip(xs) {
@@ -1007,7 +1073,7 @@ fn pool<D: Domain, T: Transport>(
             pooled.extend(best.into_iter().take(lanes));
             if D::ARGMAX {
                 for (lane, won) in won.into_iter().take(lanes).enumerate() {
-                    let term = window.get(won);
+                    let term = window.get(won as usize);
                     argmax.push(term.map_or(0, |&term| b.producer(term, lane)));
                 }
             }
@@ -1019,7 +1085,8 @@ fn pool<D: Domain, T: Transport>(
 /// Dense layer `layer` (0: hidden, 1: logits) over the previous layer's
 /// activations `x`, into `out`; every unit pulls the whole of `x`, its
 /// terms the first `x.len()` of `terms`, its block's weights the layer's
-/// packed rows.
+/// packed rows. Units go in groups of up to [`Transport::GROUP`] blocks,
+/// each group delivered and folded in one pass over `x`.
 #[allow(clippy::too_many_arguments)]
 fn dense<D: Domain, T: Transport>(
     p: &Parts<'_, D::Replica, D::Table>,
@@ -1042,7 +1109,8 @@ fn dense<D: Domain, T: Transport>(
     let n = x.len();
     let terms = &terms[..n];
     out.clear();
-    for ((first, lanes), w) in blocks(bias.len()).zip(rows.chunks_exact(n)) {
+    let groups = runs(bias.len(), T::GROUP * LANES).zip(rows.chunks(T::GROUP * n));
+    for ((first, lanes), w) in groups {
         let b = Block {
             stage: STAGE_POOL_HIDDEN + layer as u64,
             first,
@@ -1053,11 +1121,33 @@ fn dense<D: Domain, T: Transport>(
             hop,
         };
         let v = t.deliver::<D>(x, b, p.assignment, buf)?;
-        let acc = accumulate::<D>([D::zero(); LANES], w, &v);
-        let biased = acc.into_iter().zip(bias.iter().skip(first).take(lanes));
-        out.extend(biased.map(|(acc, &bias)| bias + acc));
+        let bias = bias.iter().skip(first).take(lanes);
+        match lanes.div_ceil(LANES) {
+            1 => dense_group::<D, 1>(w, &v, bias, out),
+            2 => dense_group::<D, 2>(w, &v, bias, out),
+            3 => dense_group::<D, 3>(w, &v, bias, out),
+            _ => dense_group::<D, 4>(w, &v, bias, out),
+        }
     }
     Some(())
+}
+
+/// Folds a group of `G` dense blocks, whose packed rows `w` lie block
+/// after block, from the identity and appends its units' sums, each with
+/// its bias added last.
+fn dense_group<'b, D: Domain, const G: usize>(
+    w: &[[f32; LANES]],
+    v: &Inputs<'_>,
+    bias: impl Iterator<Item = &'b D::Acc>,
+    out: &mut Vec<D::Acc>,
+) where
+    D::Acc: 'b,
+{
+    let n = w.len() / G;
+    let w = std::array::from_fn(|g| &w[g * n..(g + 1) * n]);
+    let acc = accumulate::<D, G>([[D::zero(); LANES]; G], w, v);
+    let biased = acc.into_iter().flatten().zip(bias);
+    out.extend(biased.map(|(acc, &bias)| bias + acc));
 }
 
 /// The share of `data` whose forward over `t` completes with the
@@ -1274,6 +1364,58 @@ fn dense_backward<T: Transport>(
 fn relu_mask(grad: &mut [f32], pre: &[f32]) {
     for (g, &v) in grad.iter_mut().zip(pre) {
         *g = if v > 0.0 { *g } else { 0.0 };
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::QuantizedCnn;
+
+    /// A max-pool row's stride-2 read ([`Lanes::Alternate`]) equals the
+    /// gather it replaced on windows of width 2 with ties, signed zeros,
+    /// NaN and each domain's floor: the same best value, by bits, and the
+    /// same winning term in every lane, in both domains.
+    #[test]
+    fn alternate_reads_pool_windows_like_the_gather() {
+        let nan = f32::NAN;
+        let floor = f32::NEG_INFINITY;
+        // Lane `j`'s window: top row at 2j, 2j + 1, bottom row at w + 2j,
+        // w + 2j + 1.
+        let windows: [[f32; 4]; LANES] = [
+            [1.0, 1.0, 1.0, 1.0],
+            [0.5, 2.0, 2.0, 1.0],
+            [nan, 3.0, 1.0, 3.0],
+            [nan, nan, nan, nan],
+            [floor, floor, -128.0, floor],
+            [-128.0, -128.0, -128.0, -128.0],
+            [-0.0, 0.0, 0.0, -0.0],
+            [5.0, nan, 4.0, 6.0],
+        ];
+        let w = 2 * LANES + 2;
+        let mut src = vec![0.25; 2 * w];
+        for (j, [a, b, c, d]) in windows.into_iter().enumerate() {
+            src[2 * j..2 * j + 2].copy_from_slice(&[a, b]);
+            src[w + 2 * j..w + 2 * j + 2].copy_from_slice(&[c, d]);
+        }
+        let window = [0, 1, w, w + 1];
+        let inputs = |lanes| Inputs {
+            src: &src,
+            base: 0,
+            terms: &window,
+            lanes,
+        };
+        let (alternate, gathered) = (
+            inputs(Lanes::Alternate),
+            inputs(Lanes::Gathered(std::array::from_fn(|j| 2 * j))),
+        );
+        let bits = |(best, won): ([f32; LANES], [u32; LANES])| (best.map(f32::to_bits), won);
+        let f32s = bits(max_lanes::<DistributedCnn>(&alternate));
+        assert_eq!(f32s, bits(max_lanes::<DistributedCnn>(&gathered)));
+        assert_eq!(f32s.1, [0, 1, 1, u32::MAX, 2, 0, 0, 3]);
+        let i8s = bits(max_lanes::<QuantizedCnn>(&alternate));
+        assert_eq!(i8s, bits(max_lanes::<QuantizedCnn>(&gathered)));
+        assert_eq!(i8s.0[5], (-128.0f32).to_bits());
     }
 }
 

@@ -17,8 +17,9 @@
 //! Every product and partial sum is an integer, and a lane sums at most
 //! 256 terms before it settles: 256 · 127 · 128 < 2^22, so each partial
 //! sum is an exact f32 integer. The lane settles by adding the integer
-//! `(s + 1.5 · 2^23).to_bits() − 0x4B40_0000` into its i32 accumulator:
-//! 1.5 · 2^23 + s is exact, and its bits are `0x4B40_0000 + s`.
+//! `(s + 1.5 · 2^23).to_bits() − 0x4B40_0000` into its i32 accumulator
+//! ([`zeiot_nn::quant::exact_int`]): 1.5 · 2^23 + s is exact, and its
+//! bits are `0x4B40_0000 + s`.
 //!
 //! **Why this strengthens the determinism contract.** The f32 lossy path
 //! keeps its guarantees by replicating one canonical accumulation order
@@ -53,7 +54,9 @@ use crate::{Assignment, CnnConfig};
 use serde::{de_field, Deserialize, Serialize, Value};
 use std::collections::BTreeMap;
 use zeiot_core::id::NodeId;
-use zeiot_nn::quant::{quantize_into, quantize_slice, scale_for, Calibration, Requant};
+use zeiot_nn::quant::{
+    quantize_into, quantize_slice, round_half_away, scale_for, Calibration, Requant, MAX_SHIFT,
+};
 use zeiot_nn::tensor::Tensor;
 use zeiot_obs::trace::SpanScope;
 use zeiot_obs::{Label, Recorder};
@@ -172,7 +175,7 @@ pub struct QuantizedCnn {
 /// flipped any bit of it — round half away from zero, clamp to the
 /// symmetric range, map NaN to 0 (the saturating float→int cast).
 fn requantize_received(v: f32) -> i8 {
-    v.round().clamp(-127.0, 127.0) as i8
+    round_half_away(v).clamp(-127.0, 127.0) as i8
 }
 
 impl QuantizedCnn {
@@ -258,9 +261,27 @@ impl QuantizedCnn {
     }
 
     /// Checks the placement and every integer table against the config
-    /// (the same [`check_layout`] a restored [`DistributedCnn`] passes).
+    /// (the same [`check_layout`] a restored [`DistributedCnn`] passes),
+    /// and each requantizer against what [`Requant::from_ratio`] makes: a
+    /// multiplier of at least 0 and a shift of at most [`MAX_SHIFT`], the
+    /// range the forward's requantization is exact on.
     fn validate(&self) -> Result<(), String> {
-        check_layout(&self.parts())
+        check_layout(&self.parts())?;
+        let requants = [
+            ("conv_requant", self.conv_requant),
+            ("hidden_requant", self.hidden_requant),
+        ];
+        for (name, r) in requants {
+            if r.mult() < 0 || r.shift() > MAX_SHIFT {
+                return Err(format!(
+                    "{name} has multiplier {} and shift {}; it needs a multiplier of at \
+                     least 0 and a shift of at most {MAX_SHIFT}",
+                    r.mult(),
+                    r.shift()
+                ));
+            }
+        }
+        Ok(())
     }
 
     /// Re-aligns this frozen deployment with `net`'s placement after the
@@ -429,13 +450,7 @@ impl Domain for QuantizedCnn {
         } else {
             self.hidden_requant
         };
-        let mut sat = 0u64;
-        out.clear();
-        out.extend(
-            acc.iter()
-                .map(|&a| f32::from(requant.apply_i8(a, &mut sat)).max(0.0)),
-        );
-        self.stats.activation_saturated += sat;
+        self.stats.activation_saturated += requant.relu_into(acc, out);
     }
 
     fn pool_done(&mut self, _: &[f32], _: &[usize]) {}
@@ -771,6 +786,46 @@ mod tests {
         ))
         .unwrap_err();
         assert!(err.contains("conv unit 0"), "unexpected error: {err}");
+    }
+
+    #[test]
+    fn deserialize_rejects_requantizers_out_of_range() {
+        let (mut net, data) = trained_setup(WeightUpdate::Independent, 29);
+        let calibration: Vec<Tensor> = data.iter().take(4).map(|(x, _)| x.clone()).collect();
+        let qnet = QuantizedCnn::new(&mut net, &calibration);
+        let json = serde_json::to_string(&qnet).unwrap();
+        let restore =
+            |text: &str| serde_json::from_str::<QuantizedCnn>(text).map_err(|e| e.to_string());
+        let requants = [
+            ("conv_requant", qnet.conv_requant),
+            ("hidden_requant", qnet.hidden_requant),
+        ];
+        for (field, r) in requants {
+            let frozen = |mult: i32, shift: u32| {
+                format!("\"{field}\":{{\"mult\":{mult},\"shift\":{shift}}}")
+            };
+            let with = |mult, shift| {
+                let out = json.replacen(&frozen(r.mult(), r.shift()), &frozen(mult, shift), 1);
+                assert_ne!(out, json, "`{field}` missing from JSON");
+                out
+            };
+            // Shifts past 62 leave the exact range; at 64 the forward's
+            // `1 << shift` would panic.
+            for (mult, shift) in [
+                (r.mult(), 63),
+                (r.mult(), 64),
+                (-r.mult(), r.shift()),
+                (-1, 0),
+            ] {
+                let err = restore(&with(mult, shift)).unwrap_err();
+                assert!(err.contains(field), "unexpected error: {err}");
+            }
+            // The edges of the range restore and run.
+            for (mult, shift) in [(0, r.shift()), (r.mult(), MAX_SHIFT), (i32::MAX, 0)] {
+                let mut model = restore(&with(mult, shift)).unwrap();
+                assert_eq!(model.forward_quantized(&data[0].0).len(), 2);
+            }
+        }
     }
 
     #[test]

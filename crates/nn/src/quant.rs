@@ -15,14 +15,22 @@
 //! * [`dense_i8_blocked`] / [`conv2d_i8`] / [`dot_i8`] — cache-blocked
 //!   quantized kernels accumulating exactly in `i32`.
 //!
-//! **Determinism.** Every rounding step is round-half-away-from-zero
-//! (`f32::round` for quantization, explicit integer rounding inside
-//! [`Requant::apply`]). Accumulation is exact integer addition, which is
+//! **Determinism.** Every rounding step is round-half-away-from-zero:
+//! [`round_half_away`] for quantization, which equals `f32::round` on
+//! every f32 without calling libm, and explicit integer rounding inside
+//! [`Requant::apply`]. Accumulation is exact integer addition, which is
 //! associative and commutative — so cache blocking, loop reordering, and
 //! parallel partial sums cannot change a single bit of the result. This
 //! is the property that lets distributed per-node partial sums travel a
 //! lossy fabric and still reproduce byte-identically at every thread
 //! count (`DESIGN.md` §11).
+//!
+//! **Vector lanes.** The per-value stages of an int8 forward are written
+//! so that the compiler vectorizes them on the build's baseline (SSE2 on
+//! x86-64), where a libm call or an i64 multiply would keep them scalar:
+//! [`quantize_into`] rounds with [`round_half_away`], and
+//! [`Requant::relu_into`] multiplies magnitudes as u32 × u32 → u64,
+//! which is exact for every `i32 × i32` product.
 //!
 //! **No overflow.** An `i8 × i8` product is at most `127 · 127 =
 //! 16129 < 2^14`; an `i32` accumulator therefore holds at least
@@ -36,6 +44,10 @@ use serde::{Deserialize, Serialize};
 /// The symmetric i8 range: values quantize into `[-127, 127]` (the
 /// `-128` slot is unused so negation cannot overflow).
 pub const QMAX: i32 = 127;
+
+/// The widest shift a [`Requant`] may have: [`rounding_shift`] is exact
+/// up to it.
+pub const MAX_SHIFT: u32 = 62;
 
 /// Cache-block edge for the blocked kernels (i8 rows of this length fit
 /// comfortably in L1 alongside the input block).
@@ -52,10 +64,33 @@ pub fn scale_for(max_abs: f32) -> f32 {
     }
 }
 
+/// 2^23: from here up every f32 is an integer, and below it adding and
+/// subtracting it rounds a magnitude to an integer.
+const TWO_23: f32 = 8_388_608.0;
+
+/// Rounds half away from zero, as `f32::round` does, in plain f32
+/// arithmetic instead of a libm call, so a loop of it vectorizes.
+///
+/// Below 2^23, `(|x| + 2^23) − 2^23` rounds the magnitude to the nearest
+/// integer, a tie to the even one; where that rounded a tie down, the
+/// magnitude takes 1 more. From 2^23 up, and for ±∞ and NaN, the
+/// magnitude stays as it is. `copysign` puts the sign back, so −0.3
+/// rounds to −0.0. The result equals `f32::round`'s bit for bit on every
+/// f32 that is not NaN, and is NaN for NaN.
+#[inline]
+pub fn round_half_away(x: f32) -> f32 {
+    let a = x.abs();
+    let r = (a + TWO_23) - TWO_23;
+    // `a − r` is exact (Sterbenz), so only a true tie reads 0.5.
+    let r = if a - r == 0.5 { r + 1.0 } else { r };
+    let r = if a < TWO_23 { r } else { a };
+    r.copysign(x)
+}
+
 /// Quantizes one value: divide by scale, round half away from zero
-/// (`f32::round`), clamp into the symmetric range.
+/// ([`round_half_away`]), clamp into the symmetric range.
 pub fn quantize_value(x: f32, scale: f32) -> i8 {
-    let q = (x / scale).round();
+    let q = round_half_away(x / scale);
     q.clamp(-(QMAX as f32), QMAX as f32) as i8
 }
 
@@ -66,20 +101,51 @@ pub fn quantize_slice(xs: &[f32], scale: f32) -> (Vec<i8>, u64) {
     (out, saturated)
 }
 
-/// [`quantize_slice`] into `out`, replacing its contents in its own
-/// storage, each i8 as a `T` (itself, or its exact f32 image); returns
-/// how many values saturated.
+/// [`quantize_slice`] into `out`, overwriting it in its own storage,
+/// each i8 as a `T` (itself, or its exact f32 image); returns how many
+/// values saturated. Each value is [`quantize_value`]'s, and the loop
+/// has no call and no branch, so it vectorizes.
 pub fn quantize_into<T: From<i8>>(xs: &[f32], scale: f32, out: &mut Vec<T>) -> u64 {
-    let mut saturated = 0u64;
-    out.clear();
-    out.extend(xs.iter().map(|&x| {
-        let q = (x / scale).round();
-        if q > QMAX as f32 || q < -(QMAX as f32) {
-            saturated += 1;
+    let qmax = QMAX as f32;
+    out.resize_with(xs.len(), || T::from(0));
+    count_over(out, xs, |o, &x| {
+        let q = round_half_away(x / scale);
+        // The saturating cast, NaN to 0, without a float-to-int convert.
+        let clamped = if q.is_nan() {
+            0.0
+        } else {
+            q.clamp(-qmax, qmax)
+        };
+        *o = T::from(exact_int(clamped) as i8);
+        u32::from(q.abs() > qmax)
+    })
+}
+
+/// The integer an f32 holds, for an integer-valued `s` with |s| ≤ 2^22:
+/// 1.5 · 2^23 + s lies in [2^23, 2^24], where f32 integers are exact, and
+/// its bits are `0x4B40_0000 + s`. Plain f32 and i32 arithmetic, so a
+/// loop of it vectorizes where the baseline converts floats to integers
+/// one at a time.
+#[inline(always)]
+pub fn exact_int(s: f32) -> i32 {
+    (s + 12_582_912.0).to_bits() as i32 - 0x4B40_0000
+}
+
+/// Runs `f` over `out` and `xs` in step and adds up what it returns: in
+/// a u32 per chunk of 2^16 elements, so that the loop runs in 32-bit
+/// lanes where a u64 per element would halve them.
+#[inline(always)]
+fn count_over<T, X>(out: &mut [T], xs: &[X], mut f: impl FnMut(&mut T, &X) -> u32) -> u64 {
+    const CHUNK: usize = 1 << 16;
+    let mut total = 0u64;
+    for (out, xs) in out.chunks_mut(CHUNK).zip(xs.chunks(CHUNK)) {
+        let mut count = 0u32;
+        for (o, x) in out.iter_mut().zip(xs) {
+            count += f(o, x);
         }
-        T::from(q.clamp(-(QMAX as f32), QMAX as f32) as i8)
-    }));
-    saturated
+        total += u64::from(count);
+    }
+    total
 }
 
 /// A tensor quantized to i8 with one symmetric per-tensor scale.
@@ -180,6 +246,14 @@ impl Calibration {
 /// An integer fixed-point multiplier: `apply(acc) ≈ acc · ratio`
 /// computed as `(acc · mult) >> shift` in i64 with round-half-away-from-
 /// zero — no floats anywhere near the accumulator.
+///
+/// [`Requant::from_ratio`] makes a `mult` of at least 0 and a `shift` of
+/// at most [`MAX_SHIFT`], the range [`rounding_shift`] is exact on; a
+/// requantizer restored from elsewhere must be checked against both
+/// before use.
+/// [`Requant::relu_into`], the slice form, multiplies the magnitudes
+/// `|acc| · |mult|` as u32 × u32 → u64, which is exact for every i32
+/// pair, so it equals [`Requant::apply`] at every shift up to 62.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Requant {
     mult: i32,
@@ -209,7 +283,7 @@ impl Requant {
         }
         // …and keep precision for tiny ones (mult of 0 would collapse
         // the layer to zeros).
-        while m < (1 << 30) as f64 && shift < 62 {
+        while m < (1 << 30) as f64 && shift < MAX_SHIFT {
             m *= 2.0;
             shift += 1;
         }
@@ -245,11 +319,39 @@ impl Requant {
         *saturated += u64::from(!(-QMAX..=QMAX).contains(&v));
         v.clamp(-QMAX, QMAX) as i8
     }
+
+    /// [`Requant::apply_i8`] over `acc`, then ReLU, each result written
+    /// over `out` as its f32 image; returns how many results saturated,
+    /// at either end of the i8 range.
+    ///
+    /// Each element multiplies the magnitudes `|acc| · |mult|` as u32 ×
+    /// u32 → u64 (at most 2^62, so exact), rounds with `(m + half) >>
+    /// shift`, narrows to 32 bits by truncation and takes the sign of
+    /// `acc · mult`: [`rounding_shift`] of the i64 product, for every
+    /// i32 pair and every shift up to 62. The loop has no i64 multiply
+    /// and no branch, so it vectorizes.
+    pub fn relu_into(&self, acc: &[i32], out: &mut Vec<f32>) -> u64 {
+        let (mult, shift) = (u64::from(self.mult.unsigned_abs()), self.shift);
+        let half = (1u64 << shift) >> 1;
+        // −1 where the multiplier flips the accumulator's sign.
+        let flip = -i32::from(self.mult < 0);
+        out.resize(acc.len(), 0.0);
+        count_over(out, acc, |o, &a| {
+            let m = u64::from(a.unsigned_abs()) * mult;
+            let r = ((m + half) >> shift) as u32 as i32;
+            // −1 where `acc · mult` is negative (or `acc` is, times 0,
+            // where `r` is 0 and the sign moves nothing).
+            let sign = (a >> 31) ^ flip;
+            let v = (r ^ sign).wrapping_sub(sign);
+            *o = v.clamp(0, QMAX) as f32;
+            u32::from(!(-QMAX..=QMAX).contains(&v))
+        })
+    }
 }
 
 /// `v >> shift` with round-half-away-from-zero (ties move away from
 /// zero for both signs, matching `f32::round`), narrowed to `i32` by
-/// truncation. Exact for `|v| < 2^62` and `shift ≤ 62`, which covers
+/// truncation. Exact for `|v| ≤ 2^62` and `shift ≤ 62`, which covers
 /// every `i32 × i32` product [`Requant::apply`] shifts.
 ///
 /// Branch-free: the magnitude is rounded and the sign put back with
@@ -364,6 +466,94 @@ pub fn conv2d_i8(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Whether `round_half_away(x)` is `f32::round(x)`: bit for bit, or
+    /// NaN for NaN. Rust leaves a NaN result's payload unspecified, and
+    /// libm quiets a signaling NaN where `round_half_away` passes it on.
+    fn rounds_like_libm(x: f32) -> bool {
+        let (got, want) = (round_half_away(x), x.round());
+        got.to_bits() == want.to_bits() || got.is_nan() && want.is_nan()
+    }
+
+    /// `round_half_away` equals `f32::round` on all 2^32 patterns. It takes
+    /// about 16 s in release on a 2-vCPU x86-64 host, so a debug build
+    /// skips it.
+    #[test]
+    #[cfg_attr(debug_assertions, ignore)]
+    fn round_half_away_equals_f32_round_on_every_pattern() {
+        let wrong = (0..=u32::MAX)
+            .map(f32::from_bits)
+            .find(|&x| !rounds_like_libm(x));
+        assert_eq!(wrong, None);
+    }
+
+    /// `round_half_away` equals `f32::round` on every tie `k + 0.5` below
+    /// 2^23, on either side of 2^23, where it stops rounding, at ±127.5,
+    /// and on ±0, ±∞, NaN and the extremes of the f32 range.
+    #[test]
+    fn round_half_away_equals_f32_round_at_ties_and_edges() {
+        let ties = (0..1u32 << 23).map(|k| k as f32 + 0.5);
+        let edges = [
+            0.0,
+            0.499_999_97,
+            127.5,
+            8_388_607.0,
+            8_388_607.5,
+            8_388_608.0,
+            8_388_609.0,
+            16_777_215.0,
+            f32::from_bits(1),
+            f32::MIN_POSITIVE,
+            f32::MAX,
+            f32::INFINITY,
+            f32::NAN,
+        ];
+        for x in ties.chain(edges).flat_map(|x| [x, -x]) {
+            assert!(rounds_like_libm(x), "{x}: {}", round_half_away(x));
+        }
+        assert_eq!(round_half_away(-0.3).to_bits(), (-0.0f32).to_bits());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The slice form equals `apply_i8` followed by ReLU, element by
+        /// element and in the saturation count, at every shift from 0 to
+        /// 62: over random accumulators with `i32::MIN`, `i32::MAX`, 0,
+        /// ±1 and the values that round to either side of saturation, and
+        /// multipliers 0, ±1, `i32::MIN`, `i32::MAX` or random, negative
+        /// ones included. `out` starts longer than the result.
+        #[test]
+        fn relu_into_equals_apply_i8_then_relu(
+            accs in proptest::collection::vec(i32::MIN..=i32::MAX, 1..48),
+            pick in 0usize..8,
+            drawn in i32::MIN..=i32::MAX,
+        ) {
+            let mult = [0, 1, -1, i32::MIN, i32::MAX, drawn, drawn, drawn][pick];
+            for shift in 0..=MAX_SHIFT {
+                let r = Requant { mult, shift };
+                let mut accs = accs.clone();
+                accs.extend([i32::MIN, i32::MAX, 0, 1, -1]);
+                // Where `acc · mult` crosses ±127.5 · 2^shift.
+                let edge = 127.5 * 2f64.powi(shift as i32) / f64::from(mult);
+                for a in [edge, -edge].map(|e| e.round()).into_iter().filter(|e| e.is_finite()) {
+                    let a = a.clamp(f64::from(i32::MIN), f64::from(i32::MAX)) as i32;
+                    accs.extend([a.saturating_sub(1), a, a.saturating_add(1)]);
+                }
+                let mut out = vec![7.0; accs.len() + 3];
+                let saturated = r.relu_into(&accs, &mut out);
+                let mut want_saturated = 0u64;
+                let want: Vec<u32> = accs
+                    .iter()
+                    .map(|&a| f32::from(r.apply_i8(a, &mut want_saturated)).max(0.0).to_bits())
+                    .collect();
+                let got: Vec<u32> = out.iter().map(|v| v.to_bits()).collect();
+                prop_assert_eq!(got, want, "mult {}, shift {}", mult, shift);
+                prop_assert_eq!(saturated, want_saturated, "mult {}, shift {}", mult, shift);
+            }
+        }
+    }
 
     #[test]
     fn scale_maps_range_onto_i8() {
